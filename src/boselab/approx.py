@@ -273,7 +273,7 @@ def quench_step_unitary(
     """
     if ell0 < 1 or q < 1 or qprime < 1:
         raise ValueError("ell0, q and qprime must be >= 1")
-    if not _is_diagonal_matrix(h_X0.matrix):
+    if not h_X0.is_diagonal:
         raise ValueError("quench term must be a number polynomial (diagonal matrix)")
     kk = int(spec.k_max if k is None else k)
     g = spec.lattice
@@ -301,11 +301,6 @@ def quench_step_unitary(
         scheme=scheme,
         factors=(("expm", B, -float(dt)), ("expm", A, float(dt))),
     )
-
-
-def _is_diagonal_matrix(mat: sparse.spmatrix) -> bool:
-    coo = mat.tocoo()
-    return bool(np.all(coo.row == coo.col))
 
 
 def _default_q(b: FockBasis) -> int:

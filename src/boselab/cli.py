@@ -239,9 +239,12 @@ def _build_state(
         occ = tuple(int(n) for n in filled)
     else:
         raise ConfigError(_STATE_DOC)
-    idx = b.index_of(occ)
-    if idx is None:
-        raise ConfigError(f"psi0 occupation {occ} is not in the basis")
+    try:
+        idx = b.index_of(occ)
+    except KeyError:
+        raise ConfigError(
+            f"scenario.psi0: occupation {occ} is not in the basis"
+        ) from None
     amps = np.zeros(b.dim, dtype=np.complex128)
     amps[idx] = 1.0
     return StateVector(b, amps)

@@ -7,7 +7,6 @@ matrix layouts are reproducible across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,7 +39,9 @@ class FockBasis:
     site_cutoffs: tuple[int, ...]
     sector: int | None
     states: np.ndarray = field(repr=False)          # (dim, n_sites) int16
-    index_map: dict[bytes, int] = field(repr=False)
+    # completion counts: W[i, n] ways sites i.. can hold n bosons (sector
+    # bases); W[i] ways to fill sites i.. at all (product bases)
+    completions: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -50,12 +51,42 @@ class FockBasis:
     def n_sites(self) -> int:
         return self.states.shape[1]
 
+    def rank(self, occ: np.ndarray) -> np.ndarray:
+        """Index of each row of a (k, n_sites) integer array, -1 if absent.
+
+        Product bases rank by mixed-radix strides W[i + 1]; sector bases by
+        the lexicographic combinatorial rank: a state is preceded by those
+        sharing its first i sites and holding fewer bosons on site i.
+        """
+        occ = np.asarray(occ)
+        if occ.ndim != 2 or occ.shape[1] != self.n_sites:
+            raise ValueError(f"occupations must have shape (k, {self.n_sites})")
+        W = self.completions
+        ok = np.ones(len(occ), dtype=bool)
+        idx = np.zeros(len(occ), dtype=np.int64)
+        if self.sector is None:
+            for n_i, c, stride in zip(occ.T, self.site_cutoffs, W[1:]):
+                ok &= (n_i >= 0) & (n_i <= c)
+                idx += n_i * stride
+        else:
+            # sum_{v < n_i} W[i + 1, left - v] as a difference of prefix sums
+            left = np.full(len(occ), self.sector, dtype=np.int64)
+            for n_i, c, C in zip(occ.T, self.site_cutoffs, np.cumsum(W[1:], axis=1)):
+                ok &= (n_i >= 0) & (n_i <= c) & (n_i <= left)
+                n_i = np.where(ok, n_i, 0)      # keeps rejected rows in range
+                idx += C[left]
+                left -= n_i
+                idx -= C[left]
+            ok &= left == 0
+        idx[~ok] = -1
+        return idx
+
     def index_of(self, occ: Sequence[int]) -> int:
-        key = np.asarray(occ, dtype=np.int16).tobytes()
-        try:
-            return self.index_map[key]
-        except KeyError:
-            raise KeyError(f"occupation {tuple(occ)} not in basis") from None
+        row = np.asarray(occ, dtype=np.int64).reshape(1, -1)
+        idx = int(self.rank(row)[0]) if row.shape[1] == self.n_sites else -1
+        if idx < 0:
+            raise KeyError(f"occupation {tuple(occ)} not in basis")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -79,17 +110,24 @@ class DiagonalOperator:
         return DiagonalOperator(self.basis, self.entries * other.entries)
 
 
-def _count_sector(cutoffs: Sequence[int], total: int) -> int:
-    # DP over sites: ways[n] = number of tails summing to n
-    ways = np.zeros(total + 1, dtype=np.int64)
-    ways[0] = 1
-    for c in cutoffs:
-        new = np.zeros_like(ways)
-        for n in range(total + 1):
-            lo = max(0, n - c)
-            new[n] = ways[lo : n + 1].sum()
-        ways = new
-    return int(ways[total])
+def _completion_counts(cutoffs: Sequence[int], sector: int | None) -> np.ndarray:
+    """Completion counts W of the basis, in exact Python integers."""
+    n = len(cutoffs)
+    if sector is None:
+        W = np.ones(n + 1, dtype=object)
+        for i in range(n - 1, -1, -1):
+            W[i] = W[i + 1] * (cutoffs[i] + 1)
+        return W
+    W = np.zeros((n + 1, sector + 1), dtype=object)
+    W[n, 0] = 1
+    for i in range(n - 1, -1, -1):
+        ways = np.cumsum(W[i + 1])
+        W[i] = ways
+        W[i, cutoffs[i] + 1 :] -= ways[: max(0, sector - cutoffs[i])]
+        # totals that sites 0..i-1 cannot top up to the sector never occur;
+        # zeroing them bounds every entry by the dimension
+        W[i, : max(0, sector - sum(cutoffs[:i]))] = 0
+    return W
 
 
 def enumerate_basis(
@@ -114,55 +152,37 @@ def enumerate_basis(
         raise ValueError("need one cutoff per site")
     if any(c < 0 for c in cutoffs):
         raise ValueError("cutoffs must be >= 0")
+    if sector is not None and (sector < 0 or sector > sum(cutoffs)):
+        raise ValueError("sector outside attainable occupation range")
 
-    if sector is not None:
-        if sector < 0 or sector > sum(cutoffs):
-            raise ValueError("sector outside attainable occupation range")
-        dim = _count_sector(cutoffs, sector)
-    else:
-        dim = math.prod(c + 1 for c in cutoffs)
+    W = _completion_counts(cutoffs, sector)
+    dim = int(W[0] if sector is None else W[0, sector])
     if dim > dim_cap:
         raise ResourceLimitError(
             f"basis dimension {dim} exceeds cap {dim_cap}"
         )
+    W = W.astype(np.int64)
 
-    if sector is None:
-        grids = np.meshgrid(
-            *[np.arange(c + 1, dtype=np.int16) for c in cutoffs], indexing="ij"
-        )
-        states = np.stack([a.ravel() for a in grids], axis=1)
-    else:
-        # suffix capacities let us prune branches that cannot reach the sector
-        suffix = np.zeros(n + 1, dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + cutoffs[i]
-        out = np.empty((dim, n), dtype=np.int16)
-        row = 0
-        occ = np.zeros(n, dtype=np.int16)
+    # extend every prefix by each value in increasing order, which keeps the
+    # rows lexicographic; in a sector, drop prefixes the rest cannot complete
+    states = np.zeros((1, 0), dtype=np.int16)
+    filled = np.zeros(1, dtype=np.int64)
+    for i, c in enumerate(cutoffs):
+        parent = np.repeat(np.arange(len(states)), c + 1)
+        value = np.tile(np.arange(c + 1), len(states))
+        if sector is not None:
+            left = sector - filled[parent] - value
+            keep = (left >= 0) & (W[i + 1, np.maximum(left, 0)] > 0)
+            parent, value = parent[keep], value[keep]
+        states = np.column_stack([states[parent], value.astype(np.int16)])
+        filled = filled[parent] + value
 
-        def rec(site: int, remaining: int) -> None:
-            nonlocal row
-            if site == n:
-                out[row] = occ
-                row += 1
-                return
-            lo = max(0, remaining - int(suffix[site + 1]))
-            hi = min(cutoffs[site], remaining)
-            for v in range(lo, hi + 1):
-                occ[site] = v
-                rec(site + 1, remaining - v)
-            occ[site] = 0
-
-        rec(0, sector)
-        states = out
-
-    index_map = {states[k].tobytes(): k for k in range(states.shape[0])}
     return FockBasis(
         lattice=g,
         site_cutoffs=tuple(cutoffs),
         sector=sector,
         states=states,
-        index_map=index_map,
+        completions=W,
     )
 
 

@@ -118,15 +118,6 @@ def _check_hermitian(mat: sparse.spmatrix) -> bool:
     return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
 
 
-def _product_strides(b: FockBasis) -> np.ndarray | None:
-    if b.sector is not None:
-        return None
-    strides = np.ones(b.n_sites, dtype=np.int64)
-    for i in range(b.n_sites - 2, -1, -1):
-        strides[i] = strides[i + 1] * (b.site_cutoffs[i + 1] + 1)
-    return strides
-
-
 def operator_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
     """Minimal site set on which the matrix acts non-trivially.
 
@@ -148,32 +139,22 @@ def operator_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
     if b.sector is not None:
         return frozenset(support)
 
-    # n_i-slice comparison for unmoved sites on product bases
-    for i in range(b.n_sites):
-        if i in support:
+    # n_i-slice comparison for unmoved sites on product bases: entries with
+    # equal rest = index - n_i * stride_i must agree for every n_i
+    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+    for i, stride in enumerate(b.completions[1:]):
+        n_vals = b.site_cutoffs[i] + 1
+        if i in support or n_vals == 1:
             continue
-        n_vals = int(b.site_cutoffs[i]) + 1
-        if n_vals == 1:
-            continue
-        rest_r = states[rows].astype(np.int64).copy()
-        rest_c = states[cols].astype(np.int64).copy()
-        ni = rest_r[:, i].copy()
-        rest_r[:, i] = 0
-        rest_c[:, i] = 0
-        seen: dict[tuple[bytes, bytes], dict[int, complex]] = {}
-        nontrivial = False
-        for a in range(rows.size):
-            key = (rest_r[a].tobytes(), rest_c[a].tobytes())
-            slot = seen.setdefault(key, {})
-            slot[int(ni[a])] = vals[a]
-        for slot in seen.values():
-            ref = next(iter(slot.values()))
-            if len(slot) != n_vals or any(
-                abs(v - ref) > 1e-14 * max(abs(ref), 1.0) for v in slot.values()
-            ):
-                nontrivial = True
-                break
-        if nontrivial:
+        shift = states[rows, i] * stride
+        key = (rows - shift) * b.dim + (cols - shift)
+        _, first, slot, count = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        ref = vals[first][slot]
+        if np.any(count != n_vals) or np.any(
+            np.abs(vals - ref) > 1e-14 * np.maximum(np.abs(ref), 1.0)
+        ):
             support.add(i)
     return frozenset(support)
 
@@ -183,6 +164,7 @@ class OperatorMatrix:
     basis: FockBasis
     matrix: sparse.csr_matrix = field(repr=False)
     hermitian: bool
+    is_diagonal: bool
     support: frozenset[int]
 
     @property
@@ -217,7 +199,14 @@ def _wrap(
         supp = declared
     else:
         supp = operator_support(csr, b)
-    return OperatorMatrix(basis=b, matrix=csr, hermitian=herm, support=supp)
+    rows = np.repeat(np.arange(b.dim), np.diff(csr.indptr))
+    return OperatorMatrix(
+        basis=b,
+        matrix=csr,
+        hermitian=herm,
+        is_diagonal=bool(np.all(rows == csr.indices)),
+        support=supp,
+    )
 
 
 def diagonal_to_operator(d: DiagonalOperator, support: Iterable[int] | None = None) -> OperatorMatrix:
@@ -229,31 +218,48 @@ def diagonal_to_operator(d: DiagonalOperator, support: Iterable[int] | None = No
 # assembly
 
 
-def _hopping_triplets(
-    b: FockBasis, i: int, j: int, J: float
+def _move_triplets(
+    b: FockBasis, src: np.ndarray, target: np.ndarray, amp: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triplets of J * b_i b_j^dag: move one boson i -> j, clipped at cutoffs."""
-    states = b.states
-    n_i = states[:, i].astype(np.int64)
-    n_j = states[:, j].astype(np.int64)
-    ok = (n_i >= 1) & (n_j < b.site_cutoffs[j])
-    src = np.nonzero(ok)[0]
-    if src.size == 0:
-        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.complex128))
-    amp = J * np.sqrt(n_i[ok] * (n_j[ok] + 1.0))
-    strides = _product_strides(b)
-    if strides is not None:
-        dst = src - strides[i] + strides[j]
-    else:
-        target = states[src].copy()
-        target[:, i] -= 1
-        target[:, j] += 1
-        dst = np.fromiter(
-            (b.index_map[target[a].tobytes()] for a in range(src.size)),
-            dtype=np.int64,
-            count=src.size,
-        )
-    return dst, src, amp.astype(np.complex128)
+    """Triplets (dst, src, amp) of the local moves states[src] -> target rows.
+
+    Moves that leave the basis (past a cutoff or out of the sector) are dropped.
+    """
+    dst = b.rank(target)
+    keep = dst >= 0
+    return dst[keep], src[keep], amp[keep].astype(np.complex128)
+
+
+def _triplet_matrix(
+    b: FockBasis, parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> sparse.csr_matrix:
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(b.dim, b.dim))
+
+
+def _hopping_triplets(
+    b: FockBasis, hops: Sequence[tuple[int, int, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triplets of sum J * b_i b_j^dag over hops (i, j, J), hop by hop.
+
+    Each term moves one boson i -> j, clipped at cutoffs; all hops are
+    ranked in one batch.
+    """
+    i, j, J = np.asarray(hops, dtype=np.float64).reshape(-1, 3).T
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    n_i = b.states.T[i].astype(np.int64)                   # (hops, dim)
+    n_j = b.states.T[j].astype(np.int64)
+    # site-major (n_sites, hops, dim), so rank reads each site contiguously
+    target = np.repeat(b.states.T[:, None, :], len(J), axis=1)
+    hop = np.arange(len(J))
+    target[i, hop] -= 1
+    target[j, hop] += 1
+    return _move_triplets(
+        b,
+        np.tile(np.arange(b.dim), len(J)),
+        target.reshape(b.n_sites, -1).T,
+        (J[:, None] * np.sqrt(n_i * (n_j + 1.0))).ravel(),
+    )
 
 
 def _interaction_entries(b: FockBasis, terms: Sequence[Interaction]) -> np.ndarray:
@@ -274,20 +280,14 @@ def assemble_hamiltonian(
 ) -> OperatorMatrix:
     if spec.lattice is not b.lattice and spec.lattice.edges != b.lattice.edges:
         raise ValueError("spec and basis lattices differ")
-    rows_all: list[np.ndarray] = []
-    cols_all: list[np.ndarray] = []
-    vals_all: list[np.ndarray] = []
+    hops = []
     supp: set[int] = set()
     for i, j, J in spec.hoppings:
         if _hop_filter is not None and not _hop_filter(i, j):
             continue
         supp.update((i, j))
         # J b_i b_j^dag plus Hermitian conjugate
-        r1, c1, v1 = _hopping_triplets(b, i, j, J)
-        r2, c2, v2 = _hopping_triplets(b, j, i, J)
-        rows_all += [r1, r2]
-        cols_all += [c1, c2]
-        vals_all += [v1, v2]
+        hops += [(i, j, J), (j, i, J)]
     terms = [
         t
         for t in spec.interactions
@@ -298,17 +298,8 @@ def assemble_hamiltonian(
         if any(m.coeff != 0.0 and any(m.powers) for m in t.monomials):
             supp.update(t.region)
     nz = np.nonzero(diag)[0]
-    rows_all.append(nz)
-    cols_all.append(nz)
-    vals_all.append(diag[nz].astype(np.complex128))
-    if rows_all:
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-        vals = np.concatenate(vals_all)
-    else:
-        rows = cols = np.empty(0, np.int64)
-        vals = np.empty(0, np.complex128)
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(b.dim, b.dim))
+    diag_part = (nz, nz, diag[nz].astype(np.complex128))
+    mat = _triplet_matrix(b, [_hopping_triplets(b, hops), diag_part])
     return _wrap(b, mat, declared_support=sorted(supp), verify_support=False)
 
 
@@ -384,34 +375,11 @@ def creation_degree(O: OperatorMatrix, X: Iterable[int]) -> int | str:
 def _site_ladder(
     b: FockBasis, i: int, create: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    states = b.states
-    n_i = states[:, i].astype(np.int64)
-    if create:
-        ok = n_i < b.site_cutoffs[i]
-        amp = np.sqrt(n_i[ok] + 1.0)
-        delta = +1
-    else:
-        ok = n_i >= 1
-        amp = np.sqrt(n_i[ok].astype(np.float64))
-        delta = -1
-    src = np.nonzero(ok)[0]
-    strides = _product_strides(b)
-    if strides is not None:
-        dst = src + delta * strides[i]
-    else:
-        target = states[src].copy()
-        target[:, i] += delta
-        dst_list = []
-        keep = []
-        for a in range(src.size):
-            key = target[a].tobytes()
-            if key in b.index_map:
-                dst_list.append(b.index_map[key])
-                keep.append(a)
-        src = src[keep]
-        amp = amp[keep]
-        dst = np.asarray(dst_list, dtype=np.int64)
-    return dst, src, amp.astype(np.complex128)
+    n_i = b.states[:, i].astype(np.float64)
+    target = b.states.copy()
+    target[:, i] += 1 if create else -1
+    amp = np.sqrt(n_i + 1.0) if create else np.sqrt(n_i)
+    return _move_triplets(b, np.arange(b.dim), target, amp)
 
 
 def local_operator(
@@ -442,8 +410,7 @@ def local_operator(
     if kind in ("creation", "annihilation"):
         if len(sites) != 1:
             raise ValueError(f"{kind} operator acts on a single site")
-        dst, src, amp = _site_ladder(b, sites[0], create=(kind == "creation"))
-        mat = sparse.csr_matrix((amp, (dst, src)), shape=(b.dim, b.dim))
+        mat = _triplet_matrix(b, [_site_ladder(b, sites[0], kind == "creation")])
         return _wrap(b, mat, declared_support=sites, verify_support=False)
     if kind == "projector":
         if predicate is None:
@@ -462,39 +429,19 @@ def local_operator(
             raise ValueError(
                 f"custom matrix shape {M.shape} does not match local dimension {ldim}"
             )
-        # local mixed-radix index of each basis state on X
-        lstr = np.ones(len(sites), dtype=np.int64)
-        for a in range(len(sites) - 2, -1, -1):
-            lstr[a] = lstr[a + 1] * local_dims[a + 1]
-        loc = (b.states[:, sites].astype(np.int64) * lstr).sum(axis=1)
-        rows_out, cols_out, vals_out = [], [], []
-        nz_r, nz_c = np.nonzero(M)
-        by_col: dict[int, list[tuple[int, complex]]] = {}
-        for r, c in zip(nz_r, nz_c):
-            by_col.setdefault(int(c), []).append((int(r), complex(M[r, c])))
-        states = b.states
-        for g_idx in range(b.dim):
-            c_loc = int(loc[g_idx])
-            if c_loc not in by_col:
-                continue
-            base = states[g_idx].copy()
-            for r_loc, v in by_col[c_loc]:
-                target = base.copy()
-                rem = r_loc
-                for a, s in enumerate(sites):
-                    target[s] = rem // lstr[a]
-                    rem = rem % lstr[a]
-                key = target.tobytes()
-                t_idx = b.index_map.get(key)
-                if t_idx is None:
-                    continue  # out-of-sector image dropped
-                rows_out.append(t_idx)
-                cols_out.append(g_idx)
-                vals_out.append(v)
-        mat = sparse.csr_matrix(
-            (np.asarray(vals_out, dtype=np.complex128), (rows_out, cols_out)),
-            shape=(b.dim, b.dim),
+        Mc = sparse.csc_matrix(M)
+        # basis state g meets the nonzeros of column loc[g] of M, loc[g] being
+        # its local index on X; k runs over those entries state by state, and
+        # each target takes its entry's row as the occupation of X
+        loc = np.ravel_multi_index(tuple(b.states[:, sites].T), local_dims)
+        count = np.diff(Mc.indptr)[loc]
+        src = np.repeat(np.arange(b.dim), count)
+        k = Mc.indptr[loc][src] + np.arange(src.size) - np.repeat(
+            np.cumsum(count) - count, count
         )
+        target = b.states[src]
+        target[:, sites] = np.stack(np.unravel_index(Mc.indices[k], local_dims), axis=1)
+        mat = _triplet_matrix(b, [_move_triplets(b, src, target, Mc.data[k])])
         op = _wrap(b, mat, declared_support=sites, verify_support=False)
         if unitary:
             err = (op.matrix.getH() @ op.matrix - sparse.eye(b.dim)).tocoo()

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
+from hypothesis import strategies as st
+from scipy import sparse
 
 from boselab.evolve import StateVector
-from boselab.fock import FockBasis
+from boselab.fock import FockBasis, enumerate_basis
+from boselab.lattice import build_lattice
 
 
 def fock_state(b: FockBasis, occ) -> StateVector:
@@ -29,3 +35,134 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 
 def mott_occupation(n_sites: int, filling: int = 1) -> tuple[int, ...]:
     return (filling,) * n_sites
+
+
+# ---------------------------------------------------------------------------
+# slow reference for the Fock index kernel: a tuple-keyed dict over the basis
+# and one Python loop iteration per basis state, move or matrix entry
+
+
+@st.composite
+def small_bases(draw, max_sites: int = 4, max_cutoff: int = 3) -> FockBasis:
+    """Chains with per-site cutoffs, as product bases or in any sector,
+    with the edge sectors 0 and sum(cutoffs) drawn often."""
+    n = draw(st.integers(1, max_sites))
+    cutoffs = draw(st.lists(st.integers(0, max_cutoff), min_size=n, max_size=n))
+    top = sum(cutoffs)
+    sector = draw(
+        st.one_of(st.none(), st.sampled_from([0, top]), st.integers(0, top))
+    )
+    return enumerate_basis(build_lattice("chain", [n]), cutoffs, sector=sector)
+
+
+def oracle_index(b: FockBasis) -> dict[tuple[int, ...], int]:
+    return {tuple(int(x) for x in s): k for k, s in enumerate(b.states)}
+
+
+def oracle_rank(b: FockBasis, occ: np.ndarray) -> np.ndarray:
+    index = oracle_index(b)
+    return np.array(
+        [index.get(tuple(int(x) for x in row), -1) for row in occ], dtype=np.int64
+    )
+
+
+def _oracle_csr(b: FockBasis, entries) -> sparse.csr_matrix:
+    """Triplets to CSR the way model._wrap stores them."""
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries], dtype=np.complex128)
+    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(b.dim, b.dim))
+    mat = sparse.csr_matrix(mat, dtype=np.complex128)
+    mat.eliminate_zeros()
+    return mat
+
+
+def oracle_hamiltonian(spec, b: FockBasis) -> sparse.csr_matrix:
+    index = oracle_index(b)
+    entries = []
+    for i, j, J in spec.hoppings:
+        for src_site, dst_site in ((i, j), (j, i)):
+            for k, s in enumerate(b.states):
+                occ = [int(x) for x in s]
+                if occ[src_site] < 1 or occ[dst_site] >= b.site_cutoffs[dst_site]:
+                    continue
+                amp = J * math.sqrt(occ[src_site] * (occ[dst_site] + 1.0))
+                occ[src_site] -= 1
+                occ[dst_site] += 1
+                entries.append((index[tuple(occ)], k, amp))
+    for k, s in enumerate(b.states):
+        d = 0.0
+        for term in spec.interactions:
+            for mono in term.monomials:
+                v = mono.coeff
+                for site, p in zip(term.region, mono.powers):
+                    if p:
+                        v *= float(s[site]) ** p
+                d += v
+        if d != 0.0:
+            entries.append((k, k, d))
+    return _oracle_csr(b, entries)
+
+
+def oracle_ladder(b: FockBasis, i: int, create: bool) -> sparse.csr_matrix:
+    index = oracle_index(b)
+    entries = []
+    for k, s in enumerate(b.states):
+        occ = [int(x) for x in s]
+        n = occ[i]
+        occ[i] += 1 if create else -1
+        dst = index.get(tuple(occ))
+        if dst is not None:
+            entries.append((dst, k, math.sqrt(n + 1.0) if create else math.sqrt(n)))
+    return _oracle_csr(b, entries)
+
+
+def oracle_custom_matrix(b: FockBasis, sites, M: np.ndarray) -> sparse.csr_matrix:
+    index = oracle_index(b)
+    local_dims = [b.site_cutoffs[i] + 1 for i in sites]
+    local_states = list(itertools.product(*(range(d) for d in local_dims)))
+    entries = []
+    for k, s in enumerate(b.states):
+        c = local_states.index(tuple(int(s[i]) for i in sites))
+        for r in range(len(local_states)):
+            if M[r, c] == 0:
+                continue
+            occ = [int(x) for x in s]
+            for site, n in zip(sites, local_states[r]):
+                occ[site] = n
+            dst = index.get(tuple(occ))
+            if dst is not None:
+                entries.append((dst, k, M[r, c]))
+    return _oracle_csr(b, entries)
+
+
+def oracle_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
+    """Sites moved by some entry; on product bases also the sites whose n_i
+    slices differ, each slice keyed by the other sites' row and column."""
+    coo = mat.tocoo()
+    entries = [
+        (tuple(int(x) for x in b.states[r]), tuple(int(x) for x in b.states[c]), v)
+        for r, c, v in zip(coo.row, coo.col, coo.data)
+        if abs(v) > 0
+    ]
+    support = {
+        i for row, col, _ in entries for i in range(b.n_sites) if row[i] != col[i]
+    }
+    if b.sector is not None or not entries:
+        return frozenset(support)
+    for i in range(b.n_sites):
+        n_vals = b.site_cutoffs[i] + 1
+        if i in support or n_vals == 1:
+            continue
+        slices: dict[tuple, dict[int, complex]] = {}
+        for row, col, v in entries:
+            key = (row[:i] + row[i + 1 :], col[:i] + col[i + 1 :])
+            slices.setdefault(key, {})[row[i]] = v
+        for slot in slices.values():
+            ref = next(iter(slot.values()))
+            if len(slot) != n_vals or any(
+                abs(v - ref) > 1e-14 * max(abs(ref), 1.0) for v in slot.values()
+            ):
+                support.add(i)
+                break
+    return frozenset(support)

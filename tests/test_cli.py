@@ -301,6 +301,20 @@ def test_invalid_constants_exit_two(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_psi0_outside_basis_is_config_error(tmp_path, capsys):
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["lattice"]["dims"] = [4]
+    payload["basis"] = {"cutoff": 2, "sector": 4}
+    payload["scenario"]["psi0"] = "fock:[2,2,2,2]"
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "config error: scenario.psi0: occupation (2, 2, 2, 2) is not in the basis"
+        in err
+    )
+
+
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit):
         main([])

@@ -295,3 +295,10 @@ def test_spectral_norm_degenerate_spectra_above_cap():
     shift = np.roll(np.eye(dim), 1, axis=0)  # cyclic permutation, all sigma = 1
     u_perm = local_operator("custom-matrix", [0], b, matrix=shift, unitary=True)
     assert spectral_norm(u_perm, cap=8) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_spectral_norm_is_deterministic_above_cap():
+    # dim 7776 > DENSE_CAP, so every call goes through the Lanczos SVD
+    g, b, H = chain_setup(5, 5, J=1.0, U=1.0)
+    values = {spectral_norm(H) for _ in range(6)}
+    assert len(values) == 1

@@ -17,6 +17,7 @@ from boselab.fock import (
     truncation_projector,
 )
 from boselab.lattice import build_lattice
+from helpers import oracle_rank, small_bases
 
 
 def test_product_basis_dimension_and_order():
@@ -211,3 +212,50 @@ def test_projector_idempotence(a, bq, c):
     p = truncation_projector(basis, [([0], a), ([1], bq), ([0, 2], c)])
     assert p.is_projector()
     assert np.array_equal(p.compose(p).entries, p.entries)
+
+
+@given(small_bases())
+@settings(max_examples=80, deadline=None)
+def test_enumeration_is_sorted_filtered_product(b):
+    product = itertools.product(*(range(c + 1) for c in b.site_cutoffs))
+    expected = sorted(p for p in product if b.sector is None or sum(p) == b.sector)
+    assert [tuple(int(x) for x in s) for s in b.states] == expected
+    assert b.states.dtype == np.int16
+
+
+@given(small_bases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_rank_matches_dict_lookup(b, seed):
+    assert np.array_equal(b.rank(b.states), np.arange(b.dim))
+    # shifted rows land inside the basis, past a cutoff, below zero, or
+    # out of the sector
+    rng = np.random.default_rng(seed)
+    shifted = b.states + rng.integers(-2, 3, size=b.states.shape)
+    before = shifted.copy()
+    ranked = b.rank(shifted)
+    assert np.array_equal(shifted, before)
+    assert np.array_equal(ranked, oracle_rank(b, shifted))
+
+
+def test_rank_rejects_wrong_width():
+    b = enumerate_basis(build_lattice("chain", [3]), 2, sector=3)
+    with pytest.raises(ValueError):
+        b.rank(np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(KeyError):
+        b.index_of((1, 1))
+
+
+def test_large_sector_basis_enumerates_and_ranks():
+    # chain 12, cutoff 3, N=12: dim 534,964
+    b = enumerate_basis(build_lattice("chain", [12]), 3, sector=12)
+    assert b.dim == 534_964
+    assert np.array_equal(b.rank(b.states), np.arange(b.dim))
+    assert np.all(np.diff(b.rank(b.states[::997])) > 0)
+
+
+def test_sector_count_is_exact_beyond_int64():
+    # 60 sites at cutoff 20 in the 300-boson sector hold far more than 2**63
+    # states; the count must still trip the cap rather than wrap around
+    g = build_lattice("chain", [60])
+    with pytest.raises(ResourceLimitError):
+        enumerate_basis(g, 20, sector=300)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boselab.fock import enumerate_basis, truncation_projector
 from boselab.lattice import build_lattice
@@ -18,7 +20,14 @@ from boselab.model import (
     local_operator,
     subset_hamiltonian,
 )
-from boselab.model import diagonal_to_operator
+from boselab.model import diagonal_to_operator, operator_support
+from helpers import (
+    oracle_custom_matrix,
+    oracle_hamiltonian,
+    oracle_ladder,
+    oracle_support,
+    small_bases,
+)
 
 
 def two_site_basis(cutoff):
@@ -356,3 +365,57 @@ def test_non_hermitian_flagged():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     O = local_operator("custom-matrix", [0], b, matrix=m)
     assert not O.hermitian
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+@given(small_bases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_assembly_is_bit_identical_to_loop_reference(b, seed):
+    rng = np.random.default_rng(seed)
+    g = b.lattice
+    hoppings = tuple((i, j, float(rng.uniform(-1, 1))) for i, j in g.edges)
+    terms = tuple(
+        Interaction((i,), (Monomial(float(rng.normal()), (2,)), Monomial(float(rng.normal()), (1,))))
+        for i in g.sites
+    )
+    J_bar = max((abs(J) for _, _, J in hoppings), default=0.0)
+    spec = HamiltonianSpec(g, hoppings, terms, k_max=1, J_bar=J_bar)
+    H = assemble_hamiltonian(spec, b)
+    assert_same_csr(H.matrix, oracle_hamiltonian(spec, b))
+    assert operator_support(H.matrix, b) == oracle_support(H.matrix, b)
+    for i in g.sites:
+        for kind in ("creation", "annihilation"):
+            op = local_operator(kind, i, b)
+            assert_same_csr(op.matrix, oracle_ladder(b, i, kind == "creation"))
+            assert operator_support(op.matrix, b) == oracle_support(op.matrix, b)
+
+
+@given(small_bases(max_sites=3), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_custom_matrix_is_bit_identical_to_loop_reference(b, seed, data):
+    sites = sorted(
+        data.draw(st.sets(st.sampled_from(range(b.n_sites)), min_size=1, max_size=2))
+    )
+    ldim = math.prod(b.site_cutoffs[i] + 1 for i in sites)
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((ldim, ldim)) + 1j * rng.standard_normal((ldim, ldim))
+    M *= rng.random((ldim, ldim)) < 0.4
+    # a diagonal with repeated values exercises the n_i-slice comparison
+    for mat in (M, np.diag(rng.integers(0, 2, ldim).astype(complex))):
+        op = local_operator("custom-matrix", sites, b, matrix=mat)
+        assert_same_csr(op.matrix, oracle_custom_matrix(b, sites, mat))
+        assert operator_support(op.matrix, b) == oracle_support(op.matrix, b)
+
+
+def test_is_diagonal_flag():
+    b = enumerate_basis(build_lattice("chain", [3]), 2)
+    H = assemble_hamiltonian(bose_hubbard(b.lattice, J=1.0, U=1.0), b)
+    assert not H.is_diagonal
+    assert assemble_hamiltonian(bose_hubbard(b.lattice, J=0.0, U=1.0), b).is_diagonal
+    assert local_operator("number", [1], b).is_diagonal
+    assert not local_operator("creation", 1, b).is_diagonal
