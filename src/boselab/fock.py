@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 DIMENSION_CAP = 5_000_000
+_MAX_CUTOFF = int(np.iinfo(np.int16).max)  # occupations are stored as int16
 
 
 class ResourceLimitError(RuntimeError):
@@ -152,6 +153,10 @@ def enumerate_basis(
         raise ValueError("need one cutoff per site")
     if any(c < 0 for c in cutoffs):
         raise ValueError("cutoffs must be >= 0")
+    if any(c > _MAX_CUTOFF for c in cutoffs):
+        raise ValueError(
+            f"cutoffs must be <= {_MAX_CUTOFF}: occupations are stored as int16"
+        )
     if sector is not None and (sector < 0 or sector > sum(cutoffs)):
         raise ValueError("sector outside attainable occupation range")
 

@@ -110,11 +110,12 @@ def bose_hubbard(
 # operator container
 
 
-def _check_hermitian(mat: sparse.spmatrix) -> bool:
-    diff = (mat - mat.getH()).tocoo()
+def _check_hermitian(mat: sparse.csr_matrix) -> bool:
+    # CSR arithmetic stores no zeros, so diff.data holds every mismatch
+    diff = mat - mat.getH()
     if diff.nnz == 0:
         return True
-    scale = max(np.abs(mat.tocoo().data).max(), 1.0)
+    scale = max(np.abs(mat.data).max(), 1.0)
     return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
 
 

@@ -12,6 +12,7 @@ from scipy import sparse
 from boselab.evolve import StateVector
 from boselab.fock import FockBasis, enumerate_basis
 from boselab.lattice import build_lattice
+from boselab.model import HERMITICITY_RTOL
 
 
 def fock_state(b: FockBasis, occ) -> StateVector:
@@ -166,3 +167,12 @@ def oracle_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
                 support.add(i)
                 break
     return frozenset(support)
+
+
+def oracle_is_hermitian(mat: sparse.spmatrix) -> bool:
+    """The Hermiticity rule through COO copies of the difference and the matrix."""
+    diff = (mat - mat.getH()).tocoo()
+    if diff.nnz == 0:
+        return True
+    scale = max(np.abs(mat.tocoo().data).max(), 1.0)
+    return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)

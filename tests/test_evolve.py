@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
 import boselab.evolve as evolve_mod
 from boselab.evolve import (
@@ -19,7 +20,7 @@ from boselab.evolve import (
 from boselab.fock import ResourceLimitError, enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
-from helpers import fock_state, random_state
+from helpers import fock_state, mott_occupation, random_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0, mu=0.0, sector=None):
@@ -129,6 +130,114 @@ def test_propagation_error_when_budget_unreachable():
     psi = random_state(b, 2)
     with pytest.raises(PropagationError):
         evolve_state(H, psi, 1.0, tol=1e-16, max_krylov=2)
+
+
+def test_report_counts_short_step():
+    g, b, H = chain_setup(6, 3, J=1.0, U=1.0)
+    psi = random_state(b, 4)
+    _, report = evolve_state(H, psi, 0.01, return_report=True)
+    assert report.method == "krylov"
+    assert report.steps == 1
+    assert 0 < report.matvecs < evolve_mod._MAX_KRYLOV
+    assert report.rejected == 0
+
+
+def test_report_counts_long_evolution():
+    g, b, H = chain_setup(3, 3, J=1.0, U=1.0)
+    psi = random_state(b, 6)
+    _, report = evolve_state(H, psi, 25.0, return_report=True)
+    assert report.steps > 1
+    assert report.matvecs >= report.steps
+    # diagonal and t = 0 paths build no Krylov vectors
+    _, zero = evolve_state(H, psi, 0.0, return_report=True)
+    g1, b1, H1 = chain_setup(1, 3, J=0.0, mu=0.7)
+    _, diag = evolve_state(H1, fock_state(b1, (2,)), 1.0, return_report=True)
+    assert (zero.matvecs, zero.rejected) == (0, 0)
+    assert (diag.matvecs, diag.rejected) == (0, 0)
+
+
+# an N=6 sector keeps chain 6, cutoff 3 (dim 336) under DENSE_CAP
+EARLY_STOP_SYSTEMS = {
+    "chain6-cutoff3-N6": dict(n=6, cutoff=3, U=1.0, sector=6),
+    "chain4-cutoff4-U5": dict(n=4, cutoff=4, U=5.0),
+}
+# structured starts give structured tridiagonals, whose estimate can vanish
+# by accident; a random start gives a generic one
+EARLY_STOP_FOCK = {
+    "chain6-cutoff3-N6": (0, 0, 3, 3, 0, 0),
+    "chain4-cutoff4-U5": (0, 4, 0, 0),
+}
+
+
+def early_stop_start(system, b, start):
+    if start == "random":
+        return random_state(b, 17)
+    if start == "mott":
+        return fock_state(b, mott_occupation(b.n_sites))
+    return fock_state(b, EARLY_STOP_FOCK[system])
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.03, 0.4, 3.0])
+@pytest.mark.parametrize("start", ["random", "mott", "fock"])
+@pytest.mark.parametrize("system", sorted(EARLY_STOP_SYSTEMS))
+def test_early_stop_matches_dense_oracle(system, start, t):
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS[system])
+    psi = early_stop_start(system, b, start)
+    tol = 1e-10
+    out, report = evolve_state(H, psi, t, tol=tol, return_report=True)
+    exact = dense_expm(H, t).dense() @ psi.amplitudes
+    assert np.linalg.norm(out.amplitudes - exact) <= tol
+    if t <= 0.03:
+        # short steps stop well below the Krylov cap
+        assert report.matvecs < evolve_mod._MAX_KRYLOV
+
+
+# Fock starts on symmetric chains at times where the estimate from the first
+# few Krylov vectors vanishes while their answer is wrong by about 1: one
+# particle on the centre of 5 sites, whose 2-vector estimate is
+# |sin(sqrt(2) t)|, and two bosons on site 2 of 4 (cutoff 2, U=0)
+RESONANCES = [
+    pytest.param(
+        dict(n=5, cutoff=1, sector=1), (0, 0, 1, 0, 0), math.pi / math.sqrt(2),
+        id="chain5-N1-centre-pi/sqrt2",
+    ),
+    pytest.param(dict(n=4, cutoff=2), (0, 0, 2, 0), math.pi / 2, id="chain4-pair-pi/2"),
+    pytest.param(dict(n=4, cutoff=2), (0, 0, 2, 0), math.pi, id="chain4-pair-pi"),
+]
+
+
+@pytest.mark.parametrize("system, occ, t", RESONANCES)
+def test_early_stop_survives_vanishing_estimate(system, occ, t):
+    g, b, H = chain_setup(J=1.0, **system)
+    psi = fock_state(b, occ)
+    tol = 1e-10
+    out = evolve_state(H, psi, t, tol=tol)
+    exact = dense_expm(H, t).dense() @ psi.amplitudes
+    assert np.linalg.norm(out.amplitudes - exact) <= tol
+
+
+@pytest.mark.parametrize("start", ["random", "mott", "fock"])
+def test_long_evolution_matches_dense_oracle(start):
+    # many steps, most of them at the Krylov cap or rejected there, so the
+    # checks start late and skip along the estimate's trend
+    system = "chain6-cutoff3-N6"
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS[system])
+    psi = early_stop_start(system, b, start)
+    tol = 1e-10
+    out, report = evolve_state(H, psi, 20.0, tol=tol, return_report=True)
+    exact = dense_expm(H, 20.0).dense() @ psi.amplitudes
+    assert report.steps > 4 and report.rejected > 0
+    assert np.linalg.norm(out.amplitudes - exact) <= tol
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 0.4])
+def test_early_stop_matches_expm_multiply_above_dense_cap(t):
+    g, b, H = chain_setup(7, 3, J=1.0, U=1.0)  # dim 16384 > DENSE_CAP
+    assert b.dim > evolve_mod.DENSE_CAP
+    psi = random_state(b, 23)
+    out = evolve_state(H, psi, t)
+    ref = expm_multiply(-1j * t * H.matrix, psi.amplitudes)
+    assert np.linalg.norm(out.amplitudes - ref) <= 1e-9
 
 
 def test_heisenberg_conjugation():

@@ -259,3 +259,15 @@ def test_sector_count_is_exact_beyond_int64():
     g = build_lattice("chain", [60])
     with pytest.raises(ResourceLimitError):
         enumerate_basis(g, 20, sector=300)
+
+
+def test_cutoff_beyond_int16_is_rejected():
+    g = build_lattice("chain", [1])
+    with pytest.raises(ValueError, match="32767"):
+        enumerate_basis(g, 40000)
+    with pytest.raises(ValueError, match="32767"):
+        enumerate_basis(build_lattice("chain", [2]), [1, 32768])
+    # the largest cutoff that fits still enumerates and ranks correctly
+    b = enumerate_basis(g, 32767)
+    assert b.states.min() == 0 and b.states.max() == 32767
+    assert np.array_equal(b.rank(b.states), np.arange(b.dim))

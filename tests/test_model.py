@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from boselab.fock import enumerate_basis, truncation_projector
 from boselab.lattice import build_lattice
@@ -20,12 +21,19 @@ from boselab.model import (
     local_operator,
     subset_hamiltonian,
 )
-from boselab.model import diagonal_to_operator, operator_support
+from boselab.model import (
+    HERMITICITY_RTOL,
+    _check_hermitian,
+    diagonal_to_operator,
+    operator_support,
+)
 from helpers import (
     oracle_custom_matrix,
     oracle_hamiltonian,
+    oracle_is_hermitian,
     oracle_ladder,
     oracle_support,
+    random_hermitian,
     small_bases,
 )
 
@@ -419,3 +427,24 @@ def test_is_diagonal_flag():
     assert assemble_hamiltonian(bose_hubbard(b.lattice, J=0.0, U=1.0), b).is_diagonal
     assert local_operator("number", [1], b).is_diagonal
     assert not local_operator("creation", 1, b).is_diagonal
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 250.0])
+def test_hermiticity_check_matches_reference(scale):
+    A = scale * random_hermitian(12, seed=3)
+    A[np.abs(A) < 0.3 * scale] = 0.0  # leave the sparsity pattern irregular
+    top = max(np.abs(A).max(), 1.0)  # the rule's scale floor is 1
+    cases = {"hermitian": (A, True), "zero": (np.zeros_like(A), True)}
+    skew = A.copy()
+    skew[0, 5] += 0.1 * top
+    cases["non-hermitian"] = (skew, False)
+    for name, factor, want in (("inside", 0.9, True), ("outside", 1.1, False)):
+        M = A.copy()
+        M[2, 7] += factor * HERMITICITY_RTOL * top
+        cases[name] = (M, want)
+    g = build_lattice("chain", [4])
+    H = assemble_hamiltonian(bose_hubbard(g, J=scale, U=scale), enumerate_basis(g, 2))
+    cases["bose-hubbard"] = (H.matrix, True)
+    for name, (M, want) in cases.items():
+        mat = sparse.csr_matrix(M, dtype=np.complex128)
+        assert _check_hermitian(mat) == oracle_is_hermitian(mat) == want, name
