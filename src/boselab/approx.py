@@ -22,9 +22,8 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sparse
 
-from . import evolve as _ev
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
-from .evolve import StateVector, evolve_state
+from .evolve import StateVector, _dense_unitary, dense_cap, evolve_state
 from .fock import FockBasis, ResourceLimitError, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball, geometric_constants
 from .model import HamiltonianSpec, OperatorMatrix, _wrap, assemble_hamiltonian
@@ -107,7 +106,7 @@ class LocalUnitary:
                 f"local unitary generator does not commute with the region "
                 f"number operator (defect {defect:.3e})"
             )
-        if self.basis.dim <= _ev.DENSE_CAP:
+        if self.basis.dim <= dense_cap():
             U = self.materialize()
             uerr = float(np.linalg.norm(U.conj().T @ U - np.eye(self.basis.dim), 2))
             if uerr > UNITARITY_TOL:
@@ -136,15 +135,16 @@ class LocalUnitary:
 
     def materialize(self) -> np.ndarray:
         """Dense product matrix; factors[0] is rightmost."""
-        if self.basis.dim > _ev.DENSE_CAP:
+        cap = dense_cap()
+        if self.basis.dim > cap:
             raise ResourceLimitError(
-                f"dimension {self.basis.dim} exceeds the dense cap {_ev.DENSE_CAP}"
+                f"dimension {self.basis.dim} exceeds the dense cap {cap}"
             )
         U = np.eye(self.basis.dim, dtype=np.complex128)
         for f in self.factors:
             if f[0] == "expm":
                 _, G, tau = f
-                step = _ev._dense_unitary(G, float(tau))
+                step = _dense_unitary(G, float(tau))
             else:
                 step = f[1].dense()
             U = step @ U
@@ -357,10 +357,11 @@ def approximate_heisenberg(
     halo inside the next ball (this needs dr >= 2); the default q comes from
     solve_eta when its regime applies and is the full cutoff otherwise.
     """
-    if b.dim > _ev.DENSE_CAP:
+    cap = dense_cap()
+    if b.dim > cap:
         raise ResourceLimitError(
             f"conjugation chain needs dense matrices; dimension {b.dim} exceeds "
-            f"cap {_ev.DENSE_CAP}"
+            f"cap {cap}"
         )
     if t == 0.0:
         if return_trace:

@@ -6,6 +6,14 @@ runner executes it and writes CSV/JSON reports plus a run-manifest capturing
 every resolved constant.  Exit status is 0 only when all inequality rows
 pass, 1 when any fails, 2 on configuration or computation errors.
 
+Each kind is one entry of the ``_SCENARIOS`` table: the scenario keys it
+accepts, its report columns, the config blocks it needs, and a runner that
+returns its rows.  A runner reads everything through one ``_Run``, which
+builds the lattice, basis, model and a lazy H once, resolves the
+observable, the initial state and the bound constants, reads scenario
+values with their types (a bad value is a ``ConfigError`` naming its
+field), and maps the runner's cells over the thread pool.
+
 Determinism contract: a fixed config and seed produce byte-identical CSV.
 Timestamps appear only in the manifest sidecar.  CSV floats use 17
 significant digits; JSON uses the shortest exact representation, so a
@@ -15,6 +23,7 @@ JSON emit/parse round trip reproduces rows bit-exactly.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import itertools
 import json
@@ -22,14 +31,15 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from . import evolve as _ev
 from .bounds import (
     BoundConditionError,
     BoundConstants,
@@ -49,7 +59,7 @@ from .bounds import (
     tail_bound,
     truncation_error_bound,
 )
-from .evolve import StateVector, evolve_state, heisenberg, spectral_norm
+from .evolve import RUN_DENSE_CAP, StateVector, evolve_state, heisenberg, spectral_norm
 from .fock import FockBasis, enumerate_basis
 from .lattice import LatticeGraph, ball, boundary, build_lattice, geometric_constants
 from .model import (
@@ -73,20 +83,6 @@ from .probes import (
 )
 from .approx import approximate_heisenberg, local_step_unitary, run_quench
 
-SCENARIO_KINDS = (
-    "lightcone-map",
-    "moment-check",
-    "tail-check",
-    "truncation-check",
-    "short-lr-check",
-    "approx-sweep",
-    "quench-sim",
-    "clustering",
-    "bound-report",
-    "fs-check",
-    "adjacency-check",
-)
-
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field."""
@@ -102,10 +98,30 @@ def _check_keys(block: Mapping, allowed: Iterable[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-def _need(block: Mapping, key: str, where: str):
-    if key not in block:
+_REQUIRED = object()
+
+
+def _need(
+    block: Mapping, where: str, key: str, conv: Callable | None = None, default=_REQUIRED
+):
+    """``block[key]`` through ``conv``; a bad value is a ConfigError naming ``where.key``.
+
+    An optional key whose default is None reads as None when absent or null.
+    """
+    value = block.get(key, default)
+    if value is _REQUIRED:
         raise ConfigError(f"{where}: missing required key '{key}'")
-    return block[key]
+    if conv is None or (value is None and default is None):
+        return value
+    try:
+        return conv(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from None
+
+
+def _as_list(value) -> list:
+    """A list as it is; any other value as a list of one."""
+    return value if isinstance(value, list) else [value]
 
 
 def load_config(path: str | Path) -> dict:
@@ -124,10 +140,10 @@ def load_config(path: str | Path) -> dict:
     _check_keys(
         cfg, ("lattice", "basis", "model", "constants", "scenario", "output"), "config"
     )
-    scn = _need(cfg, "scenario", "config")
+    scn = _need(cfg, "config", "scenario")
     if not isinstance(scn, dict):
         raise ConfigError("scenario: must be an object")
-    kind = _need(scn, "kind", "scenario")
+    kind = _need(scn, "scenario", "kind")
     if kind not in SCENARIO_KINDS:
         raise ConfigError(
             f"scenario.kind: '{kind}' is not one of {sorted(SCENARIO_KINDS)}"
@@ -140,8 +156,8 @@ def _build_lattice(cfg: Mapping) -> LatticeGraph:
     if block is None:
         raise ConfigError("lattice: block required for this scenario")
     _check_keys(block, ("kind", "dims"), "lattice")
-    kind = _need(block, "kind", "lattice")
-    dims = _need(block, "dims", "lattice")
+    kind = _need(block, "lattice", "kind")
+    dims = _need(block, "lattice", "dims")
     try:
         return build_lattice(kind, dims)
     except ValueError as exc:
@@ -156,14 +172,14 @@ def _build_basis(cfg: Mapping, g: LatticeGraph) -> FockBasis:
     if "cutoff" in block and "cutoffs" in block:
         raise ConfigError("basis: give either 'cutoff' or 'cutoffs', not both")
     if "cutoff" in block:
-        cutoffs: int | list[int] = int(block["cutoff"])
+        cutoffs: int | list[int] = _need(block, "basis", "cutoff", int)
     elif "cutoffs" in block:
-        cutoffs = [int(c) for c in block["cutoffs"]]
+        cutoffs = _need(block, "basis", "cutoffs", lambda cs: [int(c) for c in cs])
     else:
         raise ConfigError("basis: missing 'cutoff' or 'cutoffs'")
-    sector = block.get("sector")
+    sector = _need(block, "basis", "sector", int, None)
     try:
-        return enumerate_basis(g, cutoffs, None if sector is None else int(sector))
+        return enumerate_basis(g, cutoffs, sector)
     except ValueError as exc:
         raise ConfigError(f"basis: {exc}") from exc
 
@@ -184,9 +200,9 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
 
             return bose_hubbard(
                 g,
-                float(_need(block, "J", "model")),
-                float(_need(block, "U", "model")),
-                float(block.get("mu", 0.0)),
+                _need(block, "model", "J", float),
+                _need(block, "model", "U", float),
+                _need(block, "model", "mu", float, 0.0),
             )
         hoppings = tuple(
             (int(i), int(j), float(Jij)) for i, j, Jij in block.get("hoppings", [])
@@ -194,10 +210,10 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
         terms = []
         for item in block.get("interactions", []):
             _check_keys(item, ("region", "monomials"), "model.interactions[]")
-            region = tuple(int(i) for i in _need(item, "region", "interaction"))
+            region = tuple(int(i) for i in _need(item, "interaction", "region"))
             monos = tuple(
                 Monomial(float(c), tuple(int(p) for p in powers))
-                for c, powers in _need(item, "monomials", "interaction")
+                for c, powers in _need(item, "interaction", "monomials")
             )
             terms.append(Interaction(region, monos))
         k_max = int(block.get("k_max", max((len(t.region) for t in terms), default=1)))
@@ -215,68 +231,40 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
         raise ConfigError(f"model: {exc}") from exc
 
 
-_STATE_DOC = "psi0 must be 'mott-<n>', 'vacuum', 'ground', or 'fock:[n0,n1,...]'"
+_PSI0_DOC = "must be 'mott-<n>', 'vacuum', 'ground', or 'fock:[n0,n1,...]'"
 
 
-def _build_state(
-    kind: str, b: FockBasis, H_provider: Callable[[], OperatorMatrix]
-) -> StateVector:
-    if kind == "ground":
-        return ground_state(H_provider()).ground
-    if kind == "vacuum":
-        occ: tuple[int, ...] = (0,) * b.n_sites
-    elif kind.startswith("mott-"):
-        try:
-            n = int(kind[len("mott-") :])
-        except ValueError as exc:
-            raise ConfigError(_STATE_DOC) from exc
-        occ = (n,) * b.n_sites
-    elif kind.startswith("fock:"):
-        try:
-            filled = json.loads(kind[len("fock:") :])
-        except json.JSONDecodeError as exc:
-            raise ConfigError(_STATE_DOC) from exc
-        occ = tuple(int(n) for n in filled)
-    else:
-        raise ConfigError(_STATE_DOC)
+def _parse_psi0(text, n_sites: int) -> tuple[int, ...] | None:
+    """The occupations a ``psi0`` string names; None for the ground state."""
+    if text == "ground":
+        return None
     try:
-        idx = b.index_of(occ)
-    except KeyError:
-        raise ConfigError(
-            f"scenario.psi0: occupation {occ} is not in the basis"
-        ) from None
-    amps = np.zeros(b.dim, dtype=np.complex128)
-    amps[idx] = 1.0
-    return StateVector(b, amps)
-
-
-def _qbar_default(kind: str) -> float:
-    if kind.startswith("mott-"):
-        return float(int(kind[len("mott-") :]))
-    if kind == "vacuum":
-        return 0.0
-    if kind.startswith("fock:"):
-        return float(max(json.loads(kind[len("fock:") :]), default=0))
-    return 1.0
+        if text == "vacuum":
+            return (0,) * n_sites
+        if text.startswith("mott-"):
+            return (int(text[len("mott-") :]),) * n_sites
+        if text.startswith("fock:"):
+            return tuple(int(n) for n in json.loads(text[len("fock:") :]))
+    except (AttributeError, TypeError, ValueError):
+        pass
+    raise ConfigError(f"scenario.psi0: {text!r} {_PSI0_DOC}")
 
 
 def _build_observable(
     obs: Mapping, b: FockBasis, rng: np.random.Generator
 ) -> OperatorMatrix:
     _check_keys(obs, ("kind", "site", "sites", "value", "op"), "observable")
-    kind = _need(obs, "kind", "observable")
+    kind = _need(obs, "observable", "kind")
     if "site" in obs and "sites" in obs:
         raise ConfigError("observable: give 'site' or 'sites', not both")
-    sites = obs.get("sites", [obs["site"]] if "site" in obs else None)
-    if sites is None:
+    if "site" not in obs and "sites" not in obs:
         raise ConfigError("observable: needs 'site' or 'sites'")
-    sites = [int(i) for i in sites]
-    if kind == "number":
-        return local_operator("number", sites, b)
-    if kind in ("creation", "annihilation"):
+    key = "sites" if "sites" in obs else "site"
+    sites = _need(obs, "observable", key, lambda v: [int(i) for i in _as_list(v)])
+    if kind in ("number", "creation", "annihilation"):
         return local_operator(kind, sites, b)
     if kind == "projector":
-        value = int(_need(obs, "value", "observable"))
+        value = _need(obs, "observable", "value", int)
         return local_operator("projector", sites, b, predicate=(obs.get("op", "=="), value))
     if kind == "phase":
         if len(sites) != 1:
@@ -290,43 +278,7 @@ def _build_observable(
     )
 
 
-_CONST_KEYS = (
-    "c0", "qbar", "t0", "J_bar", "dG", "gamma", "lambda0", "D",
-    "q0", "k", "zeta0", "eta", "C0", "C1", "C2", "C3", "C3p", "c2", "Gamma_c",
-)
-
-
-def _resolve_constants(
-    cfg: Mapping,
-    g: LatticeGraph,
-    spec: HamiltonianSpec | None,
-    *,
-    t0_default: float = 1.0,
-    qbar_default: float = 1.0,
-    zeta0_default: float = 1.0,
-) -> BoundConstants:
-    block = cfg.get("constants", {})
-    _check_keys(block, _CONST_KEYS, "constants")
-    geo = geometric_constants(g)
-    vals: dict = {
-        "c0": 1.0,
-        "qbar": qbar_default,
-        "t0": t0_default,
-        "J_bar": spec.J_bar if spec is not None else 1.0,
-        "dG": geo.max_degree_dG,
-        "gamma": geo.gamma,
-        "lambda0": geo.lambda0,
-        "D": geo.dimension_D,
-        "zeta0": zeta0_default,
-    }
-    for key in _CONST_KEYS:
-        if key in block:
-            v = block[key]
-            vals[key] = v if v is None else (int(v) if key in ("dG", "D", "k") else float(v))
-    try:
-        return BoundConstants(**vals)
-    except (ValueError, AssertionError) as exc:
-        raise ConfigError(f"constants: {exc}") from exc
+_CONST_KEYS = tuple(f.name for f in fields(BoundConstants))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +293,14 @@ def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
+
+
+def _write_json(path: Path, payload) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    return path
 
 
 def emit_report(
@@ -360,216 +320,246 @@ def emit_report(
             for row in rows:
                 writer.writerow([_fmt_cell(row.get(c)) for c in columns])
     elif fmt == "json":
-        payload = [{c: row.get(c) for c in columns} for row in rows]
-        with path.open("w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _write_json(path, [{c: row.get(c) for c in columns} for row in rows])
     else:
         raise ConfigError(f"output format '{fmt}' not supported (csv, json)")
     return path
 
 
-def _map_cells(fn: Callable, cells: Sequence, threads: int) -> list:
-    """Run independent scenario cells, preserving canonical cell order."""
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
+# ---------------------------------------------------------------------------
+# the scenario table and the run it reads from
 
 
-def _bv_columns(bv: BoundValue) -> tuple[float, float, bool]:
-    return bv.value, bv.log_value, bv.valid
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario kind: what its config accepts and needs, and what it reports."""
+
+    keys: tuple[str, ...]  # scenario keys it accepts besides "kind"
+    columns: tuple[str, ...]  # report columns, in order
+    needs: tuple[str, ...]  # config blocks built before it runs: "lattice", "model"
+    run: Callable[[_Run], list[dict]]  # rows, without the "scenario" column
+
+
+_LATTICE = ("lattice",)
+_MODEL = ("lattice", "model")
+
+
+class _Run:
+    """What the runners of one scenario call share, resolved once.
+
+    The lattice, basis and model that the scenario ``needs``, a lazy H, the
+    t0 and qbar defaults of the bound constants, typed scenario reads, the
+    seeded RNG, the manifest and the extra JSON outputs.
+    """
+
+    def __init__(self, cfg: Mapping, config_path, seed: int, threads: int) -> None:
+        self.cfg = cfg
+        self.scn = scn = cfg["scenario"]
+        self.kind = scn["kind"]
+        self.entry = _SCENARIOS[self.kind]
+        _check_keys(scn, ("kind", *self.entry.keys), "scenario")
+        self.rng = np.random.default_rng(seed)
+        self.threads = max(1, int(threads))
+        self.manifest: dict = {
+            "scenario": self.kind, "seed": int(seed), "config": str(config_path)
+        }
+        self.extras: dict[str, object] = {}
+        needs = self.entry.needs
+        self.g = _build_lattice(cfg) if "lattice" in needs or "lattice" in cfg else None
+        self.b = self.spec = None
+        if "model" in needs:
+            self.b = _build_basis(cfg, self.g)
+            self.spec = _build_model(cfg, self.g)
+        # t0 defaults to the longest time the scenario asks for, qbar to the
+        # highest occupation of psi0
+        times = self.values("times", float, None) or (
+            [self.value("t", float)] if "t" in scn else []
+        )
+        self.t0 = max(times, default=1.0)
+        occ = _parse_psi0(scn["psi0"], self.b.n_sites) if "psi0" in scn else None
+        self.qbar = 1.0 if occ is None else float(max(occ, default=0))
+
+    @cached_property
+    def H(self) -> OperatorMatrix:
+        return assemble_hamiltonian(self.spec, self.b)
+
+    def value(self, key: str, conv: Callable, default=_REQUIRED):
+        return _need(self.scn, "scenario", key, conv, default)
+
+    def values(self, key: str, conv: Callable, default=_REQUIRED):
+        """``scenario[key]`` as a list, each item through ``conv``."""
+        return self.value(key, lambda v: [conv(x) for x in _as_list(v)], default)
+
+    def observable(self, default: Mapping) -> OperatorMatrix:
+        return _build_observable(self.scn.get("observable", default), self.b, self.rng)
+
+    def state(self, default: str) -> StateVector:
+        """The initial state ``psi0`` names, ``default`` if the scenario names none."""
+        occ = _parse_psi0(self.scn.get("psi0", default), self.b.n_sites)
+        if occ is None:
+            return ground_state(self.H).ground
+        try:
+            idx = self.b.index_of(occ)
+        except KeyError:
+            raise ConfigError(
+                f"scenario.psi0: occupation {occ} is not in the basis"
+            ) from None
+        amps = np.zeros(self.b.dim, dtype=np.complex128)
+        amps[idx] = 1.0
+        return StateVector(self.b, amps)
+
+    def constants(self, O: OperatorMatrix | None = None) -> BoundConstants:
+        """The ``constants`` block over geometric and run defaults.
+
+        zeta0 defaults to the norm of ``O``, or to 1 without one.
+        """
+        block = self.cfg.get("constants", {})
+        zeta0 = 1.0
+        if O is not None and "zeta0" not in block:
+            zeta0 = spectral_norm(O)
+        _check_keys(block, _CONST_KEYS, "constants")
+        geo = geometric_constants(self.g)
+        vals: dict = {
+            "c0": 1.0,
+            "qbar": self.qbar,
+            "t0": self.t0,
+            "J_bar": self.spec.J_bar if self.spec is not None else 1.0,
+            "dG": geo.max_degree_dG,
+            "gamma": geo.gamma,
+            "lambda0": geo.lambda0,
+            "D": geo.dimension_D,
+            "zeta0": zeta0,
+        }
+        for key in block:
+            conv = int if key in ("dG", "D", "k") else float
+            vals[key] = _need(block, "constants", key, conv, None)
+        try:
+            return BoundConstants(**vals)
+        except (ValueError, AssertionError) as exc:
+            raise ConfigError(f"constants: {exc}") from exc
+
+    def sweep(self, cell: Callable, values: Sequence) -> list[dict]:
+        """The rows of ``cell(v)`` (one row or a list) for every v, v the innermost axis.
+
+        Cells are independent.  With more than one thread they run in the
+        pool, each in a copy of this context, so the run's dense cap holds
+        there too.
+        """
+        if self.threads <= 1 or len(values) <= 1:
+            parts = [cell(v) for v in values]
+        else:
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                futures = [
+                    pool.submit(contextvars.copy_context().run, cell, v) for v in values
+                ]
+                parts = [f.result() for f in futures]
+        ranked = itertools.zip_longest(*map(_as_list, parts))
+        return [row for rows in ranked for row in rows if row is not None]
+
+
+def _passes(x: float, bv: BoundValue) -> bool | None:
+    return bool(x <= bv.value) if bv.valid else None
+
+
+def _error_cells(err: float, bv: BoundValue) -> dict:
+    return {
+        "error": err, "bound": bv.value, "log_bound": bv.log_value, "pass": _passes(err, bv)
+    }
 
 
 # ---------------------------------------------------------------------------
-# scenario implementations; each returns (columns, rows, extras)
-
-_Scn = tuple[list[str], list[dict], dict]
+# scenario runners
 
 
-def _scn_lightcone_map(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(scn, ("kind", "i0", "times", "observable", "probe", "sites"), "scenario")
-    g, b = ctx["g"], ctx["b"]
-    H = ctx["H"]()
-    i0 = int(scn.get("i0", 0))
-    times = [float(t) for t in _need(scn, "times", "scenario")]
-    obs_cfg = scn.get("observable", {"kind": "number", "site": i0})
-    O_A = _build_observable(obs_cfg, b, ctx["rng"])
-    probe_kind = scn.get("probe", "number")
-    sites = [int(i) for i in scn.get("sites", list(g.sites))]
-    probes_by_site = {
-        i: _build_observable({"kind": probe_kind, "site": i}, b, ctx["rng"])
+def _lightcone_map(run: _Run) -> list[dict]:
+    H = run.H
+    i0 = run.value("i0", int, 0)
+    times = run.values("times", float)
+    O_A = run.observable({"kind": "number", "site": i0})
+    probe_kind = run.scn.get("probe", "number")
+    sites = run.values("sites", int, list(run.g.sites))
+    probes = {
+        i: _build_observable({"kind": probe_kind, "site": i}, run.b, run.rng).matrix
         for i in sites
     }
 
     def cell(t: float) -> list[dict]:
-        evolved = heisenberg(H, O_A, t)
-        out = []
+        # one dense evolution per time, shared by every site
+        evolved = heisenberg(H, O_A, t).matrix
+        rows = []
         for i in sites:
-            Bm = probes_by_site[i].matrix
-            comm = (evolved.matrix @ Bm - Bm @ evolved.matrix).toarray()
-            out.append(
-                {
-                    "scenario": "lightcone-map",
-                    "i": i,
-                    "t": t,
-                    "commutator_norm": float(np.linalg.norm(comm, 2)),
-                }
-            )
-        return out
+            comm = (evolved @ probes[i] - probes[i] @ evolved).toarray()
+            rows.append({"i": i, "t": t, "commutator_norm": float(np.linalg.norm(comm, 2))})
+        return rows
 
-    parts = _map_cells(cell, times, ctx["threads"])
-    rows = [r for part in parts for r in part]
-    rows.sort(key=lambda r: (sites.index(r["i"]), times.index(r["t"])))
-    return ["scenario", "i", "t", "commutator_norm"], rows, {}
+    return run.sweep(cell, times)
 
 
-def _low_density_guard(psi0: StateVector, consts: BoundConstants) -> float:
+def _moment_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Callable:
+    size_x = len(O_X.support)
+    return lambda s, d: moment_bound(s, size_x, d, consts)
+
+
+def _tail_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Callable:
+    r = run.value("r", float, 3.0)
+    mode = run.scn.get("mode", "markov-optimized")
+    return lambda z0, d: tail_bound(z0, d, r, consts, mode=mode, check=False)
+
+
+def _transport_check(
+    run: _Run, values_key: str, default: list[int], probe: Callable, bound: Callable
+) -> list[dict]:
+    """moment-check and tail-check: a probe of O_X(t) psi0 at each site, against its bound.
+
+    ``probe(phi, i, v)`` measures, ``bound(run, O_X, consts)`` returns the
+    bound as a function of (v, d(i, X)); the columns name the parameter v,
+    the probe and the bound.
+    """
+    param, probe_col, bound_col, log_col = (run.entry.columns[k] for k in (2, 4, 5, 6))
+    H, g = run.H, run.g
+    i0 = run.value("i0", int, 0)
+    O_X = run.observable({"kind": "projector", "site": i0, "value": 1})
+    params = run.values(values_key, int, default)
+    times = run.values("times", float)
+    sites = run.values("sites", int, list(g.sites))
+    psi0 = run.state("mott-1")
+    consts = run.constants(O_X)
     mgf = mgf_condition(psi0, consts.c0, consts.qbar)
     if mgf > 1.0 + 1e-9:
         raise ConfigError(
             f"initial state violates the low-density condition: "
             f"mgf = {mgf:.6g} > 1 at c0 = {consts.c0}, qbar = {consts.qbar}"
         )
-    return mgf
-
-
-def _scn_moment_check(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(
-        scn,
-        ("kind", "i0", "observable", "s_values", "times", "psi0", "sites"),
-        "scenario",
-    )
-    g, b = ctx["g"], ctx["b"]
-    H = ctx["H"]()
-    i0 = int(scn.get("i0", 0))
-    obs_cfg = scn.get("observable", {"kind": "projector", "site": i0, "value": 1})
-    O_X = _build_observable(obs_cfg, b, ctx["rng"])
-    s_values = [int(s) for s in scn.get("s_values", [1, 2, 3])]
-    times = [float(t) for t in _need(scn, "times", "scenario")]
-    sites = [int(i) for i in scn.get("sites", list(g.sites))]
-    psi0 = _build_state(scn.get("psi0", "mott-1"), b, ctx["H"])
-    consts: BoundConstants = ctx["consts"](O_X)
-    ctx["manifest"]["mgf_value"] = _low_density_guard(psi0, consts)
-    size_x = len(O_X.support)
-    dists = {i: min(int(g.distances[i, j]) for j in O_X.support) for i in sites}
+    run.manifest["mgf_value"] = mgf
+    bound_at = bound(run, O_X, consts)
+    dists = {i: float(min(int(g.distances[i, j]) for j in O_X.support)) for i in sites}
 
     def cell(t: float) -> list[dict]:
         phi = heisenberg_apply(H, O_X, psi0, t)
-        out = []
+        rows = []
         for i in sites:
-            for s in s_values:
-                probe = moment(phi, i, s)
-                bv = moment_bound(s, size_x, float(dists[i]), consts)
-                out.append(
-                    {
-                        "scenario": "moment-check",
-                        "i": i,
-                        "s": s,
-                        "t": t,
-                        "M_probe": probe,
-                        "M_bound": bv.value,
-                        "log_M_bound": bv.log_value,
-                        "pass": bool(probe <= bv.value) if bv.valid else None,
-                    }
-                )
-        return out
+            for v in params:
+                x = probe(phi, i, v)
+                bv = bound_at(v, dists[i])
+                rows.append({
+                    "i": i, param: v, "t": t, probe_col: x, bound_col: bv.value,
+                    log_col: bv.log_value, "pass": _passes(x, bv),
+                })
+        return rows
 
-    parts = _map_cells(cell, times, ctx["threads"])
-    by_t = {times[k]: parts[k] for k in range(len(times))}
-    rows = []
-    for i in sites:
-        for s in s_values:
-            for t in times:
-                rows.extend(
-                    r for r in by_t[t] if r["i"] == i and r["s"] == s
-                )
-    return (
-        ["scenario", "i", "s", "t", "M_probe", "M_bound", "log_M_bound", "pass"],
-        rows,
-        {},
-    )
+    return run.sweep(cell, times)
 
 
-def _scn_tail_check(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(
-        scn,
-        ("kind", "i0", "observable", "z_values", "times", "psi0", "sites", "r", "mode"),
-        "scenario",
-    )
-    g, b = ctx["g"], ctx["b"]
-    H = ctx["H"]()
-    i0 = int(scn.get("i0", 0))
-    obs_cfg = scn.get("observable", {"kind": "projector", "site": i0, "value": 1})
-    O_X = _build_observable(obs_cfg, b, ctx["rng"])
-    z_values = [int(z) for z in scn.get("z_values", [1, 2, 3, 4, 5])]
-    times = [float(t) for t in _need(scn, "times", "scenario")]
-    sites = [int(i) for i in scn.get("sites", list(g.sites))]
-    r = float(scn.get("r", 3.0))
-    mode = scn.get("mode", "markov-optimized")
-    psi0 = _build_state(scn.get("psi0", "mott-1"), b, ctx["H"])
-    consts: BoundConstants = ctx["consts"](O_X)
-    ctx["manifest"]["mgf_value"] = _low_density_guard(psi0, consts)
-    dists = {i: min(int(g.distances[i, j]) for j in O_X.support) for i in sites}
-
-    def cell(t: float) -> list[dict]:
-        phi = heisenberg_apply(H, O_X, psi0, t)
-        out = []
-        for i in sites:
-            for z0 in z_values:
-                probe = tail_probability(phi, i, z0)
-                bv = tail_bound(z0, float(dists[i]), r, consts, mode=mode, check=False)
-                out.append(
-                    {
-                        "scenario": "tail-check",
-                        "i": i,
-                        "z0": z0,
-                        "t": t,
-                        "P_probe": probe,
-                        "P_bound": bv.value,
-                        "log_P_bound": bv.log_value,
-                        "pass": bool(probe <= bv.value) if bv.valid else None,
-                    }
-                )
-        return out
-
-    parts = _map_cells(cell, times, ctx["threads"])
-    by_t = {times[k]: parts[k] for k in range(len(times))}
-    rows = []
-    for i in sites:
-        for z0 in z_values:
-            for t in times:
-                rows.extend(r_ for r_ in by_t[t] if r_["i"] == i and r_["z0"] == z0)
-    return (
-        ["scenario", "i", "z0", "t", "P_probe", "P_bound", "log_P_bound", "pass"],
-        rows,
-        {},
-    )
-
-
-def _scn_truncation_check(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(
-        scn,
-        ("kind", "X", "ell0", "q_values", "t", "psi0", "observable", "r"),
-        "scenario",
-    )
-    g, b, spec = ctx["g"], ctx["b"], ctx["spec"]
-    H = ctx["H"]()
-    X = scn.get("X", [g.site_count // 2])
-    X = [int(i) for i in (X if isinstance(X, list) else [X])]
-    ell0 = int(scn.get("ell0", 1))
-    max_cut = max(b.site_cutoffs)
-    q_values = [int(q) for q in scn.get("q_values", list(range(1, max_cut + 1)))]
-    t = float(scn.get("t", 0.1))
-    r = float(scn.get("r", 3.0))
-    obs_cfg = scn.get("observable", {"kind": "creation", "site": min(X)})
-    O_X = _build_observable(obs_cfg, b, ctx["rng"])
-    psi0 = _build_state(scn.get("psi0", "mott-1"), b, ctx["H"])
-    consts: BoundConstants = ctx["consts"](O_X)
+def _truncation_check(run: _Run) -> list[dict]:
+    g, b, spec, H = run.g, run.b, run.spec, run.H
+    X = run.values("X", int, [g.site_count // 2])
+    ell0 = run.value("ell0", int, 1)
+    q_values = run.values("q_values", int, list(range(1, max(b.site_cutoffs) + 1)))
+    t = run.value("t", float, 0.1)
+    r = run.value("r", float, 3.0)
+    O_X = run.observable({"kind": "creation", "site": min(X)})
+    psi0 = run.state("mott-1")
+    consts = run.constants(O_X)
 
     L1 = ball(g, X, ell0)
     L2 = ball(g, X, 2 * ell0)
@@ -582,43 +572,20 @@ def _scn_truncation_check(ctx: dict) -> _Scn:
         approx = evolve_state(H_eff, v, t)
         err = float(np.linalg.norm(exact.amplitudes - approx.amplitudes))
         bv = truncation_error_bound(q, len(L2), ell0, r, consts, check=False)
-        return {
-            "scenario": "truncation-check",
-            "q": q,
-            "t": t,
-            "error": err,
-            "bound": bv.value,
-            "log_bound": bv.log_value,
-            "bound_valid": bv.valid,
-            "pass": bool(err <= bv.value) if bv.valid else None,
-        }
+        return {"q": q, "t": t, **_error_cells(err, bv), "bound_valid": bv.valid}
 
-    rows = _map_cells(cell, q_values, ctx["threads"])
-    return (
-        ["scenario", "q", "t", "error", "bound", "log_bound", "bound_valid", "pass"],
-        rows,
-        {},
-    )
+    return run.sweep(cell, q_values)
 
 
-def _scn_short_lr_check(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(
-        scn,
-        ("kind", "X", "ell0_values", "t", "q", "psi0", "observable"),
-        "scenario",
-    )
-    g, b, spec = ctx["g"], ctx["b"], ctx["spec"]
-    H = ctx["H"]()
-    X = scn.get("X", [g.site_count // 2])
-    X = [int(i) for i in (X if isinstance(X, list) else [X])]
-    ell0_values = [int(e) for e in scn.get("ell0_values", [1, 2])]
-    t = float(scn.get("t", 0.05))
-    q = int(scn.get("q", max(b.site_cutoffs)))
-    obs_cfg = scn.get("observable", {"kind": "number", "site": min(X)})
-    O_X = _build_observable(obs_cfg, b, ctx["rng"])
-    psi0 = _build_state(scn.get("psi0", "mott-1"), b, ctx["H"])
-    consts: BoundConstants = ctx["consts"](O_X)
+def _short_lr_check(run: _Run) -> list[dict]:
+    g, b, spec, H = run.g, run.b, run.spec, run.H
+    X = run.values("X", int, [g.site_count // 2])
+    ell0_values = run.values("ell0_values", int, [1, 2])
+    t = run.value("t", float, 0.05)
+    q = run.value("q", int, max(b.site_cutoffs))
+    O_X = run.observable({"kind": "number", "site": min(X)})
+    psi0 = run.state("mott-1")
+    consts = run.constants(O_X)
     if consts.eta is None:
         raise ConfigError(
             "short-lr-check: constants.eta is required (the step bound depends on it)"
@@ -627,347 +594,214 @@ def _scn_short_lr_check(ctx: dict) -> _Scn:
     def cell(ell0: int) -> dict:
         step = local_step_unitary(spec, b, X, ell0, q, t)
         U = step.materialize()
-        approx_mat = U.conj().T @ O_X.dense() @ U
         O_apx = _wrap(
             b,
-            sparse.csr_matrix(approx_mat),
+            sparse.csr_matrix(U.conj().T @ O_X.dense() @ U),
             declared_support=sorted(step.support | O_X.support),
             verify_support=False,
         )
         err = restricted_error(H, O_X, O_apx, psi0, t)
-        k = spec.k_max
-        L2p = ball(g, X, max(0, 2 * ell0 - 2 * k))
+        L2p = ball(g, X, max(0, 2 * ell0 - 2 * spec.k_max))
         bsize = len(boundary(g, L2p)) if L2p else 0
         bv = short_lr_bound(ell0, bsize, t, consts, check=False)
-        return {
-            "scenario": "short-lr-check",
-            "ell0": ell0,
-            "t": t,
-            "error": err,
-            "bound": bv.value,
-            "log_bound": bv.log_value,
-            "conditions_ok": bv.valid,
-            "pass": bool(err <= bv.value) if bv.valid else None,
-        }
+        return {"ell0": ell0, "t": t, **_error_cells(err, bv), "conditions_ok": bv.valid}
 
-    rows = _map_cells(cell, ell0_values, ctx["threads"])
-    return (
-        ["scenario", "ell0", "t", "error", "bound", "log_bound", "conditions_ok", "pass"],
-        rows,
-        {},
-    )
+    return run.sweep(cell, ell0_values)
 
 
-def _scn_approx_sweep(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(
-        scn,
-        ("kind", "i0", "r0", "R_values", "t", "observable", "psi0",
-         "ell0", "q", "delta_t0"),
-        "scenario",
-    )
-    g, b, spec = ctx["g"], ctx["b"], ctx["spec"]
-    H = ctx["H"]()
-    i0 = int(scn.get("i0", 0))
-    r0 = int(scn.get("r0", 0))
-    R_values = [int(R) for R in _need(scn, "R_values", "scenario")]
-    t = float(scn.get("t", 0.1))
-    obs_cfg = scn.get("observable", {"kind": "number", "site": i0})
-    O_X = _build_observable(obs_cfg, b, ctx["rng"])
-    psi0 = _build_state(scn.get("psi0", "mott-1"), b, ctx["H"])
-    consts: BoundConstants = ctx["consts"](O_X)
-    ell0 = scn.get("ell0")
-    q = scn.get("q")
-    delta_t0 = scn.get("delta_t0")
+def _approx_sweep(run: _Run) -> list[dict]:
+    b, spec, H = run.b, run.spec, run.H
+    i0 = run.value("i0", int, 0)
+    r0 = run.value("r0", int, 0)
+    R_values = run.values("R_values", int)
+    t = run.value("t", float, 0.1)
+    O_X = run.observable({"kind": "number", "site": i0})
+    psi0 = run.state("mott-1")
+    consts = run.constants(O_X)
+    ell0, q = run.value("ell0", int, None), run.value("q", int, None)
+    delta_t0 = run.value("delta_t0", float, None)
 
     def cell(R: int) -> dict:
         O_R, trace = approximate_heisenberg(
             O_X, i0, r0, R, t, spec, b, consts,
-            ell0=None if ell0 is None else int(ell0),
-            q=None if q is None else int(q),
-            delta_t0=None if delta_t0 is None else float(delta_t0),
-            return_trace=True,
+            ell0=ell0, q=q, delta_t0=delta_t0, return_trace=True,
         )
-        err = restricted_error(H, O_X, O_R, psi0, t)
         return {
-            "scenario": "approx-sweep",
-            "R": R,
-            "t": t,
-            "ell0": trace.ell0,
-            "q": trace.q,
-            "m_t": trace.schedule.m_t,
-            "error": err,
+            "R": R, "t": t, "ell0": trace.ell0, "q": trace.q,
+            "m_t": trace.schedule.m_t, "error": restricted_error(H, O_X, O_R, psi0, t),
         }
 
-    rows = _map_cells(cell, R_values, ctx["threads"])
-    return ["scenario", "R", "t", "ell0", "q", "m_t", "error"], rows, {}
+    return run.sweep(cell, R_values)
 
 
-def _scn_quench_sim(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(
-        scn,
-        ("kind", "h", "psi0", "t", "R_values", "ell0", "q", "qprime",
-         "delta_t0", "stationarity_tol"),
-        "scenario",
-    )
-    b, spec = ctx["b"], ctx["spec"]
-    h_cfg = _need(scn, "h", "scenario")
+def _quench_sim(run: _Run) -> list[dict]:
+    b, spec = run.b, run.spec
+    h_cfg = run.value("h", dict)
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
-    site = int(_need(h_cfg, "site", "scenario.h"))
-    coeff = float(h_cfg.get("coeff", 1.0))
-    power = int(h_cfg.get("power", 2))
+    site = _need(h_cfg, "scenario.h", "site", int)
+    coeff = _need(h_cfg, "scenario.h", "coeff", float, 1.0)
+    power = _need(h_cfg, "scenario.h", "power", int, 2)
     cut = b.site_cutoffs[site]
     h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
     h_X0 = local_operator("custom-matrix", [site], b, matrix=h_mat)
-    psi0 = _build_state(scn.get("psi0", "ground"), b, ctx["H"])
-    t = float(scn.get("t", 0.1))
-    R_values = [int(R) for R in _need(scn, "R_values", "scenario")]
-    consts: BoundConstants = ctx["consts"](None)
-    kwargs = {}
-    for key in ("ell0", "q", "qprime"):
-        if scn.get(key) is not None:
-            kwargs[key] = int(scn[key])
-    if scn.get("delta_t0") is not None:
-        kwargs["delta_t0"] = float(scn["delta_t0"])
-    if scn.get("stationarity_tol") is not None:
-        kwargs["stationarity_tol"] = float(scn["stationarity_tol"])
+    psi0 = run.state("ground")
+    t = run.value("t", float, 0.1)
+    R_values = run.values("R_values", int)
+    consts = run.constants()
+    options = {
+        key: run.value(key, conv, None)
+        for key, conv in (("ell0", int), ("q", int), ("qprime", int),
+                          ("delta_t0", float), ("stationarity_tol", float))
+    }
+    kwargs = {key: v for key, v in options.items() if v is not None}
 
-    def cell(R: int) -> tuple[dict, dict]:
+    def cell(R: int) -> dict:
         err, report = run_quench(spec, h_X0, psi0, t, R, consts, **kwargs)
-        bv = report.bound.error
-        row = {
-            "scenario": "quench-sim",
-            "R": R,
-            "t": t,
-            "error": err,
-            "bound": bv.value,
-            "log_bound": bv.log_value,
-            "cost_states": report.cost_states,
-            "pass": bool(err <= bv.value) if bv.valid else None,
-        }
         trace = {
             "R": R,
             "params": dict(report.params),
             "stationarity_residual": report.stationarity_residual,
-            "steps": [
-                {k: v for k, v in rec.items()} for rec in report.step_records
-            ],
+            "steps": [dict(rec) for rec in report.step_records],
         }
-        return row, trace
+        return {
+            "R": R, "t": t, **_error_cells(err, report.bound.error),
+            "cost_states": report.cost_states, "trace": trace,
+        }
 
-    results = _map_cells(cell, R_values, ctx["threads"])
-    rows = [row for row, _ in results]
-    traces = [tr for _, tr in results]
-    return (
-        ["scenario", "R", "t", "error", "bound", "log_bound", "cost_states", "pass"],
-        rows,
-        {"quench_steps.json": traces},
-    )
+    rows = run.sweep(cell, R_values)
+    run.extras["quench_steps.json"] = [row.pop("trace") for row in rows]
+    return rows
 
 
-def _scn_clustering(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(scn, ("kind", "anchor", "d_values", "psi0"), "scenario")
-    g, b = ctx["g"], ctx["b"]
-    anchor = int(scn.get("anchor", 0))
-    d_values = [int(d) for d in scn.get("d_values", list(range(1, g.diameter + 1)))]
-    psi = _build_state(scn.get("psi0", "ground"), b, ctx["H"])
+def _clustering(run: _Run) -> list[dict]:
+    g, b = run.g, run.b
+    anchor = run.value("anchor", int, 0)
+    d_values = run.values("d_values", int, list(range(1, g.diameter + 1)))
+    psi = run.state("ground")
 
-    rows = []
-    for d in d_values:
+    def cell(d: int) -> list[dict]:
         cands = [j for j in g.sites if int(g.distances[anchor, j]) == d]
         if not cands:
-            continue
+            return []
         j = min(cands)
         O_i = local_operator("number", [anchor], b)
         O_j = local_operator("number", [j], b)
         cor = connected_correlation(psi, O_i, O_j)
-        rows.append(
-            {
-                "scenario": "clustering",
-                "i": anchor,
-                "j": j,
-                "d": d,
-                "correlation": cor,
-                "abs_correlation": abs(cor),
-            }
-        )
-    return ["scenario", "i", "j", "d", "correlation", "abs_correlation"], rows, {}
+        return [{"i": anchor, "j": j, "d": d, "correlation": cor, "abs_correlation": abs(cor)}]
+
+    return run.sweep(cell, d_values)
 
 
 def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], Callable]]:
+    """Bound name -> (parameter names, evaluator of a parameter dict)."""
+
+    def entry(fn: Callable, names: str, **kwargs) -> tuple[tuple[str, ...], Callable]:
+        # fn takes these parameters in this order (s and q as integers), then
+        # the constants; a parameter named like a keyword (tail's mode) sets it
+        params = tuple(names.split())
+
+        def evaluate(p: Mapping) -> BoundValue:
+            args = (int(p[k]) if k in ("s", "q") else p[k] for k in params)
+            return fn(*args, consts, **{**kwargs, **{k: p[k] for k in kwargs if k in p}})
+
+        return params, evaluate
+
     return {
-        "moment": (
-            ("s", "sizeX", "d_iX"),
-            lambda p: moment_bound(int(p["s"]), p["sizeX"], p["d_iX"], consts),
-        ),
-        "first-moment": (
-            ("d_iX", "t", "N_X", "n0"),
-            lambda p: first_moment_bound(p["d_iX"], p["t"], p["N_X"], p["n0"], consts),
-        ),
-        "initial-moment-single": (
-            ("s", "sizeX"),
-            lambda p: initial_moment_bounds(int(p["s"]), p["sizeX"], consts)[0],
-        ),
-        "initial-moment-region": (
-            ("s", "sizeX"),
-            lambda p: initial_moment_bounds(int(p["s"]), p["sizeX"], consts)[1],
-        ),
-        "tail": (
-            ("z0", "d_iX", "r"),
-            lambda p: tail_bound(
-                p["z0"], p["d_iX"], p["r"], consts,
-                mode=p.get("mode", "markov-optimized"), check=False,
-            ),
-        ),
-        "truncation": (
-            ("q", "sizeL", "ell0", "r"),
-            lambda p: truncation_error_bound(
-                int(p["q"]), p["sizeL"], p["ell0"], p["r"], consts, check=False
-            ),
-        ),
-        "concentration": (
-            ("q", "sizeL", "ell0", "r"),
-            lambda p: concentration_bound(
-                int(p["q"]), p["sizeL"], p["ell0"], p["r"], consts
-            ),
-        ),
-        "short-lr": (
-            ("ell0", "boundary_size", "t"),
-            lambda p: short_lr_bound(
-                p["ell0"], p["boundary_size"], p["t"], consts, check=False
-            ),
-        ),
-        "subtheorem": (
-            ("ell", "r"),
-            lambda p: subtheorem_bound(p["ell"], p["r"], consts),
-        ),
-        "main-lr": (
-            ("R", "r0", "t"),
-            lambda p: main_lr_bound(p["R"], p["r0"], p["t"], consts),
-        ),
-        "clustering": (
-            ("R", "DeltaE"),
-            lambda p: clustering_bound(p["R"], p["DeltaE"], consts),
-        ),
-        "quench-error": (
-            ("R", "r0", "t"),
-            lambda p: quench_bounds(p["R"], p["r0"], p["t"], consts).error,
-        ),
-        "quench-cost": (
-            ("R", "r0", "t"),
-            lambda p: quench_bounds(p["R"], p["r0"], p["t"], consts).cost,
-        ),
-        "quench-cost-1d": (
-            ("R", "r0", "t"),
-            lambda p: quench_bounds(p["R"], p["r0"], p["t"], consts).cost_1d,
-        ),
+        "moment": entry(moment_bound, "s sizeX d_iX"),
+        "first-moment": entry(first_moment_bound, "d_iX t N_X n0"),
+        "initial-moment-single": entry(lambda *a: initial_moment_bounds(*a)[0], "s sizeX"),
+        "initial-moment-region": entry(lambda *a: initial_moment_bounds(*a)[1], "s sizeX"),
+        "tail": entry(tail_bound, "z0 d_iX r", mode="markov-optimized", check=False),
+        "truncation": entry(truncation_error_bound, "q sizeL ell0 r", check=False),
+        "concentration": entry(concentration_bound, "q sizeL ell0 r"),
+        "short-lr": entry(short_lr_bound, "ell0 boundary_size t", check=False),
+        "subtheorem": entry(subtheorem_bound, "ell r"),
+        "main-lr": entry(main_lr_bound, "R r0 t"),
+        "clustering": entry(clustering_bound, "R DeltaE"),
+        "quench-error": entry(lambda *a: quench_bounds(*a).error, "R r0 t"),
+        "quench-cost": entry(lambda *a: quench_bounds(*a).cost, "R r0 t"),
+        "quench-cost-1d": entry(lambda *a: quench_bounds(*a).cost_1d, "R r0 t"),
     }
 
 
-def _scn_bound_report(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(scn, ("kind", "bound", "grid", "fixed"), "scenario")
-    consts: BoundConstants = ctx["consts"](None)
-    registry = _bound_registry(consts)
-    name = _need(scn, "bound", "scenario")
+def _bound_report(run: _Run) -> list[dict]:
+    consts = run.constants()
+    name = run.value("bound", str)
     if name == "lightcone-radius":
-        grid = _need(scn, "grid", "scenario")
+        grid = run.value("grid", dict)
         _check_keys(grid, ("t", "delta"), "scenario.grid")
-        rows = []
-        for t in grid.get("t", [1.0]):
-            for delta in grid.get("delta", [1.0]):
-                R = lightcone_radius(float(t), float(delta), consts)
-                rows.append(
-                    {
-                        "scenario": "bound-report",
-                        "bound": name,
-                        "params": json.dumps({"t": t, "delta": delta}, sort_keys=True),
-                        "log_value": math.log(R),
-                        "value": R,
-                        "valid": True,
-                    }
-                )
-        return (
-            ["scenario", "bound", "params", "log_value", "value", "valid"], rows, {}
-        )
-    if name not in registry:
-        raise ConfigError(
-            f"scenario.bound: '{name}' is not one of "
-            f"{sorted(registry) + ['lightcone-radius']}"
-        )
-    param_names, fn = registry[name]
-    grid = dict(_need(scn, "grid", "scenario"))
-    fixed = dict(scn.get("fixed", {}))
-    given = set(grid) | set(fixed)
-    missing = [p for p in param_names if p not in given]
-    if missing:
-        raise ConfigError(f"scenario: bound '{name}' needs parameters {missing}")
-    extra = sorted(given - set(param_names) - {"mode"})
-    if extra:
-        raise ConfigError(f"scenario: bound '{name}' got unknown parameters {extra}")
+        # t outer, delta inner; params keep the values as the config gave them
+        axes = (_as_list(grid.get("t", 1.0)), _as_list(grid.get("delta", 1.0)))
+        points = [{"t": t, "delta": delta} for t, delta in itertools.product(*axes)]
 
-    keys = sorted(grid)
-    rows = []
-    value_lists = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]
-    for combo in itertools.product(*value_lists) if keys else [()]:
-        p = dict(fixed)
-        p.update({k: v for k, v in zip(keys, combo)})
-        p = {k: (float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v) for k, v in p.items()}
-        try:
-            bv = fn(p)
-            value, log_value, valid = _bv_columns(bv)
-        except BoundConditionError:
-            value, log_value, valid = float("nan"), float("nan"), False
-        rows.append(
+        def evaluate(p: Mapping) -> tuple[float, float, bool]:
+            t, delta = (_need(p, "scenario.grid", k, float) for k in ("t", "delta"))
+            R = lightcone_radius(t, delta, consts)
+            return R, math.log(R), True
+
+    else:
+        registry = _bound_registry(consts)
+        if name not in registry:
+            raise ConfigError(
+                f"scenario.bound: '{name}' is not one of "
+                f"{sorted(registry) + ['lightcone-radius']}"
+            )
+        param_names, bound = registry[name]
+        grid = run.value("grid", dict)
+        fixed = run.value("fixed", dict, {})
+        given = set(grid) | set(fixed)
+        missing = [p for p in param_names if p not in given]
+        if missing:
+            raise ConfigError(f"scenario: bound '{name}' needs parameters {missing}")
+        extra = sorted(given - set(param_names) - {"mode"})
+        if extra:
+            raise ConfigError(f"scenario: bound '{name}' got unknown parameters {extra}")
+        # every grid combination over the fixed values, numbers as floats
+        keys = sorted(grid)
+        points = [
             {
-                "scenario": "bound-report",
-                "bound": name,
-                "params": json.dumps(
-                    {k: p[k] for k in sorted(p)}, sort_keys=True
-                ),
-                "log_value": log_value,
-                "value": value,
-                "valid": valid,
+                k: float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+                for k, v in {**fixed, **dict(zip(keys, combo))}.items()
             }
-        )
-    return ["scenario", "bound", "params", "log_value", "value", "valid"], rows, {}
+            for combo in itertools.product(*(_as_list(grid[k]) for k in keys))
+        ]
+
+        def evaluate(p: Mapping) -> tuple[float, float, bool]:
+            try:
+                bv = bound(p)
+            except BoundConditionError:
+                return float("nan"), float("nan"), False
+            return bv.value, bv.log_value, bv.valid
+
+    rows = []
+    for p in points:
+        value, log_value, valid = evaluate(p)
+        rows.append({
+            "bound": name, "params": json.dumps(p, sort_keys=True),
+            "log_value": log_value, "value": value, "valid": valid,
+        })
+    return rows
 
 
-def _scn_fs_check(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(scn, ("kind", "s_max", "m_max"), "scenario")
-    s_max = int(scn.get("s_max", 10))
-    m_max = int(scn.get("m_max", 100))
+def _fs_check(run: _Run) -> list[dict]:
+    s_max = run.value("s_max", int, 10)
+    m_max = run.value("m_max", int, 100)
     rows = []
     for s in range(1, s_max + 1):
         poly = fs_polynomial(s)
         for m in range(1, m_max + 1):
-            val = poly(m)
-            lower = (m - 1) ** s
-            upper = m**s
-            ok = lower <= val <= upper
-            rows.append(
-                {
-                    "scenario": "fs-check",
-                    "s": s,
-                    "m": m,
-                    "lower": int(lower),
-                    "f_s": int(val),
-                    "upper": int(upper),
-                    "pass": bool(ok),
-                }
-            )
-    return ["scenario", "s", "m", "lower", "f_s", "upper", "pass"], rows, {}
+            val, lower, upper = poly(m), (m - 1) ** s, m**s
+            rows.append({
+                "s": s, "m": m, "lower": int(lower), "f_s": int(val), "upper": int(upper),
+                "pass": bool(lower <= val <= upper),
+            })
+    return rows
 
 
-def _scn_adjacency_check(ctx: dict) -> _Scn:
-    scn = ctx["scenario"]
-    _check_keys(scn, ("kind", "times", "J_scale"), "scenario")
-    g = ctx["g"]
-    times = [float(t) for t in scn.get("times", [0.1, 0.5, 1.0])]
-    J_scale = float(scn.get("J_scale", 1.0))
+def _adjacency_check(run: _Run) -> list[dict]:
+    g = run.g
+    times = run.values("times", float, [0.1, 0.5, 1.0])
+    J_scale = run.value("J_scale", float, 1.0)
     n = g.site_count
     adj = np.zeros((n, n))
     for i, j in g.edges:
@@ -979,34 +813,82 @@ def _scn_adjacency_check(ctx: dict) -> _Scn:
         ratio = measured / bound.matrix
         violations = int(np.sum(measured > bound.matrix * (1.0 + 1e-12)))
         return {
-            "scenario": "adjacency-check",
-            "t": t,
-            "max_ratio": float(ratio.max()),
-            "violations": violations,
+            "t": t, "max_ratio": float(ratio.max()), "violations": violations,
             "pass": violations == 0,
         }
 
-    rows = _map_cells(cell, times, ctx["threads"])
-    return ["scenario", "t", "max_ratio", "violations", "pass"], rows, {}
+    return run.sweep(cell, times)
 
 
-_SCENARIOS: dict[str, Callable[[dict], _Scn]] = {
-    "lightcone-map": _scn_lightcone_map,
-    "moment-check": _scn_moment_check,
-    "tail-check": _scn_tail_check,
-    "truncation-check": _scn_truncation_check,
-    "short-lr-check": _scn_short_lr_check,
-    "approx-sweep": _scn_approx_sweep,
-    "quench-sim": _scn_quench_sim,
-    "clustering": _scn_clustering,
-    "bound-report": _scn_bound_report,
-    "fs-check": _scn_fs_check,
-    "adjacency-check": _scn_adjacency_check,
+_TRANSPORT_KEYS = ("i0", "observable", "times", "psi0", "sites")
+
+_SCENARIOS: dict[str, Scenario] = {
+    "lightcone-map": Scenario(
+        ("i0", "times", "observable", "probe", "sites"),
+        ("scenario", "i", "t", "commutator_norm"),
+        _MODEL, _lightcone_map,
+    ),
+    "moment-check": Scenario(
+        (*_TRANSPORT_KEYS, "s_values"),
+        ("scenario", "i", "s", "t", "M_probe", "M_bound", "log_M_bound", "pass"),
+        _MODEL,
+        lambda run: _transport_check(
+            run, "s_values", [1, 2, 3], lambda phi, i, s: moment(phi, i, s), _moment_bound
+        ),
+    ),
+    "tail-check": Scenario(
+        (*_TRANSPORT_KEYS, "z_values", "r", "mode"),
+        ("scenario", "i", "z0", "t", "P_probe", "P_bound", "log_P_bound", "pass"),
+        _MODEL,
+        lambda run: _transport_check(
+            run, "z_values", [1, 2, 3, 4, 5],
+            lambda phi, i, z0: tail_probability(phi, i, z0), _tail_bound,
+        ),
+    ),
+    "truncation-check": Scenario(
+        ("X", "ell0", "q_values", "t", "psi0", "observable", "r"),
+        ("scenario", "q", "t", "error", "bound", "log_bound", "bound_valid", "pass"),
+        _MODEL, _truncation_check,
+    ),
+    "short-lr-check": Scenario(
+        ("X", "ell0_values", "t", "q", "psi0", "observable"),
+        ("scenario", "ell0", "t", "error", "bound", "log_bound", "conditions_ok", "pass"),
+        _MODEL, _short_lr_check,
+    ),
+    "approx-sweep": Scenario(
+        ("i0", "r0", "R_values", "t", "observable", "psi0", "ell0", "q", "delta_t0"),
+        ("scenario", "R", "t", "ell0", "q", "m_t", "error"),
+        _MODEL, _approx_sweep,
+    ),
+    "quench-sim": Scenario(
+        ("h", "psi0", "t", "R_values", "ell0", "q", "qprime", "delta_t0",
+         "stationarity_tol"),
+        ("scenario", "R", "t", "error", "bound", "log_bound", "cost_states", "pass"),
+        _MODEL, _quench_sim,
+    ),
+    "clustering": Scenario(
+        ("anchor", "d_values", "psi0"),
+        ("scenario", "i", "j", "d", "correlation", "abs_correlation"),
+        _MODEL, _clustering,
+    ),
+    "bound-report": Scenario(
+        ("bound", "grid", "fixed"),
+        ("scenario", "bound", "params", "log_value", "value", "valid"),
+        _LATTICE, _bound_report,
+    ),
+    "fs-check": Scenario(
+        ("s_max", "m_max"),
+        ("scenario", "s", "m", "lower", "f_s", "upper", "pass"),
+        (), _fs_check,
+    ),
+    "adjacency-check": Scenario(
+        ("times", "J_scale"),
+        ("scenario", "t", "max_ratio", "violations", "pass"),
+        _LATTICE, _adjacency_check,
+    ),
 }
 
-# scenarios that can run without a basis/model (lattice-only or pure arithmetic)
-_NO_MODEL = {"fs-check", "adjacency-check", "bound-report"}
-_NO_LATTICE = {"fs-check"}
+SCENARIO_KINDS = tuple(_SCENARIOS)
 
 
 def run_scenario(
@@ -1017,126 +899,78 @@ def run_scenario(
     threads: int = 1,
     dense_cap: int | None = None,
 ) -> int:
-    """Execute one scenario config; write reports; return the exit status."""
-    if dense_cap is not None:
-        _ev.DENSE_CAP = int(dense_cap)
-    cfg = load_config(config_path)
-    scn = cfg["scenario"]
-    kind = scn["kind"]
+    """Execute one scenario config; write reports; return the exit status.
 
-    out_block = cfg.get("output", {})
-    _check_keys(out_block, ("directory", "formats"), "output")
-    formats = out_block.get("formats", ["csv"])
-    for fmt in formats:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output.formats: '{fmt}' not supported")
-    directory = Path(out_dir) if out_dir is not None else Path(out_block.get("directory", "."))
+    ``dense_cap`` replaces the dense-matrix dimension cap for this call
+    only, in every thread it uses.
+    """
+    token = None if dense_cap is None else RUN_DENSE_CAP.set(int(dense_cap))
+    try:
+        cfg = load_config(config_path)
+        kind = cfg["scenario"]["kind"]
 
-    rng = np.random.default_rng(seed)
-    manifest: dict = {"scenario": kind, "seed": int(seed), "config": str(config_path)}
-
-    g = None if kind in _NO_LATTICE and "lattice" not in cfg else _build_lattice(cfg)
-    b = spec = None
-    H_cache: list[OperatorMatrix | None] = [None]
-    if kind not in _NO_MODEL:
-        b = _build_basis(cfg, g)
-        spec = _build_model(cfg, g)
-
-        def H_provider() -> OperatorMatrix:
-            if H_cache[0] is None:
-                H_cache[0] = assemble_hamiltonian(spec, b)
-            return H_cache[0]
-
-    else:
-
-        def H_provider() -> OperatorMatrix:
-            raise ConfigError(f"scenario '{kind}' has no Hamiltonian")
-
-    times = scn.get("times") or ([scn["t"]] if "t" in scn else None)
-    t0_default = max(float(t) for t in times) if times else 1.0
-    qbar_default = _qbar_default(scn.get("psi0", "mott-1"))
-
-    def consts_for(O: OperatorMatrix | None) -> BoundConstants:
-        zeta0 = 1.0
-        if O is not None and "zeta0" not in cfg.get("constants", {}):
-            zeta0 = spectral_norm(O)
-        return _resolve_constants(
-            cfg,
-            g,
-            spec,
-            t0_default=t0_default,
-            qbar_default=qbar_default,
-            zeta0_default=zeta0,
+        out_block = cfg.get("output", {})
+        _check_keys(out_block, ("directory", "formats"), "output")
+        formats = out_block.get("formats", ["csv"])
+        for fmt in formats:
+            if fmt not in ("csv", "json"):
+                raise ConfigError(f"output.formats: '{fmt}' not supported")
+        directory = (
+            Path(out_dir) if out_dir is not None else Path(out_block.get("directory", "."))
         )
 
-    ctx = {
-        "g": g,
-        "b": b,
-        "spec": spec,
-        "H": H_provider,
-        "consts": consts_for,
-        "scenario": scn,
-        "rng": rng,
-        "threads": max(1, int(threads)),
-        "manifest": manifest,
-    }
+        run = _Run(cfg, config_path, seed, threads)
+        rows = [{"scenario": kind, **row} for row in run.entry.run(run)]
 
-    columns, rows, extras = _SCENARIOS[kind](ctx)
+        outputs = []
+        for fmt in formats:
+            path = emit_report(rows, fmt, directory / f"{kind}.{fmt}", run.entry.columns)
+            outputs.append(str(path))
+        for name, payload in run.extras.items():
+            outputs.append(str(_write_json(directory / name, payload)))
 
-    outputs = []
-    for fmt in formats:
-        path = emit_report(rows, fmt, directory / f"{kind}.{fmt}", columns)
-        outputs.append(str(path))
-    for name, payload in extras.items():
-        path = directory / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        outputs.append(str(path))
-
-    failed = any(row.get("pass") is False for row in rows)
-
-    if g is not None:
-        geo = geometric_constants(g)
-        manifest["geometry"] = {
-            "gamma": geo.gamma,
-            "lambda0": geo.lambda0,
-            "dG": geo.max_degree_dG,
-            "D": geo.dimension_D,
-        }
-    try:
-        consts = consts_for(None) if g is not None else None
-    except ConfigError:
-        consts = None
-    if consts is not None:
-        resolved = {
-            "c0": consts.c0,
-            "qbar": consts.qbar,
-            "t0": consts.t0,
-            "J_bar": consts.J_bar,
-            "zeta0": consts.zeta0,
-            "c1": consts.c1,
-            "c1_prime_sizeX1": consts.c1p(1),
-            "c1_double_prime": consts.c1pp,
-            "effective_C1": consts.effective_C1,
-            "effective_C2": consts.effective_C2,
-            "eta": consts.eta,
-        }
-        if consts.eta is not None:
-            resolved["c3"] = consts.c3
-            resolved["c3_prime"] = consts.c3p
-            resolved["delta_t0"] = consts.delta_t0
-        manifest["resolved_constants"] = resolved
-    manifest["outputs"] = outputs
-    manifest["rows"] = len(rows)
-    manifest["failed_rows"] = sum(1 for row in rows if row.get("pass") is False)
-    manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
-    with (directory / "run_manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-
-    return 1 if failed else 0
+        failed = sum(1 for row in rows if row.get("pass") is False)
+        manifest = run.manifest
+        if run.g is not None:
+            geo = geometric_constants(run.g)
+            manifest["geometry"] = {
+                "gamma": geo.gamma,
+                "lambda0": geo.lambda0,
+                "dG": geo.max_degree_dG,
+                "D": geo.dimension_D,
+            }
+        try:
+            consts = run.constants() if run.g is not None else None
+        except ConfigError:
+            consts = None
+        if consts is not None:
+            resolved = {
+                "c0": consts.c0,
+                "qbar": consts.qbar,
+                "t0": consts.t0,
+                "J_bar": consts.J_bar,
+                "zeta0": consts.zeta0,
+                "c1": consts.c1,
+                "c1_prime_sizeX1": consts.c1p(1),
+                "c1_double_prime": consts.c1pp,
+                "effective_C1": consts.effective_C1,
+                "effective_C2": consts.effective_C2,
+                "eta": consts.eta,
+            }
+            if consts.eta is not None:
+                resolved["c3"] = consts.c3
+                resolved["c3_prime"] = consts.c3p
+                resolved["delta_t0"] = consts.delta_t0
+            manifest["resolved_constants"] = resolved
+        manifest["outputs"] = outputs
+        manifest["rows"] = len(rows)
+        manifest["failed_rows"] = failed
+        manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
+        _write_json(directory / "run_manifest.json", manifest)
+        return 1 if failed else 0
+    finally:
+        if token is not None:
+            RUN_DENSE_CAP.reset(token)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1152,7 +986,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     runp.add_argument("--threads", type=int, default=1, help="worker threads")
     runp.add_argument(
         "--dense-cap", type=int, default=None,
-        help="override the dense-matrix dimension cap",
+        help="dense-matrix dimension cap for this run only",
     )
     args = parser.parse_args(argv)
 

@@ -4,14 +4,17 @@ Sparse states move with an adaptive Lanczos (Krylov) propagator at every
 dimension.  Each step's subspace grows until the a-posteriori error
 estimate meets the step's share of the tolerance, so short steps build a
 few vectors and only long ones reach the size cap.  Operators move densely
-through eigendecomposition, below ``DENSE_CAP``.  The dense path doubles as
-the oracle for the Krylov path in the test suite.
+through eigendecomposition, below the dense cap that ``dense_cap()`` reads:
+``DENSE_CAP`` unless a caller has set ``RUN_DENSE_CAP`` in its context, as
+``cli.run_scenario`` does for the length of one run.  The dense path doubles
+as the oracle for the Krylov path in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,8 @@ __all__ = [
     "PropagatorReport",
     "PropagationError",
     "DENSE_CAP",
+    "RUN_DENSE_CAP",
+    "dense_cap",
     "evolve_state",
     "heisenberg",
     "interaction_picture_unitary",
@@ -34,7 +39,14 @@ __all__ = [
 ]
 
 DENSE_CAP = 2000
+# a context's own cap; where it is unset, DENSE_CAP applies
+RUN_DENSE_CAP: ContextVar[int] = ContextVar("RUN_DENSE_CAP")
 _MAX_KRYLOV = 48
+
+
+def dense_cap() -> int:
+    """Largest dimension the dense paths accept in the current context."""
+    return RUN_DENSE_CAP.get(DENSE_CAP)
 
 
 class PropagationError(RuntimeError):
@@ -237,8 +249,9 @@ def evolve_state(
 
 
 def _dense_unitary(H: OperatorMatrix, t: float) -> np.ndarray:
-    if H.dim > DENSE_CAP:
-        raise ResourceLimitError(f"dimension {H.dim} exceeds dense cap {DENSE_CAP}")
+    cap = dense_cap()
+    if H.dim > cap:
+        raise ResourceLimitError(f"dimension {H.dim} exceeds dense cap {cap}")
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
     lam, Q = eigh(H.dense())
@@ -280,8 +293,9 @@ def interaction_picture_unitary(
     """
     if A.basis is not h.basis:
         raise ValueError("A and h live on different bases")
-    if A.dim > DENSE_CAP:
-        raise ResourceLimitError(f"dimension {A.dim} exceeds dense cap {DENSE_CAP}")
+    cap = dense_cap()
+    if A.dim > cap:
+        raise ResourceLimitError(f"dimension {A.dim} exceeds dense cap {cap}")
     if not (A.hermitian and h.hermitian):
         raise ValueError("A and h must be Hermitian")
     Ua = _dense_unitary(A, float(t))
@@ -298,7 +312,7 @@ def interaction_picture_unitary(
 def spectral_norm(O: OperatorMatrix, *, cap: int | None = None) -> float:
     """Operator 2-norm; dense and exact below the cap, Lanczos SVD above."""
     if cap is None:
-        cap = DENSE_CAP  # looked up at call time so runtime overrides apply
+        cap = dense_cap()
     if O.matrix.nnz == 0:
         return 0.0
     if O.dim <= cap:

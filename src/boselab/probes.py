@@ -20,8 +20,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from . import evolve as _ev
-from .evolve import StateVector, evolve_state, heisenberg
+from .evolve import StateVector, dense_cap, evolve_state, heisenberg
 from .model import OperatorMatrix
 
 GROUND_RESIDUAL_TOL = 1e-8
@@ -179,7 +178,7 @@ def ground_state(H: OperatorMatrix) -> GroundStateResult:
 
     evals: np.ndarray
     evecs: np.ndarray
-    if dim <= _ev.DENSE_CAP:
+    if dim <= dense_cap():
         evals, evecs = eigh(H.dense())
         evals, evecs = evals[:2], evecs[:, :2]
     else:

@@ -1,6 +1,10 @@
 """End-to-end CLI tests: scenario configs in, reports and exit codes out."""
 
+import csv
+import dataclasses
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -222,15 +226,23 @@ def test_threads_do_not_change_output(tmp_path):
     ).read_bytes()
 
 
-def test_dense_cap_flag_reaches_evolver(tmp_path):
+def test_dense_cap_flag_reaches_evolver(tmp_path, monkeypatch):
+    seen = []
+    fs_check = cli._SCENARIOS["fs-check"]
+
+    def recording(run):
+        seen.append(evolve_mod.dense_cap())
+        return fs_check.run(run)
+
+    monkeypatch.setitem(
+        cli._SCENARIOS, "fs-check", dataclasses.replace(fs_check, run=recording)
+    )
     cfg = write_cfg(tmp_path, CONFIGS["fs-check"])
     out = tmp_path / "out"
-    old = evolve_mod.DENSE_CAP
-    try:
-        assert main(["run", str(cfg), "--out", str(out), "--dense-cap", "123"]) == 0
-        assert evolve_mod.DENSE_CAP == 123
-    finally:
-        evolve_mod.DENSE_CAP = old
+    assert main(["run", str(cfg), "--out", str(out), "--dense-cap", "123"]) == 0
+    # the evolver reads 123 during the run and the default again after it
+    assert seen == [123]
+    assert evolve_mod.dense_cap() == evolve_mod.DENSE_CAP == 2000
 
 
 def test_dense_cap_gates_dense_scenarios(tmp_path):
@@ -252,10 +264,36 @@ def test_dense_cap_gates_dense_scenarios(tmp_path):
         evolve_mod.DENSE_CAP = old
 
 
-def test_failing_rows_exit_one(tmp_path, monkeypatch):
-    def fake(ctx):
-        return ["scenario", "pass"], [{"scenario": "fs-check", "pass": False}], {}
+LIGHTCONE_32 = {
+    "lattice": {"kind": "chain", "dims": [5]},
+    "basis": {"cutoff": 1},
+    "model": {"J": 1.0, "U": 0.0},
+    "scenario": {"kind": "lightcone-map", "i0": 0, "times": [0.1, 0.2, 0.3]},
+    "output": {"formats": ["csv"]},
+}
 
+
+def test_dense_cap_lasts_one_run(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LIGHTCONE_32)
+    rc = main(["run", str(cfg), "--out", str(tmp_path / "no"), "--dense-cap", "10"])
+    assert rc == 2
+    assert "exceeds dense cap 10" in capsys.readouterr().err
+    # the next run in this process is back under the default cap
+    assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_dense_cap_reaches_worker_threads(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LIGHTCONE_32)
+    out = str(tmp_path / "no")
+    rc = main(["run", str(cfg), "--out", out, "--dense-cap", "10", "--threads", "3"])
+    assert rc == 2
+    assert "exceeds dense cap 10" in capsys.readouterr().err
+
+
+def test_failing_rows_exit_one(tmp_path, monkeypatch):
+    fake = cli.Scenario(
+        ("s_max", "m_max"), ("scenario", "pass"), (), lambda run: [{"pass": False}]
+    )
     monkeypatch.setitem(cli._SCENARIOS, "fs-check", fake)
     cfg = write_cfg(tmp_path, CONFIGS["fs-check"])
     out = tmp_path / "out"
@@ -318,3 +356,107 @@ def test_psi0_outside_basis_is_config_error(tmp_path, capsys):
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("psi0", ["fock:[1,0", "mott-x", "fock:5", "sideways", 3])
+def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["scenario"]["psi0"] = psi0
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: scenario.psi0: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, block, key, value, field",
+    [
+        ("moment-check", "basis", "cutoff", "five", "basis.cutoff"),
+        ("quench-sim", "basis", "sector", "six", "basis.sector"),
+        ("moment-check", "constants", "c0", "abc", "constants.c0"),
+        ("moment-check", "constants", "D", [1], "constants.D"),
+        ("moment-check", "scenario", "times", ["soon"], "scenario.times"),
+        ("moment-check", "scenario", "s_values", ["two"], "scenario.s_values"),
+        ("truncation-check", "scenario", "t", "later", "scenario.t"),
+        ("quench-sim", "scenario", "R_values", [None], "scenario.R_values"),
+        ("approx-sweep", "scenario", "delta_t0", "x", "scenario.delta_t0"),
+        ("adjacency-check", "scenario", "J_scale", {}, "scenario.J_scale"),
+    ],
+)
+def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
+    payload = json.loads(json.dumps(CONFIGS[kind]))
+    payload.setdefault(block, {})[key] = value
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def _bound_report_rows(tmp_path, grid):
+    payload = json.loads(json.dumps(CONFIGS["bound-report"]))
+    payload["scenario"] = {"kind": "bound-report", "bound": "lightcone-radius", "grid": grid}
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with (out / "bound-report.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_lightcone_radius_accepts_scalar_grid_values(tmp_path):
+    rows = _bound_report_rows(tmp_path, {"t": 4.0, "delta": 0.5})
+    assert [r["params"] for r in rows] == ['{"delta": 0.5, "t": 4.0}']
+    assert float(rows[0]["value"]) > 0
+
+
+def test_lightcone_radius_list_grid_keeps_order_and_params(tmp_path):
+    rows = _bound_report_rows(tmp_path, {"t": [3, 4.5], "delta": [0.5, 1]})
+    # t outer, delta inner; values are written as the config gave them
+    assert [r["params"] for r in rows] == [
+        '{"delta": 0.5, "t": 3}',
+        '{"delta": 1, "t": 3}',
+        '{"delta": 0.5, "t": 4.5}',
+        '{"delta": 1, "t": 4.5}',
+    ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _is_int(cell):
+    try:
+        int(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_float(cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        return False
+    return math.isfinite(value) and not _is_int(cell)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_report_matches_golden(kind, tmp_path):
+    """Every smoke config reproduces its committed report.
+
+    Text, int and bool columns must match exactly; float columns (any cell
+    that is a finite number but not an integer) to 1e-10 + 1e-9 |ref|, since
+    1e-10 is the Krylov propagation tolerance; their non-finite cells exactly.
+    """
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with (GOLDEN / f"{kind}.csv").open() as fh:
+        ref = list(csv.reader(fh))
+    with (out / f"{kind}.csv").open() as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == ref[0]
+    assert len(got) == len(ref)
+    floats = {c for c in range(len(ref[0])) if any(_is_float(r[c]) for r in ref[1:])}
+    for got_row, ref_row in zip(got[1:], ref[1:]):
+        for c, (x, r) in enumerate(zip(got_row, ref_row)):
+            if c in floats and _is_float(r):
+                assert abs(float(x) - float(r)) <= 1e-10 + 1e-9 * abs(float(r)), (c, x, r)
+            else:
+                assert x == r, (c, x, r)
