@@ -1,21 +1,20 @@
 """Step-connected local approximation of dynamics, and local quench simulation.
 
-Two constructions live here.  approximate_heisenberg chains short-time local
-conjugations over nested balls X_m to approximate a Heisenberg-evolved
-observable with controlled support.  run_quench builds the local unitary that
-simulates a Hamiltonian quench on a stationary state, as an echo product: per
-step, a backward unquenched factor e^{+iB dt} and a forward quenched factor
-e^{-iA dt}, both generated by occupation-truncated subset Hamiltonians on a
-halo region.  With full coverage and full cutoffs the echo telescopes to the
-exact quenched evolution (only stationarity of the initial state is used), so
-the construction degrades transparently on finite lattices.
+One builder makes every step: a subset Hamiltonian on the halo X[2 ell0],
+occupation-truncated by q on the annulus.  approximate_heisenberg conjugates
+an observable by short steps e^{-iG dt} over nested balls X_m, keeping its
+support controlled.  run_quench simulates a quench on a stationary state by
+echo steps, which also truncate X[ell0] by q': a backward unquenched factor
+e^{+iB dt}, then a forward quenched e^{-iA dt}.  With full coverage and
+cutoffs the echo telescopes to the exact quenched evolution, using only
+stationarity.  Both walk one step chain, which checks each step's support
+against i0[R] and records {m, support_size, truncation_q} per step.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -171,16 +170,6 @@ def _halo_regions(
     return L1, L2, L2p, Ltilde, clipped
 
 
-def _truncation_entries(
-    b: FockBasis, scheme: list[tuple[Iterable[int], int]]
-) -> np.ndarray | None:
-    """0/1 diagonal of the truncation projector, or None when nothing truncates."""
-    live = [(sorted(region), q) for region, q in scheme if region]
-    if not live:
-        return None
-    return truncation_projector(b, live).entries
-
-
 def _compressed_generator(
     spec: HamiltonianSpec,
     b: FockBasis,
@@ -209,6 +198,49 @@ def _compressed_generator(
     return _wrap(b, sparse.csr_matrix(mat), declared_support=sorted(supp), verify_support=False)
 
 
+def _step_unitary(
+    spec: HamiltonianSpec,
+    b: FockBasis,
+    X: Iterable[int],
+    ell0: int,
+    q: int,
+    dt: float,
+    k: int | None,
+    h_X0: OperatorMatrix | None = None,
+    qprime: int | None = None,
+) -> LocalUnitary:
+    """A step on the halo X[2 ell0]: e^{-i B dt}, truncated by q on the annulus.
+
+    With a quench term h_X0, q' truncates X[ell0] as well, and the step is the
+    echo pair e^{+i B dt}, then e^{-i A dt}, with A = B + h_X0 compressed alike.
+    """
+    kk = int(spec.k_max if k is None else k)
+    L1, L2, L2p, Ltilde, clipped = _halo_regions(spec.lattice, X, ell0, kk)
+    truncation = [(Ltilde, q)] if h_X0 is None else [(Ltilde, q), (L1, qprime)]
+    live = [(sorted(region), cut) for region, cut in truncation if region]
+    entries = truncation_projector(b, live).entries if live else None
+    pi_supp = frozenset().union(*(region for region, _ in truncation))
+    B = _compressed_generator(spec, b, L2p, L2, entries, pi_supp)
+    if h_X0 is None:
+        support, factors = frozenset(L2), (("expm", B, float(dt)),)
+    else:
+        A = _compressed_generator(spec, b, L2p, L2, entries, pi_supp, extra=h_X0)
+        support = frozenset(L2) | h_X0.support
+        factors = (("expm", B, -float(dt)), ("expm", A, float(dt)))
+    scheme = {
+        "ell0": int(ell0),
+        "q": int(q),
+        "qprime": None if h_X0 is None else int(qprime),
+        "L1": tuple(sorted(L1)),
+        "L2": tuple(sorted(L2)),
+        "L2p": tuple(sorted(L2p)),
+        "clipped": clipped,
+        "ell0_ge_8k": ell0 >= 8 * kk,
+        "surviving_dim": b.dim if entries is None else int(entries.sum()),
+    }
+    return LocalUnitary(basis=b, support=support, scheme=scheme, factors=factors)
+
+
 def local_step_unitary(
     spec: HamiltonianSpec,
     b: FockBasis,
@@ -228,26 +260,7 @@ def local_step_unitary(
     """
     if ell0 < 1 or q < 1:
         raise ValueError("ell0 and q must be >= 1")
-    kk = int(spec.k_max if k is None else k)
-    g = spec.lattice
-    L1, L2, L2p, Ltilde, clipped = _halo_regions(g, X, ell0, kk)
-    entries = _truncation_entries(b, [(Ltilde, q)])
-    surviving = b.dim if entries is None else int(entries.sum())
-    G = _compressed_generator(spec, b, L2p, L2, entries, Ltilde)
-    scheme = {
-        "ell0": int(ell0),
-        "q": int(q),
-        "qprime": None,
-        "L1": tuple(sorted(L1)),
-        "L2": tuple(sorted(L2)),
-        "L2p": tuple(sorted(L2p)),
-        "clipped": clipped,
-        "ell0_ge_8k": ell0 >= 8 * kk,
-        "surviving_dim": surviving,
-    }
-    return LocalUnitary(
-        basis=b, support=frozenset(L2), scheme=scheme, factors=(("expm", G, float(dt)),)
-    )
+    return _step_unitary(spec, b, X, ell0, q, dt, k)
 
 
 def quench_step_unitary(
@@ -275,36 +288,7 @@ def quench_step_unitary(
         raise ValueError("ell0, q and qprime must be >= 1")
     if not h_X0.is_diagonal:
         raise ValueError("quench term must be a number polynomial (diagonal matrix)")
-    kk = int(spec.k_max if k is None else k)
-    g = spec.lattice
-    L1, L2, L2p, Ltilde, clipped = _halo_regions(g, X, ell0, kk)
-    entries = _truncation_entries(b, [(Ltilde, q), (L1, qprime)])
-    surviving = b.dim if entries is None else int(entries.sum())
-    pi_supp = Ltilde | L1
-    B = _compressed_generator(spec, b, L2p, L2, entries, pi_supp)
-    A = _compressed_generator(spec, b, L2p, L2, entries, pi_supp, extra=h_X0)
-    scheme = {
-        "ell0": int(ell0),
-        "q": int(q),
-        "qprime": int(qprime),
-        "L1": tuple(sorted(L1)),
-        "L2": tuple(sorted(L2)),
-        "L2p": tuple(sorted(L2p)),
-        "clipped": clipped,
-        "ell0_ge_8k": ell0 >= 8 * kk,
-        "surviving_dim": surviving,
-    }
-    support = frozenset(L2) | h_X0.support
-    return LocalUnitary(
-        basis=b,
-        support=support,
-        scheme=scheme,
-        factors=(("expm", B, -float(dt)), ("expm", A, float(dt))),
-    )
-
-
-def _default_q(b: FockBasis) -> int:
-    return int(max(b.site_cutoffs))
+    return _step_unitary(spec, b, X, ell0, q, dt, k, h_X0, qprime)
 
 
 def _solve_q_default(
@@ -315,15 +299,16 @@ def _solve_q_default(
     The fallback is conservative: the full cutoff means no truncation at all,
     so it can only improve accuracy over any solved q.
     """
+    full = int(max(b.site_cutoffs))
     if consts is not None:
         try:
             r = max(3.0, float(R))
             size_lt = consts.gamma * (r + 2.0 * ell0) ** consts.D
             sol = solve_eta(float(ell0), r, size_lt, consts)
-            return min(max(1, sol.q), _default_q(b))
+            return min(max(1, sol.q), full)
         except (BoundConditionError, ValueError):
             pass
-    return _default_q(b)
+    return full
 
 
 @dataclass(frozen=True)
@@ -333,6 +318,51 @@ class ApproxTrace:
     q: int
     unitaries: tuple[LocalUnitary, ...]
     step_records: tuple[dict, ...]
+
+
+def _step_chain(
+    build: Callable[[frozenset[int], int, int, float], LocalUnitary],
+    g: LatticeGraph,
+    b: FockBasis,
+    i0: int,
+    r0: int,
+    R: int,
+    t: float,
+    consts: BoundConstants | None,
+    ell0: int | None,
+    q: int | None,
+    delta_t0: float | None,
+) -> ApproxTrace:
+    """The steps over the schedule of (t, R - r0), with their records.
+
+    ``build(X, ell0, q, dt)`` makes step m on X = i0[r_{m-1}]; ell0 and q
+    default as approximate_heisenberg documents, and every step must stay
+    inside i0[R].
+    """
+    if delta_t0 is None:
+        delta_t0 = consts.delta_t0 if consts is not None and consts.eta is not None else t
+    sched = step_schedule(t, R, r0, delta_t0)
+    ell = int(ell0) if ell0 is not None else max(1, sched.dr // 2)
+    q_used = int(q) if q is not None else _solve_q_default(ell, R, consts, b)
+    X_final = ball(g, [i0], int(R))
+    X_prev = ball(g, [i0], r0)
+    steps: list[LocalUnitary] = []
+    for m, r_m in enumerate(sched.radii, start=1):
+        step = build(X_prev, ell, q_used, sched.dt)
+        if not step.support <= X_final:
+            raise ValueError(
+                f"step {m} support exceeds i0[{R}]; shrink ell0 "
+                f"(ell0 = {ell}, dr = {sched.dr})"
+            )
+        steps.append(step)
+        X_prev = ball(g, [i0], r_m)
+    records = tuple(
+        {"m": m, "support_size": len(step.support), "truncation_q": q_used}
+        for m, step in enumerate(steps, start=1)
+    )
+    return ApproxTrace(
+        schedule=sched, ell0=ell, q=q_used, unitaries=tuple(steps), step_records=records
+    )
 
 
 def approximate_heisenberg(
@@ -364,52 +394,23 @@ def approximate_heisenberg(
             f"cap {cap}"
         )
     if t == 0.0:
-        if return_trace:
-            return O, ApproxTrace(
-                schedule=None, ell0=0, q=0, unitaries=(), step_records=()
-            )
-        return O
-    g = spec.lattice
-    if delta_t0 is None:
-        delta_t0 = consts.delta_t0 if consts is not None and consts.eta is not None else t
-    sched = step_schedule(t, R, r0, delta_t0)
-    ell = int(ell0) if ell0 is not None else max(1, sched.dr // 2)
-    q_used = int(q) if q is not None else _solve_q_default(ell, R, consts, b)
-
-    X_prev = ball(g, [i0], r0)
-    if not O.support <= X_prev:
+        trace = ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
+        return (O, trace) if return_trace else O
+    if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
-    X_final = ball(g, [i0], int(R))
+    trace = _step_chain(
+        lambda X, ell, q_m, dt: local_step_unitary(spec, b, X, ell, q_m, dt),
+        spec.lattice, b, i0, r0, R, t, consts, ell0, q, delta_t0,
+    )
     norm0 = float(np.linalg.norm(O.dense(), 2))
     current = O.dense()
     accum_support = set(O.support)
-    unitaries: list[LocalUnitary] = []
-    records: list[dict] = []
-    t_start = time.perf_counter()
-    for m, r_m in enumerate(sched.radii, start=1):
-        X_m = ball(g, [i0], r_m)
-        step = local_step_unitary(spec, b, X_prev, ell, q_used, sched.dt)
-        if not step.support <= X_final:
-            raise ValueError(
-                f"step {m} support exceeds i0[{R}]; shrink ell0 "
-                f"(ell0 = {ell}, dr = {sched.dr})"
-            )
+    for step in trace.unitaries:
         U = step.materialize()
         current = U.conj().T @ current @ U
         accum_support |= step.support
-        unitaries.append(step)
-        records.append(
-            {
-                "m": m,
-                "support_size": len(step.support),
-                "truncation_q": q_used,
-                "step_error_if_measured": None,
-                "cumulative_wall_time": time.perf_counter() - t_start,
-            }
-        )
-        X_prev = X_m
     norm_t = float(np.linalg.norm(current, 2))
-    if abs(norm_t - norm0) > 1e-9 * sched.m_t + 1e-10:
+    if abs(norm_t - norm0) > 1e-9 * trace.schedule.m_t + 1e-10:
         raise AssertionError(
             f"conjugation chain drifted the operator norm: {norm0} -> {norm_t}"
         )
@@ -422,16 +423,7 @@ def approximate_heisenberg(
         declared_support=sorted(accum_support),
         verify_support=False,
     )
-    if return_trace:
-        trace = ApproxTrace(
-            schedule=sched,
-            ell0=ell,
-            q=q_used,
-            unitaries=tuple(unitaries),
-            step_records=tuple(records),
-        )
-        return out, trace
-    return out
+    return (out, trace) if return_trace else out
 
 
 @dataclass(frozen=True)
@@ -488,44 +480,18 @@ def run_quench(
         r_need = max(int(g.distances[i0, j]) for j in h_X0.support)
         r0 = max(r0, r_need)
 
-    if delta_t0 is None:
-        delta_t0 = consts.delta_t0 if consts is not None and consts.eta is not None else t
-    sched = step_schedule(t, R, r0, delta_t0)
-    ell = int(ell0) if ell0 is not None else max(1, sched.dr // 2)
-    q_used = int(q) if q is not None else _solve_q_default(ell, R, consts, b)
-    qp_used = int(qprime) if qprime is not None else q_used
-
-    steps: list[LocalUnitary] = []
-    records: list[dict] = []
-    cost = 0
-    X_prev = ball(g, [i0], r0)
-    X_final = ball(g, [i0], int(R))
-    t_start = time.perf_counter()
-    for m, r_m in enumerate(sched.radii, start=1):
-        X_m = ball(g, [i0], r_m)
-        step = quench_step_unitary(spec, h_X0, b, X_prev, ell, q_used, qp_used, sched.dt)
-        if not step.support <= X_final | h_X0.support:
-            raise ValueError(
-                f"step {m} support exceeds i0[{R}]; shrink ell0 "
-                f"(ell0 = {ell}, dr = {sched.dr})"
-            )
-        steps.append(step)
-        cost += len(step.factors) * int(step.scheme["surviving_dim"])
-        records.append(
-            {
-                "m": m,
-                "support_size": len(step.support),
-                "truncation_q": q_used,
-                "step_error_if_measured": None,
-                "cumulative_wall_time": time.perf_counter() - t_start,
-            }
-        )
-        X_prev = X_m
-
+    # r0 covers the support of h_X0, so the chain's i0[R] check covers it too
+    trace = _step_chain(
+        lambda X, ell, q_m, dt: quench_step_unitary(
+            spec, h_X0, b, X, ell, q_m, q_m if qprime is None else int(qprime), dt
+        ),
+        g, b, i0, r0, R, t, consts, ell0, q, delta_t0,
+    )
+    cost = sum(len(u.factors) * int(u.scheme["surviving_dim"]) for u in trace.unitaries)
     state = psi0
-    for step in reversed(steps):
+    for step in reversed(trace.unitaries):
         state = _apply_factor(step.factors[0], state, tol, adjoint=False)
-    for step in steps:
+    for step in trace.unitaries:
         state = _apply_factor(step.factors[1], state, tol, adjoint=False)
 
     H_quench = _wrap(
@@ -556,14 +522,14 @@ def run_quench(
         qb = quench_bounds(float(R), float(r0), max(t, 1e-12), fallback)
     report = QuenchReport(
         error=error,
-        schedule=sched,
+        schedule=trace.schedule,
         stationarity_residual=resid,
         cost_states=cost,
         bound=qb,
-        step_records=tuple(records),
+        step_records=trace.step_records,
         params={
-            "i0": int(i0), "r0": int(r0), "R": int(R), "t": float(t),
-            "ell0": ell, "q": q_used, "qprime": qp_used,
+            "i0": int(i0), "r0": int(r0), "R": int(R), "t": float(t), "ell0": trace.ell0,
+            "q": trace.q, "qprime": trace.unitaries[0].scheme["qprime"],
         },
     )
     return error, report

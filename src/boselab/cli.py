@@ -124,6 +124,18 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
+def _site_index(n_sites: int) -> Callable[[object], int]:
+    """A converter to a site index that refuses indices outside 0..n_sites-1."""
+
+    def site(value) -> int:
+        i = int(value)
+        if not 0 <= i < n_sites:
+            raise ValueError(f"site {i} is not in 0..{n_sites - 1}")
+        return i
+
+    return site
+
+
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
@@ -194,6 +206,7 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
     explicit = "hoppings" in block or "interactions" in block
     if explicit and ("J" in block or "U" in block or "mu" in block):
         raise ConfigError("model: use either (J, U, mu) or explicit term lists")
+    site = _site_index(g.site_count)
     try:
         if not explicit:
             from .model import bose_hubbard
@@ -204,16 +217,17 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
                 _need(block, "model", "U", float),
                 _need(block, "model", "mu", float, 0.0),
             )
-        hoppings = tuple(
-            (int(i), int(j), float(Jij)) for i, j, Jij in block.get("hoppings", [])
+        hoppings = _need(
+            block, "model", "hoppings",
+            lambda hs: tuple((site(i), site(j), float(Jij)) for i, j, Jij in hs), [],
         )
-        terms = []
+        terms, where = [], "model.interactions[]"
         for item in block.get("interactions", []):
-            _check_keys(item, ("region", "monomials"), "model.interactions[]")
-            region = tuple(int(i) for i in _need(item, "interaction", "region"))
+            _check_keys(item, ("region", "monomials"), where)
+            region = _need(item, where, "region", lambda r: tuple(site(i) for i in r))
             monos = tuple(
                 Monomial(float(c), tuple(int(p) for p in powers))
-                for c, powers in _need(item, "interaction", "monomials")
+                for c, powers in _need(item, where, "monomials")
             )
             terms.append(Interaction(region, monos))
         k_max = int(block.get("k_max", max((len(t.region) for t in terms), default=1)))
@@ -227,6 +241,8 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
             k_max=k_max,
             J_bar=J_bar,
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
@@ -260,7 +276,8 @@ def _build_observable(
     if "site" not in obs and "sites" not in obs:
         raise ConfigError("observable: needs 'site' or 'sites'")
     key = "sites" if "sites" in obs else "site"
-    sites = _need(obs, "observable", key, lambda v: [int(i) for i in _as_list(v)])
+    site = _site_index(b.n_sites)
+    sites = _need(obs, "observable", key, lambda v: [site(i) for i in _as_list(v)])
     if kind in ("number", "creation", "annihilation"):
         return local_operator(kind, sites, b)
     if kind == "projector":
@@ -383,6 +400,11 @@ class _Run:
     def H(self) -> OperatorMatrix:
         return assemble_hamiltonian(self.spec, self.b)
 
+    @cached_property
+    def site(self) -> Callable[[object], int]:
+        """Converter to a site index of the run's lattice, for typed reads."""
+        return _site_index(self.g.site_count)
+
     def value(self, key: str, conv: Callable, default=_REQUIRED):
         return _need(self.scn, "scenario", key, conv, default)
 
@@ -473,11 +495,11 @@ def _error_cells(err: float, bv: BoundValue) -> dict:
 
 def _lightcone_map(run: _Run) -> list[dict]:
     H = run.H
-    i0 = run.value("i0", int, 0)
+    i0 = run.value("i0", run.site, 0)
     times = run.values("times", float)
     O_A = run.observable({"kind": "number", "site": i0})
     probe_kind = run.scn.get("probe", "number")
-    sites = run.values("sites", int, list(run.g.sites))
+    sites = run.values("sites", run.site, list(run.g.sites))
     probes = {
         i: _build_observable({"kind": probe_kind, "site": i}, run.b, run.rng).matrix
         for i in sites
@@ -517,11 +539,11 @@ def _transport_check(
     """
     param, probe_col, bound_col, log_col = (run.entry.columns[k] for k in (2, 4, 5, 6))
     H, g = run.H, run.g
-    i0 = run.value("i0", int, 0)
+    i0 = run.value("i0", run.site, 0)
     O_X = run.observable({"kind": "projector", "site": i0, "value": 1})
     params = run.values(values_key, int, default)
     times = run.values("times", float)
-    sites = run.values("sites", int, list(g.sites))
+    sites = run.values("sites", run.site, list(g.sites))
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
     mgf = mgf_condition(psi0, consts.c0, consts.qbar)
@@ -552,7 +574,7 @@ def _transport_check(
 
 def _truncation_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
-    X = run.values("X", int, [g.site_count // 2])
+    X = run.values("X", run.site, [g.site_count // 2])
     ell0 = run.value("ell0", int, 1)
     q_values = run.values("q_values", int, list(range(1, max(b.site_cutoffs) + 1)))
     t = run.value("t", float, 0.1)
@@ -579,7 +601,7 @@ def _truncation_check(run: _Run) -> list[dict]:
 
 def _short_lr_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
-    X = run.values("X", int, [g.site_count // 2])
+    X = run.values("X", run.site, [g.site_count // 2])
     ell0_values = run.values("ell0_values", int, [1, 2])
     t = run.value("t", float, 0.05)
     q = run.value("q", int, max(b.site_cutoffs))
@@ -611,7 +633,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
 
 def _approx_sweep(run: _Run) -> list[dict]:
     b, spec, H = run.b, run.spec, run.H
-    i0 = run.value("i0", int, 0)
+    i0 = run.value("i0", run.site, 0)
     r0 = run.value("r0", int, 0)
     R_values = run.values("R_values", int)
     t = run.value("t", float, 0.1)
@@ -638,7 +660,7 @@ def _quench_sim(run: _Run) -> list[dict]:
     b, spec = run.b, run.spec
     h_cfg = run.value("h", dict)
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
-    site = _need(h_cfg, "scenario.h", "site", int)
+    site = _need(h_cfg, "scenario.h", "site", run.site)
     coeff = _need(h_cfg, "scenario.h", "coeff", float, 1.0)
     power = _need(h_cfg, "scenario.h", "power", int, 2)
     cut = b.site_cutoffs[site]
@@ -675,7 +697,7 @@ def _quench_sim(run: _Run) -> list[dict]:
 
 def _clustering(run: _Run) -> list[dict]:
     g, b = run.g, run.b
-    anchor = run.value("anchor", int, 0)
+    anchor = run.value("anchor", run.site, 0)
     d_values = run.values("d_values", int, list(range(1, g.diameter + 1)))
     psi = run.state("ground")
 

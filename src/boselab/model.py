@@ -321,22 +321,11 @@ def effective_hamiltonian(
     spec: HamiltonianSpec,
     b: FockBasis,
     scheme: Sequence[tuple[Iterable[int], int]],
-    *,
-    subset: Iterable[int] | None = None,
 ) -> OperatorMatrix:
-    """Pi_bar H Pi_bar with Pi_bar = truncation_projector(scheme).
-
-    With ``subset`` set, the sandwiched Hamiltonian is subset_hamiltonian
-    (used by the local step unitaries, whose hoppings live on a smaller
-    region than their interactions).
-    """
+    """Pi_bar H Pi_bar with Pi_bar = truncation_projector(scheme)."""
     from .fock import truncation_projector
 
-    H = (
-        assemble_hamiltonian(spec, b)
-        if subset is None
-        else subset_hamiltonian(spec, b, subset)
-    )
+    H = assemble_hamiltonian(spec, b)
     pi = truncation_projector(b, list(scheme))
     D = sparse.diags(pi.entries)
     mat = D @ H.matrix @ D

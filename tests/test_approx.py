@@ -305,8 +305,7 @@ def test_approximate_heisenberg_trace_contents():
         assert rec["m"] == m
         assert rec["support_size"] == len(u.support)
         assert rec["truncation_q"] == 1
-        assert rec["step_error_if_measured"] is None
-        assert rec["cumulative_wall_time"] >= 0.0
+        assert set(rec) == {"m", "support_size", "truncation_q"}
     assert approx.support <= final_ball
 
 

@@ -206,14 +206,18 @@ def test_seed_recorded_in_manifest(tmp_path):
     assert manifest["seed"] == 7
 
 
-def test_repeated_runs_are_byte_identical(tmp_path):
-    cfg = write_cfg(tmp_path, CONFIGS["moment-check"])
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_repeated_runs_are_byte_identical(kind, tmp_path):
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(cfg), "--out", str(out_a), "--seed", "3"]) == 0
     assert main(["run", str(cfg), "--out", str(out_b), "--seed", "3"]) == 0
-    csv_a = (out_a / "moment-check.csv").read_bytes()
-    csv_b = (out_b / "moment-check.csv").read_bytes()
-    assert csv_a == csv_b
+    # every report but the manifest, whose timestamp is its only clock reading
+    names = sorted(p.name for p in out_a.iterdir() if p.name != "run_manifest.json")
+    assert f"{kind}.csv" in names
+    assert names == sorted(p.name for p in out_b.iterdir() if p.name != "run_manifest.json")
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_threads_do_not_change_output(tmp_path):
@@ -380,6 +384,19 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("quench-sim", "scenario", "R_values", [None], "scenario.R_values"),
         ("approx-sweep", "scenario", "delta_t0", "x", "scenario.delta_t0"),
         ("adjacency-check", "scenario", "J_scale", {}, "scenario.J_scale"),
+        ("moment-check", "scenario", "i0", 5, "scenario.i0"),
+        ("approx-sweep", "scenario", "i0", -1, "scenario.i0"),
+        ("moment-check", "scenario", "sites", [-1], "scenario.sites"),
+        ("lightcone-map", "scenario", "sites", [0, 6], "scenario.sites"),
+        ("truncation-check", "scenario", "X", [6], "scenario.X"),
+        ("short-lr-check", "scenario", "X", [-2], "scenario.X"),
+        ("clustering", "scenario", "anchor", -1, "scenario.anchor"),
+        ("quench-sim", "scenario", "h", {"site": 6}, "scenario.h.site"),
+        ("quench-sim", "scenario", "h", {"site": -1}, "scenario.h.site"),
+        ("moment-check", "scenario", "observable",
+         {"kind": "projector", "site": 5, "value": 1}, "observable.site"),
+        ("lightcone-map", "scenario", "observable",
+         {"kind": "number", "sites": [-1]}, "observable.sites"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
@@ -388,6 +405,25 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        ({"hoppings": [[-1, 3, 1.0]]}, "model.hoppings"),
+        ({"hoppings": [[0, 1, 1.0], [4, 5, 1.0]]}, "model.hoppings"),
+        ({"interactions": [{"region": [5], "monomials": [[1.0, [2]]]}]},
+         "model.interactions[].region"),
+        ({"interactions": [{"region": [-1], "monomials": [[1.0, [2]]]}]},
+         "model.interactions[].region"),
+    ],
+)
+def test_model_site_out_of_range_names_its_field(model, field, tmp_path, capsys):
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["model"] = model
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: site " in capsys.readouterr().err
 
 
 def _bound_report_rows(tmp_path, grid):

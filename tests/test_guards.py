@@ -77,3 +77,58 @@ def test_no_global_state_is_mutated():
             ):
                 found.append(f"{path.name}:{node.lineno}: {node.func.id}({node.args[0].id}, ...)")
     assert found == []
+
+
+# every clock the standard library offers a module, by its dotted name
+_CLOCKS = {
+    f"time.{name}"
+    for name in (
+        "time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic",
+        "monotonic_ns", "process_time", "process_time_ns",
+    )
+} | {"datetime.datetime.now", "datetime.datetime.utcnow", "datetime.datetime.today",
+     "datetime.date.today"}
+
+# evolve: PropagatorReport.wall_time; cli: the manifest's created_utc
+_CLOCK_READERS = {"evolve.py", "cli.py"}
+
+
+def _imported_names(tree: ast.Module) -> dict[str, str]:
+    """Local name -> dotted name of what it was imported as (absolute imports)."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                names[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return names
+
+
+def _dotted(node: ast.AST, names: dict[str, str]) -> str | None:
+    """``a.b.c`` with ``a`` resolved through the imports, or None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in names:
+        return None
+    return ".".join([names[node.id], *reversed(parts)])
+
+
+def test_only_evolve_and_cli_read_a_clock():
+    """Reports repeat byte for byte, so no other module may read the time."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in _CLOCK_READERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = _imported_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                dotted = _dotted(node, names)
+                if dotted in _CLOCKS:
+                    found.append(f"{path.name}:{node.lineno}: {dotted}")
+    assert found == []
