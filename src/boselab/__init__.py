@@ -52,14 +52,12 @@ from .evolve import (
 )
 from .probes import (
     GroundStateResult,
-    ProbeSeries,
-    commutator_norm,
+    commutator_norms,
     connected_correlation,
     ground_state,
     heisenberg_apply,
     mgf_condition,
     moment,
-    moment_series,
     restricted_error,
     tail_probability,
 )
@@ -68,7 +66,6 @@ from .bounds import (
     BoundConstants,
     BoundValue,
     adjacency_exp_bound,
-    bound_report,
     clustering_bound,
     concentration_bound,
     expectation_lemma_rhs,
@@ -111,12 +108,12 @@ __all__ = [
     "DENSE_CAP", "PropagationError", "StateVector", "dense_expm",
     "evolve_state", "heisenberg", "interaction_picture_unitary",
     "spectral_norm",
-    "GroundStateResult", "ProbeSeries", "commutator_norm",
+    "GroundStateResult", "commutator_norms",
     "connected_correlation", "ground_state", "heisenberg_apply",
-    "mgf_condition", "moment", "moment_series", "restricted_error",
+    "mgf_condition", "moment", "restricted_error",
     "tail_probability",
     "BoundConditionError", "BoundConstants", "BoundValue",
-    "adjacency_exp_bound", "bound_report", "clustering_bound",
+    "adjacency_exp_bound", "clustering_bound",
     "concentration_bound", "expectation_lemma_rhs", "first_moment_bound",
     "fs_lemma_check", "fs_polynomial", "initial_moment_bounds",
     "lightcone_radius", "main_lr_bound", "moment_bound", "quench_bounds",

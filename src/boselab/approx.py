@@ -149,6 +149,16 @@ class LocalUnitary:
             U = step @ U
         return U
 
+    def conjugate(self, O: OperatorMatrix) -> OperatorMatrix:
+        """U^dagger O U from the dense product, supported on this unitary's and O's sites."""
+        U = self.materialize()
+        return _wrap(
+            self.basis,
+            sparse.csr_matrix(U.conj().T @ O.dense() @ U),
+            declared_support=sorted(self.support | O.support),
+            verify_support=False,
+        )
+
 
 def _apply_factor(f: Factor, psi: StateVector, tol: float, *, adjoint: bool) -> StateVector:
     if f[0] == "expm":

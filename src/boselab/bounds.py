@@ -76,19 +76,6 @@ def _require(check: bool, conditions: tuple[tuple[str, bool], ...]) -> None:
             raise BoundConditionError(f"validity condition violated: {name}")
 
 
-def bound_report(name: str, inputs: dict, bv: BoundValue) -> dict:
-    """JSON-ready record for one bound evaluation."""
-    return {
-        "bound_name": name,
-        "inputs": inputs,
-        "log_value": bv.log_value,
-        "value": bv.value,
-        "validity_conditions": [
-            {"name": n, "satisfied": bool(ok)} for n, ok in bv.conditions
-        ],
-    }
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Model and initial-state constants feeding every bound evaluator.

@@ -2,9 +2,10 @@
 
 One JSON config describes one experiment: a lattice, a basis, a model, bound
 constants, and a scenario block naming one of the predefined kinds.  The
-runner executes it and writes CSV/JSON reports plus a run-manifest capturing
-every resolved constant.  Exit status is 0 only when all inequality rows
-pass, 1 when any fails, 2 on configuration or computation errors.
+runner executes it and writes CSV/JSON reports plus a run manifest that
+records the bound constants the run resolved.  Exit status is 0 only when
+all inequality rows pass, 1 when any fails, 2 on configuration or
+computation errors.
 
 Each kind is one entry of the ``_SCENARIOS`` table: the scenario keys it
 accepts, its report columns, the config blocks it needs, and a runner that
@@ -38,7 +39,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sparse
 
 from .bounds import (
     BoundConditionError,
@@ -59,7 +59,7 @@ from .bounds import (
     tail_bound,
     truncation_error_bound,
 )
-from .evolve import RUN_DENSE_CAP, StateVector, evolve_state, heisenberg, spectral_norm
+from .evolve import RUN_DENSE_CAP, StateVector, evolve_state, spectral_norm
 from .fock import FockBasis, enumerate_basis
 from .lattice import LatticeGraph, ball, boundary, build_lattice, geometric_constants
 from .model import (
@@ -67,14 +67,14 @@ from .model import (
     Interaction,
     Monomial,
     OperatorMatrix,
-    _wrap,
     assemble_hamiltonian,
     effective_hamiltonian,
     local_operator,
 )
 from .probes import (
-    ground_state,
+    commutator_norms,
     connected_correlation,
+    ground_state,
     heisenberg_apply,
     mgf_condition,
     moment,
@@ -124,11 +124,20 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
+def _integer(value) -> int:
+    """An int, or a float with an integral value; a bool or any other value is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def _site_index(n_sites: int) -> Callable[[object], int]:
     """A converter to a site index that refuses indices outside 0..n_sites-1."""
 
     def site(value) -> int:
-        i = int(value)
+        i = _integer(value)
         if not 0 <= i < n_sites:
             raise ValueError(f"site {i} is not in 0..{n_sites - 1}")
         return i
@@ -184,12 +193,12 @@ def _build_basis(cfg: Mapping, g: LatticeGraph) -> FockBasis:
     if "cutoff" in block and "cutoffs" in block:
         raise ConfigError("basis: give either 'cutoff' or 'cutoffs', not both")
     if "cutoff" in block:
-        cutoffs: int | list[int] = _need(block, "basis", "cutoff", int)
+        cutoffs: int | list[int] = _need(block, "basis", "cutoff", _integer)
     elif "cutoffs" in block:
-        cutoffs = _need(block, "basis", "cutoffs", lambda cs: [int(c) for c in cs])
+        cutoffs = _need(block, "basis", "cutoffs", lambda cs: [_integer(c) for c in cs])
     else:
         raise ConfigError("basis: missing 'cutoff' or 'cutoffs'")
-    sector = _need(block, "basis", "sector", int, None)
+    sector = _need(block, "basis", "sector", _integer, None)
     try:
         return enumerate_basis(g, cutoffs, sector)
     except ValueError as exc:
@@ -225,12 +234,13 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
         for item in block.get("interactions", []):
             _check_keys(item, ("region", "monomials"), where)
             region = _need(item, where, "region", lambda r: tuple(site(i) for i in r))
-            monos = tuple(
-                Monomial(float(c), tuple(int(p) for p in powers))
-                for c, powers in _need(item, where, "monomials")
-            )
+            monos = _need(item, where, "monomials", lambda ms: tuple(
+                Monomial(float(c), tuple(_integer(p) for p in powers)) for c, powers in ms
+            ))
             terms.append(Interaction(region, monos))
-        k_max = int(block.get("k_max", max((len(t.region) for t in terms), default=1)))
+        k_max = _need(
+            block, "model", "k_max", _integer, max((len(t.region) for t in terms), default=1)
+        )
         J_bar = float(
             block.get("J_bar", max((abs(J) for _, _, J in hoppings), default=0.0))
         )
@@ -260,7 +270,7 @@ def _parse_psi0(text, n_sites: int) -> tuple[int, ...] | None:
         if text.startswith("mott-"):
             return (int(text[len("mott-") :]),) * n_sites
         if text.startswith("fock:"):
-            return tuple(int(n) for n in json.loads(text[len("fock:") :]))
+            return tuple(_integer(n) for n in json.loads(text[len("fock:") :]))
     except (AttributeError, TypeError, ValueError):
         pass
     raise ConfigError(f"scenario.psi0: {text!r} {_PSI0_DOC}")
@@ -281,7 +291,7 @@ def _build_observable(
     if kind in ("number", "creation", "annihilation"):
         return local_operator(kind, sites, b)
     if kind == "projector":
-        value = _need(obs, "observable", "value", int)
+        value = _need(obs, "observable", "value", _integer)
         return local_operator("projector", sites, b, predicate=(obs.get("op", "=="), value))
     if kind == "phase":
         if len(sites) != 1:
@@ -431,7 +441,7 @@ class _Run:
         return StateVector(self.b, amps)
 
     def constants(self, O: OperatorMatrix | None = None) -> BoundConstants:
-        """The ``constants`` block over geometric and run defaults.
+        """The ``constants`` block over geometric and run defaults, recorded in the manifest.
 
         zeta0 defaults to the norm of ``O``, or to 1 without one.
         """
@@ -453,12 +463,31 @@ class _Run:
             "zeta0": zeta0,
         }
         for key in block:
-            conv = int if key in ("dG", "D", "k") else float
+            conv = _integer if key in ("dG", "D", "k") else float
             vals[key] = _need(block, "constants", key, conv, None)
         try:
-            return BoundConstants(**vals)
+            consts = BoundConstants(**vals)
         except (ValueError, AssertionError) as exc:
             raise ConfigError(f"constants: {exc}") from exc
+        resolved = {
+            "c0": consts.c0,
+            "qbar": consts.qbar,
+            "t0": consts.t0,
+            "J_bar": consts.J_bar,
+            "zeta0": consts.zeta0,
+            "c1": consts.c1,
+            "c1_prime_sizeX1": consts.c1p(1),
+            "c1_double_prime": consts.c1pp,
+            "effective_C1": consts.effective_C1,
+            "effective_C2": consts.effective_C2,
+            "eta": consts.eta,
+        }
+        if consts.eta is not None:
+            resolved["c3"] = consts.c3
+            resolved["c3_prime"] = consts.c3p
+            resolved["delta_t0"] = consts.delta_t0
+        self.manifest["resolved_constants"] = resolved
+        return consts
 
     def sweep(self, cell: Callable, values: Sequence) -> list[dict]:
         """The rows of ``cell(v)`` (one row or a list) for every v, v the innermost axis.
@@ -500,19 +529,11 @@ def _lightcone_map(run: _Run) -> list[dict]:
     O_A = run.observable({"kind": "number", "site": i0})
     probe_kind = run.scn.get("probe", "number")
     sites = run.values("sites", run.site, list(run.g.sites))
-    probes = {
-        i: _build_observable({"kind": probe_kind, "site": i}, run.b, run.rng).matrix
-        for i in sites
-    }
+    probes = {i: _build_observable({"kind": probe_kind, "site": i}, run.b, run.rng) for i in sites}
 
     def cell(t: float) -> list[dict]:
-        # one dense evolution per time, shared by every site
-        evolved = heisenberg(H, O_A, t).matrix
-        rows = []
-        for i in sites:
-            comm = (evolved @ probes[i] - probes[i] @ evolved).toarray()
-            rows.append({"i": i, "t": t, "commutator_norm": float(np.linalg.norm(comm, 2))})
-        return rows
+        norms = commutator_norms(H, O_A, [probes[i] for i in sites], t)
+        return [{"i": i, "t": t, "commutator_norm": x} for i, x in zip(sites, norms)]
 
     return run.sweep(cell, times)
 
@@ -541,7 +562,7 @@ def _transport_check(
     H, g = run.H, run.g
     i0 = run.value("i0", run.site, 0)
     O_X = run.observable({"kind": "projector", "site": i0, "value": 1})
-    params = run.values(values_key, int, default)
+    params = run.values(values_key, _integer, default)
     times = run.values("times", float)
     sites = run.values("sites", run.site, list(g.sites))
     psi0 = run.state("mott-1")
@@ -575,8 +596,8 @@ def _transport_check(
 def _truncation_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
     X = run.values("X", run.site, [g.site_count // 2])
-    ell0 = run.value("ell0", int, 1)
-    q_values = run.values("q_values", int, list(range(1, max(b.site_cutoffs) + 1)))
+    ell0 = run.value("ell0", _integer, 1)
+    q_values = run.values("q_values", _integer, list(range(1, max(b.site_cutoffs) + 1)))
     t = run.value("t", float, 0.1)
     r = run.value("r", float, 3.0)
     O_X = run.observable({"kind": "creation", "site": min(X)})
@@ -602,9 +623,9 @@ def _truncation_check(run: _Run) -> list[dict]:
 def _short_lr_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
     X = run.values("X", run.site, [g.site_count // 2])
-    ell0_values = run.values("ell0_values", int, [1, 2])
+    ell0_values = run.values("ell0_values", _integer, [1, 2])
     t = run.value("t", float, 0.05)
-    q = run.value("q", int, max(b.site_cutoffs))
+    q = run.value("q", _integer, max(b.site_cutoffs))
     O_X = run.observable({"kind": "number", "site": min(X)})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
@@ -614,14 +635,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
         )
 
     def cell(ell0: int) -> dict:
-        step = local_step_unitary(spec, b, X, ell0, q, t)
-        U = step.materialize()
-        O_apx = _wrap(
-            b,
-            sparse.csr_matrix(U.conj().T @ O_X.dense() @ U),
-            declared_support=sorted(step.support | O_X.support),
-            verify_support=False,
-        )
+        O_apx = local_step_unitary(spec, b, X, ell0, q, t).conjugate(O_X)
         err = restricted_error(H, O_X, O_apx, psi0, t)
         L2p = ball(g, X, max(0, 2 * ell0 - 2 * spec.k_max))
         bsize = len(boundary(g, L2p)) if L2p else 0
@@ -634,13 +648,13 @@ def _short_lr_check(run: _Run) -> list[dict]:
 def _approx_sweep(run: _Run) -> list[dict]:
     b, spec, H = run.b, run.spec, run.H
     i0 = run.value("i0", run.site, 0)
-    r0 = run.value("r0", int, 0)
-    R_values = run.values("R_values", int)
+    r0 = run.value("r0", _integer, 0)
+    R_values = run.values("R_values", _integer)
     t = run.value("t", float, 0.1)
     O_X = run.observable({"kind": "number", "site": i0})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
-    ell0, q = run.value("ell0", int, None), run.value("q", int, None)
+    ell0, q = run.value("ell0", _integer, None), run.value("q", _integer, None)
     delta_t0 = run.value("delta_t0", float, None)
 
     def cell(R: int) -> dict:
@@ -662,17 +676,17 @@ def _quench_sim(run: _Run) -> list[dict]:
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
     site = _need(h_cfg, "scenario.h", "site", run.site)
     coeff = _need(h_cfg, "scenario.h", "coeff", float, 1.0)
-    power = _need(h_cfg, "scenario.h", "power", int, 2)
+    power = _need(h_cfg, "scenario.h", "power", _integer, 2)
     cut = b.site_cutoffs[site]
     h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
     h_X0 = local_operator("custom-matrix", [site], b, matrix=h_mat)
     psi0 = run.state("ground")
     t = run.value("t", float, 0.1)
-    R_values = run.values("R_values", int)
+    R_values = run.values("R_values", _integer)
     consts = run.constants()
     options = {
         key: run.value(key, conv, None)
-        for key, conv in (("ell0", int), ("q", int), ("qprime", int),
+        for key, conv in (("ell0", _integer), ("q", _integer), ("qprime", _integer),
                           ("delta_t0", float), ("stationarity_tol", float))
     }
     kwargs = {key: v for key, v in options.items() if v is not None}
@@ -698,7 +712,7 @@ def _quench_sim(run: _Run) -> list[dict]:
 def _clustering(run: _Run) -> list[dict]:
     g, b = run.g, run.b
     anchor = run.value("anchor", run.site, 0)
-    d_values = run.values("d_values", int, list(range(1, g.diameter + 1)))
+    d_values = run.values("d_values", _integer, list(range(1, g.diameter + 1)))
     psi = run.state("ground")
 
     def cell(d: int) -> list[dict]:
@@ -723,7 +737,7 @@ def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], 
         params = tuple(names.split())
 
         def evaluate(p: Mapping) -> BoundValue:
-            args = (int(p[k]) if k in ("s", "q") else p[k] for k in params)
+            args = (_integer(p[k]) if k in ("s", "q") else p[k] for k in params)
             return fn(*args, consts, **{**kwargs, **{k: p[k] for k in kwargs if k in p}})
 
         return params, evaluate
@@ -746,7 +760,7 @@ def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], 
     }
 
 
-def _bound_report(run: _Run) -> list[dict]:
+def _report_bounds(run: _Run) -> list[dict]:
     consts = run.constants()
     name = run.value("bound", str)
     if name == "lightcone-radius":
@@ -787,6 +801,11 @@ def _bound_report(run: _Run) -> list[dict]:
             }
             for combo in itertools.product(*(_as_list(grid[k]) for k in keys))
         ]
+        # s and q must be integers; the params column still writes them as floats
+        for p in points:
+            for k in ("s", "q"):
+                if k in p:
+                    _need(p, "scenario.grid" if k in grid else "scenario.fixed", k, _integer)
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
             try:
@@ -806,8 +825,8 @@ def _bound_report(run: _Run) -> list[dict]:
 
 
 def _fs_check(run: _Run) -> list[dict]:
-    s_max = run.value("s_max", int, 10)
-    m_max = run.value("m_max", int, 100)
+    s_max = run.value("s_max", _integer, 10)
+    m_max = run.value("m_max", _integer, 100)
     rows = []
     for s in range(1, s_max + 1):
         poly = fs_polynomial(s)
@@ -896,7 +915,7 @@ _SCENARIOS: dict[str, Scenario] = {
     "bound-report": Scenario(
         ("bound", "grid", "fixed"),
         ("scenario", "bound", "params", "log_value", "value", "valid"),
-        _LATTICE, _bound_report,
+        _LATTICE, _report_bounds,
     ),
     "fs-check": Scenario(
         ("s_max", "m_max"),
@@ -961,29 +980,6 @@ def run_scenario(
                 "dG": geo.max_degree_dG,
                 "D": geo.dimension_D,
             }
-        try:
-            consts = run.constants() if run.g is not None else None
-        except ConfigError:
-            consts = None
-        if consts is not None:
-            resolved = {
-                "c0": consts.c0,
-                "qbar": consts.qbar,
-                "t0": consts.t0,
-                "J_bar": consts.J_bar,
-                "zeta0": consts.zeta0,
-                "c1": consts.c1,
-                "c1_prime_sizeX1": consts.c1p(1),
-                "c1_double_prime": consts.c1pp,
-                "effective_C1": consts.effective_C1,
-                "effective_C2": consts.effective_C2,
-                "eta": consts.eta,
-            }
-            if consts.eta is not None:
-                resolved["c3"] = consts.c3
-                resolved["c3_prime"] = consts.c3p
-                resolved["delta_t0"] = consts.delta_t0
-            manifest["resolved_constants"] = resolved
         manifest["outputs"] = outputs
         manifest["rows"] = len(rows)
         manifest["failed_rows"] = failed

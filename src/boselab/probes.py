@@ -12,8 +12,8 @@ meaningful.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -28,30 +28,6 @@ _DEGENERACY_RTOL = 1e-9
 
 # A weighted pure-state ensemble: [(w_1, psi_1), ...] with w_j >= 0.
 Ensemble = Sequence[tuple[float, StateVector]]
-
-
-@dataclass(frozen=True)
-class ProbeSeries:
-    """A labelled 2-D sweep of probe values over two parameter axes."""
-
-    label: str
-    row_name: str
-    row_axis: tuple[float, ...]
-    col_name: str
-    col_axis: tuple[float, ...]
-    values: np.ndarray
-    metadata: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != (len(self.row_axis), len(self.col_axis)):
-            raise ValueError(
-                f"values shape {vals.shape} does not match axes "
-                f"({len(self.row_axis)}, {len(self.col_axis)})"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("probe series contains non-finite values")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -76,9 +52,10 @@ def _as_ensemble(rho: StateVector | Ensemble) -> list[tuple[float, StateVector]]
 def moment(rho_tilde_t: StateVector, i: int, s: int) -> float:
     """Boson-number moment of the (generally unnormalized) sandwiched state.
 
-    ``rho_tilde_t`` holds the vector ``e^{-iHt} O_X |psi0>``; the moment is
-    the unnormalized trace sum_states n_i^s |amplitude|^2.  Callers comparing
-    against norm-scaled bounds divide by ``zeta0**2`` themselves.
+    ``rho_tilde_t`` holds the vector ``O_X(t) |psi0>``, as
+    :func:`heisenberg_apply` returns it; the moment is the unnormalized trace
+    sum_states n_i^s |amplitude|^2.  Callers comparing against norm-scaled
+    bounds divide by ``zeta0**2`` themselves.
     """
     if s < 1:
         raise ValueError("moment order s must be >= 1")
@@ -88,7 +65,11 @@ def moment(rho_tilde_t: StateVector, i: int, s: int) -> float:
 
 
 def tail_probability(rho_tilde_t: StateVector, i: int, z0: int) -> float:
-    """Unnormalized weight of basis states with at least ``z0`` bosons on ``i``."""
+    """Unnormalized weight of basis states with at least ``z0`` bosons on ``i``.
+
+    ``rho_tilde_t`` holds ``O_X(t) |psi0>``, as :func:`heisenberg_apply`
+    returns it.
+    """
     mask = rho_tilde_t.basis.states[:, i] >= z0
     return float(np.sum(np.abs(rho_tilde_t.amplitudes[mask]) ** 2))
 
@@ -133,13 +114,15 @@ def heisenberg_apply(
     return evolve_state(H, hit, -t, tol=tol)
 
 
-def commutator_norm(
-    H: OperatorMatrix, O_A: OperatorMatrix, O_B: OperatorMatrix, t: float
-) -> float:
-    """Spectral norm of [O_A(t), O_B] under Heisenberg evolution by ``H``."""
-    evolved = heisenberg(H, O_A, t)
-    comm = (evolved.matrix @ O_B.matrix - O_B.matrix @ evolved.matrix).toarray()
-    return float(np.linalg.norm(comm, 2))
+def commutator_norms(
+    H: OperatorMatrix, O_A: OperatorMatrix, O_Bs: Sequence[OperatorMatrix], t: float
+) -> list[float]:
+    """Spectral norms of [O_A(t), O_B] for each O_B, with O_A evolved once by ``H``."""
+    evolved = heisenberg(H, O_A, t).matrix
+    return [
+        float(np.linalg.norm((evolved @ O_B.matrix - O_B.matrix @ evolved).toarray(), 2))
+        for O_B in O_Bs
+    ]
 
 
 def restricted_error(
@@ -246,31 +229,3 @@ def connected_correlation(
         )
     return float(value.real)
 
-
-def moment_series(
-    H: OperatorMatrix,
-    O_X: OperatorMatrix,
-    psi0: StateVector,
-    times: Sequence[float],
-    sites: Sequence[int],
-    s: int,
-    *,
-    tol: float = 1e-10,
-    label: str = "moment",
-    metadata: Mapping[str, object] | None = None,
-) -> ProbeSeries:
-    """Sweep M_i^(s)(t) over a time grid and a site list."""
-    rows = []
-    hit = StateVector(psi0.basis, O_X.matrix @ psi0.amplitudes)
-    for t in times:
-        rho = evolve_state(H, hit, t, tol=tol)
-        rows.append([moment(rho, i, s) for i in sites])
-    return ProbeSeries(
-        label=label,
-        row_name="t",
-        row_axis=tuple(float(t) for t in times),
-        col_name="site",
-        col_axis=tuple(float(i) for i in sites),
-        values=np.asarray(rows, dtype=np.float64),
-        metadata=dict(metadata or {}),
-    )

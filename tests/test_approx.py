@@ -114,6 +114,17 @@ def test_local_unitary_apply_matches_materialize():
     np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-9)
 
 
+def test_local_unitary_conjugate_matches_dense_product():
+    g, b, spec = chain_setup(5, 1, U=0.6)
+    step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
+    O = local_operator("number", [4], b)
+    U = step.materialize()
+    got = step.conjugate(O)
+    np.testing.assert_array_equal(got.dense(), U.conj().T @ O.dense() @ U)
+    assert got.support == step.support | {4}
+    assert got.hermitian
+
+
 def test_local_unitary_rejects_number_leak():
     # the full hopping Hamiltonian moves bosons across the {0} boundary
     g, b, spec = chain_setup(3, 1)

@@ -12,7 +12,6 @@ from boselab.bounds import (
     BoundConditionError,
     BoundConstants,
     adjacency_exp_bound,
-    bound_report,
     clustering_bound,
     concentration_bound,
     expectation_lemma_rhs,
@@ -474,14 +473,3 @@ def test_expectation_lemma_rhs():
     )
     with pytest.raises(ValueError):
         expectation_lemma_rhs(2, 3, (1.0, 1.0))
-
-
-def test_bound_report_shape():
-    c = base_consts()
-    bv = main_lr_bound(10.0, 1.0, 0.5, c)
-    rec = bound_report("main-lr", {"R": 10.0}, bv)
-    assert rec["bound_name"] == "main-lr"
-    assert rec["inputs"] == {"R": 10.0}
-    assert rec["log_value"] == bv.log_value
-    assert rec["value"] == bv.value
-    assert rec["validity_conditions"] == [{"name": "t >= 1", "satisfied": False}]

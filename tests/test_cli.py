@@ -11,6 +11,10 @@ import pytest
 import boselab.cli as cli
 import boselab.evolve as evolve_mod
 from boselab.cli import main
+from boselab.evolve import spectral_norm
+from boselab.fock import enumerate_basis
+from boselab.lattice import build_lattice
+from boselab.model import local_operator
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -362,7 +366,9 @@ def test_no_command_is_usage_error():
         main([])
 
 
-@pytest.mark.parametrize("psi0", ["fock:[1,0", "mott-x", "fock:5", "sideways", 3])
+@pytest.mark.parametrize(
+    "psi0", ["fock:[1,0", "mott-x", "fock:5", "sideways", 3, "fock:[1,1,1.5,1,1]"]
+)
 def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
     payload = json.loads(json.dumps(CONFIGS["moment-check"]))
     payload["scenario"]["psi0"] = psi0
@@ -397,6 +403,25 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
          {"kind": "projector", "site": 5, "value": 1}, "observable.site"),
         ("lightcone-map", "scenario", "observable",
          {"kind": "number", "sites": [-1]}, "observable.sites"),
+        ("moment-check", "scenario", "i0", 2.7, "scenario.i0"),
+        ("moment-check", "scenario", "sites", [True, 3.9], "scenario.sites"),
+        ("moment-check", "scenario", "sites", [3.9], "scenario.sites"),
+        ("moment-check", "scenario", "s_values", [1.5], "scenario.s_values"),
+        ("tail-check", "scenario", "z_values", [True], "scenario.z_values"),
+        ("moment-check", "basis", "cutoff", 2.5, "basis.cutoff"),
+        ("moment-check", "basis", "cutoff", True, "basis.cutoff"),
+        ("quench-sim", "basis", "sector", 6.5, "basis.sector"),
+        ("moment-check", "constants", "D", 1.5, "constants.D"),
+        ("moment-check", "constants", "dG", True, "constants.dG"),
+        ("moment-check", "constants", "k", 2.5, "constants.k"),
+        ("truncation-check", "scenario", "ell0", 1.5, "scenario.ell0"),
+        ("short-lr-check", "scenario", "q", True, "scenario.q"),
+        ("approx-sweep", "scenario", "R_values", [2.5], "scenario.R_values"),
+        ("quench-sim", "scenario", "h", {"site": 3, "power": 2.5}, "scenario.h.power"),
+        ("clustering", "scenario", "d_values", [1, 2.2], "scenario.d_values"),
+        ("fs-check", "scenario", "s_max", 4.5, "scenario.s_max"),
+        ("moment-check", "scenario", "observable",
+         {"kind": "projector", "site": 2, "value": 1.5}, "observable.value"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
@@ -424,6 +449,57 @@ def test_model_site_out_of_range_names_its_field(model, field, tmp_path, capsys)
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: site " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, blocks, field",
+    [
+        ("moment-check", {"basis": {"cutoffs": [5, 5, 5.5, 5, 5]}}, "basis.cutoffs"),
+        ("moment-check", {"model": {"hoppings": [[0, 1, 1.0]], "k_max": 1.5}},
+         "model.k_max"),
+        ("moment-check",
+         {"model": {"interactions": [{"region": [0], "monomials": [[1.0, [2.5]]]}]}},
+         "model.interactions[].monomials"),
+        ("bound-report",
+         {"scenario": {"kind": "bound-report", "bound": "moment",
+                       "grid": {"s": [2, 2.5, 2.9]}, "fixed": {"sizeX": 1, "d_iX": 2}}},
+         "scenario.grid.s"),
+        ("bound-report",
+         {"scenario": {"kind": "bound-report", "bound": "truncation",
+                       "grid": {"r": [3]}, "fixed": {"q": 1.5, "sizeL": 3, "ell0": 1}}},
+         "scenario.fixed.q"),
+        ("bound-report",
+         {"scenario": {"kind": "bound-report", "bound": "moment",
+                       "grid": {"d_iX": [2]}, "fixed": {"s": [2, 3], "sizeX": 1}}},
+         "scenario.fixed.s"),
+    ],
+)
+def test_non_integral_value_names_its_field(kind, blocks, field, tmp_path, capsys):
+    payload = {**json.loads(json.dumps(CONFIGS[kind])), **blocks}
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_manifest_records_the_constants_the_run_resolved(tmp_path):
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["basis"] = {"cutoff": 3}
+    payload["scenario"]["observable"] = {"kind": "number", "site": 2}
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    rc = json.loads((out / "run_manifest.json").read_text())["resolved_constants"]
+    b = enumerate_basis(build_lattice("chain", [5]), 3)
+    # zeta0 is the norm of n_2 that M_bound used, not the no-observable default 1
+    assert rc["zeta0"] == spectral_norm(local_operator("number", [2], b)) == 3.0
+
+
+@pytest.mark.parametrize("kind", ["lightcone-map", "clustering", "adjacency-check", "fs-check"])
+def test_manifest_has_no_constants_a_run_did_not_resolve(kind, tmp_path):
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert "resolved_constants" not in json.loads((out / "run_manifest.json").read_text())
 
 
 def _bound_report_rows(tmp_path, grid):

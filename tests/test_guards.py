@@ -132,3 +132,17 @@ def test_only_evolve_and_cli_read_a_clock():
                 if dotted in _CLOCKS:
                     found.append(f"{path.name}:{node.lineno}: {dotted}")
     assert found == []
+
+
+def test_cli_imports_no_private_name():
+    """The CLI reaches the library through public names only."""
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    found = [
+        f"cli.py:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "boselab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

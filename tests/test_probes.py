@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from boselab.evolve import StateVector, dense_expm, evolve_state, heisenberg
+from boselab.evolve import RUN_DENSE_CAP, StateVector, dense_expm, evolve_state, heisenberg
 from boselab.fock import enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
 from boselab.probes import (
-    ProbeSeries,
-    commutator_norm,
+    commutator_norms,
     connected_correlation,
     ground_state,
     heisenberg_apply,
     mgf_condition,
     moment,
-    moment_series,
     restricted_error,
     tail_probability,
 )
@@ -119,8 +117,8 @@ def test_commutator_norm_zero_cases():
     g, b, H = chain_setup(4, 1, J=1.0)
     n0 = local_operator("number", [0], b)
     n3 = local_operator("number", [3], b)
-    assert commutator_norm(H, n0, n3, 0.0) <= 1e-12
-    assert commutator_norm(H, n0, n0, 0.0) <= 1e-12
+    assert commutator_norms(H, n0, [n3], 0.0)[0] <= 1e-12
+    assert commutator_norms(H, n0, [n0], 0.0)[0] <= 1e-12
 
 
 def test_commutator_norm_growth_regression():
@@ -128,8 +126,8 @@ def test_commutator_norm_growth_regression():
     g, b, H = chain_setup(4, 1, J=1.0)
     n0 = local_operator("number", [0], b)
     n3 = local_operator("number", [3], b)
-    v2 = commutator_norm(H, n0, n3, 0.2)
-    v4 = commutator_norm(H, n0, n3, 0.4)
+    v2 = commutator_norms(H, n0, [n3], 0.2)[0]
+    v4 = commutator_norms(H, n0, [n3], 0.4)[0]
     assert v2 == pytest.approx(1.3253524571586722e-03, rel=1e-9)
     assert v4 == pytest.approx(1.0412687588771863e-02, rel=1e-9)
     assert 0.0 < v2 < v4
@@ -206,6 +204,32 @@ def test_ground_state_iterative_path_is_deterministic():
     assert np.array_equal(r1.ground.amplitudes, r2.ground.amplitudes)
 
 
+@pytest.mark.parametrize(
+    "kind, dims, cutoff, sector, J, U, mu",
+    [
+        ("chain", [6], 2, 6, 1.0, 4.0, 0.0),
+        ("chain", [5], 3, 4, 1.0, 1.0, 0.0),
+        ("grid", [2, 3], 2, 3, 0.7, 2.0, 0.3),
+        ("chain", [4], 2, None, 1.0, 2.0, 0.5),
+    ],
+)
+def test_ground_state_iterative_path_matches_dense(kind, dims, cutoff, sector, J, U, mu):
+    # interacting models; a run cap below their dimension sends them to eigsh
+    g = build_lattice(kind, dims)
+    b = enumerate_basis(g, cutoff, sector=sector)
+    H = assemble_hamiltonian(bose_hubbard(g, J=J, U=U, mu=mu), b)
+    dense = ground_state(H)
+    token = RUN_DENSE_CAP.set(b.dim - 1)
+    try:
+        sparse_path = ground_state(H)
+    finally:
+        RUN_DENSE_CAP.reset(token)
+    assert abs(sparse_path.E0 - dense.E0) <= 1e-10
+    assert abs(sparse_path.gap_DeltaE - dense.gap_DeltaE) <= 1e-10
+    assert dense.gap_DeltaE > 1e-3  # a unique ground state, so the vectors agree
+    assert abs(abs(sparse_path.ground.overlap(dense.ground)) - 1.0) <= 1e-10
+
+
 def test_connected_correlation_product_state():
     g, b, _ = chain_setup(3, 2)
     mott = fock_state(b, (1, 1, 1))
@@ -228,38 +252,3 @@ def test_connected_correlation_symmetry_and_validation():
     bad = StateVector(b, 0.5 * res.ground.amplitudes)
     with pytest.raises(ValueError):
         connected_correlation(bad, n0, n3)
-
-
-def test_probe_series_validation():
-    with pytest.raises(ValueError):
-        ProbeSeries(
-            label="x",
-            row_name="t",
-            row_axis=(0.0, 1.0),
-            col_name="site",
-            col_axis=(0.0,),
-            values=np.zeros((3, 1)),
-        )
-    with pytest.raises(ValueError):
-        ProbeSeries(
-            label="x",
-            row_name="t",
-            row_axis=(0.0,),
-            col_name="site",
-            col_axis=(0.0,),
-            values=np.array([[np.nan]]),
-        )
-
-
-def test_moment_series_shape_and_t0_column():
-    g, b, H = chain_setup(3, 1, J=1.0)
-    psi = fock_state(b, (1, 0, 0))
-    ident = local_operator("custom-matrix", [0], b, matrix=np.eye(2))
-    series = moment_series(H, ident, psi, [0.0, 0.4], [0, 1, 2], 1)
-    assert series.values.shape == (2, 3)
-    assert series.row_axis == (0.0, 0.4)
-    assert series.col_axis == (0.0, 1.0, 2.0)
-    for col, i in enumerate([0, 1, 2]):
-        assert series.values[0, col] == pytest.approx(moment(psi, i, 1), abs=1e-12)
-    # total boson number is conserved along each row
-    assert series.values.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-10)
