@@ -1,14 +1,16 @@
 """Step-connected local approximation of dynamics, and local quench simulation.
 
-One builder makes every step: a subset Hamiltonian on the halo X[2 ell0],
+One builder makes every step: a LocalUnitary, a chain of (G, tau) pairs
+e^{-iG tau} whose G is a subset Hamiltonian on the halo X[2 ell0],
 occupation-truncated by q on the annulus.  approximate_heisenberg conjugates
-an observable by short steps e^{-iG dt} over nested balls X_m, keeping its
-support controlled.  run_quench simulates a quench on a stationary state by
-echo steps, which also truncate X[ell0] by q': a backward unquenched factor
-e^{+iB dt}, then a forward quenched e^{-iA dt}.  With full coverage and
-cutoffs the echo telescopes to the exact quenched evolution, using only
-stationarity.  Both walk one step chain, which checks each step's support
-against i0[R] and records {m, support_size, truncation_q} per step.
+an observable by the dense products of short steps over nested balls X_m,
+keeping its support controlled.  run_quench simulates a quench on a
+stationary state by echo steps, which also truncate X[ell0] by q': a
+backward unquenched pair (B, -dt), then a forward quenched (A, dt), applied
+to the state by Krylov propagation.  With full coverage and cutoffs the echo
+telescopes to the exact quenched evolution, using only stationarity.  Both
+walk one step chain, which checks each step's support against i0[R] and
+records {m, support_size, truncation_q} per step.
 """
 
 from __future__ import annotations
@@ -16,14 +18,17 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
-from .evolve import StateVector, _dense_unitary, dense_cap, evolve_state
-from .fock import FockBasis, ResourceLimitError, number_operator, truncation_projector
+from .evolve import (
+    StateVector, _conjugate, _dense_unitary, _from_dense, _require_dense, dense_cap, evolve_state,
+)
+from .fock import FockBasis, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball, geometric_constants
 from .model import HamiltonianSpec, OperatorMatrix, _wrap, assemble_hamiltonian
 
@@ -77,26 +82,23 @@ def step_schedule(t: float, R: float, r0: int, delta_t0: float) -> StepSchedule:
     return StepSchedule(total_t=float(t), m_t=m_t, dt=dt, dr=dr, r0=int(r0), radii=radii)
 
 
-# factor encodings: ("expm", G, tau) applies e^{-i G tau}; ("mat", U) applies U
-Factor = tuple
-
-
 @dataclass(frozen=True)
 class LocalUnitary:
-    """Unitary supported on a halo region, kept as a product of factors.
+    """Unitary supported on a halo region: a chain of short exponentials.
 
-    ``factors`` is in application order: factors[0] hits the state first.
-    Factors are either matrix exponentials of Hermitian generators (applied
-    by Krylov propagation, so large bases never materialize the unitary) or
-    explicit unitary matrices.  Construction verifies number commutation on
-    every generator exactly, and unitarity of the materialized product when
-    the dimension allows it.
+    ``factors`` holds (G, tau) pairs, each e^{-i G tau} for a Hermitian
+    generator G, in application order: factors[0] hits the state first (a
+    factor's last two entries are read, so ("expm", G, tau) means the same).
+    Construction verifies number commutation on every generator exactly.
+    Within the dense cap it also builds the product once, checks that it is
+    unitary, and keeps it for ``materialize`` and ``conjugate``; above the
+    cap no product is built.
     """
 
     basis: FockBasis
     support: frozenset[int]
     scheme: Mapping[str, Any]
-    factors: tuple[Factor, ...]
+    factors: tuple[tuple[OperatorMatrix, float], ...]
 
     def __post_init__(self) -> None:
         defect = self.number_commutation_defect()
@@ -106,7 +108,7 @@ class LocalUnitary:
                 f"number operator (defect {defect:.3e})"
             )
         if self.basis.dim <= dense_cap():
-            U = self.materialize()
+            U = self._product
             uerr = float(np.linalg.norm(U.conj().T @ U - np.eye(self.basis.dim), 2))
             if uerr > UNITARITY_TOL:
                 raise ValueError(f"materialized product is not unitary (defect {uerr:.3e})")
@@ -115,58 +117,32 @@ class LocalUnitary:
         """Exact max |[factor generator, n_support]| entry over all factors."""
         n = number_operator(self.basis, self.support).entries
         worst = 0.0
-        for f in self.factors:
-            mat = f[1].matrix.tocoo()
+        for *_, G, _ in self.factors:
+            mat = G.matrix.tocoo()
             if mat.nnz:
                 d = np.abs(mat.data * (n[mat.col] - n[mat.row]))
                 worst = max(worst, float(d.max()))
         return worst
 
-    def apply(self, psi: StateVector, *, tol: float = 1e-10) -> StateVector:
-        for f in self.factors:
-            psi = _apply_factor(f, psi, tol, adjoint=False)
-        return psi
-
-    def apply_adjoint(self, psi: StateVector, *, tol: float = 1e-10) -> StateVector:
-        for f in reversed(self.factors):
-            psi = _apply_factor(f, psi, tol, adjoint=True)
-        return psi
+    @cached_property
+    def _product(self) -> np.ndarray:
+        _require_dense(self.basis.dim)
+        U = np.eye(self.basis.dim, dtype=np.complex128)
+        for *_, G, tau in self.factors:
+            U = _dense_unitary(G, float(tau)) @ U
+        # shared by every caller, so nobody may write to it
+        U.setflags(write=False)
+        return U
 
     def materialize(self) -> np.ndarray:
-        """Dense product matrix; factors[0] is rightmost."""
-        cap = dense_cap()
-        if self.basis.dim > cap:
-            raise ResourceLimitError(
-                f"dimension {self.basis.dim} exceeds the dense cap {cap}"
-            )
-        U = np.eye(self.basis.dim, dtype=np.complex128)
-        for f in self.factors:
-            if f[0] == "expm":
-                _, G, tau = f
-                step = _dense_unitary(G, float(tau))
-            else:
-                step = f[1].dense()
-            U = step @ U
-        return U
+        """Dense product matrix, read-only; factors[0] is rightmost."""
+        return self._product
 
     def conjugate(self, O: OperatorMatrix) -> OperatorMatrix:
         """U^dagger O U from the dense product, supported on this unitary's and O's sites."""
-        U = self.materialize()
-        return _wrap(
-            self.basis,
-            sparse.csr_matrix(U.conj().T @ O.dense() @ U),
-            declared_support=sorted(self.support | O.support),
-            verify_support=False,
+        return _from_dense(
+            self.basis, _conjugate(self._product, O.dense()), self.support | O.support
         )
-
-
-def _apply_factor(f: Factor, psi: StateVector, tol: float, *, adjoint: bool) -> StateVector:
-    if f[0] == "expm":
-        _, G, tau = f
-        return evolve_state(G, psi, -tau if adjoint else tau, tol=tol)
-    U = f[1].matrix
-    mat = U.conj().T if adjoint else U
-    return StateVector(psi.basis, mat @ psi.amplitudes)
 
 
 def _halo_regions(
@@ -232,11 +208,11 @@ def _step_unitary(
     pi_supp = frozenset().union(*(region for region, _ in truncation))
     B = _compressed_generator(spec, b, L2p, L2, entries, pi_supp)
     if h_X0 is None:
-        support, factors = frozenset(L2), (("expm", B, float(dt)),)
+        support, factors = frozenset(L2), ((B, float(dt)),)
     else:
         A = _compressed_generator(spec, b, L2p, L2, entries, pi_supp, extra=h_X0)
         support = frozenset(L2) | h_X0.support
-        factors = (("expm", B, -float(dt)), ("expm", A, float(dt)))
+        factors = ((B, -float(dt)), (A, float(dt)))
     scheme = {
         "ell0": int(ell0),
         "q": int(q),
@@ -347,7 +323,8 @@ def _step_chain(
 
     ``build(X, ell0, q, dt)`` makes step m on X = i0[r_{m-1}]; ell0 and q
     default as approximate_heisenberg documents, and every step must stay
-    inside i0[R].
+    inside i0[R].  The chain then drops the step's dense product, so it
+    holds one at a time; a caller that needs it uses it inside ``build``.
     """
     if delta_t0 is None:
         delta_t0 = consts.delta_t0 if consts is not None and consts.eta is not None else t
@@ -355,23 +332,21 @@ def _step_chain(
     ell = int(ell0) if ell0 is not None else max(1, sched.dr // 2)
     q_used = int(q) if q is not None else _solve_q_default(ell, R, consts, b)
     X_final = ball(g, [i0], int(R))
-    X_prev = ball(g, [i0], r0)
-    steps: list[LocalUnitary] = []
-    for m, r_m in enumerate(sched.radii, start=1):
-        step = build(X_prev, ell, q_used, sched.dt)
+    # step m starts on X_{m-1}: i0[r0], then the schedule's balls but the last
+    starts = (ball(g, [i0], r0), *sched.subsets(g, i0)[:-1])
+    steps, records = [], []
+    for m, X in enumerate(starts, start=1):
+        step = build(X, ell, q_used, sched.dt)
         if not step.support <= X_final:
             raise ValueError(
                 f"step {m} support exceeds i0[{R}]; shrink ell0 "
                 f"(ell0 = {ell}, dr = {sched.dr})"
             )
+        vars(step).pop("_product", None)
         steps.append(step)
-        X_prev = ball(g, [i0], r_m)
-    records = tuple(
-        {"m": m, "support_size": len(step.support), "truncation_q": q_used}
-        for m, step in enumerate(steps, start=1)
-    )
+        records.append({"m": m, "support_size": len(step.support), "truncation_q": q_used})
     return ApproxTrace(
-        schedule=sched, ell0=ell, q=q_used, unitaries=tuple(steps), step_records=records
+        schedule=sched, ell0=ell, q=q_used, unitaries=tuple(steps), step_records=tuple(records)
     )
 
 
@@ -397,28 +372,24 @@ def approximate_heisenberg(
     halo inside the next ball (this needs dr >= 2); the default q comes from
     solve_eta when its regime applies and is the full cutoff otherwise.
     """
-    cap = dense_cap()
-    if b.dim > cap:
-        raise ResourceLimitError(
-            f"conjugation chain needs dense matrices; dimension {b.dim} exceeds "
-            f"cap {cap}"
-        )
+    _require_dense(b.dim)
     if t == 0.0:
         trace = ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
         return (O, trace) if return_trace else O
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
-    trace = _step_chain(
-        lambda X, ell, q_m, dt: local_step_unitary(spec, b, X, ell, q_m, dt),
-        spec.lattice, b, i0, r0, R, t, consts, ell0, q, delta_t0,
-    )
-    norm0 = float(np.linalg.norm(O.dense(), 2))
     current = O.dense()
-    accum_support = set(O.support)
-    for step in trace.unitaries:
-        U = step.materialize()
-        current = U.conj().T @ current @ U
-        accum_support |= step.support
+    norm0 = float(np.linalg.norm(current, 2))
+
+    def conjugating_step(X, ell, q_m, dt) -> LocalUnitary:
+        nonlocal current
+        step = local_step_unitary(spec, b, X, ell, q_m, dt)
+        current = _conjugate(step.materialize(), current)
+        return step
+
+    trace = _step_chain(
+        conjugating_step, spec.lattice, b, i0, r0, R, t, consts, ell0, q, delta_t0
+    )
     norm_t = float(np.linalg.norm(current, 2))
     if abs(norm_t - norm0) > 1e-9 * trace.schedule.m_t + 1e-10:
         raise AssertionError(
@@ -427,12 +398,8 @@ def approximate_heisenberg(
     # conjugation roundoff sprays ~1e-17 entries over the whole matrix; the
     # true support is the accumulated step-support union, checked per step
     current[np.abs(current) < 1e-15 * max(1.0, norm0)] = 0.0
-    out = _wrap(
-        b,
-        sparse.csr_matrix(current),
-        declared_support=sorted(accum_support),
-        verify_support=False,
-    )
+    support = O.support.union(*(step.support for step in trace.unitaries))
+    out = _from_dense(b, current, support)
     return (out, trace) if return_trace else out
 
 
@@ -498,11 +465,10 @@ def run_quench(
         g, b, i0, r0, R, t, consts, ell0, q, delta_t0,
     )
     cost = sum(len(u.factors) * int(u.scheme["surviving_dim"]) for u in trace.unitaries)
+    backward = [step.factors[0] for step in reversed(trace.unitaries)]
     state = psi0
-    for step in reversed(trace.unitaries):
-        state = _apply_factor(step.factors[0], state, tol, adjoint=False)
-    for step in trace.unitaries:
-        state = _apply_factor(step.factors[1], state, tol, adjoint=False)
+    for G, tau in backward + [step.factors[1] for step in trace.unitaries]:
+        state = evolve_state(G, state, tau, tol=tol)
 
     H_quench = _wrap(
         b,

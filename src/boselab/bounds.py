@@ -314,6 +314,17 @@ def initial_moment_bounds(
     return _mk(single), _mk(region)
 
 
+def _log_threshold(r: float, consts: BoundConstants) -> float:
+    """2 log(gamma^3 c1p/c1pp) + 6 D log r, with c1p at |X| = gamma r^D.
+
+    The least distance of the paper-mode tail bound, and the least ell0 of
+    the truncation bounds.
+    """
+    sizeX = consts.gamma * float(r) ** consts.D
+    log_ratio = math.log(consts.gamma**3 * consts.c1p(sizeX) / consts.c1pp)
+    return 2.0 * log_ratio + 6.0 * consts.D * math.log(r)
+
+
 def tail_bound(
     z0: int,
     d_iX: float,
@@ -351,7 +362,7 @@ def tail_bound(
 
     c1t, c1pt = _ctilde(consts, r)
     logr = math.log(r)
-    d_min = 2.0 * math.log(consts.gamma**3 * consts.c1p(sizeX) / consts.c1pp) + 6.0 * consts.D * logr
+    d_min = _log_threshold(r, consts)
     base = c1t * d_iX / z0
     conds = (
         ("d_iX >= 2 log(gamma^3 c1p/c1pp) + 6 D log r", d_iX >= d_min),
@@ -377,10 +388,8 @@ def _ell0_conditions(
     ell0: float, r: float, consts: BoundConstants, c1p_tilde: float
 ) -> tuple[tuple[str, bool], ...]:
     logr = math.log(r)
-    sizeX = consts.gamma * float(r) ** consts.D
-    thresh = 2.0 * math.log(consts.gamma**3 * consts.c1p(sizeX) / consts.c1pp) + 6.0 * consts.D * logr
     return (
-        ("ell0 >= 2 log(gamma^3 c1p/c1pp) + 6 D log r", ell0 >= thresh),
+        ("ell0 >= 2 log(gamma^3 c1p/c1pp) + 6 D log r", ell0 >= _log_threshold(r, consts)),
         ("ell0 >= 6 log r / c1p_tilde", ell0 >= 6.0 * logr / c1p_tilde),
         ("ell0 >= log^2 r", ell0 >= logr**2),
     )
@@ -699,10 +708,7 @@ def adjacency_exp_bound(g: LatticeGraph, J_scale: float, t: float) -> AdjacencyB
         raise ValueError("t must be non-negative")
     if J_scale < 0:
         raise ValueError("J_scale must be non-negative")
-    n = g.site_count
-    adj = np.zeros((n, n))
-    for i, j in g.edges:
-        adj[i, j] = adj[j, i] = 1.0
+    adj = (g.distances == 1).astype(np.float64)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(adj)))) if g.edges else 0.0
     v0 = CHI * J_scale * norm / 2.0
     matrix = ADJACENCY_C * np.exp(v0 * t - g.distances.astype(np.float64))

@@ -133,16 +133,42 @@ def _integer(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _bounded(
+    lo: float, hi: float | None = None, conv: Callable = _integer, noun: str = "value"
+) -> Callable[[object], object]:
+    """A converter through ``conv`` that refuses values below ``lo`` or above ``hi``."""
+
+    def check(value):
+        x = conv(value)
+        if x < lo or (hi is not None and x > hi):
+            span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ValueError(f"{noun} {x} is not {span}")
+        return x
+
+    return check
+
+
 def _site_index(n_sites: int) -> Callable[[object], int]:
     """A converter to a site index that refuses indices outside 0..n_sites-1."""
+    return _bounded(0, n_sites - 1, noun="site")
 
-    def site(value) -> int:
-        i = _integer(value)
-        if not 0 <= i < n_sites:
-            raise ValueError(f"site {i} is not in 0..{n_sites - 1}")
-        return i
 
-    return site
+def _one_of(options: Sequence[str]) -> Callable[[object], str]:
+    """A converter that refuses any value but one of ``options``."""
+
+    def check(value) -> str:
+        if value not in options:
+            raise ValueError(f"{value!r} is not one of {list(options)}")
+        return value
+
+    return check
+
+
+# ranges the library refuses outside of, read here so the error names the field
+_POSITIVE = _bounded(1)
+_RADIUS = _bounded(3.0, conv=float)  # r of the distance-window bounds
+_PROBES = ("number", "creation", "annihilation", "phase")
+_TAIL_MODES = ("markov-optimized", "paper")
 
 
 def load_config(path: str | Path) -> dict:
@@ -527,7 +553,7 @@ def _lightcone_map(run: _Run) -> list[dict]:
     i0 = run.value("i0", run.site, 0)
     times = run.values("times", float)
     O_A = run.observable({"kind": "number", "site": i0})
-    probe_kind = run.scn.get("probe", "number")
+    probe_kind = run.value("probe", _one_of(_PROBES), "number")
     sites = run.values("sites", run.site, list(run.g.sites))
     probes = {i: _build_observable({"kind": probe_kind, "site": i}, run.b, run.rng) for i in sites}
 
@@ -544,8 +570,8 @@ def _moment_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Cal
 
 
 def _tail_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Callable:
-    r = run.value("r", float, 3.0)
-    mode = run.scn.get("mode", "markov-optimized")
+    r = run.value("r", _RADIUS, 3.0)
+    mode = run.value("mode", _one_of(_TAIL_MODES), "markov-optimized")
     return lambda z0, d: tail_bound(z0, d, r, consts, mode=mode, check=False)
 
 
@@ -562,7 +588,7 @@ def _transport_check(
     H, g = run.H, run.g
     i0 = run.value("i0", run.site, 0)
     O_X = run.observable({"kind": "projector", "site": i0, "value": 1})
-    params = run.values(values_key, _integer, default)
+    params = run.values(values_key, _POSITIVE, default)
     times = run.values("times", float)
     sites = run.values("sites", run.site, list(g.sites))
     psi0 = run.state("mott-1")
@@ -596,10 +622,10 @@ def _transport_check(
 def _truncation_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
     X = run.values("X", run.site, [g.site_count // 2])
-    ell0 = run.value("ell0", _integer, 1)
-    q_values = run.values("q_values", _integer, list(range(1, max(b.site_cutoffs) + 1)))
+    ell0 = run.value("ell0", _POSITIVE, 1)
+    q_values = run.values("q_values", _POSITIVE, list(range(1, max(b.site_cutoffs) + 1)))
     t = run.value("t", float, 0.1)
-    r = run.value("r", float, 3.0)
+    r = run.value("r", _RADIUS, 3.0)
     O_X = run.observable({"kind": "creation", "site": min(X)})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
@@ -623,9 +649,9 @@ def _truncation_check(run: _Run) -> list[dict]:
 def _short_lr_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
     X = run.values("X", run.site, [g.site_count // 2])
-    ell0_values = run.values("ell0_values", _integer, [1, 2])
+    ell0_values = run.values("ell0_values", _POSITIVE, [1, 2])
     t = run.value("t", float, 0.05)
-    q = run.value("q", _integer, max(b.site_cutoffs))
+    q = run.value("q", _POSITIVE, max(b.site_cutoffs))
     O_X = run.observable({"kind": "number", "site": min(X)})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
@@ -648,13 +674,13 @@ def _short_lr_check(run: _Run) -> list[dict]:
 def _approx_sweep(run: _Run) -> list[dict]:
     b, spec, H = run.b, run.spec, run.H
     i0 = run.value("i0", run.site, 0)
-    r0 = run.value("r0", _integer, 0)
-    R_values = run.values("R_values", _integer)
+    r0 = run.value("r0", _bounded(0), 0)
+    R_values = run.values("R_values", _bounded(r0 + 1))
     t = run.value("t", float, 0.1)
     O_X = run.observable({"kind": "number", "site": i0})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
-    ell0, q = run.value("ell0", _integer, None), run.value("q", _integer, None)
+    ell0, q = run.value("ell0", _POSITIVE, None), run.value("q", _POSITIVE, None)
     delta_t0 = run.value("delta_t0", float, None)
 
     def cell(R: int) -> dict:
@@ -676,17 +702,17 @@ def _quench_sim(run: _Run) -> list[dict]:
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
     site = _need(h_cfg, "scenario.h", "site", run.site)
     coeff = _need(h_cfg, "scenario.h", "coeff", float, 1.0)
-    power = _need(h_cfg, "scenario.h", "power", _integer, 2)
+    power = _need(h_cfg, "scenario.h", "power", _bounded(0), 2)
     cut = b.site_cutoffs[site]
     h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
     h_X0 = local_operator("custom-matrix", [site], b, matrix=h_mat)
     psi0 = run.state("ground")
     t = run.value("t", float, 0.1)
-    R_values = run.values("R_values", _integer)
+    R_values = run.values("R_values", _POSITIVE)
     consts = run.constants()
     options = {
         key: run.value(key, conv, None)
-        for key, conv in (("ell0", _integer), ("q", _integer), ("qprime", _integer),
+        for key, conv in (("ell0", _POSITIVE), ("q", _POSITIVE), ("qprime", _POSITIVE),
                           ("delta_t0", float), ("stationarity_tol", float))
     }
     kwargs = {key: v for key, v in options.items() if v is not None}
@@ -825,7 +851,7 @@ def _report_bounds(run: _Run) -> list[dict]:
 
 
 def _fs_check(run: _Run) -> list[dict]:
-    s_max = run.value("s_max", _integer, 10)
+    s_max = run.value("s_max", _bounded(1, 20), 10)  # fs_polynomial's range
     m_max = run.value("m_max", _integer, 100)
     rows = []
     for s in range(1, s_max + 1):
@@ -842,11 +868,8 @@ def _fs_check(run: _Run) -> list[dict]:
 def _adjacency_check(run: _Run) -> list[dict]:
     g = run.g
     times = run.values("times", float, [0.1, 0.5, 1.0])
-    J_scale = run.value("J_scale", float, 1.0)
-    n = g.site_count
-    adj = np.zeros((n, n))
-    for i, j in g.edges:
-        adj[i, j] = adj[j, i] = 1.0
+    J_scale = run.value("J_scale", _bounded(0.0, conv=float), 1.0)
+    adj = (g.distances == 1).astype(np.float64)
 
     def cell(t: float) -> dict:
         bound = adjacency_exp_bound(g, J_scale, t)

@@ -4,10 +4,12 @@ Sparse states move with an adaptive Lanczos (Krylov) propagator at every
 dimension.  Each step's subspace grows until the a-posteriori error
 estimate meets the step's share of the tolerance, so short steps build a
 few vectors and only long ones reach the size cap.  Operators move densely
-through eigendecomposition, below the dense cap that ``dense_cap()`` reads:
-``DENSE_CAP`` unless a caller has set ``RUN_DENSE_CAP`` in its context, as
-``cli.run_scenario`` does for the length of one run.  The dense path doubles
-as the oracle for the Krylov path in the test suite.
+below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
+caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
+does for one run.  The package's dense work all comes here: one refusal of
+the cap (``_require_dense``), one dense e^{-iHt} by eigendecomposition
+(``_dense_unitary``) and one conjugation (``_conjugate``).  The dense path
+doubles as the oracle for the Krylov path in the test suite.
 """
 
 from __future__ import annotations
@@ -248,25 +250,37 @@ def evolve_state(
     return (out, rep) if return_report else out
 
 
-def _dense_unitary(H: OperatorMatrix, t: float) -> np.ndarray:
+def _require_dense(dim: int) -> None:
+    """Refuse a dense matrix of dimension ``dim`` above the current dense cap."""
     cap = dense_cap()
-    if H.dim > cap:
-        raise ResourceLimitError(f"dimension {H.dim} exceeds dense cap {cap}")
+    if dim > cap:
+        raise ResourceLimitError(f"dimension {dim} exceeds dense cap {cap}")
+
+
+def _dense_unitary(H: OperatorMatrix, t: float) -> np.ndarray:
+    """Dense e^{-iHt} from the eigendecomposition of the Hermitian H."""
+    _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
     lam, Q = eigh(H.dense())
     return (Q * np.exp(-1j * t * lam)) @ Q.conj().T
 
 
+def _conjugate(U: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """U^dagger A U for dense U and A."""
+    return U.conj().T @ A @ U
+
+
+def _from_dense(basis: FockBasis, M: np.ndarray, support) -> OperatorMatrix:
+    """A dense matrix on ``basis`` as an operator on the sites ``support``, unverified."""
+    return _wrap(
+        basis, sparse.csr_matrix(M), declared_support=sorted(support), verify_support=False
+    )
+
+
 def dense_expm(H: OperatorMatrix, t: float) -> OperatorMatrix:
     """e^{-iHt} by Hermitian eigendecomposition (oracle path)."""
-    U = _dense_unitary(H, float(t))
-    return _wrap(
-        H.basis,
-        sparse.csr_matrix(U),
-        declared_support=sorted(H.support),
-        verify_support=False,
-    )
+    return _from_dense(H.basis, _dense_unitary(H, float(t)), H.support)
 
 
 def heisenberg(H: OperatorMatrix, O: OperatorMatrix, t: float) -> OperatorMatrix:
@@ -274,13 +288,7 @@ def heisenberg(H: OperatorMatrix, O: OperatorMatrix, t: float) -> OperatorMatrix
     if H.basis is not O.basis:
         raise ValueError("H and O live on different bases")
     U = _dense_unitary(H, float(t))
-    out = U.conj().T @ O.dense() @ U
-    return _wrap(
-        H.basis,
-        sparse.csr_matrix(out),
-        declared_support=sorted(O.support | H.support),
-        verify_support=False,
-    )
+    return _from_dense(H.basis, _conjugate(U, O.dense()), O.support | H.support)
 
 
 def interaction_picture_unitary(
@@ -293,29 +301,22 @@ def interaction_picture_unitary(
     """
     if A.basis is not h.basis:
         raise ValueError("A and h live on different bases")
-    cap = dense_cap()
-    if A.dim > cap:
-        raise ResourceLimitError(f"dimension {A.dim} exceeds dense cap {cap}")
     if not (A.hermitian and h.hermitian):
         raise ValueError("A and h must be Hermitian")
+    support = A.support | h.support
     Ua = _dense_unitary(A, float(t))
-    lam, Q = eigh(A.dense() - h.dense())
-    Ub = (Q * np.exp(1j * float(t) * lam)) @ Q.conj().T
-    return _wrap(
-        A.basis,
-        sparse.csr_matrix(Ua @ Ub),
-        declared_support=sorted(A.support | h.support),
-        verify_support=False,
+    A_minus_h = _wrap(
+        A.basis, A.matrix - h.matrix, declared_support=sorted(support), verify_support=False
     )
+    Ub = _dense_unitary(A_minus_h, -float(t))
+    return _from_dense(A.basis, Ua @ Ub, support)
 
 
-def spectral_norm(O: OperatorMatrix, *, cap: int | None = None) -> float:
-    """Operator 2-norm; dense and exact below the cap, Lanczos SVD above."""
-    if cap is None:
-        cap = dense_cap()
+def spectral_norm(O: OperatorMatrix) -> float:
+    """Operator 2-norm; dense and exact below the dense cap, Lanczos SVD above."""
     if O.matrix.nnz == 0:
         return 0.0
-    if O.dim <= cap:
+    if O.dim <= dense_cap():
         return float(np.linalg.norm(O.dense(), 2))
     if O.is_diagonal:
         # diagonal operators (number polynomials, projectors, phase unitaries)

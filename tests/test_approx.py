@@ -14,7 +14,7 @@ from boselab.approx import (
     StepSchedule,
 )
 from boselab.bounds import BoundConstants, QuenchBounds, quench_bounds
-from boselab.evolve import dense_expm, heisenberg
+from boselab.evolve import RUN_DENSE_CAP, dense_expm, heisenberg
 from boselab.fock import ResourceLimitError, enumerate_basis, truncation_projector
 from boselab.lattice import ball, build_lattice
 from boselab.model import (
@@ -25,7 +25,7 @@ from boselab.model import (
     subset_hamiltonian,
 )
 from boselab.probes import ground_state, restricted_error
-from helpers import fock_state, random_state
+from helpers import fock_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0):
@@ -102,18 +102,6 @@ def test_schedule_subsets_are_balls():
 # -- local unitaries ----------------------------------------------------------
 
 
-def test_local_unitary_apply_matches_materialize():
-    g, b, spec = chain_setup(5, 1)
-    step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
-    U = step.materialize()
-    assert np.linalg.norm(U.conj().T @ U - np.eye(b.dim), 2) < 1e-10
-    psi = random_state(b, seed=3)
-    out = step.apply(psi)
-    np.testing.assert_allclose(out.amplitudes, U @ psi.amplitudes, atol=1e-9)
-    back = step.apply_adjoint(out)
-    np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=1e-9)
-
-
 def test_local_unitary_conjugate_matches_dense_product():
     g, b, spec = chain_setup(5, 1, U=0.6)
     step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
@@ -135,13 +123,33 @@ def test_local_unitary_rejects_number_leak():
         )
 
 
-def test_local_unitary_rejects_nonunitary_factor():
+def test_local_unitary_rejects_non_hermitian_generator():
+    # diagonal, so it passes the number check; e^{-iG tau} is not unitary
     g, b, spec = chain_setup(3, 1)
-    M = local_operator("custom-matrix", [0], b, matrix=2.0 * np.eye(2))
-    with pytest.raises(ValueError, match="not unitary"):
-        LocalUnitary(
-            basis=b, support=frozenset({0}), scheme={}, factors=(("mat", M),)
-        )
+    G = local_operator("custom-matrix", [0], b, matrix=np.diag([0.0, 1j]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        LocalUnitary(basis=b, support=frozenset({0}), scheme={}, factors=((G, 0.1),))
+
+
+def test_local_unitary_product_is_built_once_and_kept():
+    g, b, spec = chain_setup(5, 1)
+    step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
+    U = step.materialize()
+    assert step.materialize() is U
+    assert np.linalg.norm(U.conj().T @ U - np.eye(b.dim), 2) < 1e-10
+    with pytest.raises(ValueError):
+        U[0, 0] = 0.0  # read-only: every caller shares it
+
+
+def test_local_unitary_above_the_cap_refuses_its_product():
+    g, b, spec = chain_setup(5, 1)
+    token = RUN_DENSE_CAP.set(b.dim - 1)
+    try:
+        step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
+        with pytest.raises(ResourceLimitError, match=f"dimension {b.dim} exceeds dense cap"):
+            step.materialize()
+    finally:
+        RUN_DENSE_CAP.reset(token)
 
 
 # -- single short step --------------------------------------------------------
@@ -236,8 +244,7 @@ def test_quench_step_echo_factors():
     )
     dt = 0.19
     step = quench_step_unitary(spec, h, b, [2], 1, 1, 2, dt)
-    assert [f[0] for f in step.factors] == ["expm", "expm"]
-    (_, B, tau_b), (_, A, tau_a) = step.factors
+    (B, tau_b), (A, tau_a) = step.factors
     assert tau_b == pytest.approx(-dt) and tau_a == pytest.approx(dt)
     assert step.scheme["qprime"] == 2
     assert step.support == frozenset(step.scheme["L2"]) | h.support
@@ -332,7 +339,7 @@ def test_approximate_heisenberg_default_q_is_full_cutoff():
 def test_approximate_heisenberg_dense_cap():
     g, b, spec = chain_setup(8, 2)  # 6561 states
     O = local_operator("number", [0], b)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="dimension 6561 exceeds dense cap 2000"):
         approximate_heisenberg(O, 0, 0, 4, 0.1, spec, b)
 
 

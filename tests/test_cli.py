@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import boselab.approx as approx_mod
 import boselab.cli as cli
 import boselab.evolve as evolve_mod
 from boselab.cli import main
@@ -298,6 +299,22 @@ def test_dense_cap_reaches_worker_threads(tmp_path, capsys):
     assert "exceeds dense cap 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, products", [("short-lr-check", 2), ("approx-sweep", 3)])
+def test_each_step_product_is_built_once(kind, products, tmp_path, monkeypatch):
+    # one single-factor step per cell, and its product serves both the
+    # unitarity check and the conjugation
+    real, calls = approx_mod._dense_unitary, []
+
+    def counting(H, t):
+        calls.append(H.dim)
+        return real(H, t)
+
+    monkeypatch.setattr(approx_mod, "_dense_unitary", counting)
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == products
+
+
 def test_failing_rows_exit_one(tmp_path, monkeypatch):
     fake = cli.Scenario(
         ("s_max", "m_max"), ("scenario", "pass"), (), lambda run: [{"pass": False}]
@@ -422,6 +439,25 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("fs-check", "scenario", "s_max", 4.5, "scenario.s_max"),
         ("moment-check", "scenario", "observable",
          {"kind": "projector", "site": 2, "value": 1.5}, "observable.value"),
+        ("truncation-check", "scenario", "q_values", [0, 1], "scenario.q_values"),
+        ("truncation-check", "scenario", "ell0", 0, "scenario.ell0"),
+        ("truncation-check", "scenario", "r", 2, "scenario.r"),
+        ("short-lr-check", "scenario", "ell0_values", [0], "scenario.ell0_values"),
+        ("short-lr-check", "scenario", "q", 0, "scenario.q"),
+        ("moment-check", "scenario", "s_values", [0], "scenario.s_values"),
+        ("tail-check", "scenario", "z_values", [0], "scenario.z_values"),
+        ("tail-check", "scenario", "r", 2, "scenario.r"),
+        ("tail-check", "scenario", "mode", "bogus", "scenario.mode"),
+        ("approx-sweep", "scenario", "R_values", [0], "scenario.R_values"),
+        ("approx-sweep", "scenario", "r0", -1, "scenario.r0"),
+        ("approx-sweep", "scenario", "ell0", 0, "scenario.ell0"),
+        ("quench-sim", "scenario", "R_values", [0], "scenario.R_values"),
+        ("quench-sim", "scenario", "qprime", 0, "scenario.qprime"),
+        ("quench-sim", "scenario", "h", {"site": 3, "power": -1}, "scenario.h.power"),
+        ("fs-check", "scenario", "s_max", 30, "scenario.s_max"),
+        ("adjacency-check", "scenario", "J_scale", -1, "scenario.J_scale"),
+        ("lightcone-map", "scenario", "probe", "bogus", "scenario.probe"),
+        ("lightcone-map", "scenario", "probe", "projector", "scenario.probe"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Time evolution: sparse propagator, dense references, interaction picture."""
 
+import contextvars
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 import boselab.evolve as evolve_mod
 from boselab.evolve import (
     PropagationError,
+    RUN_DENSE_CAP,
     StateVector,
     dense_expm,
     evolve_state,
@@ -364,17 +366,28 @@ def test_dense_cap_enforced():
     g = build_lattice("chain", [1])
     b = enumerate_basis(g, 2400)  # dim 2401 > default dense cap
     H = assemble_hamiltonian(bose_hubbard(g, J=0.0, U=1.0), b)
-    with pytest.raises(ResourceLimitError):
+    refusal = "dimension 2401 exceeds dense cap 2000"
+    with pytest.raises(ResourceLimitError, match=refusal):
         dense_expm(H, 0.1)
     O = local_operator("number", [0], b)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=refusal):
         heisenberg(H, O, 0.1)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=refusal):
         interaction_picture_unitary(O, O, 0.1)
     # sparse evolution still works there (diagonal fast path)
     psi = fock_state(b, (3,))
     out = evolve_state(H, psi, 0.4)
     assert abs(out.norm() - 1.0) <= 1e-12
+
+
+def norm_under_cap(O, cap):
+    """spectral_norm(O) in a copy of this context whose dense cap is ``cap``."""
+
+    def run():
+        RUN_DENSE_CAP.set(cap)
+        return spectral_norm(O)
+
+    return contextvars.copy_context().run(run)
 
 
 def test_spectral_norm():
@@ -389,7 +402,7 @@ def test_spectral_norm():
     # iterative path agrees with the dense value
     g3, b3, H3 = chain_setup(3, 2, J=1.0, U=1.0)
     dense_val = np.linalg.norm(H3.dense(), ord=2)
-    assert spectral_norm(H3, cap=5) == pytest.approx(dense_val, rel=1e-8)
+    assert norm_under_cap(H3, 5) == pytest.approx(dense_val, rel=1e-8)
 
 
 def test_spectral_norm_degenerate_spectra_above_cap():
@@ -400,10 +413,10 @@ def test_spectral_norm_degenerate_spectra_above_cap():
     b = enumerate_basis(g, dim - 1)
     phase = np.diag(np.exp(1j * 0.3 * np.arange(dim)))
     u_diag = local_operator("custom-matrix", [0], b, matrix=phase, unitary=True)
-    assert spectral_norm(u_diag, cap=8) == pytest.approx(1.0, rel=1e-12)
+    assert norm_under_cap(u_diag, 8) == pytest.approx(1.0, rel=1e-12)
     shift = np.roll(np.eye(dim), 1, axis=0)  # cyclic permutation, all sigma = 1
     u_perm = local_operator("custom-matrix", [0], b, matrix=shift, unitary=True)
-    assert spectral_norm(u_perm, cap=8) == pytest.approx(1.0, rel=1e-10)
+    assert norm_under_cap(u_perm, 8) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_spectral_norm_is_deterministic_above_cap():

@@ -146,3 +146,23 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_one_refusal_per_cap_and_no_factor_tags():
+    """The dense cap is refused in one place in ``evolve``, the basis cap in one in ``fock``.
+
+    Local unitaries are chains of (G, tau) pairs, so no "expm" or "mat"
+    factor tag is left for code to branch on.
+    """
+    refusals, tags = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ResourceLimitError":
+                    refusals[path.name] = refusals.get(path.name, 0) + 1
+            if isinstance(node, ast.Constant) and node.value in ("expm", "mat"):
+                tags.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert refusals == {"evolve.py": 1, "fock.py": 1}
+    assert tags == []
