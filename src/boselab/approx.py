@@ -26,7 +26,8 @@ import scipy.sparse as sparse
 
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
 from .evolve import (
-    StateVector, _conjugate, _dense_unitary, _from_dense, _require_dense, dense_cap, evolve_state,
+    StateVector, _Blocks, _conjugate, _dense_unitary, _from_blocks, _norm2, _require_dense,
+    dense_cap, evolve_state,
 )
 from .fock import FockBasis, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball, geometric_constants
@@ -90,9 +91,9 @@ class LocalUnitary:
     generator G, in application order: factors[0] hits the state first (a
     factor's last two entries are read, so ("expm", G, tau) means the same).
     Construction verifies number commutation on every generator exactly.
-    Within the dense cap it also builds the product once, checks that it is
-    unitary, and keeps it for ``materialize`` and ``conjugate``; above the
-    cap no product is built.
+    Within the dense cap it also builds the product once, block by block
+    over particle number, checks that it is unitary, and keeps it for
+    ``materialize`` and ``conjugate``; above the cap no product is built.
     """
 
     basis: FockBasis
@@ -109,7 +110,7 @@ class LocalUnitary:
             )
         if self.basis.dim <= dense_cap():
             U = self._product
-            uerr = float(np.linalg.norm(U.conj().T @ U - np.eye(self.basis.dim), 2))
+            uerr = _norm2(U.adjoint() @ U - _Blocks.identity(self.basis), hermitian=True)
             if uerr > UNITARITY_TOL:
                 raise ValueError(f"materialized product is not unitary (defect {uerr:.3e})")
 
@@ -125,24 +126,27 @@ class LocalUnitary:
         return worst
 
     @cached_property
-    def _product(self) -> np.ndarray:
+    def _product(self) -> _Blocks:
         _require_dense(self.basis.dim)
-        U = np.eye(self.basis.dim, dtype=np.complex128)
+        U = _Blocks.identity(self.basis)
         for *_, G, tau in self.factors:
             U = _dense_unitary(G, float(tau)) @ U
+        return U
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        U = self._product.dense()
         # shared by every caller, so nobody may write to it
         U.setflags(write=False)
         return U
 
     def materialize(self) -> np.ndarray:
         """Dense product matrix, read-only; factors[0] is rightmost."""
-        return self._product
+        return self._matrix
 
     def conjugate(self, O: OperatorMatrix) -> OperatorMatrix:
-        """U^dagger O U from the dense product, supported on this unitary's and O's sites."""
-        return _from_dense(
-            self.basis, _conjugate(self._product, O.dense()), self.support | O.support
-        )
+        """U^dagger O U from the blocked product, supported on this unitary's and O's sites."""
+        return _from_blocks(_conjugate(self._product, _Blocks.of(O)), self.support | O.support)
 
 
 def _halo_regions(
@@ -342,7 +346,8 @@ def _step_chain(
                 f"step {m} support exceeds i0[{R}]; shrink ell0 "
                 f"(ell0 = {ell}, dr = {sched.dr})"
             )
-        vars(step).pop("_product", None)
+        for product in ("_product", "_matrix"):
+            vars(step).pop(product, None)
         steps.append(step)
         records.append({"m": m, "support_size": len(step.support), "truncation_q": q_used})
     return ApproxTrace(
@@ -378,28 +383,29 @@ def approximate_heisenberg(
         return (O, trace) if return_trace else O
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
-    current = O.dense()
-    norm0 = float(np.linalg.norm(current, 2))
+    current = _Blocks.of(O)
+    norm0 = _norm2(current, O.hermitian)
 
     def conjugating_step(X, ell, q_m, dt) -> LocalUnitary:
         nonlocal current
         step = local_step_unitary(spec, b, X, ell, q_m, dt)
-        current = _conjugate(step.materialize(), current)
+        current = _conjugate(step._product, current)
         return step
 
     trace = _step_chain(
         conjugating_step, spec.lattice, b, i0, r0, R, t, consts, ell0, q, delta_t0
     )
-    norm_t = float(np.linalg.norm(current, 2))
+    norm_t = _norm2(current, O.hermitian)
     if abs(norm_t - norm0) > 1e-9 * trace.schedule.m_t + 1e-10:
         raise AssertionError(
             f"conjugation chain drifted the operator norm: {norm0} -> {norm_t}"
         )
-    # conjugation roundoff sprays ~1e-17 entries over the whole matrix; the
-    # true support is the accumulated step-support union, checked per step
-    current[np.abs(current) < 1e-15 * max(1.0, norm0)] = 0.0
+    # conjugation roundoff sprays ~1e-17 entries over the blocks; the true
+    # support is the accumulated step-support union, checked per step
+    for M in current.mats.values():
+        M[np.abs(M) < 1e-15 * max(1.0, norm0)] = 0.0
     support = O.support.union(*(step.support for step in trace.unitaries))
-    out = _from_dense(b, current, support)
+    out = _from_blocks(current, support)
     return (out, trace) if return_trace else out
 
 

@@ -8,8 +8,17 @@ below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here: one refusal of
 the cap (``_require_dense``), one dense e^{-iHt} by eigendecomposition
-(``_dense_unitary``) and one conjugation (``_conjugate``).  The dense path
-doubles as the oracle for the Krylov path in the test suite.
+(``_dense_unitary``), one conjugation (``_conjugate``) and one operator
+2-norm (``_norm2``).  The dense path doubles as the oracle for the Krylov
+path in the test suite.
+
+Dense work runs per particle-number block.  An operator with a fixed
+``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
+is held as those blocks (``_Blocks``): e^{-iHt} takes one ``eigh`` per block
+of H, a conjugation maps block (N + d, N) as U_{N+d}^dagger O U_N, and a
+2-norm is the largest block norm.  An operator whose ``delta_n`` is None is
+one block spanning the whole basis, and so is any product involving one.
+The cap still bounds the total dimension, not the block size.
 """
 
 from __future__ import annotations
@@ -257,30 +266,142 @@ def _require_dense(dim: int) -> None:
         raise ResourceLimitError(f"dimension {dim} exceeds dense cap {cap}")
 
 
-def _dense_unitary(H: OperatorMatrix, t: float) -> np.ndarray:
-    """Dense e^{-iHt} from the eigendecomposition of the Hermitian H."""
+@dataclass(frozen=True)
+class _Blocks:
+    """A dense operator on ``basis``, held as its particle-number blocks.
+
+    ``mats[N]`` maps the states of block N to those of block N + ``shift``;
+    every other entry is zero.  With ``whole`` set the whole basis is one
+    block, keyed 0 with shift 0.  Operands of a product or difference must
+    share the basis, and a difference's operands their shift; if only one
+    of them is whole, the other is merged.
+    """
+
+    basis: FockBasis
+    whole: bool
+    shift: int
+    mats: dict[int, np.ndarray]
+
+    @classmethod
+    def of(cls, O: OperatorMatrix, whole: bool = False) -> "_Blocks":
+        """The blocks of O; whole if asked for, or if O mixes particle numbers."""
+        whole = whole or O.delta_n is None
+        shift = 0 if whole else O.delta_n
+        parts = cls.partition(O.basis, whole)
+        keys = [N for N in parts if N + shift in parts]
+        shapes = [(parts[N + shift].size, parts[N].size) for N in keys]
+        offsets = np.cumsum([0] + [r * c for r, c in shapes])
+        # one buffer holds every block row-major: entry (row, col) lands in
+        # the block of col's N at the places of row and col in their blocks
+        slot = np.zeros(O.dim, dtype=np.intp)
+        place = np.zeros(O.dim, dtype=np.intp)
+        for k, N in enumerate(keys):
+            slot[parts[N]] = k
+        for idx in parts.values():
+            place[idx] = np.arange(idx.size)
+        csr = O.matrix
+        rows = np.repeat(np.arange(O.dim), np.diff(csr.indptr))
+        k = slot[csr.indices]
+        width = np.array([c for _, c in shapes], dtype=np.intp)
+        flat = offsets[k] + place[rows] * width[k] + place[csr.indices]
+        total = int(offsets[-1])
+        buf = np.bincount(flat, csr.data.real, total) + 1j * np.bincount(
+            flat, csr.data.imag, total
+        )
+        mats = {
+            N: buf[a : a + r * c].reshape(r, c) for N, a, (r, c) in zip(keys, offsets, shapes)
+        }
+        return cls(O.basis, whole, shift, mats)
+
+    @classmethod
+    def identity(cls, basis: FockBasis) -> "_Blocks":
+        return cls(basis, False, 0, {N: np.eye(idx.size) for N, idx in basis.blocks.items()})
+
+    @staticmethod
+    def partition(basis: FockBasis, whole: bool) -> dict[int, np.ndarray]:
+        return {0: np.arange(basis.dim)} if whole else basis.blocks
+
+    def merged(self) -> "_Blocks":
+        """The same operator as one block spanning the whole basis."""
+        if self.whole:
+            return self
+        return _Blocks(self.basis, True, 0, {0: self.dense()})
+
+    def dense(self) -> np.ndarray:
+        parts = self.partition(self.basis, self.whole)
+        out = np.zeros((self.basis.dim, self.basis.dim), dtype=np.complex128)
+        for N, M in self.mats.items():
+            out[np.ix_(parts[N + self.shift], parts[N])] = M
+        return out
+
+    def adjoint(self) -> "_Blocks":
+        mats = {N + self.shift: M.conj().T for N, M in self.mats.items()}
+        return _Blocks(self.basis, self.whole, -self.shift, mats)
+
+    def __matmul__(self, other: "_Blocks") -> "_Blocks":
+        if self.whole != other.whole:
+            return self.merged() @ other.merged()
+        mats = {
+            N: self.mats[N + other.shift] @ M
+            for N, M in other.mats.items()
+            if N + other.shift in self.mats
+        }
+        return _Blocks(self.basis, self.whole, self.shift + other.shift, mats)
+
+    def __sub__(self, other: "_Blocks") -> "_Blocks":
+        if self.whole != other.whole:
+            return self.merged() - other.merged()
+        mats = dict(self.mats)
+        for N, M in other.mats.items():
+            mats[N] = mats[N] - M if N in mats else -M
+        return _Blocks(self.basis, self.whole, self.shift, mats)
+
+    def __rmul__(self, c: complex) -> "_Blocks":
+        mats = {N: c * M for N, M in self.mats.items()}
+        return _Blocks(self.basis, self.whole, self.shift, mats)
+
+
+def _dense_unitary(H: OperatorMatrix, t: float) -> _Blocks:
+    """Dense e^{-iHt}, one eigendecomposition per block of the Hermitian H."""
     _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
-    lam, Q = eigh(H.dense())
-    return (Q * np.exp(-1j * t * lam)) @ Q.conj().T
+    blocks = _Blocks.of(H, whole=H.delta_n != 0)
+    mats = {}
+    for N, M in blocks.mats.items():
+        lam, Q = eigh(M)
+        mats[N] = (Q * np.exp(-1j * t * lam)) @ Q.conj().T
+    return _Blocks(H.basis, blocks.whole, 0, mats)
 
 
-def _conjugate(U: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """U^dagger A U for dense U and A."""
-    return U.conj().T @ A @ U
+def _conjugate(U: _Blocks, A: _Blocks) -> _Blocks:
+    """U^dagger A U, block (N + d, N) as U_{N+d}^dagger A_{N+d,N} U_N."""
+    return U.adjoint() @ A @ U
 
 
-def _from_dense(basis: FockBasis, M: np.ndarray, support) -> OperatorMatrix:
-    """A dense matrix on ``basis`` as an operator on the sites ``support``, unverified."""
-    return _wrap(
-        basis, sparse.csr_matrix(M), declared_support=sorted(support), verify_support=False
-    )
+def _norm2(X: _Blocks, hermitian: bool) -> float:
+    """Operator 2-norm of X: the largest of its blocks' norms.
+
+    Distinct blocks act on disjoint rows and columns, so X is their direct
+    sum up to a permutation.  Hermitian blocks take ``eigvalsh``, the others
+    their largest singular value.
+    """
+    if hermitian:
+        norms = (np.abs(np.linalg.eigvalsh(M)).max() for M in X.mats.values())
+    else:
+        norms = (np.linalg.svd(M, compute_uv=False)[0] for M in X.mats.values())
+    return float(max(norms, default=0.0))
+
+
+def _from_blocks(X: _Blocks, support) -> OperatorMatrix:
+    """A blocked operator as an operator on the sites ``support``, unverified."""
+    mat = sparse.csr_matrix(X.dense())
+    return _wrap(X.basis, mat, declared_support=sorted(support), verify_support=False)
 
 
 def dense_expm(H: OperatorMatrix, t: float) -> OperatorMatrix:
     """e^{-iHt} by Hermitian eigendecomposition (oracle path)."""
-    return _from_dense(H.basis, _dense_unitary(H, float(t)), H.support)
+    return _from_blocks(_dense_unitary(H, float(t)), H.support)
 
 
 def heisenberg(H: OperatorMatrix, O: OperatorMatrix, t: float) -> OperatorMatrix:
@@ -288,7 +409,7 @@ def heisenberg(H: OperatorMatrix, O: OperatorMatrix, t: float) -> OperatorMatrix
     if H.basis is not O.basis:
         raise ValueError("H and O live on different bases")
     U = _dense_unitary(H, float(t))
-    return _from_dense(H.basis, _conjugate(U, O.dense()), O.support | H.support)
+    return _from_blocks(_conjugate(U, _Blocks.of(O)), O.support | H.support)
 
 
 def interaction_picture_unitary(
@@ -309,20 +430,20 @@ def interaction_picture_unitary(
         A.basis, A.matrix - h.matrix, declared_support=sorted(support), verify_support=False
     )
     Ub = _dense_unitary(A_minus_h, -float(t))
-    return _from_dense(A.basis, Ua @ Ub, support)
+    return _from_blocks(Ua @ Ub, support)
 
 
 def spectral_norm(O: OperatorMatrix) -> float:
-    """Operator 2-norm; dense and exact below the dense cap, Lanczos SVD above."""
+    """Operator 2-norm: exact if diagonal, per block below the dense cap, Lanczos SVD above."""
     if O.matrix.nnz == 0:
         return 0.0
-    if O.dim <= dense_cap():
-        return float(np.linalg.norm(O.dense(), 2))
     if O.is_diagonal:
         # diagonal operators (number polynomials, projectors, phase unitaries)
         # have an exact norm; ARPACK also cannot handle their fully
         # degenerate singular spectra, so never send them there
         return float(np.abs(O.matrix.data).max())
+    if O.dim <= dense_cap():
+        return _norm2(_Blocks.of(O), O.hermitian)
     from scipy.sparse.linalg import ArpackError, svds
 
     # a fixed start vector makes the result the same on every call

@@ -8,6 +8,7 @@ matrix layouts are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,6 +52,22 @@ class FockBasis:
     @property
     def n_sites(self) -> int:
         return self.states.shape[1]
+
+    @cached_property
+    def blocks(self) -> dict[int, np.ndarray]:
+        """Basis indices of each total boson number N, by increasing N.
+
+        Operators that conserve N are block-diagonal over these index sets.
+        A sector basis is one block.  Built on first use and kept; the
+        arrays are read-only, since every caller shares them.
+        """
+        totals = self.states.sum(axis=1, dtype=np.int64)
+        order = np.argsort(totals, kind="stable")
+        values, starts = np.unique(totals[order], return_index=True)
+        out = dict(zip(values.tolist(), np.split(order, starts[1:])))
+        for idx in out.values():
+            idx.setflags(write=False)
+        return out
 
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Index of each row of a (k, n_sites) integer array, -1 if absent.

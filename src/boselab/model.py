@@ -11,6 +11,7 @@ compression of the untruncated Hamiltonian onto the retained basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -174,6 +175,23 @@ class OperatorMatrix:
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+    @cached_property
+    def delta_n(self) -> int | None:
+        """The change d of the total boson number N under this operator, or None.
+
+        Every entry maps a state with N bosons to one with N + d, so the
+        operator maps block N of ``basis.blocks`` into block N + d: 0 for
+        Hamiltonians, number, projector and density operators, +1 for
+        creation and -1 for annihilation.  None means the entries mix
+        several d.  Computed from the entries on first use and kept.
+        """
+        totals = self.basis.states.sum(axis=1, dtype=np.int64)
+        rows = np.repeat(np.arange(self.dim), np.diff(self.matrix.indptr))
+        shifts = np.unique(totals[rows] - totals[self.matrix.indices])
+        if shifts.size > 1:
+            return None
+        return int(shifts[0]) if shifts.size else 0
 
 
 def _wrap(

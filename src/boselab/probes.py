@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .evolve import StateVector, dense_cap, evolve_state, heisenberg
+from .evolve import StateVector, _Blocks, _norm2, dense_cap, evolve_state, heisenberg
 from .model import OperatorMatrix
 
 GROUND_RESIDUAL_TOL = 1e-8
@@ -117,12 +117,20 @@ def heisenberg_apply(
 def commutator_norms(
     H: OperatorMatrix, O_A: OperatorMatrix, O_Bs: Sequence[OperatorMatrix], t: float
 ) -> list[float]:
-    """Spectral norms of [O_A(t), O_B] for each O_B, with O_A evolved once by ``H``."""
-    evolved = heisenberg(H, O_A, t).matrix
-    return [
-        float(np.linalg.norm((evolved @ O_B.matrix - O_B.matrix @ evolved).toarray(), 2))
-        for O_B in O_Bs
-    ]
+    """Spectral norms of [O_A(t), O_B] for each O_B, with O_A evolved once by ``H``.
+
+    The commutator is formed and normed block by block over particle number;
+    for Hermitian O_A and O_B the norm comes from the eigenvalues of the
+    Hermitian i[O_A(t), O_B].
+    """
+    A = _Blocks.of(heisenberg(H, O_A, t))
+    norms = []
+    for O_B in O_Bs:
+        B = _Blocks.of(O_B)
+        C = A @ B - B @ A
+        hermitian = O_A.hermitian and O_B.hermitian
+        norms.append(_norm2(1j * C if hermitian else C, hermitian))
+    return norms
 
 
 def restricted_error(

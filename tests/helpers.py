@@ -8,6 +8,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.linalg import eigh
 
 from boselab.evolve import StateVector
 from boselab.fock import FockBasis, enumerate_basis
@@ -176,3 +177,25 @@ def oracle_is_hermitian(mat: sparse.spmatrix) -> bool:
         return True
     scale = max(np.abs(mat.tocoo().data).max(), 1.0)
     return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix references for the dense paths, which work per N-block
+
+
+def oracle_unitary(H, t: float) -> np.ndarray:
+    """e^{-iHt} from one eigendecomposition of the whole matrix."""
+    lam, Q = eigh(H.dense())
+    return (Q * np.exp(-1j * t * lam)) @ Q.conj().T
+
+
+def oracle_heisenberg(H, O, t: float) -> np.ndarray:
+    """e^{iHt} O e^{-iHt} as whole dense matrices."""
+    U = oracle_unitary(H, t)
+    return U.conj().T @ O.dense() @ U
+
+
+def oracle_commutator_norms(H, O_A, O_Bs, t: float) -> list[float]:
+    """SVD 2-norms of the whole commutators [O_A(t), O_B]."""
+    A = oracle_heisenberg(H, O_A, t)
+    return [float(np.linalg.norm(A @ B - B @ A, 2)) for B in (O.dense() for O in O_Bs)]

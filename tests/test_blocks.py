@@ -1,0 +1,222 @@
+"""Particle-number blocks: the basis partition, each operator's ΔN, and the
+per-block dense paths checked against whole-matrix oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from boselab.approx import approximate_heisenberg, local_step_unitary
+from boselab.evolve import dense_expm, heisenberg, interaction_picture_unitary, spectral_norm
+from boselab.fock import enumerate_basis, number_operator
+from boselab.lattice import build_lattice
+from boselab.model import (
+    _wrap,
+    assemble_hamiltonian,
+    bose_hubbard,
+    diagonal_to_operator,
+    local_operator,
+)
+from boselab.probes import commutator_norms
+from helpers import (
+    oracle_commutator_norms,
+    oracle_heisenberg,
+    oracle_unitary,
+    small_bases,
+)
+
+TOL = 1e-12
+
+# on one site with cutoff 2: entries with ΔN = +1 and -1 (Hermitian), and
+# with ΔN = +1 and -2 (not Hermitian)
+MIXING_HERMITIAN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+MIXING = np.array([[0, 0, 1], [1, 0, 0], [0, 0, 0]], dtype=float)
+
+
+def setup(sector=None):
+    g = build_lattice("chain", [4])
+    b = enumerate_basis(g, 2, sector=sector)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=0.7, mu=0.2), b)
+    return b, H
+
+
+def probe(kind, b, site=1):
+    if kind == "phase":
+        phases = np.exp(1j * 0.4 * np.arange(b.site_cutoffs[site] + 1))
+        return local_operator("custom-matrix", [site], b, matrix=np.diag(phases), unitary=True)
+    if kind == "mixing":
+        return local_operator("custom-matrix", [site], b, matrix=MIXING)
+    if kind == "mixing-hermitian":
+        return local_operator("custom-matrix", [site], b, matrix=MIXING_HERMITIAN)
+    return local_operator(kind, [site], b)
+
+
+def mixing_hamiltonian(b, H):
+    """H plus a Hermitian term that changes N, so its ΔN is None."""
+    term = probe("mixing-hermitian", b, site=2)
+    return _wrap(b, H.matrix + 0.3 * term.matrix)
+
+
+# -- blocks and ΔN ------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_bases())
+def test_blocks_partition_the_basis_by_total_number(b):
+    totals = b.states.sum(axis=1)
+    assert list(b.blocks) == sorted(set(totals.tolist()))
+    assert sum(idx.size for idx in b.blocks.values()) == b.dim
+    assert np.array_equal(np.sort(np.concatenate(list(b.blocks.values()))), np.arange(b.dim))
+    for N, idx in b.blocks.items():
+        assert np.all(totals[idx] == N)
+        assert np.all(np.diff(idx) > 0)
+    if b.sector is not None:
+        assert list(b.blocks) == [b.sector]
+        assert np.array_equal(b.blocks[b.sector], np.arange(b.dim))
+
+
+def test_blocks_are_built_once_and_read_only():
+    b, _ = setup()
+    assert b.blocks is b.blocks
+    assert [idx.size for idx in b.blocks.values()] == [1, 4, 10, 16, 19, 16, 10, 4, 1]
+    with pytest.raises(ValueError):
+        b.blocks[0][0] = 1
+
+
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("hamiltonian", 0),
+        ("number", 0),
+        ("projector", 0),
+        ("density", 0),
+        ("phase", 0),
+        ("creation", 1),
+        ("annihilation", -1),
+        ("mixing", None),
+        ("mixing-hermitian", None),
+        ("mixing-hamiltonian", None),
+    ],
+)
+def test_delta_n_on_a_product_basis(kind, expected):
+    b, H = setup()
+    if kind == "hamiltonian":
+        op = H
+    elif kind == "projector":
+        op = local_operator("projector", [1, 2], b, predicate=("<=", 1))
+    elif kind == "density":
+        op = diagonal_to_operator(number_operator(b, [0, 3]), support=[0, 3])
+    elif kind == "mixing-hamiltonian":
+        op = mixing_hamiltonian(b, H)
+    else:
+        op = probe(kind, b)
+    assert op.delta_n == expected
+
+
+@pytest.mark.parametrize("kind", ["number", "creation", "annihilation", "phase", "mixing"])
+def test_every_operator_keeps_a_sector_basis_block(kind):
+    # moves out of the sector are dropped, so nothing changes N inside it
+    b, H = setup(sector=4)
+    assert H.delta_n == 0
+    assert probe(kind, b).delta_n == 0
+
+
+def test_assembly_computes_neither_blocks_nor_delta_n():
+    b, H = setup()
+    assert "blocks" not in vars(b)
+    assert "delta_n" not in vars(H)
+
+
+# -- per-block dense paths against whole-matrix oracles ------------------------
+
+
+PROBES = ["number", "creation", "annihilation", "phase", "mixing", "mixing-hermitian"]
+CASES = [
+    ("product", "conserving"),
+    ("product", "mixing"),
+    ("sector", "conserving"),
+]
+
+
+def case(basis_kind, h_kind):
+    b, H = setup(sector=4 if basis_kind == "sector" else None)
+    return b, (mixing_hamiltonian(b, H) if h_kind == "mixing" else H)
+
+
+@pytest.mark.parametrize("basis_kind, h_kind", CASES)
+def test_dense_expm_matches_the_whole_matrix_oracle(basis_kind, h_kind):
+    b, H = case(basis_kind, h_kind)
+    for t in (0.0, 0.37, -1.1):
+        np.testing.assert_allclose(dense_expm(H, t).dense(), oracle_unitary(H, t), atol=TOL)
+
+
+@pytest.mark.parametrize("basis_kind, h_kind", CASES)
+@pytest.mark.parametrize("kind", PROBES)
+def test_heisenberg_matches_the_whole_matrix_oracle(basis_kind, h_kind, kind):
+    b, H = case(basis_kind, h_kind)
+    O = probe(kind, b, site=0)
+    got = heisenberg(H, O, 0.8)
+    np.testing.assert_allclose(got.dense(), oracle_heisenberg(H, O, 0.8), atol=TOL)
+    assert got.hermitian == O.hermitian
+    if h_kind == "conserving":
+        assert got.delta_n == O.delta_n
+
+
+@pytest.mark.parametrize("basis_kind, h_kind", CASES)
+@pytest.mark.parametrize("a_kind", ["number", "creation", "mixing-hermitian"])
+@pytest.mark.parametrize("t", [0.0, 0.6])
+def test_commutator_norms_match_the_whole_matrix_oracle(basis_kind, h_kind, a_kind, t):
+    b, H = case(basis_kind, h_kind)
+    O_A = probe(a_kind, b, site=0)
+    O_Bs = [probe(kind, b, site=i) for kind in PROBES for i in (0, 3)]
+    got = commutator_norms(H, O_A, O_Bs, t)
+    np.testing.assert_allclose(got, oracle_commutator_norms(H, O_A, O_Bs, t), rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("basis_kind", ["product", "sector"])
+@pytest.mark.parametrize("h_kind", ["number", "mixing-hermitian"])
+def test_interaction_picture_unitary_matches_the_whole_matrix_oracle(basis_kind, h_kind):
+    b, A = case(basis_kind, "conserving")
+    h = probe(h_kind, b, site=1)
+    A_minus_h = _wrap(b, A.matrix - h.matrix)
+    expect = oracle_unitary(A, 0.45) @ oracle_unitary(A_minus_h, -0.45)
+    got = interaction_picture_unitary(A, h, 0.45).dense()
+    np.testing.assert_allclose(got, expect, atol=TOL)
+
+
+@pytest.mark.parametrize("kind", ["hamiltonian", *PROBES])
+def test_spectral_norm_matches_the_whole_matrix_norm(kind):
+    b, H = setup()
+    O = H if kind == "hamiltonian" else probe(kind, b)
+    assert spectral_norm(O) == pytest.approx(np.linalg.norm(O.dense(), 2), rel=TOL)
+
+
+def test_spectral_norm_of_a_diagonal_operator_is_its_largest_entry():
+    b, _ = setup()
+    assert spectral_norm(local_operator("number", [0, 1, 2], b)) == 6.0
+    assert spectral_norm(local_operator("projector", [1], b, predicate=("==", 2))) == 1.0
+
+
+@pytest.mark.parametrize("kind", ["creation", "annihilation", "mixing", "mixing-hermitian"])
+def test_approximate_heisenberg_full_coverage_matches_the_oracle(kind):
+    # a full-coverage chain is exact, whatever blocks the observable maps between
+    g = build_lattice("chain", [4])
+    b = enumerate_basis(g, 2)
+    spec = bose_hubbard(g, J=1.0, U=0.7)
+    O = probe(kind, b, site=0)
+    approx = approximate_heisenberg(O, 0, 0, 3, 0.2, spec, b, ell0=3, q=2, delta_t0=0.1)
+    expect = oracle_heisenberg(assemble_hamiltonian(spec, b), O, 0.2)
+    np.testing.assert_allclose(approx.dense(), expect, atol=1e-10)
+    assert approx.delta_n == O.delta_n
+
+
+def test_local_unitary_product_is_unitary_per_block_and_whole():
+    b, _ = setup()
+    spec = bose_hubbard(build_lattice("chain", [4]), J=1.0, U=0.7)
+    step = local_step_unitary(spec, b, [1], 1, 2, 0.3)
+    U = step.materialize()
+    np.testing.assert_allclose(U.conj().T @ U, np.eye(b.dim), atol=1e-12)
+    # block-diagonal over N: no amplitude moves between blocks
+    for N, rows in b.blocks.items():
+        for M, cols in b.blocks.items():
+            if M != N:
+                assert not U[np.ix_(rows, cols)].any()

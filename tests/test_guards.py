@@ -166,3 +166,40 @@ def test_one_refusal_per_cap_and_no_factor_tags():
                 tags.append(f"{path.name}:{node.lineno}: {node.value!r}")
     assert refusals == {"evolve.py": 1, "fock.py": 1}
     assert tags == []
+
+
+def _call_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
+def _is_two(node: ast.expr) -> bool:
+    """The literal 2 or -2, the orders that make ``norm`` a matrix 2-norm."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and node.value == 2
+
+
+def test_only_evolve_takes_operator_two_norms():
+    """Dense 2-norms run per N-block in ``evolve._norm2``; SVDs live in ``evolve``.
+
+    No other module calls ``norm(A, 2)`` (or ``ord=2``, ``-2``) or any
+    ``svd``, ``svds`` or ``svdvals``.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "evolve.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node)
+            orders = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+            if name in ("svd", "svds", "svdvals") or (
+                name == "norm" and any(_is_two(order) for order in orders)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
