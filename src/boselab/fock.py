@@ -69,6 +69,33 @@ class FockBasis:
             idx.setflags(write=False)
         return out
 
+    @cached_property
+    def hop_targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where one boson hopping along each directed lattice edge takes each state.
+
+        Returns ``(row, targets)``: ``targets[row[i, j], k]`` is the index of
+        state k after one boson hops i -> j, or -1 where the hop leaves the
+        basis (site i empty, site j at its cutoff, or out of the sector).
+        ``row`` is an (n_sites, n_sites) table, -1 off the edges; edge (i, j)
+        of the lattice holds rows 2e (i -> j) and 2e + 1 (j -> i).  All hops
+        are ranked in one batch on first use and kept; both arrays are
+        read-only, since every assembly shares them.
+        """
+        ends = np.array(self.lattice.edges, dtype=np.intp).reshape(-1, 2)
+        src, dst = ends.ravel(), ends[:, ::-1].ravel()
+        # site-major (n_sites, hops, dim), so rank reads each site contiguously
+        moved = np.repeat(self.states.T[:, None, :], len(src), axis=1)
+        hop = np.arange(len(src))
+        moved[src, hop] -= 1
+        moved[dst, hop] += 1
+        targets = self.rank(moved.reshape(self.n_sites, -1).T)
+        targets = targets.astype(np.int32).reshape(len(src), self.dim)
+        row = np.full((self.n_sites, self.n_sites), -1, dtype=np.intp)
+        row[src, dst] = hop
+        row.setflags(write=False)
+        targets.setflags(write=False)
+        return row, targets
+
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Index of each row of a (k, n_sites) integer array, -1 if absent.
 

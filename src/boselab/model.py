@@ -261,24 +261,19 @@ def _hopping_triplets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triplets of sum J * b_i b_j^dag over hops (i, j, J), hop by hop.
 
-    Each term moves one boson i -> j, clipped at cutoffs; all hops are
-    ranked in one batch.
+    Each term moves one boson i -> j, clipped at cutoffs; the moved states'
+    indices are read from the basis's hop table.
     """
     i, j, J = np.asarray(hops, dtype=np.float64).reshape(-1, 3).T
     i, j = i.astype(np.intp), j.astype(np.intp)
+    row, targets = b.hop_targets
+    dst = targets[row[i, j]].ravel()
     n_i = b.states.T[i].astype(np.int64)                   # (hops, dim)
     n_j = b.states.T[j].astype(np.int64)
-    # site-major (n_sites, hops, dim), so rank reads each site contiguously
-    target = np.repeat(b.states.T[:, None, :], len(J), axis=1)
-    hop = np.arange(len(J))
-    target[i, hop] -= 1
-    target[j, hop] += 1
-    return _move_triplets(
-        b,
-        np.tile(np.arange(b.dim), len(J)),
-        target.reshape(b.n_sites, -1).T,
-        (J[:, None] * np.sqrt(n_i * (n_j + 1.0))).ravel(),
-    )
+    amp = (J[:, None] * np.sqrt(n_i * (n_j + 1.0))).ravel()
+    keep = dst >= 0
+    src = np.tile(np.arange(b.dim), len(J))
+    return dst[keep], src[keep], amp[keep].astype(np.complex128)
 
 
 def _interaction_entries(b: FockBasis, terms: Sequence[Interaction]) -> np.ndarray:

@@ -180,6 +180,9 @@ def ground_state(H: OperatorMatrix) -> GroundStateResult:
         # miss an exactly-zero ground energy (the Krylov space loses any
         # null-space component after one matvec)
         mat = H.matrix.tocsr()
+        if not mat.data.imag.any():
+            # a real symmetric H is solved in real arithmetic (ARPACK dsaupd)
+            mat = mat.real
         diag = mat.diagonal().real
         radius = np.asarray(np.abs(mat).sum(axis=1)).ravel() - np.abs(diag)
         sigma = float((diag + radius).max()) + 1.0

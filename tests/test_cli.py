@@ -235,6 +235,16 @@ def test_threads_do_not_change_output(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["quench-sim", "approx-sweep"])
+def test_pooled_cells_sharing_the_hop_table_keep_output(kind, tmp_path):
+    # the cells of these sweeps assemble generators from the basis's one hop table
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", str(cfg), "--out", str(out_a), "--threads", "1"]) == 0
+    assert main(["run", str(cfg), "--out", str(out_b), "--threads", "3"]) == 0
+    assert (out_a / f"{kind}.csv").read_bytes() == (out_b / f"{kind}.csv").read_bytes()
+
+
 def test_dense_cap_flag_reaches_evolver(tmp_path, monkeypatch):
     seen = []
     fs_check = cli._SCENARIOS["fs-check"]

@@ -1,0 +1,188 @@
+"""The basis's hop table: its entries, its reuse, and the matrices built from it."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from boselab.approx import quench_step_unitary
+from boselab.fock import FockBasis, enumerate_basis, truncation_projector
+from boselab.lattice import build_lattice
+from boselab.model import (
+    HamiltonianSpec,
+    Interaction,
+    Monomial,
+    assemble_hamiltonian,
+    bose_hubbard,
+    effective_hamiltonian,
+    local_operator,
+    subset_hamiltonian,
+)
+from helpers import oracle_hamiltonian, oracle_rank
+
+_LATTICES = [
+    ("chain", [1]), ("chain", [2]), ("chain", [3]), ("chain", [4]),
+    ("ring", [3]), ("ring", [4]), ("grid", [2, 2]), ("grid", [2, 3]),
+]
+_PRODUCT_DIM_MAX = 300
+
+
+@st.composite
+def lattice_bases(draw) -> FockBasis:
+    """Chains, rings and grids with per-site cutoffs 1 to 3, as product bases
+    or in a sector; large product spaces are always cut to a sector."""
+    kind, dims = draw(st.sampled_from(_LATTICES))
+    g = build_lattice(kind, dims)
+    cutoffs = draw(st.lists(st.integers(1, 3), min_size=g.site_count, max_size=g.site_count))
+    top = sum(cutoffs)
+    sectors = st.one_of(st.sampled_from([0, top]), st.integers(0, top))
+    if np.prod([c + 1 for c in cutoffs]) <= _PRODUCT_DIM_MAX:
+        sectors = st.one_of(st.none(), sectors)
+    return enumerate_basis(g, cutoffs, sector=draw(sectors))
+
+
+def random_spec(g, seed: int) -> HamiltonianSpec:
+    rng = np.random.default_rng(seed)
+    hoppings = tuple((i, j, float(rng.uniform(-1, 1))) for i, j in g.edges)
+    terms = tuple(
+        Interaction((i,), (Monomial(float(rng.normal()), (2,)), Monomial(float(rng.normal()), (1,))))
+        for i in g.sites
+    )
+    J_bar = max((abs(J) for _, _, J in hoppings), default=0.0)
+    return HamiltonianSpec(g, hoppings, terms, k_max=1, J_bar=J_bar)
+
+
+def restricted_spec(spec: HamiltonianSpec, hop_region, int_region) -> HamiltonianSpec:
+    """The hoppings inside hop_region and the interactions inside int_region."""
+    return HamiltonianSpec(
+        spec.lattice,
+        tuple(h for h in spec.hoppings if h[0] in hop_region and h[1] in hop_region),
+        tuple(t for t in spec.interactions if set(t.region) <= set(int_region)),
+        spec.k_max,
+        spec.J_bar,
+    )
+
+
+def sandwiched(mat, entries) -> sparse.csr_matrix:
+    """D mat D for D = diag(entries), stored the way assembly stores it."""
+    D = sparse.diags(entries)
+    out = sparse.csr_matrix(D @ mat @ D, dtype=np.complex128)
+    out.eliminate_zeros()
+    return out
+
+
+def assert_same_csr(a, b):
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@given(lattice_bases())
+@settings(max_examples=60, deadline=None)
+def test_hop_table_matches_loop_reference(b):
+    row, targets = b.hop_targets
+    assert targets.dtype == np.int32
+    assert targets.shape == (2 * len(b.lattice.edges), b.dim)
+    on_edge = np.zeros_like(row, dtype=bool)
+    for i, j in b.lattice.edges:
+        for src, dst in ((i, j), (j, i)):
+            on_edge[src, dst] = True
+            moved = b.states.astype(np.int64)
+            moved[:, src] -= 1
+            moved[:, dst] += 1
+            assert np.array_equal(targets[row[src, dst]], oracle_rank(b, moved))
+    assert np.all(row[~on_edge] == -1)
+    assert sorted(row[on_edge].tolist()) == list(range(targets.shape[0]))
+
+
+@given(lattice_bases(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
+    """Every assembly on one basis reads its one table and matches the loop reference."""
+    g = b.lattice
+    spec = random_spec(g, seed)
+    full = oracle_hamiltonian(spec, b)
+    site = data.draw(st.sampled_from(list(g.sites)))
+    X = sorted(data.draw(st.sets(st.sampled_from(list(g.sites)), min_size=1)))
+    scheme = [(X, data.draw(st.integers(0, 3)))]
+
+    assert_same_csr(assemble_hamiltonian(spec, b).matrix, full)
+    assert_same_csr(
+        subset_hamiltonian(spec, b, X).matrix,
+        oracle_hamiltonian(restricted_spec(spec, X, X), b),
+    )
+    assert_same_csr(
+        effective_hamiltonian(spec, b, scheme).matrix,
+        sandwiched(full, truncation_projector(b, scheme).entries),
+    )
+
+    cut = b.site_cutoffs[site]
+    h = local_operator(
+        "custom-matrix", [site], b, matrix=np.diag(0.5 * np.arange(cut + 1.0) ** 2)
+    )
+    q, qprime = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    step = quench_step_unitary(spec, h, b, [site], data.draw(st.integers(1, 2)), q, qprime, 0.1)
+    s = step.scheme
+    L1, L2 = set(s["L1"]), set(s["L2"])
+    live = [(sorted(r), c) for r, c in ((L2 - L1, q), (L1, qprime)) if r]
+    local = oracle_hamiltonian(restricted_spec(spec, s["L2p"], L2), b)
+    entries = truncation_projector(b, live).entries  # L1 is never empty
+    (B, _), (A, _) = step.factors
+    assert_same_csr(B.matrix, sandwiched(local, entries))
+    assert_same_csr(A.matrix, sandwiched(local + h.matrix, entries))
+
+    assert_same_csr(assemble_hamiltonian(spec, b).matrix, full)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The id of the basis of every FockBasis.rank call."""
+    calls = []
+    rank = FockBasis.rank
+
+    def counting(self, occ):
+        calls.append(id(self))
+        return rank(self, occ)
+
+    monkeypatch.setattr(FockBasis, "rank", counting)
+    return calls
+
+
+def sector_setup():
+    g = build_lattice("chain", [5])
+    return bose_hubbard(g, 1.0, 2.0), enumerate_basis(g, 2, sector=5)
+
+
+def test_second_assembly_ranks_nothing(rank_calls):
+    spec, b = sector_setup()
+    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5, 2.0]))
+    rank_calls.clear()
+    first = assemble_hamiltonian(spec, b)
+    assert rank_calls == [id(b)]  # the table's one batch
+    second = assemble_hamiltonian(spec, b)
+    subset_hamiltonian(spec, b, [1, 2, 3])
+    effective_hamiltonian(spec, b, [([2], 1)])
+    quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
+    assert rank_calls == [id(b)]
+    assert_same_csr(first.matrix, second.matrix)
+
+
+def test_hop_table_is_read_only():
+    _, b = sector_setup()
+    row, targets = b.hop_targets
+    with pytest.raises(ValueError):
+        targets[0, 0] = 0
+    with pytest.raises(ValueError):
+        row[0, 1] = 0
+    assert b.hop_targets[1] is targets
+
+
+def test_fresh_basis_builds_its_own_table(rank_calls):
+    spec, b = sector_setup()
+    _, other = sector_setup()
+    assemble_hamiltonian(spec, b)
+    assemble_hamiltonian(spec, other)
+    assert rank_calls == [id(b), id(other)]
+    assert other.hop_targets[1] is not b.hop_targets[1]
+    assert np.array_equal(other.hop_targets[1], b.hop_targets[1])

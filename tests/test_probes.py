@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+import boselab.probes as probes_mod
 from boselab.evolve import RUN_DENSE_CAP, StateVector, dense_expm, evolve_state, heisenberg
 from boselab.fock import enumerate_basis
 from boselab.lattice import build_lattice
-from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
+from boselab.model import _wrap, assemble_hamiltonian, bose_hubbard, local_operator
 from boselab.probes import (
     commutator_norms,
     connected_correlation,
@@ -19,7 +21,7 @@ from boselab.probes import (
     restricted_error,
     tail_probability,
 )
-from helpers import fock_state, random_state
+from helpers import fock_state, random_hermitian, random_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0, mu=0.0, sector=None):
@@ -228,6 +230,79 @@ def test_ground_state_iterative_path_matches_dense(kind, dims, cutoff, sector, J
     assert abs(sparse_path.gap_DeltaE - dense.gap_DeltaE) <= 1e-10
     assert dense.gap_DeltaE > 1e-3  # a unique ground state, so the vectors agree
     assert abs(abs(sparse_path.ground.overlap(dense.ground)) - 1.0) <= 1e-10
+
+
+@pytest.fixture
+def iterative_ground_state(monkeypatch):
+    """ground_state with the run cap below the dimension; records the dtype
+    of every matrix handed to eigsh."""
+    dtypes = []
+    eigsh = probes_mod.eigsh
+
+    def recording(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(probes_mod, "eigsh", recording)
+
+    def solve(H):
+        token = RUN_DENSE_CAP.set(H.dim - 1)
+        try:
+            return ground_state(H)
+        finally:
+            RUN_DENSE_CAP.reset(token)
+
+    return solve, dtypes
+
+
+def assert_matches_dense_oracle(res, H):
+    lam, Q = eigh(H.dense())
+    assert abs(res.E0 - lam[0]) <= 1e-10
+    assert abs(res.gap_DeltaE - (lam[1] - lam[0])) <= 1e-10
+    if not res.degenerate:
+        assert abs(np.vdot(Q[:, 0], res.ground.amplitudes)) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, dims, cutoff, sector",
+    [("chain", [5], 2, None), ("chain", [6], 2, 6), ("ring", [4], 3, 4)],
+)
+def test_real_hamiltonian_takes_real_symmetric_solver(
+    iterative_ground_state, kind, dims, cutoff, sector
+):
+    solve, dtypes = iterative_ground_state
+    g = build_lattice(kind, dims)
+    b = enumerate_basis(g, cutoff, sector=sector)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=2.5, mu=0.4), b)
+    res = solve(H)
+    assert dtypes == [np.float64]
+    assert not res.degenerate
+    assert res.ground.amplitudes.dtype == np.complex128
+    assert_matches_dense_oracle(res, H)
+
+
+def test_complex_hermitian_hamiltonian_keeps_complex_solver(iterative_ground_state):
+    solve, dtypes = iterative_ground_state
+    g = build_lattice("chain", [3])
+    b = enumerate_basis(g, 2)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=2.0), b)
+    C = local_operator("custom-matrix", [0, 1], b, matrix=0.3 * random_hermitian(9, 4))
+    Hc = _wrap(b, H.matrix + C.matrix)
+    assert Hc.hermitian and np.abs(Hc.matrix.data.imag).max() > 0
+    res = solve(Hc)
+    assert dtypes == [np.complex128]
+    assert_matches_dense_oracle(res, Hc)
+
+
+def test_real_iterative_solves_are_bit_identical(iterative_ground_state):
+    solve, dtypes = iterative_ground_state
+    g = build_lattice("chain", [6])
+    b = enumerate_basis(g, 2, sector=6)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=4.0), b)
+    r1, r2 = solve(H), solve(H)
+    assert dtypes == [np.float64, np.float64]
+    assert (r1.E0, r1.gap_DeltaE, r1.degenerate) == (r2.E0, r2.gap_DeltaE, r2.degenerate)
+    assert r1.ground.amplitudes.tobytes() == r2.ground.amplitudes.tobytes()
 
 
 def test_connected_correlation_product_state():
