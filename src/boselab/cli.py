@@ -133,6 +133,14 @@ def _integer(value) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _finite(value) -> float:
+    """A float that is a finite number; NaN and the infinities are refused."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
 def _bounded(
     lo: float, hi: float | None = None, conv: Callable = _integer, noun: str = "value"
 ) -> Callable[[object], object]:
@@ -425,8 +433,8 @@ class _Run:
             self.spec = _build_model(cfg, self.g)
         # t0 defaults to the longest time the scenario asks for, qbar to the
         # highest occupation of psi0
-        times = self.values("times", float, None) or (
-            [self.value("t", float)] if "t" in scn else []
+        times = self.values("times", _finite, None) or (
+            [self.value("t", _finite)] if "t" in scn else []
         )
         self.t0 = max(times, default=1.0)
         occ = _parse_psi0(scn["psi0"], self.b.n_sites) if "psi0" in scn else None
@@ -515,22 +523,25 @@ class _Run:
         self.manifest["resolved_constants"] = resolved
         return consts
 
+    def map(self, fn: Callable, *iterables) -> list:
+        """``[fn(*args) for args in zip(*iterables)]``, the calls independent.
+
+        With more than one thread they run in the pool, each in a copy of
+        this context, so the run's dense cap holds there too.
+        """
+        args = list(zip(*iterables))
+        if self.threads <= 1 or len(args) <= 1:
+            return [fn(*a) for a in args]
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, fn, *a) for a in args]
+            return [f.result() for f in futures]
+
     def sweep(self, cell: Callable, values: Sequence) -> list[dict]:
         """The rows of ``cell(v)`` (one row or a list) for every v, v the innermost axis.
 
-        Cells are independent.  With more than one thread they run in the
-        pool, each in a copy of this context, so the run's dense cap holds
-        there too.
+        Cells are independent and run through ``map``.
         """
-        if self.threads <= 1 or len(values) <= 1:
-            parts = [cell(v) for v in values]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                futures = [
-                    pool.submit(contextvars.copy_context().run, cell, v) for v in values
-                ]
-                parts = [f.result() for f in futures]
-        ranked = itertools.zip_longest(*map(_as_list, parts))
+        ranked = itertools.zip_longest(*map(_as_list, self.map(cell, values)))
         return [row for rows in ranked for row in rows if row is not None]
 
 
@@ -551,17 +562,18 @@ def _error_cells(err: float, bv: BoundValue) -> dict:
 def _lightcone_map(run: _Run) -> list[dict]:
     H = run.H
     i0 = run.value("i0", run.site, 0)
-    times = run.values("times", float)
+    times = run.values("times", _finite)
     O_A = run.observable({"kind": "number", "site": i0})
     probe_kind = run.value("probe", _one_of(_PROBES), "number")
     sites = run.values("sites", run.site, list(run.g.sites))
     probes = {i: _build_observable({"kind": probe_kind, "site": i}, run.b, run.rng) for i in sites}
 
-    def cell(t: float) -> list[dict]:
-        norms = commutator_norms(H, O_A, [probes[i] for i in sites], t)
-        return [{"i": i, "t": t, "commutator_norm": x} for i, x in zip(sites, norms)]
-
-    return run.sweep(cell, times)
+    norms = commutator_norms(H, O_A, [probes[i] for i in sites], times)
+    return [
+        {"i": i, "t": t, "commutator_norm": row[k]}
+        for k, i in enumerate(sites)
+        for t, row in zip(times, norms)
+    ]
 
 
 def _moment_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Callable:
@@ -589,7 +601,7 @@ def _transport_check(
     i0 = run.value("i0", run.site, 0)
     O_X = run.observable({"kind": "projector", "site": i0, "value": 1})
     params = run.values(values_key, _POSITIVE, default)
-    times = run.values("times", float)
+    times = run.values("times", _finite)
     sites = run.values("sites", run.site, list(g.sites))
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
@@ -603,8 +615,11 @@ def _transport_check(
     bound_at = bound(run, O_X, consts)
     dists = {i: float(min(int(g.distances[i, j]) for j in O_X.support)) for i in sites}
 
-    def cell(t: float) -> list[dict]:
-        phi = heisenberg_apply(H, O_X, psi0, t)
+    # the forward legs march once over the grid, the backward legs run in the pool
+    phis = heisenberg_apply(H, O_X, psi0, times, map_legs=run.map)
+
+    def cell(j: int) -> list[dict]:
+        t, phi = times[j], phis[j]
         rows = []
         for i in sites:
             for v in params:
@@ -616,7 +631,7 @@ def _transport_check(
                 })
         return rows
 
-    return run.sweep(cell, times)
+    return run.sweep(cell, range(len(times)))
 
 
 def _truncation_check(run: _Run) -> list[dict]:
@@ -624,7 +639,7 @@ def _truncation_check(run: _Run) -> list[dict]:
     X = run.values("X", run.site, [g.site_count // 2])
     ell0 = run.value("ell0", _POSITIVE, 1)
     q_values = run.values("q_values", _POSITIVE, list(range(1, max(b.site_cutoffs) + 1)))
-    t = run.value("t", float, 0.1)
+    t = run.value("t", _finite, 0.1)
     r = run.value("r", _RADIUS, 3.0)
     O_X = run.observable({"kind": "creation", "site": min(X)})
     psi0 = run.state("mott-1")
@@ -650,7 +665,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
     X = run.values("X", run.site, [g.site_count // 2])
     ell0_values = run.values("ell0_values", _POSITIVE, [1, 2])
-    t = run.value("t", float, 0.05)
+    t = run.value("t", _finite, 0.05)
     q = run.value("q", _POSITIVE, max(b.site_cutoffs))
     O_X = run.observable({"kind": "number", "site": min(X)})
     psi0 = run.state("mott-1")
@@ -676,7 +691,7 @@ def _approx_sweep(run: _Run) -> list[dict]:
     i0 = run.value("i0", run.site, 0)
     r0 = run.value("r0", _bounded(0), 0)
     R_values = run.values("R_values", _bounded(r0 + 1))
-    t = run.value("t", float, 0.1)
+    t = run.value("t", _finite, 0.1)
     O_X = run.observable({"kind": "number", "site": i0})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
@@ -707,7 +722,7 @@ def _quench_sim(run: _Run) -> list[dict]:
     h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
     h_X0 = local_operator("custom-matrix", [site], b, matrix=h_mat)
     psi0 = run.state("ground")
-    t = run.value("t", float, 0.1)
+    t = run.value("t", _finite, 0.1)
     R_values = run.values("R_values", _POSITIVE)
     consts = run.constants()
     options = {
@@ -867,7 +882,7 @@ def _fs_check(run: _Run) -> list[dict]:
 
 def _adjacency_check(run: _Run) -> list[dict]:
     g = run.g
-    times = run.values("times", float, [0.1, 0.5, 1.0])
+    times = run.values("times", _finite, [0.1, 0.5, 1.0])
     J_scale = run.value("J_scale", _bounded(0.0, conv=float), 1.0)
     adj = (g.distances == 1).astype(np.float64)
 

@@ -8,9 +8,16 @@ below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here: one refusal of
 the cap (``_require_dense``), one dense e^{-iHt} by eigendecomposition
-(``_dense_unitary``), one conjugation (``_conjugate``) and one operator
+(``_dense_unitaries``), one conjugation (``_conjugate``) and one operator
 2-norm (``_norm2``).  The dense path doubles as the oracle for the Krylov
 path in the test suite.
+
+One factorisation of H serves a whole grid of times, on both paths.  The
+dense path diagonalises each block of H once and builds e^{-iHt} from those
+eigenpairs at every time.  The Krylov loop marches once to the longest time
+on each side of zero; its step estimate bounds the defect over the whole
+step, so every time inside an accepted step is read from the subspace that
+step built, at no extra matvec.  A single time is a grid of one.
 
 Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Iterator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -118,24 +126,26 @@ def _lanczos_step(
     m: int,
     budget: float,
     first_check: int,
-) -> tuple[np.ndarray, float, int]:
+) -> tuple[Callable[[float], np.ndarray], float, int]:
     """One Krylov step w ~ exp(-i H dt) v with a residual-style error estimate.
 
     The subspace grows one vector at a time until the estimate
     beta_k |e_k^T exp(-i T_k dt) e_1| |dt| (Saad 1992) is at most
-    ``budget / 10``, where ``evolve_state`` accepts the step and doubles dt,
+    ``budget / 10``, where ``_march`` accepts the step and doubles dt,
     the recurrence breaks down, or it holds ``m`` vectors.  Where the value
     at dt would stop the subspace early or pass the step at the cap, the
     estimate takes the defect's peak over the whole step instead (see
     ``_defect_peak``).  Each check costs an eigendecomposition of T_k, so
     checks start at ``first_check`` vectors and, once the estimate falls,
     skip ahead along its trend; a skipped check costs vectors, never
-    accuracy.  Returns the vector, the estimate and the number of Krylov
-    vectors built.
+    accuracy.  Returns the step's propagator, tau -> exp(-i H tau) v read
+    from the subspace, the estimate and the number of Krylov vectors built.
+    The estimate bounds the defect over all of (0, dt], so it holds for the
+    propagator at every tau in there.
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
-        return v.copy(), 0.0, 0
+        return lambda tau: v.copy(), 0.0, 0
     n = v.size
     m = min(m, n)
     V = np.zeros((m, n), dtype=np.complex128)
@@ -184,42 +194,99 @@ def _lanczos_step(
             trend = (k, err, b, rate)
         last_check = (k, err)
         V[k + 1] = w / b
-    return beta0 * (V[: k + 1].T @ y), err, k + 1
+
+    def at(tau: float) -> np.ndarray:
+        y = S @ (np.exp(-1j * tau * lam) * S[0, :].conj())
+        return beta0 * (V[: k + 1].T @ y)
+
+    return at, err, k + 1
+
+
+def _times(t) -> tuple[np.ndarray, bool]:
+    """``t`` as a 1-D array of finite times, and whether it was a single time."""
+    times = np.asarray(t, dtype=float)
+    scalar = times.ndim == 0
+    times = np.atleast_1d(times)
+    if times.ndim != 1:
+        raise ValueError("times must be a number or a 1-D grid")
+    if not np.isfinite(times).all():
+        raise ValueError(f"times must be finite, got {t!r}")
+    return times, scalar
 
 
 def evolve_state(
     H: OperatorMatrix,
     psi: StateVector,
-    t: float,
+    t,
     tol: float = 1e-10,
     *,
     return_report: bool = False,
     max_krylov: int = _MAX_KRYLOV,
 ):
-    """psi(t) = e^{-iHt} psi, accurate to tol in 2-norm.
+    """psi(t) = e^{-iHt} psi, accurate to tol in 2-norm, at a time or a grid of times.
 
-    Diagonal H takes the exact phase path; otherwise adaptive Lanczos.
+    ``t`` is a finite time or a 1-D grid of them, in any order, with
+    repeats, zeros and negative times allowed.  A time returns a state, a
+    grid a list of states in grid order.  Diagonal H takes the exact phase
+    path; otherwise adaptive Lanczos marches once to the longest time on
+    each side of zero, and reads every time of the grid from the subspace
+    of the accepted step that covers it.  The report sums steps, estimates,
+    matvecs and rejected steps over the two sides.
     Raises PropagationError instead of silently returning a bad vector.
     """
     if H.basis is not psi.basis:
         raise ValueError("H and psi live on different bases")
     if not H.hermitian:
         raise ValueError("evolve_state requires a Hermitian generator")
-    t = float(t)
+    times, scalar = _times(t)
     t_start = time.perf_counter()
-    if t == 0.0:
-        rep = PropagatorReport("diagonal", 0, 0.0, 0.0)
-        out = StateVector(psi.basis, psi.amplitudes.copy())
-        return (out, rep) if return_report else out
-
+    out: list = [None] * times.size
+    for j in np.flatnonzero(times == 0.0):
+        out[j] = psi.amplitudes.copy()
+    method, counts = "diagonal", (0, 0.0, 0, 0)  # steps, estimate, matvecs, rejected
     if H.is_diagonal:
         d = H.matrix.diagonal()
-        amps = psi.amplitudes * np.exp(-1j * t * d.real)
-        rep = PropagatorReport("diagonal", 1, 0.0, time.perf_counter() - t_start)
-        out = StateVector(psi.basis, amps)
-        return (out, rep) if return_report else out
+        for j in np.flatnonzero(times):
+            out[j] = psi.amplitudes * np.exp(-1j * times[j] * d.real)
+        counts = (int(times.any()), 0.0, 0, 0)
+    else:
+        for side in (times > 0.0, times < 0.0):
+            idx = np.flatnonzero(side)
+            if idx.size:
+                vecs, more = _march(H.matrix, psi.amplitudes, times[idx], tol, max_krylov)
+                for j, w in zip(idx, vecs):
+                    out[j] = w
+                method = "krylov"
+                counts = tuple(a + b for a, b in zip(counts, more))
+    steps, err, matvecs, rejected = counts
+    rep = PropagatorReport(
+        method, steps, err, time.perf_counter() - t_start, matvecs, rejected
+    )
+    states = [StateVector(psi.basis, w) for w in out]
+    result = states[0] if scalar else states
+    return (result, rep) if return_report else result
 
-    v = psi.amplitudes.astype(np.complex128).copy()
+
+def _march(
+    H: sparse.csr_matrix, psi: np.ndarray, ts: np.ndarray, tol: float, max_krylov: int
+) -> tuple[list[np.ndarray], tuple[int, float, int, int]]:
+    """e^{-iHt} psi at every t of ``ts`` (nonzero, all of one sign), by one march.
+
+    The march steps to the longest time t as if it were the only one: its
+    step control and matvecs do not depend on the other times.  A time t_j
+    lies in the accepted step that covers it, at offset tau in (0, dt], and
+    is read from that step's propagator; the estimate bounds every tau of
+    the step, so each vector is good to the tolerance too.  Returns the
+    vectors in the order of ``ts`` and (steps, summed estimate, matvecs,
+    rejected steps).
+    """
+    order = np.argsort(np.abs(ts), kind="stable")
+    t = float(ts[order[-1]])
+    # each time's distance back from t, nearest time first; order[nxt:] are ahead
+    back = [t - float(ts[j]) for j in order]
+    nxt = 0
+    out: list = [None] * ts.size
+    v = psi.astype(np.complex128).copy()
     remaining = t
     dt = t
     steps = rejected = matvecs = first_check = 0
@@ -229,11 +296,14 @@ def evolve_state(
         if abs(dt) > abs(remaining):
             dt = remaining
         budget = tol * abs(dt) / abs(t)
-        w, err, built = _lanczos_step(
-            H.matrix, v, dt, max_krylov, budget, first_check
-        )
+        at, err, built = _lanczos_step(H, v, dt, max_krylov, budget, first_check)
         matvecs += built
         if err <= budget:
+            w = at(dt)
+            while nxt < ts.size and abs(remaining - back[nxt]) <= abs(dt):
+                tau = remaining - back[nxt]
+                out[order[nxt]] = w.copy() if tau == dt else at(tau)
+                nxt += 1
             v = w
             remaining -= dt
             steps += 1
@@ -252,11 +322,12 @@ def evolve_state(
                     f"Krylov step at dt={dt:.3e} still exceeds tolerance "
                     f"(estimate {err:.3e} > {budget:.3e}); refusing to continue"
                 )
-    rep = PropagatorReport(
-        "krylov", steps, err_acc, time.perf_counter() - t_start, matvecs, rejected
-    )
-    out = StateVector(psi.basis, v)
-    return (out, rep) if return_report else out
+        # free this step's subspace before the next step builds its own
+        del at
+    # the march can stop a rounding error short of a time it reaches
+    for j in order[nxt:]:
+        out[j] = v.copy()
+    return out, (steps, err_acc, matvecs, rejected)
 
 
 def _require_dense(dim: int) -> None:
@@ -361,17 +432,34 @@ class _Blocks:
         return _Blocks(self.basis, self.whole, self.shift, mats)
 
 
-def _dense_unitary(H: OperatorMatrix, t: float) -> _Blocks:
-    """Dense e^{-iHt}, one eigendecomposition per block of the Hermitian H."""
+def _dense_unitaries(H: OperatorMatrix, t) -> Iterator[_Blocks]:
+    """Dense e^{-iHt} at each time of ``t``, in grid order, from one ``eigh`` per block.
+
+    H must be Hermitian.  The blocks are diagonalised once, before the
+    first unitary is built; each unitary is then Q e^{-i lambda t} Q^dagger
+    per block, built when it is asked for, so a grid holds one at a time.
+    """
+    times, _ = _times(t)
     _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
     blocks = _Blocks.of(H, whole=H.delta_n != 0)
-    mats = {}
-    for N, M in blocks.mats.items():
-        lam, Q = eigh(M)
-        mats[N] = (Q * np.exp(-1j * t * lam)) @ Q.conj().T
-    return _Blocks(H.basis, blocks.whole, 0, mats)
+    eig = {N: eigh(M) for N, M in blocks.mats.items()}
+    return (
+        _Blocks(
+            H.basis,
+            blocks.whole,
+            0,
+            {N: (Q * np.exp(-1j * s * lam)) @ Q.conj().T for N, (lam, Q) in eig.items()},
+        )
+        for s in times
+    )
+
+
+def _dense_unitary(H: OperatorMatrix, t: float) -> _Blocks:
+    """Dense e^{-iHt} at one time: the grid of one."""
+    (U,) = _dense_unitaries(H, [t])
+    return U
 
 
 def _conjugate(U: _Blocks, A: _Blocks) -> _Blocks:

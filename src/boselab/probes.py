@@ -12,7 +12,7 @@ meaningful.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,16 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .evolve import StateVector, _Blocks, _norm2, dense_cap, evolve_state, heisenberg
+from .evolve import (
+    StateVector,
+    _Blocks,
+    _conjugate,
+    _dense_unitaries,
+    _norm2,
+    _times,
+    dense_cap,
+    evolve_state,
+)
 from .model import OperatorMatrix
 
 GROUND_RESIDUAL_TOL = 1e-8
@@ -100,37 +109,61 @@ def heisenberg_apply(
     H: OperatorMatrix,
     O: OperatorMatrix,
     psi: StateVector,
-    t: float,
+    t,
     *,
     tol: float = 1e-10,
-) -> StateVector:
+    map_legs: Callable = map,
+):
     """Apply the Heisenberg-evolved operator to a state without forming it.
 
     Computes ``e^{iHt} O e^{-iHt} |psi>`` by two sparse propagations and one
-    matvec, so it works far beyond the dense cap.
+    matvec, so it works far beyond the dense cap.  ``t`` is a time or a grid
+    of times (see ``evolve_state``); a grid returns a list of states in its
+    order.  The forward legs e^{-iHt} psi of a grid come from one
+    ``evolve_state`` call.  Each backward leg starts from its own vector, so
+    they run one per time, through ``map_legs``: the builtin ``map``, or any
+    callable like it that keeps the order, such as a pooled one.
     """
-    forward = evolve_state(H, psi, t, tol=tol)
-    hit = StateVector(psi.basis, O.matrix @ forward.amplitudes)
-    return evolve_state(H, hit, -t, tol=tol)
+    times, scalar = _times(t)
+    forward = evolve_state(H, psi, times, tol=tol)
+
+    def backward(j: int) -> StateVector:
+        # each forward vector is let go once its leg has taken it
+        phi, forward[j] = forward[j], None
+        hit = StateVector(psi.basis, O.matrix @ phi.amplitudes)
+        return evolve_state(H, hit, -times[j], tol=tol)
+
+    out = list(map_legs(backward, range(times.size)))
+    return out[0] if scalar else out
 
 
 def commutator_norms(
-    H: OperatorMatrix, O_A: OperatorMatrix, O_Bs: Sequence[OperatorMatrix], t: float
-) -> list[float]:
-    """Spectral norms of [O_A(t), O_B] for each O_B, with O_A evolved once by ``H``.
+    H: OperatorMatrix, O_A: OperatorMatrix, O_Bs: Sequence[OperatorMatrix], t
+) -> list:
+    """Spectral norms of [O_A(t), O_B] for each O_B, with O_A evolved by ``H``.
 
-    The commutator is formed and normed block by block over particle number;
-    for Hermitian O_A and O_B the norm comes from the eigenvalues of the
-    Hermitian i[O_A(t), O_B].
+    ``t`` is a time, which returns one norm per O_B, or a grid of times,
+    which returns that list for each time in grid order.  H is diagonalised
+    once per call (one ``eigh`` per N-block).  O_A(t) is kept in blocks for
+    every time of the grid, and each O_B is blocked once and normed against
+    all of them, so one probe's blocks are held at a time.  The commutator
+    is formed and normed block by block over particle number; for Hermitian
+    O_A and O_B the norm comes from the eigenvalues of the Hermitian
+    i[O_A(t), O_B].
     """
-    A = _Blocks.of(heisenberg(H, O_A, t))
-    norms = []
-    for O_B in O_Bs:
+    if H.basis is not O_A.basis:
+        raise ValueError("H and O_A live on different bases")
+    times, scalar = _times(t)
+    A0 = _Blocks.of(O_A)
+    As = [_conjugate(U, A0) for U in _dense_unitaries(H, times)]
+    out = [[0.0] * len(O_Bs) for _ in As]
+    for k, O_B in enumerate(O_Bs):
         B = _Blocks.of(O_B)
-        C = A @ B - B @ A
         hermitian = O_A.hermitian and O_B.hermitian
-        norms.append(_norm2(1j * C if hermitian else C, hermitian))
-    return norms
+        for norms, A in zip(out, As):
+            C = A @ B - B @ A
+            norms[k] = _norm2(1j * C if hermitian else C, hermitian)
+    return out[0] if scalar else out
 
 
 def restricted_error(

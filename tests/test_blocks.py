@@ -172,6 +172,20 @@ def test_commutator_norms_match_the_whole_matrix_oracle(basis_kind, h_kind, a_ki
     np.testing.assert_allclose(got, oracle_commutator_norms(H, O_A, O_Bs, t), rtol=0, atol=TOL)
 
 
+@pytest.mark.parametrize("basis_kind, h_kind", CASES)
+@pytest.mark.parametrize("a_kind", ["number", "creation", "annihilation", "mixing-hermitian"])
+def test_commutator_norms_over_a_grid_equal_one_time_calls(basis_kind, h_kind, a_kind):
+    # O_A with ΔN 0, +1, -1 and None against probes of every ΔN; the grid is
+    # unsorted and repeats a time, and its norms are the one-time calls' bits
+    b, H = case(basis_kind, h_kind)
+    O_A = probe(a_kind, b, site=0)
+    O_Bs = [probe(kind, b, site=i) for kind in PROBES for i in (0, 3)]
+    grid = [0.6, 0.0, -0.35, 0.6, 1.2]
+    got = commutator_norms(H, O_A, O_Bs, grid)
+    assert got == [commutator_norms(H, O_A, O_Bs, t) for t in grid]
+    assert all(isinstance(x, float) for x in commutator_norms(H, O_A, O_Bs, 0.6))
+
+
 @pytest.mark.parametrize("basis_kind", ["product", "sector"])
 @pytest.mark.parametrize("h_kind", ["number", "mixing-hermitian"])
 def test_interaction_picture_unitary_matches_the_whole_matrix_oracle(basis_kind, h_kind):

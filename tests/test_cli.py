@@ -233,6 +233,20 @@ def test_threads_do_not_change_output(tmp_path):
     assert (out_a / "lightcone-map.csv").read_bytes() == (
         out_b / "lightcone-map.csv"
     ).read_bytes()
+    # transport checks march their forward legs once over an unsorted grid
+    # with a repeated time, and run the backward legs in the pool
+    for kind, times in (("moment-check", [0.1, 0.05, 0.1]), ("tail-check", [0.1, 0.02, 0.1, 0.05])):
+        payload = json.loads(json.dumps(CONFIGS[kind]))
+        payload["scenario"]["times"] = times
+        cfg = write_cfg(tmp_path, payload, f"{kind}.json")
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / kind / threads
+            assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 0
+            csvs.append((out / f"{kind}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        rows = list(csv.DictReader(csvs[0].decode().splitlines()))
+        assert [float(r["t"]) for r in rows[: len(times)]] == times
 
 
 @pytest.mark.parametrize("kind", ["quench-sim", "approx-sweep"])
@@ -302,11 +316,14 @@ def test_dense_cap_lasts_one_run(tmp_path, capsys):
 
 
 def test_dense_cap_reaches_worker_threads(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, LIGHTCONE_32)
-    out = str(tmp_path / "no")
-    rc = main(["run", str(cfg), "--out", out, "--dense-cap", "10", "--threads", "3"])
-    assert rc == 2
-    assert "exceeds dense cap 10" in capsys.readouterr().err
+    # lightcone-map factorises H once, before any pool; approx-sweep builds
+    # its step products in the pooled cells, so only there can the cap refuse
+    for name, payload in (("lightcone", LIGHTCONE_32), ("approx", CONFIGS["approx-sweep"])):
+        cfg = write_cfg(tmp_path, payload, f"{name}.json")
+        out = str(tmp_path / name)
+        rc = main(["run", str(cfg), "--out", out, "--dense-cap", "10", "--threads", "3"])
+        assert rc == 2
+        assert "exceeds dense cap 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, products", [("short-lr-check", 2), ("approx-sweep", 3)])
@@ -468,6 +485,15 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("adjacency-check", "scenario", "J_scale", -1, "scenario.J_scale"),
         ("lightcone-map", "scenario", "probe", "bogus", "scenario.probe"),
         ("lightcone-map", "scenario", "probe", "projector", "scenario.probe"),
+        ("moment-check", "scenario", "times", [0.1, math.nan], "scenario.times"),
+        ("tail-check", "scenario", "times", [math.inf], "scenario.times"),
+        ("lightcone-map", "scenario", "times", [math.inf], "scenario.times"),
+        ("lightcone-map", "scenario", "times", [0.2, -math.inf], "scenario.times"),
+        ("adjacency-check", "scenario", "times", [math.nan], "scenario.times"),
+        ("truncation-check", "scenario", "t", math.nan, "scenario.t"),
+        ("short-lr-check", "scenario", "t", math.inf, "scenario.t"),
+        ("approx-sweep", "scenario", "t", -math.inf, "scenario.t"),
+        ("quench-sim", "scenario", "t", math.nan, "scenario.t"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
@@ -476,6 +502,36 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_non_finite_time_with_a_given_t0_names_its_field(tmp_path, capsys):
+    # with t0 given, no constant is derived from the times, so only the read refuses
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["constants"]["t0"] = 0.1
+    payload["scenario"]["times"] = [0.1, math.nan]
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: scenario.times: nan is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "moment-check.csv").exists()
+
+
+def test_lightcone_map_factorises_each_block_once_per_grid(tmp_path, monkeypatch):
+    # hard-core chain 8 has 9 N-blocks: one eigh each serves all three times
+    calls = []
+    real = evolve_mod.eigh
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.shape)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(evolve_mod, "eigh", counting)
+    payload = json.loads(json.dumps(CONFIGS["lightcone-map"]))
+    payload["lattice"]["dims"] = [8]
+    payload["scenario"]["times"] = [0.5, 1.0, 1.5]
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 9
+    assert sorted(n for n, _ in calls) == sorted(math.comb(8, k) for k in range(9))
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from boselab.evolve import (
 from boselab.fock import ResourceLimitError, enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
-from helpers import fock_state, mott_occupation, random_state
+from helpers import fock_state, mott_occupation, oracle_unitary, random_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0, mu=0.0, sector=None):
@@ -240,6 +240,123 @@ def test_early_stop_matches_expm_multiply_above_dense_cap(t):
     out = evolve_state(H, psi, t)
     ref = expm_multiply(-1j * t * H.matrix, psi.amplitudes)
     assert np.linalg.norm(out.amplitudes - ref) <= 1e-9
+
+
+# -- grids of times: one march per side of zero, every time read off a step --
+
+
+def step_ends(monkeypatch, H, psi, t):
+    """Where the accepted steps of the march to ``t`` end, as cumulative times.
+
+    An accepted step reads its end from its subspace; a rejected one reads nothing.
+    """
+    ends = []
+    real = evolve_mod._lanczos_step
+
+    def recording(*args):
+        at, err, built = real(*args)
+
+        def read(tau):
+            ends.append(tau)
+            return at(tau)
+
+        return read, err, built
+
+    with monkeypatch.context() as m:
+        m.setattr(evolve_mod, "_lanczos_step", recording)
+        evolve_state(H, psi, t)
+    return np.cumsum(ends).tolist()
+
+
+def assert_grid_matches_oracle(H, psi, grid, tol):
+    out = evolve_state(H, psi, grid, tol=tol)
+    assert isinstance(out, list) and len(out) == len(grid)
+    for t, state in zip(grid, out):
+        exact = oracle_unitary(H, t) @ psi.amplitudes
+        assert np.linalg.norm(state.amplitudes - exact) <= tol, t
+
+
+@pytest.mark.parametrize("start", ["random", "fock"])
+def test_grid_over_many_steps_matches_dense_oracle(start, monkeypatch):
+    system = "chain6-cutoff3-N6"
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS[system])
+    psi = early_stop_start(system, b, start)
+    t = 16.0
+    # every multiple of t/32: the ends of the march's steps are among them
+    grid = [t * k / 32 for k in range(32, 0, -1)]
+    ends = step_ends(monkeypatch, H, psi, t)
+    assert len(ends) > 4 and set(ends) <= set(grid)
+    assert_grid_matches_oracle(H, psi, grid, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [0.4, -0.4, 0.0, 0.4, -1.3, 0.05, 2.5],  # unsorted, repeated, zero, both signs
+        [-2.0, -0.1, -0.1],
+        [0.0, 0.0],
+        [3.0],
+        [],
+    ],
+)
+def test_grid_of_mixed_times_matches_dense_oracle(grid):
+    g, b, H = chain_setup(4, 2, J=1.0, U=0.9, mu=0.3)
+    assert_grid_matches_oracle(H, random_state(b, 8), grid, 1e-10)
+
+
+def test_grid_on_a_diagonal_hamiltonian_takes_exact_phases():
+    g, b, H = chain_setup(3, 3, J=0.0, U=0.8, mu=0.7)
+    psi = random_state(b, 2)
+    grid = [1.3, -0.2, 0.0, 1.3]
+    assert_grid_matches_oracle(H, psi, grid, 1e-12)
+    _, report = evolve_state(H, psi, grid, return_report=True)
+    assert (report.method, report.matvecs) == ("diagonal", 0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_grid_builds_no_more_vectors_than_its_longest_time(sign):
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS["chain6-cutoff3-N6"])
+    psi = random_state(b, 17)
+    grid = [sign * t for t in (0.3, 5.0, 1.7, 0.3, 9.0, 4.5)]
+    out, report = evolve_state(H, psi, grid, return_report=True)
+    _, alone = evolve_state(H, psi, sign * 9.0, return_report=True)
+    assert report.method == "krylov"
+    assert report.matvecs <= alone.matvecs
+    assert report.steps == alone.steps
+    # the longest time is the march's end, which the march computes alone
+    assert np.array_equal(out[4].amplitudes, evolve_state(H, psi, sign * 9.0).amplitudes)
+
+
+def test_a_single_time_keeps_its_return_types():
+    g, b, H = chain_setup(3, 2, J=1.0, U=0.5)
+    psi = random_state(b, 1)
+    assert isinstance(evolve_state(H, psi, 0.3), StateVector)
+    state, report = evolve_state(H, psi, 0.3, return_report=True)
+    assert isinstance(state, StateVector) and isinstance(report, evolve_mod.PropagatorReport)
+    states, report = evolve_state(H, psi, [0.3], return_report=True)
+    assert [type(x) for x in states] == [StateVector]
+    assert np.array_equal(states[0].amplitudes, state.amplitudes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(bad):
+    g, b, H = chain_setup(3, 2, J=1.0, U=0.5)
+    psi = random_state(b, 1)
+    O = local_operator("number", [0], b)
+    calls = [
+        lambda: evolve_state(H, psi, bad),
+        lambda: evolve_state(H, psi, [0.1, bad]),
+        lambda: dense_expm(H, bad),
+        lambda: heisenberg(H, O, bad),
+        lambda: interaction_picture_unitary(H, O, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+    # the diagonal path too
+    g1, b1, H1 = chain_setup(1, 3, J=0.0, mu=0.7)
+    with pytest.raises(ValueError, match="finite"):
+        evolve_state(H1, fock_state(b1, (2,)), bad)
 
 
 def test_heisenberg_conjugation():

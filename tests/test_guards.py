@@ -203,3 +203,43 @@ def test_only_evolve_takes_operator_two_norms():
             ):
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+
+def _callers(name: str) -> list[str]:
+    """``module.function`` around every call of ``name`` in the package.
+
+    The innermost enclosing function counts; a call at module level is
+    ``module.<module>``.
+    """
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module: str) -> None:
+            self.stack = [f"{module}.<module>"]
+
+        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            self.stack.append(f"{self.stack[0].split('.')[0]}.{node.name}")
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Call(self, node: ast.Call) -> None:
+            if _call_name(node) == name:
+                found.append(self.stack[-1])
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Visitor(path.stem).visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_one_factorisation_per_grid():
+    """H is factorised in one place per path, and each serves a whole grid of times.
+
+    The Krylov loop has one caller of its step, ``evolve._march``, which
+    marches a grid; the one ``eigh`` of H's blocks is in
+    ``evolve._dense_unitaries``, which builds e^{-iHt} for a grid.  The
+    ground-state solve keeps its own whole-matrix ``eigh``.
+    """
+    assert _callers("_lanczos_step") == ["evolve._march"]
+    assert sorted(_callers("eigh")) == ["evolve._dense_unitaries", "probes.ground_state"]

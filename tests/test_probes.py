@@ -115,6 +115,32 @@ def test_heisenberg_apply_matches_dense_route():
     assert np.linalg.norm(direct - via_states.amplitudes) <= 1e-9
 
 
+def test_heisenberg_apply_over_a_grid_marches_its_forward_legs_once(monkeypatch):
+    g, b, H = chain_setup(3, 2, J=1.0, U=0.9)
+    O = local_operator("number", [0], b)
+    psi = random_state(b, 4)
+    grid = [0.8, -0.3, 0.0, 0.8, 2.1]
+    calls, legs = [], []
+    real = probes_mod.evolve_state
+
+    def counting(H_, psi_, t, **kw):
+        calls.append(t)
+        return real(H_, psi_, t, **kw)
+
+    def recording_map(fn, *iterables):
+        legs.append(len(iterables[0]))
+        return map(fn, *iterables)
+
+    monkeypatch.setattr(probes_mod, "evolve_state", counting)
+    got = heisenberg_apply(H, O, psi, grid, tol=1e-12, map_legs=recording_map)
+    # one forward call over the grid, then one backward leg per time
+    assert len(calls) == 1 + len(grid) and legs == [len(grid)]
+    for t, phi in zip(grid, got):
+        direct = heisenberg(H, O, t).matrix @ psi.amplitudes
+        assert np.linalg.norm(direct - phi.amplitudes) <= 1e-9
+    assert isinstance(heisenberg_apply(H, O, psi, 0.8), StateVector)
+
+
 def test_commutator_norm_zero_cases():
     g, b, H = chain_setup(4, 1, J=1.0)
     n0 = local_operator("number", [0], b)
