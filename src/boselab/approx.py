@@ -88,8 +88,7 @@ class LocalUnitary:
     """Unitary supported on a halo region: a chain of short exponentials.
 
     ``factors`` holds (G, tau) pairs, each e^{-i G tau} for a Hermitian
-    generator G, in application order: factors[0] hits the state first (a
-    factor's last two entries are read, so ("expm", G, tau) means the same).
+    generator G, in application order: factors[0] hits the state first.
     Construction verifies number commutation on every generator exactly.
     Within the dense cap it also builds the product once, block by block
     over particle number, checks that it is unitary, and keeps it for
@@ -118,7 +117,7 @@ class LocalUnitary:
         """Exact max |[factor generator, n_support]| entry over all factors."""
         n = number_operator(self.basis, self.support).entries
         worst = 0.0
-        for *_, G, _ in self.factors:
+        for G, _ in self.factors:
             mat = G.matrix.tocoo()
             if mat.nnz:
                 d = np.abs(mat.data * (n[mat.col] - n[mat.row]))
@@ -129,7 +128,7 @@ class LocalUnitary:
     def _product(self) -> _Blocks:
         _require_dense(self.basis.dim)
         U = _Blocks.identity(self.basis)
-        for *_, G, tau in self.factors:
+        for G, tau in self.factors:
             U = _dense_unitary(G, float(tau)) @ U
         return U
 

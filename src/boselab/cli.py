@@ -60,7 +60,7 @@ from .bounds import (
     truncation_error_bound,
 )
 from .evolve import RUN_DENSE_CAP, StateVector, evolve_state, spectral_norm
-from .fock import FockBasis, enumerate_basis
+from .fock import FockBasis, ResourceLimitError, enumerate_basis
 from .lattice import LatticeGraph, ball, boundary, build_lattice, geometric_constants
 from .model import (
     HamiltonianSpec,
@@ -174,7 +174,7 @@ def _one_of(options: Sequence[str]) -> Callable[[object], str]:
 
 # ranges the library refuses outside of, read here so the error names the field
 _POSITIVE = _bounded(1)
-_RADIUS = _bounded(3.0, conv=float)  # r of the distance-window bounds
+_RADIUS = _bounded(3.0, conv=_finite)  # r of the distance-window bounds
 _PROBES = ("number", "creation", "annihilation", "phase")
 _TAIL_MODES = ("markov-optimized", "paper")
 
@@ -256,27 +256,27 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
 
             return bose_hubbard(
                 g,
-                _need(block, "model", "J", float),
-                _need(block, "model", "U", float),
-                _need(block, "model", "mu", float, 0.0),
+                _need(block, "model", "J", _finite),
+                _need(block, "model", "U", _finite),
+                _need(block, "model", "mu", _finite, 0.0),
             )
         hoppings = _need(
             block, "model", "hoppings",
-            lambda hs: tuple((site(i), site(j), float(Jij)) for i, j, Jij in hs), [],
+            lambda hs: tuple((site(i), site(j), _finite(Jij)) for i, j, Jij in hs), [],
         )
         terms, where = [], "model.interactions[]"
         for item in block.get("interactions", []):
             _check_keys(item, ("region", "monomials"), where)
             region = _need(item, where, "region", lambda r: tuple(site(i) for i in r))
             monos = _need(item, where, "monomials", lambda ms: tuple(
-                Monomial(float(c), tuple(_integer(p) for p in powers)) for c, powers in ms
+                Monomial(_finite(c), tuple(_integer(p) for p in powers)) for c, powers in ms
             ))
             terms.append(Interaction(region, monos))
         k_max = _need(
             block, "model", "k_max", _integer, max((len(t.region) for t in terms), default=1)
         )
-        J_bar = float(
-            block.get("J_bar", max((abs(J) for _, _, J in hoppings), default=0.0))
+        J_bar = _need(
+            block, "model", "J_bar", _finite, max((abs(J) for _, _, J in hoppings), default=0.0)
         )
         return HamiltonianSpec(
             lattice=g,
@@ -497,7 +497,7 @@ class _Run:
             "zeta0": zeta0,
         }
         for key in block:
-            conv = _integer if key in ("dG", "D", "k") else float
+            conv = _integer if key in ("dG", "D", "k") else _finite
             vals[key] = _need(block, "constants", key, conv, None)
         try:
             consts = BoundConstants(**vals)
@@ -696,7 +696,7 @@ def _approx_sweep(run: _Run) -> list[dict]:
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
     ell0, q = run.value("ell0", _POSITIVE, None), run.value("q", _POSITIVE, None)
-    delta_t0 = run.value("delta_t0", float, None)
+    delta_t0 = run.value("delta_t0", _finite, None)
 
     def cell(R: int) -> dict:
         O_R, trace = approximate_heisenberg(
@@ -716,7 +716,7 @@ def _quench_sim(run: _Run) -> list[dict]:
     h_cfg = run.value("h", dict)
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
     site = _need(h_cfg, "scenario.h", "site", run.site)
-    coeff = _need(h_cfg, "scenario.h", "coeff", float, 1.0)
+    coeff = _need(h_cfg, "scenario.h", "coeff", _finite, 1.0)
     power = _need(h_cfg, "scenario.h", "power", _bounded(0), 2)
     cut = b.site_cutoffs[site]
     h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
@@ -728,7 +728,7 @@ def _quench_sim(run: _Run) -> list[dict]:
     options = {
         key: run.value(key, conv, None)
         for key, conv in (("ell0", _POSITIVE), ("q", _POSITIVE), ("qprime", _POSITIVE),
-                          ("delta_t0", float), ("stationarity_tol", float))
+                          ("delta_t0", _finite), ("stationarity_tol", _finite))
     }
     kwargs = {key: v for key, v in options.items() if v is not None}
 
@@ -812,7 +812,7 @@ def _report_bounds(run: _Run) -> list[dict]:
         points = [{"t": t, "delta": delta} for t, delta in itertools.product(*axes)]
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
-            t, delta = (_need(p, "scenario.grid", k, float) for k in ("t", "delta"))
+            t, delta = (_need(p, "scenario.grid", k, _finite) for k in ("t", "delta"))
             R = lightcone_radius(t, delta, consts)
             return R, math.log(R), True
 
@@ -842,11 +842,15 @@ def _report_bounds(run: _Run) -> list[dict]:
             }
             for combo in itertools.product(*(_as_list(grid[k]) for k in keys))
         ]
-        # s and q must be integers; the params column still writes them as floats
+        # s and q must be integers, the other numbers finite; the params
+        # column still writes them as floats
         for p in points:
-            for k in ("s", "q"):
-                if k in p:
-                    _need(p, "scenario.grid" if k in grid else "scenario.fixed", k, _integer)
+            for k, v in p.items():
+                where = "scenario.grid" if k in grid else "scenario.fixed"
+                if k in ("s", "q"):
+                    _need(p, where, k, _integer)
+                elif isinstance(v, float):
+                    _need(p, where, k, _finite)
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
             try:
@@ -883,7 +887,7 @@ def _fs_check(run: _Run) -> list[dict]:
 def _adjacency_check(run: _Run) -> list[dict]:
     g = run.g
     times = run.values("times", _finite, [0.1, 0.5, 1.0])
-    J_scale = run.value("J_scale", _bounded(0.0, conv=float), 1.0)
+    J_scale = run.value("J_scale", _bounded(0.0, conv=_finite), 1.0)
     adj = (g.distances == 1).astype(np.float64)
 
     def cell(t: float) -> dict:
@@ -1058,7 +1062,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # computation failures surface with their type
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, ResourceLimitError) and exc.cap == "dense":
+            print(f"error: {exc}; --dense-cap raises the cap for one run", file=sys.stderr)
+        else:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,9 +8,10 @@ below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here: one refusal of
 the cap (``_require_dense``), one dense e^{-iHt} by eigendecomposition
-(``_dense_unitaries``), one conjugation (``_conjugate``) and one operator
-2-norm (``_norm2``).  The dense path doubles as the oracle for the Krylov
-path in the test suite.
+(``_dense_unitaries``), one conjugation (``_conjugate``), one operator
+2-norm (``_norm2``) and the norm of a commutator with a diagonal operator
+(``_diagonal_commutator_norm``).  The dense path doubles as the oracle for
+the Krylov path in the test suite.
 
 One factorisation of H serves a whole grid of times, on both paths.  The
 dense path diagonalises each block of H once and builds e^{-iHt} from those
@@ -334,7 +335,7 @@ def _require_dense(dim: int) -> None:
     """Refuse a dense matrix of dimension ``dim`` above the current dense cap."""
     cap = dense_cap()
     if dim > cap:
-        raise ResourceLimitError(f"dimension {dim} exceeds dense cap {cap}")
+        raise ResourceLimitError(f"dimension {dim} exceeds dense cap {cap}", cap="dense")
 
 
 @dataclass(frozen=True)
@@ -438,13 +439,15 @@ def _dense_unitaries(H: OperatorMatrix, t) -> Iterator[_Blocks]:
     H must be Hermitian.  The blocks are diagonalised once, before the
     first unitary is built; each unitary is then Q e^{-i lambda t} Q^dagger
     per block, built when it is asked for, so a grid holds one at a time.
+    A block with no imaginary part is diagonalised in real arithmetic, so its
+    Q is real and only the phases e^{-i lambda t} are complex.
     """
     times, _ = _times(t)
     _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
     blocks = _Blocks.of(H, whole=H.delta_n != 0)
-    eig = {N: eigh(M) for N, M in blocks.mats.items()}
+    eig = {N: eigh(M if M.imag.any() else M.real) for N, M in blocks.mats.items()}
     return (
         _Blocks(
             H.basis,
@@ -479,6 +482,42 @@ def _norm2(X: _Blocks, hermitian: bool) -> float:
     else:
         norms = (np.linalg.svd(M, compute_uv=False)[0] for M in X.mats.values())
     return float(max(norms, default=0.0))
+
+
+def _top_singular(M: np.ndarray) -> float:
+    """Largest singular value of M; 0 for a matrix with no rows or no columns."""
+    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
+def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> float:
+    """Operator 2-norm of [A, D] for the diagonal D = diag(d), without forming A D or D A.
+
+    [A, D] has the entries A_jk (d_k - d_j), on the rows and columns of A's
+    blocks, so it is taken entrywise block by block and normed by
+    ``_norm2``; ``hermitian`` says that A and D both are, and then i[A, D]
+    is Hermitian.  When every d_j is 0 or 1, D is a projector P and [A, P]
+    has two nonzero parts per block: A from the columns in P to the rows out
+    of it, and minus A from the columns out of P to the rows in it.  They act
+    on disjoint rows and columns, so the norm is the larger of their top
+    singular values.  A Hermitian A maps each block to itself (shift 0), so
+    the two parts are adjoints and one SVD serves.
+    """
+    parts = A.partition(A.basis, A.whole)
+    if not ((d == 0) | (d == 1)).all():
+        factor = 1j if hermitian else 1.0
+        C = {
+            N: M * (factor * (d[parts[N]] - d[parts[N + A.shift]][:, None]))
+            for N, M in A.mats.items()
+        }
+        return _norm2(_Blocks(A.basis, A.whole, A.shift, C), hermitian)
+    p = d == 1
+    norms = [0.0]
+    for N, M in A.mats.items():
+        r, c = p[parts[N + A.shift]], p[parts[N]]
+        norms.append(_top_singular(M[np.ix_(r, ~c)]))
+        if not hermitian:
+            norms.append(_top_singular(M[np.ix_(~r, c)]))
+    return max(norms)
 
 
 def _from_blocks(X: _Blocks, support) -> OperatorMatrix:

@@ -394,34 +394,35 @@ def local_operator(
     matrix: np.ndarray | None = None,
     unitary: bool = False,
 ) -> OperatorMatrix:
-    """Construct a local probe operator with verified support.
+    """Construct a local probe operator supported on X.
 
     kinds: "number" (n_X), "creation"/"annihilation" (single site, clipped
     ladder), "projector" (region_total_projector, needs predicate),
     "custom-matrix" (matrix on the local occupation space of X, embedded;
-    basis states whose image leaves the basis are dropped).
+    basis states whose image leaves the basis are dropped).  Every kind is
+    built from the occupations of X alone, so its support is X by
+    construction and is not verified again.
     """
     sites = [int(X)] if isinstance(X, int) else sorted(set(int(i) for i in X))
     if not sites:
         raise ValueError("X must be nonempty")
 
-    if kind == "number":
-        from .fock import number_operator
+    if kind in ("number", "projector"):
+        from .fock import number_operator, region_total_projector
 
-        d = number_operator(b, sites)
-        return diagonal_to_operator(d, support=sites)
+        if kind == "number":
+            d = number_operator(b, sites)
+        elif predicate is None:
+            raise ValueError("projector kind needs a predicate")
+        else:
+            d = region_total_projector(b, sites, predicate)
+        mat = sparse.diags(d.entries.astype(np.complex128), format="csr")
+        return _wrap(b, mat, declared_support=sites, verify_support=False)
     if kind in ("creation", "annihilation"):
         if len(sites) != 1:
             raise ValueError(f"{kind} operator acts on a single site")
         mat = _triplet_matrix(b, [_site_ladder(b, sites[0], kind == "creation")])
         return _wrap(b, mat, declared_support=sites, verify_support=False)
-    if kind == "projector":
-        if predicate is None:
-            raise ValueError("projector kind needs a predicate")
-        from .fock import region_total_projector
-
-        d = region_total_projector(b, sites, predicate)
-        return diagonal_to_operator(d, support=sites)
     if kind == "custom-matrix":
         if matrix is None:
             raise ValueError("custom-matrix kind needs a matrix")

@@ -25,6 +25,7 @@ from .evolve import (
     _Blocks,
     _conjugate,
     _dense_unitaries,
+    _diagonal_commutator_norm,
     _norm2,
     _times,
     dense_cap,
@@ -149,7 +150,10 @@ def commutator_norms(
     all of them, so one probe's blocks are held at a time.  The commutator
     is formed and normed block by block over particle number; for Hermitian
     O_A and O_B the norm comes from the eigenvalues of the Hermitian
-    i[O_A(t), O_B].
+    i[O_A(t), O_B].  A diagonal O_B (number operators, projectors, phases) is
+    never blocked: its commutator is taken entrywise from O_A(t)'s blocks,
+    and a 0/1 diagonal by the SVD of the off-diagonal parts alone (see
+    ``evolve._diagonal_commutator_norm``).
     """
     if H.basis is not O_A.basis:
         raise ValueError("H and O_A live on different bases")
@@ -158,8 +162,13 @@ def commutator_norms(
     As = [_conjugate(U, A0) for U in _dense_unitaries(H, times)]
     out = [[0.0] * len(O_Bs) for _ in As]
     for k, O_B in enumerate(O_Bs):
-        B = _Blocks.of(O_B)
         hermitian = O_A.hermitian and O_B.hermitian
+        if O_B.is_diagonal:
+            d = O_B.matrix.diagonal()
+            for norms, A in zip(out, As):
+                norms[k] = _diagonal_commutator_norm(A, d, hermitian)
+            continue
+        B = _Blocks.of(O_B)
         for norms, A in zip(out, As):
             C = A @ B - B @ A
             norms[k] = _norm2(1j * C if hermitian else C, hermitian)

@@ -119,7 +119,7 @@ def test_local_unitary_rejects_number_leak():
     H = assemble_hamiltonian(spec, b)
     with pytest.raises(ValueError, match="number operator"):
         LocalUnitary(
-            basis=b, support=frozenset({0}), scheme={}, factors=(("expm", H, 0.1),)
+            basis=b, support=frozenset({0}), scheme={}, factors=((H, 0.1),)
         )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from boselab import evolve as evolve_mod
 from boselab.approx import approximate_heisenberg, local_step_unitary
 from boselab.evolve import dense_expm, heisenberg, interaction_picture_unitary, spectral_norm
 from boselab.fock import enumerate_basis, number_operator
@@ -184,6 +185,120 @@ def test_commutator_norms_over_a_grid_equal_one_time_calls(basis_kind, h_kind, a
     got = commutator_norms(H, O_A, O_Bs, grid)
     assert got == [commutator_norms(H, O_A, O_Bs, t) for t in grid]
     assert all(isinstance(x, float) for x in commutator_norms(H, O_A, O_Bs, 0.6))
+
+
+# -- diagonal probes: entrywise commutators and 0/1 off-diagonal parts ----------
+
+
+def diagonal_case(cutoff, basis_kind, h_kind):
+    """Chain 4 at ``cutoff`` (1: hard-core), H real conserving, N-mixing or complex."""
+    g = build_lattice("chain", [4])
+    sector = None if basis_kind == "product" else 2 * cutoff
+    b = enumerate_basis(g, cutoff, sector=sector)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=0.7, mu=0.2), b)
+    if h_kind == "mixing":
+        # b_2 + b_2^dagger clipped at the cutoff: Hermitian, ΔN = ±1
+        up = np.eye(cutoff + 1, k=-1)
+        term = local_operator("custom-matrix", [2], b, matrix=up + up.T)
+        H = _wrap(b, H.matrix + 0.3 * term.matrix)
+    elif h_kind == "complex":
+        # i b_0^dagger b_1 + h.c.: Hermitian, conserving, with imaginary entries
+        down = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+        hop = 1j * np.kron(down.T, down)
+        term = local_operator("custom-matrix", [0, 1], b, matrix=hop + hop.conj().T)
+        H = _wrap(b, H.matrix + 0.4 * term.matrix)
+        assert H.hermitian and H.delta_n == 0 and H.matrix.data.imag.any()
+    return b, H
+
+
+def diagonal_probes(b):
+    """Number probes (0/1 when hard-core), a 0/1 projector and a phase."""
+    return [
+        *(probe("number", b, site=i) for i in range(4)),
+        local_operator("projector", [1, 2], b, predicate=("<=", 1)),
+        probe("phase", b, site=2),
+    ]
+
+
+DIAGONAL_CASES = [
+    (cutoff, basis_kind, h_kind)
+    for cutoff in (1, 2)
+    for basis_kind, h_kind in [
+        ("product", "conserving"),
+        ("product", "mixing"),
+        ("product", "complex"),
+        ("sector", "conserving"),
+        ("sector", "complex"),
+    ]
+]
+
+
+@pytest.mark.parametrize("cutoff, basis_kind, h_kind", DIAGONAL_CASES)
+@pytest.mark.parametrize("a_kind", ["number", "creation", "mixing-hermitian"])
+def test_diagonal_probe_norms_match_the_whole_matrix_oracle(cutoff, basis_kind, h_kind, a_kind):
+    b, H = diagonal_case(cutoff, basis_kind, h_kind)
+    if a_kind == "mixing-hermitian":
+        up = np.eye(cutoff + 1, k=-1)
+        O_A = local_operator("custom-matrix", [0], b, matrix=up + up.T)
+    else:
+        O_A = probe(a_kind, b, site=0)
+    O_Bs = diagonal_probes(b)
+    assert all(O.is_diagonal for O in O_Bs)
+    for t in (0.0, 0.6, -1.3):
+        got = commutator_norms(H, O_A, O_Bs, t)
+        expect = oracle_commutator_norms(H, O_A, O_Bs, t)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=TOL)
+
+
+@pytest.mark.parametrize("cutoff, basis_kind, h_kind", DIAGONAL_CASES)
+def test_diagonal_probe_norms_over_a_grid_equal_one_time_calls(cutoff, basis_kind, h_kind):
+    b, H = diagonal_case(cutoff, basis_kind, h_kind)
+    O_Bs = diagonal_probes(b)
+    grid = [0.6, 0.0, -0.35, 0.6, 1.2]
+    for a_kind in ("number", "creation"):
+        O_A = probe(a_kind, b, site=0)
+        got = commutator_norms(H, O_A, O_Bs, grid)
+        assert got == [commutator_norms(H, O_A, O_Bs, t) for t in grid]
+
+
+def test_diagonal_probes_are_never_blocked(monkeypatch):
+    b, H = diagonal_case(1, "product", "conserving")
+    O_A, O_Bs = probe("number", b, site=0), diagonal_probes(b)
+    blocked = []
+    real = evolve_mod._Blocks.of.__func__
+
+    def recording(cls, O, whole=False):
+        blocked.append(O)
+        return real(cls, O, whole)
+
+    monkeypatch.setattr(evolve_mod._Blocks, "of", classmethod(recording))
+    commutator_norms(H, O_A, O_Bs, [0.3, 0.9])
+    # O_A once per grid and H in the eigensolve; no probe
+    assert len(blocked) == 2 and blocked[0] is O_A and blocked[1] is H
+
+
+@pytest.mark.parametrize("a_kind", ["hermitian", "phase"])
+def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
+    # hard-core chain 4: n_1 is 0 on the N = 0 block and 1 on the N = 4 block,
+    # so for an O_A that keeps N and is nonzero there (Hermitian or not) those
+    # blocks of [A, n_1] vanish and norm exactly 0
+    b, H = diagonal_case(1, "product", "conserving")
+    if a_kind == "hermitian":
+        O_A = local_operator("custom-matrix", [0], b, matrix=np.diag([1.0, 2.0]))
+    else:
+        O_A = probe("phase", b, site=0)
+    A = evolve_mod._conjugate(evolve_mod._dense_unitary(H, 0.6), evolve_mod._Blocks.of(O_A))
+    d = probe("number", b, site=1).matrix.diagonal()
+    hermitian = a_kind == "hermitian"
+    for N in (0, 4):
+        edge = evolve_mod._Blocks(b, False, A.shift, {N: A.mats[N]})
+        assert A.mats[N].any()
+        assert evolve_mod._diagonal_commutator_norm(edge, d, hermitian) == 0.0
+    # a full hard-core sector: every number probe is 1 everywhere
+    full = enumerate_basis(build_lattice("chain", [4]), 1, sector=4)
+    H_full = assemble_hamiltonian(bose_hubbard(full.lattice, J=1.0, U=0.7), full)
+    probes = [probe("number", full, site=i) for i in range(4)]
+    assert commutator_norms(H_full, probes[0], probes, 0.6) == [0.0] * 4
 
 
 @pytest.mark.parametrize("basis_kind", ["product", "sector"])

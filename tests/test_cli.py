@@ -315,6 +315,20 @@ def test_dense_cap_lasts_one_run(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "ok")]) == 0
 
 
+def test_dense_cap_refusal_names_its_flag(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, LIGHTCONE_32)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "no"), "--dense-cap", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "error: dimension 32 exceeds dense cap 10; --dense-cap raises the cap" in err
+    # the basis cap is not the run's to raise, and keeps its plain refusal
+    payload = json.loads(json.dumps(LIGHTCONE_32))
+    payload["lattice"]["dims"] = [40]
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert "error: ResourceLimitError: basis dimension" in err
+    assert "--dense-cap" not in err
+
+
 def test_dense_cap_reaches_worker_threads(tmp_path, capsys):
     # lightcone-map factorises H once, before any pool; approx-sweep builds
     # its step products in the pooled cells, so only there can the cap refuse
@@ -494,6 +508,21 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("short-lr-check", "scenario", "t", math.inf, "scenario.t"),
         ("approx-sweep", "scenario", "t", -math.inf, "scenario.t"),
         ("quench-sim", "scenario", "t", math.nan, "scenario.t"),
+        ("adjacency-check", "scenario", "J_scale", math.inf, "scenario.J_scale"),
+        ("approx-sweep", "scenario", "delta_t0", math.nan, "scenario.delta_t0"),
+        ("approx-sweep", "scenario", "delta_t0", math.inf, "scenario.delta_t0"),
+        ("quench-sim", "scenario", "delta_t0", math.inf, "scenario.delta_t0"),
+        ("quench-sim", "scenario", "delta_t0", math.nan, "scenario.delta_t0"),
+        ("quench-sim", "scenario", "stationarity_tol", math.nan, "scenario.stationarity_tol"),
+        ("quench-sim", "scenario", "stationarity_tol", math.inf, "scenario.stationarity_tol"),
+        ("quench-sim", "scenario", "h", {"site": 3, "coeff": math.nan}, "scenario.h.coeff"),
+        ("moment-check", "constants", "t0", math.nan, "constants.t0"),
+        ("moment-check", "constants", "c0", math.inf, "constants.c0"),
+        ("lightcone-map", "model", "J", math.inf, "model.J"),
+        ("moment-check", "model", "mu", math.nan, "model.mu"),
+        ("tail-check", "scenario", "r", math.inf, "scenario.r"),
+        ("bound-report", "scenario", "fixed", {"r0": 0, "t": math.inf}, "scenario.fixed.t"),
+        ("bound-report", "scenario", "grid", {"R": [50, math.nan]}, "scenario.grid.R"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):

@@ -312,6 +312,31 @@ def test_operator_support_is_computed_on_product_bases():
     assert diagonal_to_operator(d).support == frozenset({2})
 
 
+@pytest.mark.parametrize("sector", [None, 3])
+@pytest.mark.parametrize(
+    "kind, sites, predicate",
+    [
+        ("number", [1], None),
+        ("number", [0, 2], None),
+        ("projector", [1], ("==", 1)),
+        ("projector", [0, 2], ("<=", 1)),
+    ],
+)
+def test_number_and_projector_supports_hold_by_construction(kind, sites, predicate, sector):
+    # these builds skip the support check; on product bases the declared
+    # support is exactly the computed one, and on sector bases, where only
+    # motion is detectable, it still covers it
+    b = enumerate_basis(build_lattice("chain", [3]), 2, sector=sector)
+    op = local_operator(kind, sites, b, predicate=predicate)
+    computed = operator_support(op.matrix, b)
+    assert op.support == frozenset(sites)
+    if sector is None:
+        assert computed == op.support
+        assert oracle_support(op.matrix, b) == op.support
+    else:
+        assert computed <= op.support
+
+
 def test_declared_support_is_verified():
     g = build_lattice("chain", [3])
     b = enumerate_basis(g, 2)
