@@ -42,6 +42,7 @@ from .model import (
 )
 from .evolve import (
     DENSE_CAP,
+    DenseCapError,
     PropagationError,
     StateVector,
     dense_expm,
@@ -105,7 +106,7 @@ __all__ = [
     "assemble_hamiltonian", "bose_hubbard", "creation_degree",
     "effective_hamiltonian", "local_operator", "operator_support",
     "subset_hamiltonian",
-    "DENSE_CAP", "PropagationError", "StateVector", "dense_expm",
+    "DENSE_CAP", "DenseCapError", "PropagationError", "StateVector", "dense_expm",
     "evolve_state", "heisenberg", "interaction_picture_unitary",
     "spectral_norm",
     "GroundStateResult", "commutator_norms",

@@ -109,7 +109,8 @@ class LocalUnitary:
             )
         if self.basis.dim <= dense_cap():
             U = self._product
-            uerr = _norm2(U.adjoint() @ U - _Blocks.identity(self.basis), hermitian=True)
+            UU = U.adjoint() @ U - _Blocks.identity(self.basis)
+            uerr = _norm2(UU.mats.values(), hermitian=True)
             if uerr > UNITARITY_TOL:
                 raise ValueError(f"materialized product is not unitary (defect {uerr:.3e})")
 
@@ -383,7 +384,7 @@ def approximate_heisenberg(
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
     current = _Blocks.of(O)
-    norm0 = _norm2(current, O.hermitian)
+    norm0 = _norm2(current.mats.values(), O.hermitian)
 
     def conjugating_step(X, ell, q_m, dt) -> LocalUnitary:
         nonlocal current
@@ -394,7 +395,7 @@ def approximate_heisenberg(
     trace = _step_chain(
         conjugating_step, spec.lattice, b, i0, r0, R, t, consts, ell0, q, delta_t0
     )
-    norm_t = _norm2(current, O.hermitian)
+    norm_t = _norm2(current.mats.values(), O.hermitian)
     if abs(norm_t - norm0) > 1e-9 * trace.schedule.m_t + 1e-10:
         raise AssertionError(
             f"conjugation chain drifted the operator norm: {norm0} -> {norm_t}"

@@ -59,8 +59,8 @@ from .bounds import (
     tail_bound,
     truncation_error_bound,
 )
-from .evolve import RUN_DENSE_CAP, StateVector, evolve_state, spectral_norm
-from .fock import FockBasis, ResourceLimitError, enumerate_basis
+from .evolve import RUN_DENSE_CAP, DenseCapError, StateVector, evolve_state, spectral_norm
+from .fock import FockBasis, enumerate_basis
 from .lattice import LatticeGraph, ball, boundary, build_lattice, geometric_constants
 from .model import (
     HamiltonianSpec,
@@ -1061,11 +1061,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DenseCapError as exc:
+        print(f"error: {exc}; --dense-cap raises the cap for one run", file=sys.stderr)
+        return 2
     except Exception as exc:  # computation failures surface with their type
-        if isinstance(exc, ResourceLimitError) and exc.cap == "dense":
-            print(f"error: {exc}; --dense-cap raises the cap for one run", file=sys.stderr)
-        else:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

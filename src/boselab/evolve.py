@@ -7,11 +7,11 @@ few vectors and only long ones reach the size cap.  Operators move densely
 below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here: one refusal of
-the cap (``_require_dense``), one dense e^{-iHt} by eigendecomposition
-(``_dense_unitaries``), one conjugation (``_conjugate``), one operator
-2-norm (``_norm2``) and the norm of a commutator with a diagonal operator
-(``_diagonal_commutator_norm``).  The dense path doubles as the oracle for
-the Krylov path in the test suite.
+the cap (``_require_dense``, which raises ``DenseCapError``), one dense
+e^{-iHt} by eigendecomposition (``_dense_unitaries``), one conjugation
+(``_conjugate``), one operator 2-norm (``_norm2``) and the norm of a
+commutator with a diagonal operator (``_diagonal_commutator_norm``).  The
+dense path doubles as the oracle for the Krylov path in the test suite.
 
 One factorisation of H serves a whole grid of times, on both paths.  The
 dense path diagonalises each block of H once and builds e^{-iHt} from those
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -48,6 +48,7 @@ __all__ = [
     "StateVector",
     "PropagatorReport",
     "PropagationError",
+    "DenseCapError",
     "DENSE_CAP",
     "RUN_DENSE_CAP",
     "dense_cap",
@@ -67,6 +68,10 @@ _MAX_KRYLOV = 48
 def dense_cap() -> int:
     """Largest dimension the dense paths accept in the current context."""
     return RUN_DENSE_CAP.get(DENSE_CAP)
+
+
+class DenseCapError(ResourceLimitError):
+    """A dense matrix exceeds the dense cap, which a run may raise."""
 
 
 class PropagationError(RuntimeError):
@@ -335,7 +340,7 @@ def _require_dense(dim: int) -> None:
     """Refuse a dense matrix of dimension ``dim`` above the current dense cap."""
     cap = dense_cap()
     if dim > cap:
-        raise ResourceLimitError(f"dimension {dim} exceeds dense cap {cap}", cap="dense")
+        raise DenseCapError(f"dimension {dim} exceeds dense cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -470,23 +475,19 @@ def _conjugate(U: _Blocks, A: _Blocks) -> _Blocks:
     return U.adjoint() @ A @ U
 
 
-def _norm2(X: _Blocks, hermitian: bool) -> float:
-    """Operator 2-norm of X: the largest of its blocks' norms.
+def _norm2(mats: Iterable[np.ndarray], hermitian: bool) -> float:
+    """Operator 2-norm of the direct sum of ``mats``: the largest of their norms.
 
-    Distinct blocks act on disjoint rows and columns, so X is their direct
-    sum up to a permutation.  Hermitian blocks take ``eigvalsh``, the others
-    their largest singular value.
+    The blocks of a ``_Blocks`` act on disjoint rows and columns, so the
+    operator is their direct sum up to a permutation.  Hermitian matrices
+    take ``eigvalsh``, the others their largest singular value; a matrix
+    with no rows or no columns adds 0.
     """
     if hermitian:
-        norms = (np.abs(np.linalg.eigvalsh(M)).max() for M in X.mats.values())
+        norms = (np.abs(np.linalg.eigvalsh(M)).max() for M in mats if M.size)
     else:
-        norms = (np.linalg.svd(M, compute_uv=False)[0] for M in X.mats.values())
+        norms = (np.linalg.svd(M, compute_uv=False)[0] for M in mats if M.size)
     return float(max(norms, default=0.0))
-
-
-def _top_singular(M: np.ndarray) -> float:
-    """Largest singular value of M; 0 for a matrix with no rows or no columns."""
-    return float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
 
 
 def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> float:
@@ -505,19 +506,19 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
     parts = A.partition(A.basis, A.whole)
     if not ((d == 0) | (d == 1)).all():
         factor = 1j if hermitian else 1.0
-        C = {
-            N: M * (factor * (d[parts[N]] - d[parts[N + A.shift]][:, None]))
+        C = (
+            M * (factor * (d[parts[N]] - d[parts[N + A.shift]][:, None]))
             for N, M in A.mats.items()
-        }
-        return _norm2(_Blocks(A.basis, A.whole, A.shift, C), hermitian)
+        )
+        return _norm2(C, hermitian)
     p = d == 1
-    norms = [0.0]
+    off = []
     for N, M in A.mats.items():
         r, c = p[parts[N + A.shift]], p[parts[N]]
-        norms.append(_top_singular(M[np.ix_(r, ~c)]))
+        off.append(M[np.ix_(r, ~c)])
         if not hermitian:
-            norms.append(_top_singular(M[np.ix_(~r, c)]))
-    return max(norms)
+            off.append(M[np.ix_(~r, c)])
+    return _norm2(off, hermitian=False)
 
 
 def _from_blocks(X: _Blocks, support) -> OperatorMatrix:
@@ -570,7 +571,7 @@ def spectral_norm(O: OperatorMatrix) -> float:
         # degenerate singular spectra, so never send them there
         return float(np.abs(O.matrix.data).max())
     if O.dim <= dense_cap():
-        return _norm2(_Blocks.of(O), O.hermitian)
+        return _norm2(_Blocks.of(O).mats.values(), O.hermitian)
     from scipy.sparse.linalg import ArpackError, svds
 
     # a fixed start vector makes the result the same on every call

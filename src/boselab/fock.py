@@ -32,15 +32,7 @@ _MAX_CUTOFF = int(np.iinfo(np.int16).max)  # occupations are stored as int16
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested dimension exceeds a configured cap.
-
-    ``cap`` names the cap: "basis" for ``DIMENSION_CAP`` on bases, "dense" for
-    the dense cap of ``evolve``, which a run may raise.
-    """
-
-    def __init__(self, message: str, cap: str = "basis") -> None:
-        super().__init__(message)
-        self.cap = cap
+    """Requested basis exceeds the configured dimension cap."""
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,7 @@ def commutator_norms(
         B = _Blocks.of(O_B)
         for norms, A in zip(out, As):
             C = A @ B - B @ A
-            norms[k] = _norm2(1j * C if hermitian else C, hermitian)
+            norms[k] = _norm2((1j * C if hermitian else C).mats.values(), hermitian)
     return out[0] if scalar else out
 
 

@@ -497,6 +497,24 @@ def test_dense_cap_enforced():
     assert abs(out.norm() - 1.0) <= 1e-12
 
 
+
+def test_dense_cap_refusal_is_its_own_type():
+    """The dense cap raises ``DenseCapError``; the basis cap stays a plain ``ResourceLimitError``."""
+    assert issubclass(evolve_mod.DenseCapError, ResourceLimitError)
+    g = build_lattice("chain", [3])
+    b = enumerate_basis(g, 1)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=0.0), b)
+
+    def refused():
+        RUN_DENSE_CAP.set(4)
+        dense_expm(H, 0.1)
+
+    with pytest.raises(evolve_mod.DenseCapError, match="dimension 8 exceeds dense cap 4"):
+        contextvars.copy_context().run(refused)
+    with pytest.raises(ResourceLimitError) as basis_refusal:
+        enumerate_basis(g, 3, dim_cap=10)
+    assert not isinstance(basis_refusal.value, evolve_mod.DenseCapError)
+
 def norm_under_cap(O, cap):
     """spectral_norm(O) in a copy of this context whose dense cap is ``cap``."""
 

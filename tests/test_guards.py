@@ -160,7 +160,7 @@ def test_one_refusal_per_cap_and_no_factor_tags():
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id == "ResourceLimitError":
+                if isinstance(exc, ast.Name) and exc.id in ("ResourceLimitError", "DenseCapError"):
                     refusals[path.name] = refusals.get(path.name, 0) + 1
             if isinstance(node, ast.Constant) and node.value in ("expm", "mat"):
                 tags.append(f"{path.name}:{node.lineno}: {node.value!r}")
