@@ -60,7 +60,7 @@ from .bounds import (
     truncation_error_bound,
 )
 from .evolve import RUN_DENSE_CAP, DenseCapError, StateVector, evolve_state, spectral_norm
-from .fock import FockBasis, enumerate_basis
+from .fock import FockBasis, ResourceLimitError, enumerate_basis
 from .lattice import LatticeGraph, ball, boundary, build_lattice, geometric_constants
 from .model import (
     HamiltonianSpec,
@@ -235,6 +235,10 @@ def _build_basis(cfg: Mapping, g: LatticeGraph) -> FockBasis:
     sector = _need(block, "basis", "sector", _integer, None)
     try:
         return enumerate_basis(g, cutoffs, sector)
+    except ResourceLimitError as exc:
+        raise ConfigError(
+            f"basis: {exc}; shrink it through lattice.dims, basis.cutoff(s) or basis.sector"
+        ) from exc
     except ValueError as exc:
         raise ConfigError(f"basis: {exc}") from exc
 

@@ -77,21 +77,55 @@ class FockBasis:
         state k after one boson hops i -> j, or -1 where the hop leaves the
         basis (site i empty, site j at its cutoff, or out of the sector).
         ``row`` is an (n_sites, n_sites) table, -1 off the edges; edge (i, j)
-        of the lattice holds rows 2e (i -> j) and 2e + 1 (j -> i).  All hops
-        are ranked in one batch on first use and kept; both arrays are
-        read-only, since every assembly shares them.
+        of the lattice holds rows 2e (i -> j) and 2e + 1 (j -> i).
+
+        No moved state is ranked: a hop shifts the index by a rank
+        difference.  On product bases that is the stride difference
+        W[j + 1] - W[i + 1].  On sector bases the rank is a constant plus
+        sum_{m >= 1} E_m[left_m], with left_m the bosons on sites m.. and
+        E_m[x] = sum_{v <= x} (W[m + 1, v] - W[m, v]).  A hop i -> j moves
+        left_m by one for the sites m between its ends only, so its shift is
+        the difference of two per-state prefix sums over the sites.  Built
+        on first use and kept; both arrays are read-only, since every
+        assembly shares them.
         """
         ends = np.array(self.lattice.edges, dtype=np.intp).reshape(-1, 2)
         src, dst = ends.ravel(), ends[:, ::-1].ravel()
-        # site-major (n_sites, hops, dim), so rank reads each site contiguously
-        moved = np.repeat(self.states.T[:, None, :], len(src), axis=1)
-        hop = np.arange(len(src))
-        moved[src, hop] -= 1
-        moved[dst, hop] += 1
-        targets = self.rank(moved.reshape(self.n_sites, -1).T)
-        targets = targets.astype(np.int32).reshape(len(src), self.dim)
+        occ = self.states.T                                  # (n_sites, dim)
+        W = self.completions
+        if self.sector is None:
+            strides = W[1:]
+        else:
+            # F[m, x] = E_m[x] - E_m[x - 1]; P[m] = sum_{m' <= m} F[m', left_m'],
+            # the terms a hop lowering left_m' drops, and P_up the same at
+            # left_m' + 1, the terms a hop raising it adds
+            F = np.diff(W, axis=0)
+            P = np.empty(occ.shape, dtype=np.int64)
+            P_up = np.empty(occ.shape, dtype=np.int64)
+            left = np.full(self.dim, self.sector, dtype=np.intp)
+            for m in range(self.n_sites):
+                F[m].take(left, out=P[m])
+                # left_m + 1 passes the sector only where a hop leaves the basis
+                F[m].take(left + 1, out=P_up[m], mode="clip")
+                if m:
+                    P[m] += P[m - 1]
+                    P_up[m] += P_up[m - 1]
+                left -= occ[m]
+        empty = occ == 0
+        full = occ >= np.array(self.site_cutoffs, dtype=occ.dtype)[:, None]
+        index = np.arange(self.dim, dtype=np.int64)
+        targets = np.empty((len(src), self.dim), dtype=np.int32)
+        for hop, (i, j) in enumerate(zip(src, dst)):
+            if self.sector is None:
+                shift = strides[j] - strides[i]
+            elif i < j:   # left_m grows by one for i < m <= j
+                shift = P_up[j] - P_up[i]
+            else:         # left_m drops by one for j < m <= i
+                shift = P[j] - P[i]
+            np.add(index, shift, out=targets[hop], casting="unsafe")
+            targets[hop][empty[i] | full[j]] = -1
         row = np.full((self.n_sites, self.n_sites), -1, dtype=np.intp)
-        row[src, dst] = hop
+        row[src, dst] = np.arange(len(src))
         row.setflags(write=False)
         targets.setflags(write=False)
         return row, targets

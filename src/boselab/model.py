@@ -71,6 +71,8 @@ class HamiltonianSpec:
 
     def __post_init__(self) -> None:
         for i, j, J in self.hoppings:
+            if not np.isfinite(J):
+                raise ValueError(f"J_{i}{j}={J} is not finite")
             if self.lattice.distances[i, j] != 1:
                 raise ValueError(f"hopping ({i},{j}) is not an adjacent pair")
             if abs(J) > self.J_bar * (1 + 1e-12):
@@ -111,13 +113,20 @@ def bose_hubbard(
 # operator container
 
 
-def _check_hermitian(mat: sparse.csr_matrix) -> bool:
-    # CSR arithmetic stores no zeros, so diff.data holds every mismatch
-    diff = mat - mat.getH()
-    if diff.nnz == 0:
+def _check_hermitian(mat: sparse.csr_matrix, diagonal: bool = False) -> bool:
+    # CSR arithmetic stores no zeros, so diff.data holds every mismatch; on a
+    # diagonal matrix the mismatches are d - conj(d) = 2i Im d, read off the
+    # entries without a transpose (and, like the sparse path, silently nan
+    # where a real part is infinite)
+    if diagonal:
+        with np.errstate(invalid="ignore"):
+            diff = mat.data - mat.data.conj()
+    else:
+        diff = (mat - mat.getH()).data
+    if not diff.any():
         return True
     scale = max(np.abs(mat.data).max(), 1.0)
-    return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
+    return bool(np.abs(diff).max() <= HERMITICITY_RTOL * scale)
 
 
 def operator_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
@@ -205,7 +214,6 @@ def _wrap(
     csr.eliminate_zeros()
     if csr.shape != (b.dim, b.dim):
         raise ValueError("matrix dimension does not match basis")
-    herm = _check_hermitian(csr)
     if declared_support is not None:
         declared = frozenset(int(i) for i in declared_support)
         if verify_support:
@@ -219,11 +227,12 @@ def _wrap(
     else:
         supp = operator_support(csr, b)
     rows = np.repeat(np.arange(b.dim), np.diff(csr.indptr))
+    diagonal = bool(np.all(rows == csr.indices))
     return OperatorMatrix(
         basis=b,
         matrix=csr,
-        hermitian=herm,
-        is_diagonal=bool(np.all(rows == csr.indices)),
+        hermitian=_check_hermitian(csr, diagonal),
+        is_diagonal=diagonal,
         support=supp,
     )
 
@@ -256,24 +265,57 @@ def _triplet_matrix(
     return sparse.csr_matrix((vals, (rows, cols)), shape=(b.dim, b.dim))
 
 
-def _hopping_triplets(
-    b: FockBasis, hops: Sequence[tuple[int, int, float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triplets of sum J * b_i b_j^dag over hops (i, j, J), hop by hop.
+def _edge_slots(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int] | None]:
+    """Directed edges (i, j) in the column order of every row, None the diagonal.
 
-    Each term moves one boson i -> j, clipped at cutoffs; the moved states'
-    indices are read from the basis's hop table.
+    Both bases are lexicographic with site 0 leading.  A hop i -> j with
+    i < j lowers a state; two such hops order by i, then by descending j.
+    A hop with i > j raises it; those order by descending j, then by i.
+    The order holds for every state, so it sorts every row.
     """
-    i, j, J = np.asarray(hops, dtype=np.float64).reshape(-1, 3).T
-    i, j = i.astype(np.intp), j.astype(np.intp)
+    down = sorted((e for e in edges if e[0] < e[1]), key=lambda e: (e[0], -e[1]))
+    up = sorted((e for e in edges if e[0] > e[1]), key=lambda e: (-e[1], e[0]))
+    return [*down, None, *up]
+
+
+def _hopping_rows(
+    b: FockBasis, weights: Mapping[tuple[int, int], Sequence[float]], diag: np.ndarray
+) -> sparse.csr_matrix:
+    """CSR matrix of sum J b_i b_j^dag over directed edges plus diag(diag).
+
+    H's pattern is symmetric, so row s holds targets[e, s] for every
+    directed edge e = (i, j), with amplitude J sqrt(n_i (n_j + 1)) at s
+    (the hop back from the target has the same one), and s itself.  An
+    edge listed several times adds each listing's J * amp in turn, as a
+    sum of duplicate entries would.  Every row starts with one slot per
+    edge in ``_edge_slots`` order; zero and out-of-basis slots drop out.
+    """
     row, targets = b.hop_targets
-    dst = targets[row[i, j]].ravel()
-    n_i = b.states.T[i].astype(np.int64)                   # (hops, dim)
-    n_j = b.states.T[j].astype(np.int64)
-    amp = (J[:, None] * np.sqrt(n_i * (n_j + 1.0))).ravel()
-    keep = dst >= 0
-    src = np.tile(np.arange(b.dim), len(J))
-    return dst[keep], src[keep], amp[keep].astype(np.complex128)
+    slots = _edge_slots(weights)
+    cols = np.empty((len(slots), b.dim), dtype=np.int32)
+    vals = np.empty((len(slots), b.dim), dtype=np.float64)
+    occ = b.states.T.astype(np.float64, order="C")
+    # n_j + 1 where site j has room, 0 at its cutoff: a hop that leaves the
+    # basis gets amplitude 0 (and column 0 for -1), so it drops with the zeros
+    room = (occ + 1.0) * (occ < np.array(b.site_cutoffs)[:, None])
+    for k, edge in enumerate(slots):
+        if edge is None:
+            cols[k] = np.arange(b.dim)
+            vals[k] = diag
+            continue
+        i, j = edge
+        np.maximum(targets[row[i, j]], 0, out=cols[k])
+        amp = np.sqrt(occ[i] * room[j])
+        Js = iter(weights[edge])
+        v = np.multiply(next(Js), amp, out=vals[k])
+        for J in Js:
+            v += J * amp
+    mat = sparse.csr_matrix(
+        (vals.T.ravel(), cols.T.ravel(), np.arange(0, vals.size + 1, len(slots))),
+        shape=(b.dim, b.dim),
+    )
+    mat.eliminate_zeros()
+    return mat
 
 
 def _interaction_entries(b: FockBasis, terms: Sequence[Interaction]) -> np.ndarray:
@@ -294,14 +336,15 @@ def assemble_hamiltonian(
 ) -> OperatorMatrix:
     if spec.lattice is not b.lattice and spec.lattice.edges != b.lattice.edges:
         raise ValueError("spec and basis lattices differ")
-    hops = []
+    weights: dict[tuple[int, int], list[float]] = {}
     supp: set[int] = set()
     for i, j, J in spec.hoppings:
         if _hop_filter is not None and not _hop_filter(i, j):
             continue
         supp.update((i, j))
         # J b_i b_j^dag plus Hermitian conjugate
-        hops += [(i, j, J), (j, i, J)]
+        weights.setdefault((i, j), []).append(J)
+        weights.setdefault((j, i), []).append(J)
     terms = [
         t
         for t in spec.interactions
@@ -311,9 +354,7 @@ def assemble_hamiltonian(
     for t in terms:
         if any(m.coeff != 0.0 and any(m.powers) for m in t.monomials):
             supp.update(t.region)
-    nz = np.nonzero(diag)[0]
-    diag_part = (nz, nz, diag[nz].astype(np.complex128))
-    mat = _triplet_matrix(b, [_hopping_triplets(b, hops), diag_part])
+    mat = _hopping_rows(b, weights, diag)
     return _wrap(b, mat, declared_support=sorted(supp), verify_support=False)
 
 

@@ -320,12 +320,15 @@ def test_dense_cap_refusal_names_its_flag(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "no"), "--dense-cap", "10"]) == 2
     err = capsys.readouterr().err
     assert "error: dimension 32 exceeds dense cap 10; --dense-cap raises the cap" in err
-    # the basis cap is not the run's to raise, and keeps its plain refusal
+    # the basis cap is not the run's to raise: the refusal names the basis
+    # and the config keys that shrink it
     payload = json.loads(json.dumps(LIGHTCONE_32))
     payload["lattice"]["dims"] = [40]
     assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
-    assert "error: ResourceLimitError: basis dimension" in err
+    assert "config error: basis: basis dimension 1099511627776 exceeds cap" in err
+    for key in ("lattice.dims", "basis.cutoff(s)", "basis.sector"):
+        assert key in err
     assert "--dense-cap" not in err
 
 
