@@ -228,6 +228,7 @@ def _wrap(
         supp = operator_support(csr, b)
     rows = np.repeat(np.arange(b.dim), np.diff(csr.indptr))
     diagonal = bool(np.all(rows == csr.indices))
+    del rows  # the Hermiticity check's copies peak without it
     return OperatorMatrix(
         basis=b,
         matrix=csr,
@@ -315,7 +316,8 @@ def _hopping_rows(
         shape=(b.dim, b.dim),
     )
     mat.eliminate_zeros()
-    return mat
+    # complex copies hold just the kept entries, not every slot
+    return mat.astype(np.complex128)
 
 
 def _interaction_entries(b: FockBasis, terms: Sequence[Interaction]) -> np.ndarray:

@@ -156,7 +156,8 @@ def sector_setup():
     return bose_hubbard(g, 1.0, 2.0), enumerate_basis(g, 2, sector=5)
 
 
-def test_table_and_assemblies_rank_nothing(rank_calls):
+def test_second_assembly_ranks_nothing(rank_calls):
+    """The table and every assembly on the basis make no rank call at all."""
     spec, b = sector_setup()
     h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5, 2.0]))
     rank_calls.clear()
