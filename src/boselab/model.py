@@ -226,9 +226,7 @@ def _wrap(
         supp = declared
     else:
         supp = operator_support(csr, b)
-    rows = np.repeat(np.arange(b.dim), np.diff(csr.indptr))
-    diagonal = bool(np.all(rows == csr.indices))
-    del rows  # the Hermiticity check's copies peak without it
+    diagonal = bool(np.all(np.repeat(np.arange(b.dim), np.diff(csr.indptr)) == csr.indices))
     return OperatorMatrix(
         basis=b,
         matrix=csr,
