@@ -130,6 +130,22 @@ class FockBasis:
         targets.setflags(write=False)
         return row, targets
 
+    def column_order(
+        self, edges: Iterable[tuple[int, int]]
+    ) -> list[tuple[int, int] | None]:
+        """Directed edges (i, j) ordered as their hop targets fall in every
+        state's row, with None at the state itself.
+
+        The basis is lexicographic with site 0 leading (``enumerate_basis``).
+        A hop i -> j with i < j lowers a state; two such hops order by i,
+        then by descending j.  A hop with i > j raises it; those order by
+        descending j, then by i.  The order holds for every state, so a
+        row laid out in it is sorted.
+        """
+        down = sorted((e for e in edges if e[0] < e[1]), key=lambda e: (e[0], -e[1]))
+        up = sorted((e for e in edges if e[0] > e[1]), key=lambda e: (-e[1], e[0]))
+        return [*down, None, *up]
+
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Index of each row of a (k, n_sites) integer array, -1 if absent.
 
@@ -247,7 +263,8 @@ def enumerate_basis(
     W = W.astype(np.int64)
 
     # extend every prefix by each value in increasing order, which keeps the
-    # rows lexicographic; in a sector, drop prefixes the rest cannot complete
+    # rows lexicographic (``FockBasis.column_order`` relies on it); in a
+    # sector, drop prefixes the rest cannot complete
     states = np.zeros((1, 0), dtype=np.int16)
     filled = np.zeros(1, dtype=np.int64)
     for i, c in enumerate(cutoffs):

@@ -113,20 +113,13 @@ def bose_hubbard(
 # operator container
 
 
-def _check_hermitian(mat: sparse.csr_matrix, diagonal: bool = False) -> bool:
-    # CSR arithmetic stores no zeros, so diff.data holds every mismatch; on a
-    # diagonal matrix the mismatches are d - conj(d) = 2i Im d, read off the
-    # entries without a transpose (and, like the sparse path, silently nan
-    # where a real part is infinite)
-    if diagonal:
-        with np.errstate(invalid="ignore"):
-            diff = mat.data - mat.data.conj()
-    else:
-        diff = (mat - mat.getH()).data
-    if not diff.any():
+def _check_hermitian(mat: sparse.csr_matrix) -> bool:
+    # CSR arithmetic stores no zeros, so diff.data holds every mismatch
+    diff = mat - mat.getH()
+    if diff.nnz == 0:
         return True
     scale = max(np.abs(mat.data).max(), 1.0)
-    return bool(np.abs(diff).max() <= HERMITICITY_RTOL * scale)
+    return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
 
 
 def operator_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
@@ -214,6 +207,7 @@ def _wrap(
     csr.eliminate_zeros()
     if csr.shape != (b.dim, b.dim):
         raise ValueError("matrix dimension does not match basis")
+    herm = _check_hermitian(csr)
     if declared_support is not None:
         declared = frozenset(int(i) for i in declared_support)
         if verify_support:
@@ -226,12 +220,12 @@ def _wrap(
         supp = declared
     else:
         supp = operator_support(csr, b)
-    diagonal = bool(np.all(np.repeat(np.arange(b.dim), np.diff(csr.indptr)) == csr.indices))
+    rows = np.repeat(np.arange(b.dim), np.diff(csr.indptr))
     return OperatorMatrix(
         basis=b,
         matrix=csr,
-        hermitian=_check_hermitian(csr, diagonal),
-        is_diagonal=diagonal,
+        hermitian=herm,
+        is_diagonal=bool(np.all(rows == csr.indices)),
         support=supp,
     )
 
@@ -264,19 +258,6 @@ def _triplet_matrix(
     return sparse.csr_matrix((vals, (rows, cols)), shape=(b.dim, b.dim))
 
 
-def _edge_slots(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int] | None]:
-    """Directed edges (i, j) in the column order of every row, None the diagonal.
-
-    Both bases are lexicographic with site 0 leading.  A hop i -> j with
-    i < j lowers a state; two such hops order by i, then by descending j.
-    A hop with i > j raises it; those order by descending j, then by i.
-    The order holds for every state, so it sorts every row.
-    """
-    down = sorted((e for e in edges if e[0] < e[1]), key=lambda e: (e[0], -e[1]))
-    up = sorted((e for e in edges if e[0] > e[1]), key=lambda e: (-e[1], e[0]))
-    return [*down, None, *up]
-
-
 def _hopping_rows(
     b: FockBasis, weights: Mapping[tuple[int, int], Sequence[float]], diag: np.ndarray
 ) -> sparse.csr_matrix:
@@ -287,10 +268,11 @@ def _hopping_rows(
     (the hop back from the target has the same one), and s itself.  An
     edge listed several times adds each listing's J * amp in turn, as a
     sum of duplicate entries would.  Every row starts with one slot per
-    edge in ``_edge_slots`` order; zero and out-of-basis slots drop out.
+    edge, and one for s, in ``FockBasis.column_order``; zero and
+    out-of-basis slots drop out.
     """
     row, targets = b.hop_targets
-    slots = _edge_slots(weights)
+    slots = b.column_order(weights)
     cols = np.empty((len(slots), b.dim), dtype=np.int32)
     vals = np.empty((len(slots), b.dim), dtype=np.float64)
     occ = b.states.T.astype(np.float64, order="C")

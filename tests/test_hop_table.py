@@ -98,6 +98,24 @@ def test_hop_table_matches_loop_reference(b):
     assert sorted(row[on_edge].tolist()) == list(range(targets.shape[0]))
 
 
+@given(lattice_bases())
+@settings(max_examples=60, deadline=None)
+def test_column_order_sorts_every_row(b):
+    """Hop targets laid out in the basis's column order rise along every row."""
+    row, targets = b.hop_targets
+    edges = [e for i, j in b.lattice.edges for e in ((i, j), (j, i))]
+    slots = b.column_order(edges)
+    assert sorted(e for e in slots if e is not None) == sorted(edges)
+    assert slots.count(None) == 1
+    cols = np.stack([
+        np.arange(b.dim) if e is None else targets[row[e]] for e in slots
+    ]).astype(np.int64)
+    # the largest column so far in each row; -1 (out of the basis) never raises it
+    seen = np.maximum.accumulate(cols, axis=0)
+    valid = cols[1:] >= 0
+    assert np.all(cols[1:][valid] > seen[:-1][valid])
+
+
 @given(lattice_bases(), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=40, deadline=None)
 def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):

@@ -24,7 +24,6 @@ from boselab.model import (
 from boselab.model import (
     HERMITICITY_RTOL,
     _check_hermitian,
-    _wrap,
     diagonal_to_operator,
     operator_support,
 )
@@ -474,40 +473,6 @@ def test_hermiticity_check_matches_reference(scale):
     for name, (M, want) in cases.items():
         mat = sparse.csr_matrix(M, dtype=np.complex128)
         assert _check_hermitian(mat) == oracle_is_hermitian(mat) == want, name
-
-
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 250.0])
-def test_diagonal_hermiticity_flag_matches_check(scale):
-    """_wrap reads a diagonal matrix's flag off its imaginary parts; it agrees
-    with the transpose rule, also exactly at the tolerance and just past it."""
-    b = enumerate_basis(build_lattice("chain", [3]), 2)
-    rng = np.random.default_rng(5)
-    d = scale * rng.uniform(-0.5, 0.5, b.dim).astype(np.complex128)
-    d[0] = scale  # the largest entry, and real, so the rule's scale is exact
-    top = max(scale, 1.0)
-    at = HERMITICITY_RTOL * top / 2  # 2 |Im d| equals the tolerance exactly
-    cases = {"real": (d, True), "zero": (np.zeros(b.dim, complex), True)}
-    for name, im, want in (
-        ("at", at, True),
-        ("past", np.nextafter(at, 1.0), False),
-        ("below", -0.5 * at, True),
-        ("at-negative", -at, True),
-        ("far", 0.1 * top, False),
-    ):
-        e = d.copy()
-        e[3] += 1j * im
-        cases[name] = (e, want)
-    for name, value in (("inf", np.inf), ("nan", np.nan), ("inf-imag", 1j * np.inf)):
-        e = d.copy()
-        e[4] = value
-        cases[name] = (e, None)
-    for name, (entries, want) in cases.items():
-        mat = sparse.diags(entries, format="csr")
-        op = _wrap(b, mat, b.lattice.sites, verify_support=False)
-        assert op.is_diagonal, name
-        expect = _check_hermitian(op.matrix)
-        assert op.hermitian == expect == oracle_is_hermitian(op.matrix), name
-        assert want is None or expect == want, name
 
 
 def test_spec_rejects_non_finite_hopping():
