@@ -2,12 +2,14 @@
 
 One builder makes every step: a LocalUnitary, a chain of (G, tau) pairs
 e^{-iG tau} whose G is a subset Hamiltonian on the halo X[2 ell0],
-occupation-truncated by q on the annulus.  approximate_heisenberg conjugates
-an observable by the dense products of short steps over nested balls X_m,
+occupation-truncated by q on the annulus, each G one
+``assemble_hamiltonian`` call.  approximate_heisenberg conjugates an
+observable by the dense products of short steps over nested balls X_m,
 keeping its support controlled.  run_quench simulates a quench on a
 stationary state by echo steps, which also truncate X[ell0] by q': a
-backward unquenched pair (B, -dt), then a forward quenched (A, dt), applied
-to the state by Krylov propagation.  With full coverage and cutoffs the echo
+backward unquenched pair (B, -dt), then a forward quenched (A, dt), A
+taking the quench term as the builder's ``extra``, applied to the state
+by Krylov propagation.  With full coverage and cutoffs the echo
 telescopes to the exact quenched evolution, using only stationarity.  Both
 walk one step chain, which checks each step's support against i0[R] and
 records {m, support_size, truncation_q} per step.
@@ -22,7 +24,6 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
 from .evolve import (
@@ -160,34 +161,6 @@ def _halo_regions(
     return L1, L2, L2p, Ltilde, clipped
 
 
-def _compressed_generator(
-    spec: HamiltonianSpec,
-    b: FockBasis,
-    hop_region: frozenset[int],
-    int_region: frozenset[int],
-    pi_entries: np.ndarray | None,
-    pi_support: frozenset[int],
-    extra: OperatorMatrix | None = None,
-) -> OperatorMatrix:
-    """Pi_bar (H0 restricted to hop_region + V restricted to int_region + extra) Pi_bar."""
-    H = assemble_hamiltonian(
-        spec,
-        b,
-        _hop_filter=lambda i, j: i in hop_region and j in hop_region,
-        _int_filter=lambda Z: set(Z) <= int_region,
-    )
-    mat = H.matrix
-    supp = set(H.support)
-    if extra is not None:
-        mat = mat + extra.matrix
-        supp |= extra.support
-    if pi_entries is not None:
-        D = sparse.diags(pi_entries)
-        mat = (D @ mat @ D).tocsr()
-        supp |= pi_support
-    return _wrap(b, sparse.csr_matrix(mat), declared_support=sorted(supp), verify_support=False)
-
-
 def _step_unitary(
     spec: HamiltonianSpec,
     b: FockBasis,
@@ -207,14 +180,12 @@ def _step_unitary(
     kk = int(spec.k_max if k is None else k)
     L1, L2, L2p, Ltilde, clipped = _halo_regions(spec.lattice, X, ell0, kk)
     truncation = [(Ltilde, q)] if h_X0 is None else [(Ltilde, q), (L1, qprime)]
-    live = [(sorted(region), cut) for region, cut in truncation if region]
-    entries = truncation_projector(b, live).entries if live else None
-    pi_supp = frozenset().union(*(region for region, _ in truncation))
-    B = _compressed_generator(spec, b, L2p, L2, entries, pi_supp)
+    local = {"hop_sites": L2p, "int_sites": L2, "truncation": truncation}
+    B = assemble_hamiltonian(spec, b, **local)
     if h_X0 is None:
         support, factors = frozenset(L2), ((B, float(dt)),)
     else:
-        A = _compressed_generator(spec, b, L2p, L2, entries, pi_supp, extra=h_X0)
+        A = assemble_hamiltonian(spec, b, **local, extra=h_X0)
         support = frozenset(L2) | h_X0.support
         factors = ((B, -float(dt)), (A, float(dt)))
     scheme = {
@@ -226,7 +197,7 @@ def _step_unitary(
         "L2p": tuple(sorted(L2p)),
         "clipped": clipped,
         "ell0_ge_8k": ell0 >= 8 * kk,
-        "surviving_dim": b.dim if entries is None else int(entries.sum()),
+        "surviving_dim": int(truncation_projector(b, truncation).entries.sum()),
     }
     return LocalUnitary(basis=b, support=support, scheme=scheme, factors=factors)
 
@@ -478,7 +449,7 @@ def run_quench(
 
     H_quench = _wrap(
         b,
-        sparse.csr_matrix(H.matrix + h_X0.matrix),
+        H.matrix + h_X0.matrix,
         declared_support=sorted(H.support | h_X0.support),
         verify_support=False,
     )

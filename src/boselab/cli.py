@@ -68,6 +68,7 @@ from .model import (
     Monomial,
     OperatorMatrix,
     assemble_hamiltonian,
+    bose_hubbard,
     effective_hamiltonian,
     local_operator,
 )
@@ -156,6 +157,13 @@ def _bounded(
     return check
 
 
+def _positive(value) -> float:
+    """A finite float above zero."""
+    if (x := _finite(value)) <= 0:
+        raise ValueError(f"{x} is not positive")
+    return x
+
+
 def _site_index(n_sites: int) -> Callable[[object], int]:
     """A converter to a site index that refuses indices outside 0..n_sites-1."""
     return _bounded(0, n_sites - 1, noun="site")
@@ -174,6 +182,7 @@ def _one_of(options: Sequence[str]) -> Callable[[object], str]:
 
 # ranges the library refuses outside of, read here so the error names the field
 _POSITIVE = _bounded(1)
+_NON_NEGATIVE = _bounded(0.0, conv=_finite)
 _RADIUS = _bounded(3.0, conv=_finite)  # r of the distance-window bounds
 _PROBES = ("number", "creation", "annihilation", "phase")
 _TAIL_MODES = ("markov-optimized", "paper")
@@ -256,8 +265,6 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
     site = _site_index(g.site_count)
     try:
         if not explicit:
-            from .model import bose_hubbard
-
             return bose_hubbard(
                 g,
                 _need(block, "model", "J", _finite),
@@ -441,6 +448,7 @@ class _Run:
             [self.value("t", _finite)] if "t" in scn else []
         )
         self.t0 = max(times, default=1.0)
+        self.t0_field = "scenario.times" if "times" in scn else "scenario.t"
         occ = _parse_psi0(scn["psi0"], self.b.n_sites) if "psi0" in scn else None
         self.qbar = 1.0 if occ is None else float(max(occ, default=0))
 
@@ -488,6 +496,11 @@ class _Run:
         if O is not None and "zeta0" not in block:
             zeta0 = spectral_norm(O)
         _check_keys(block, _CONST_KEYS, "constants")
+        if "t0" not in block and self.t0 <= 0:
+            raise ConfigError(
+                f"{self.t0_field}: the longest time {self.t0} is the default "
+                f"constants.t0, which must be positive"
+            )
         geo = geometric_constants(self.g)
         vals: dict = {
             "c0": 1.0,
@@ -669,7 +682,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
     X = run.values("X", run.site, [g.site_count // 2])
     ell0_values = run.values("ell0_values", _POSITIVE, [1, 2])
-    t = run.value("t", _finite, 0.05)
+    t = run.value("t", _NON_NEGATIVE, 0.05)
     q = run.value("q", _POSITIVE, max(b.site_cutoffs))
     O_X = run.observable({"kind": "number", "site": min(X)})
     psi0 = run.state("mott-1")
@@ -695,12 +708,12 @@ def _approx_sweep(run: _Run) -> list[dict]:
     i0 = run.value("i0", run.site, 0)
     r0 = run.value("r0", _bounded(0), 0)
     R_values = run.values("R_values", _bounded(r0 + 1))
-    t = run.value("t", _finite, 0.1)
+    t = run.value("t", _positive, 0.1)
     O_X = run.observable({"kind": "number", "site": i0})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
     ell0, q = run.value("ell0", _POSITIVE, None), run.value("q", _POSITIVE, None)
-    delta_t0 = run.value("delta_t0", _finite, None)
+    delta_t0 = run.value("delta_t0", _positive, None)
 
     def cell(R: int) -> dict:
         O_R, trace = approximate_heisenberg(
@@ -726,13 +739,13 @@ def _quench_sim(run: _Run) -> list[dict]:
     h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
     h_X0 = local_operator("custom-matrix", [site], b, matrix=h_mat)
     psi0 = run.state("ground")
-    t = run.value("t", _finite, 0.1)
+    t = run.value("t", _positive, 0.1)
     R_values = run.values("R_values", _POSITIVE)
     consts = run.constants()
     options = {
         key: run.value(key, conv, None)
         for key, conv in (("ell0", _POSITIVE), ("q", _POSITIVE), ("qprime", _POSITIVE),
-                          ("delta_t0", _finite), ("stationarity_tol", _finite))
+                          ("delta_t0", _positive), ("stationarity_tol", _NON_NEGATIVE))
     }
     kwargs = {key: v for key, v in options.items() if v is not None}
 
@@ -890,8 +903,8 @@ def _fs_check(run: _Run) -> list[dict]:
 
 def _adjacency_check(run: _Run) -> list[dict]:
     g = run.g
-    times = run.values("times", _finite, [0.1, 0.5, 1.0])
-    J_scale = run.value("J_scale", _bounded(0.0, conv=_finite), 1.0)
+    times = run.values("times", _NON_NEGATIVE, [0.1, 0.5, 1.0])
+    J_scale = run.value("J_scale", _NON_NEGATIVE, 1.0)
     adj = (g.distances == 1).astype(np.float64)
 
     def cell(t: float) -> dict:

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.sparse.linalg import ArpackError, svds
 
 from .fock import FockBasis, ResourceLimitError
 from .model import OperatorMatrix, _wrap
@@ -572,8 +573,6 @@ def spectral_norm(O: OperatorMatrix) -> float:
         return float(np.abs(O.matrix.data).max())
     if O.dim <= dense_cap():
         return _norm2(_Blocks.of(O).mats.values(), O.hermitian)
-    from scipy.sparse.linalg import ArpackError, svds
-
     # a fixed start vector makes the result the same on every call
     v0 = np.random.default_rng(11).standard_normal(O.dim)
     try:

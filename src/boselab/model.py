@@ -17,7 +17,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .fock import DiagonalOperator, FockBasis
+from .fock import (
+    DiagonalOperator, FockBasis, number_operator, region_total_projector, truncation_projector,
+)
 from .lattice import LatticeGraph
 
 __all__ = [
@@ -259,9 +261,12 @@ def _triplet_matrix(
 
 
 def _hopping_rows(
-    b: FockBasis, weights: Mapping[tuple[int, int], Sequence[float]], diag: np.ndarray
+    b: FockBasis,
+    weights: Mapping[tuple[int, int], Sequence[float]],
+    diag: np.ndarray,
+    mask: np.ndarray | None,
 ) -> sparse.csr_matrix:
-    """CSR matrix of sum J b_i b_j^dag over directed edges plus diag(diag).
+    """CSR matrix of mask (sum J b_i b_j^dag over directed edges + diag(diag)) mask.
 
     H's pattern is symmetric, so row s holds targets[e, s] for every
     directed edge e = (i, j), with amplitude J sqrt(n_i (n_j + 1)) at s
@@ -269,7 +274,8 @@ def _hopping_rows(
     edge listed several times adds each listing's J * amp in turn, as a
     sum of duplicate entries would.  Every row starts with one slot per
     edge, and one for s, in ``FockBasis.column_order``; zero and
-    out-of-basis slots drop out.
+    out-of-basis slots drop out, and so do the rows and columns where the
+    0/1 ``mask`` is 0.
     """
     row, targets = b.hop_targets
     slots = b.column_order(weights)
@@ -291,6 +297,9 @@ def _hopping_rows(
         v = np.multiply(next(Js), amp, out=vals[k])
         for J in Js:
             v += J * amp
+    if mask is not None:
+        vals *= mask
+        vals *= mask[cols]
     mat = sparse.csr_matrix(
         (vals.T.ravel(), cols.T.ravel(), np.arange(0, vals.size + 1, len(slots))),
         shape=(b.dim, b.dim),
@@ -314,29 +323,54 @@ def _interaction_entries(b: FockBasis, terms: Sequence[Interaction]) -> np.ndarr
 
 
 def assemble_hamiltonian(
-    spec: HamiltonianSpec, b: FockBasis, *, _hop_filter=None, _int_filter=None
+    spec: HamiltonianSpec,
+    b: FockBasis,
+    *,
+    hop_sites: Iterable[int] | None = None,
+    int_sites: Iterable[int] | None = None,
+    truncation: Sequence[tuple[Iterable[int], int]] = (),
+    extra: OperatorMatrix | None = None,
 ) -> OperatorMatrix:
+    """Pi_bar (H restricted to the given sites + extra) Pi_bar, built in one pass.
+
+    ``hop_sites`` keeps the hoppings with both ends in it, ``int_sites``
+    the interactions whose region lies in it; None keeps every term.
+    ``truncation`` is a ``truncation_projector`` scheme [(region, q)]
+    whose projector Pi_bar compresses the sum from both sides (none by
+    default).  ``extra`` is a diagonal Hermitian operator, such as a
+    quench term, added on the diagonal.  The declared support is the sites
+    of the kept terms, the truncated regions that are not empty and the
+    support of ``extra``.
+    """
     if spec.lattice is not b.lattice and spec.lattice.edges != b.lattice.edges:
         raise ValueError("spec and basis lattices differ")
+    hops = None if hop_sites is None else set(hop_sites)
+    ints = None if int_sites is None else set(int_sites)
     weights: dict[tuple[int, int], list[float]] = {}
     supp: set[int] = set()
     for i, j, J in spec.hoppings:
-        if _hop_filter is not None and not _hop_filter(i, j):
+        if hops is not None and not (i in hops and j in hops):
             continue
         supp.update((i, j))
         # J b_i b_j^dag plus Hermitian conjugate
         weights.setdefault((i, j), []).append(J)
         weights.setdefault((j, i), []).append(J)
-    terms = [
-        t
-        for t in spec.interactions
-        if _int_filter is None or _int_filter(t.region)
-    ]
+    terms = [t for t in spec.interactions if ints is None or ints.issuperset(t.region)]
     diag = _interaction_entries(b, terms)
     for t in terms:
         if any(m.coeff != 0.0 and any(m.powers) for m in t.monomials):
             supp.update(t.region)
-    mat = _hopping_rows(b, weights, diag)
+    if extra is not None:
+        if not extra.is_diagonal:
+            raise ValueError("extra term must be diagonal")
+        d = extra.matrix.diagonal()
+        if np.any(d.imag != 0.0):
+            raise ValueError("extra term must be Hermitian (its diagonal is not real)")
+        diag += d.real
+        supp |= extra.support
+    mask = truncation_projector(b, truncation).entries if truncation else None
+    supp.update(int(i) for region, _ in truncation for i in region)
+    mat = _hopping_rows(b, weights, diag, mask)
     return _wrap(b, mat, declared_support=sorted(supp), verify_support=False)
 
 
@@ -344,13 +378,8 @@ def subset_hamiltonian(
     spec: HamiltonianSpec, b: FockBasis, X: Iterable[int]
 ) -> OperatorMatrix:
     """H_X: hoppings with both endpoints in X, interactions with Z subset X."""
-    Xs = set(int(i) for i in X)
-    return assemble_hamiltonian(
-        spec,
-        b,
-        _hop_filter=lambda i, j: i in Xs and j in Xs,
-        _int_filter=lambda Z: set(Z) <= Xs,
-    )
+    Xs = set(X)
+    return assemble_hamiltonian(spec, b, hop_sites=Xs, int_sites=Xs)
 
 
 def effective_hamiltonian(
@@ -359,13 +388,7 @@ def effective_hamiltonian(
     scheme: Sequence[tuple[Iterable[int], int]],
 ) -> OperatorMatrix:
     """Pi_bar H Pi_bar with Pi_bar = truncation_projector(scheme)."""
-    from .fock import truncation_projector
-
-    H = assemble_hamiltonian(spec, b)
-    pi = truncation_projector(b, list(scheme))
-    D = sparse.diags(pi.entries)
-    mat = D @ H.matrix @ D
-    return _wrap(b, mat, declared_support=sorted(H.support), verify_support=False)
+    return assemble_hamiltonian(spec, b, truncation=scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +454,6 @@ def local_operator(
         raise ValueError("X must be nonempty")
 
     if kind in ("number", "projector"):
-        from .fock import number_operator, region_total_projector
-
         if kind == "number":
             d = number_operator(b, sites)
         elif predicate is None:

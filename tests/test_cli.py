@@ -526,6 +526,18 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("tail-check", "scenario", "r", math.inf, "scenario.r"),
         ("bound-report", "scenario", "fixed", {"r0": 0, "t": math.inf}, "scenario.fixed.t"),
         ("bound-report", "scenario", "grid", {"R": [50, math.nan]}, "scenario.grid.R"),
+        ("approx-sweep", "scenario", "delta_t0", 0, "scenario.delta_t0"),
+        ("quench-sim", "scenario", "delta_t0", -0.1, "scenario.delta_t0"),
+        ("quench-sim", "scenario", "stationarity_tol", -1, "scenario.stationarity_tol"),
+        ("adjacency-check", "scenario", "times", [-0.1], "scenario.times"),
+        ("short-lr-check", "scenario", "t", -0.05, "scenario.t"),
+        ("approx-sweep", "scenario", "t", 0, "scenario.t"),
+        ("approx-sweep", "scenario", "t", -0.1, "scenario.t"),
+        ("quench-sim", "scenario", "t", 0, "scenario.t"),
+        # t0 not given: it defaults to the longest time, which the error names
+        ("moment-check", "scenario", "times", [-0.1], "scenario.times"),
+        ("tail-check", "scenario", "times", [0], "scenario.times"),
+        ("truncation-check", "scenario", "t", -0.1, "scenario.t"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):

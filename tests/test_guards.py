@@ -243,3 +243,17 @@ def test_one_factorisation_per_grid():
     """
     assert _callers("_lanczos_step") == ["evolve._march"]
     assert sorted(_callers("eigh")) == ["evolve._dense_unitaries", "probes.ground_state"]
+
+
+def test_every_import_is_at_module_level():
+    """No function, method or branch of the package imports anything."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert found == []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from boselab import model
 from boselab.approx import quench_step_unitary
 from boselab.fock import FockBasis, enumerate_basis, truncation_projector
 from boselab.lattice import build_lattice
@@ -125,7 +126,11 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
     full = oracle_hamiltonian(spec, b)
     site = data.draw(st.sampled_from(list(g.sites)))
     X = sorted(data.draw(st.sets(st.sampled_from(list(g.sites)), min_size=1)))
-    scheme = [(X, data.draw(st.integers(0, 3)))]
+    # 0 to 2 regions, each possibly empty, possibly overlapping
+    scheme = [
+        (sorted(data.draw(st.sets(st.sampled_from(list(g.sites))))), data.draw(st.integers(0, 3)))
+        for _ in range(data.draw(st.integers(0, 2)))
+    ]
 
     assert_same_csr(assemble_hamiltonian(spec, b).matrix, full)
     assert_same_csr(
@@ -169,6 +174,20 @@ def rank_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """The shape of every matrix ``model._check_hermitian`` is called on."""
+    calls = []
+    check = model._check_hermitian
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return check(mat)
+
+    monkeypatch.setattr(model, "_check_hermitian", counting)
+    return calls
+
+
 def sector_setup():
     g = build_lattice("chain", [5])
     return bose_hubbard(g, 1.0, 2.0), enumerate_basis(g, 2, sector=5)
@@ -187,6 +206,34 @@ def test_second_assembly_ranks_nothing(rank_calls):
     quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
     assert rank_calls == []
     assert_same_csr(first.matrix, second.matrix)
+
+
+def test_each_generator_is_checked_for_hermiticity_once(hermitian_checks):
+    """B and A of a quench step, and an effective H, go through one wrap each."""
+    spec, b = sector_setup()
+    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5, 2.0]))
+    hermitian_checks.clear()
+    quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
+    assert len(hermitian_checks) == 2
+    hermitian_checks.clear()
+    effective_hamiltonian(spec, b, [([2], 1)])
+    assert len(hermitian_checks) == 1
+
+
+@pytest.mark.parametrize("imag", [0.5, 1e-15])
+def test_extra_term_with_an_imaginary_diagonal_is_refused(imag):
+    """Folding the extra term into the real diagonal never drops an imaginary part."""
+    spec, b = sector_setup()
+    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 1j * imag, 2.0]))
+    assert h.is_diagonal
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
+
+
+def test_extra_term_off_the_diagonal_is_refused():
+    spec, b = sector_setup()
+    with pytest.raises(ValueError, match="must be diagonal"):
+        assemble_hamiltonian(spec, b, extra=assemble_hamiltonian(spec, b))
 
 
 def test_hop_table_is_read_only():
