@@ -86,6 +86,7 @@ from .bounds import (
 )
 from .approx import (
     LocalUnitary,
+    StationarityError,
     StepSchedule,
     approximate_heisenberg,
     local_step_unitary,
@@ -120,7 +121,7 @@ __all__ = [
     "lightcone_radius", "main_lr_bound", "moment_bound", "quench_bounds",
     "short_lr_bound", "solve_eta", "subtheorem_bound", "tail_bound",
     "truncation_error_bound",
-    "LocalUnitary", "StepSchedule", "approximate_heisenberg",
+    "LocalUnitary", "StationarityError", "StepSchedule", "approximate_heisenberg",
     "local_step_unitary", "quench_step_unitary", "run_quench",
     "step_schedule",
     "__version__",

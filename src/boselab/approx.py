@@ -3,13 +3,15 @@
 One builder makes every step: a LocalUnitary, a chain of (G, tau) pairs
 e^{-iG tau} whose G is a subset Hamiltonian on the halo X[2 ell0],
 occupation-truncated by q on the annulus, each G one
-``assemble_hamiltonian`` call.  approximate_heisenberg conjugates an
-observable by the dense products of short steps over nested balls X_m,
-keeping its support controlled.  run_quench simulates a quench on a
-stationary state by echo steps, which also truncate X[ell0] by q': a
-backward unquenched pair (B, -dt), then a forward quenched (A, dt), A
-taking the quench term as the builder's ``extra``, applied to the state
-by Krylov propagation.  With full coverage and cutoffs the echo
+``assemble_hamiltonian`` call.  A step holds only these factors; its dense
+product is built, within the dense cap, where a caller uses it.
+approximate_heisenberg conjugates an observable by the dense products of
+short steps over nested balls X_m, one product at a time, keeping its
+support controlled.  run_quench simulates a quench on a stationary state by
+echo steps, which also truncate X[ell0] by q': a backward unquenched pair
+(B, -dt), then a forward quenched (A, dt), A taking the quench term as the
+builder's ``extra``, applied to the state by Krylov propagation, so it
+builds no dense product.  With full coverage and cutoffs the echo
 telescopes to the exact quenched evolution, using only stationarity.  Both
 walk one step chain, which checks each step's support against i0[R] and
 records {m, support_size, truncation_q} per step.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -28,7 +30,7 @@ import numpy as np
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
 from .evolve import (
     StateVector, _Blocks, _conjugate, _dense_unitary, _from_blocks, _norm2, _require_dense,
-    dense_cap, evolve_state,
+    evolve_state,
 )
 from .fock import FockBasis, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball, geometric_constants
@@ -36,6 +38,10 @@ from .model import HamiltonianSpec, OperatorMatrix, _wrap, assemble_hamiltonian
 
 UNITARITY_TOL = 1e-10
 NUMBER_COMM_TOL = 1e-10
+
+
+class StationarityError(ValueError):
+    """The initial state of a quench is not stationary under H."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,11 @@ class LocalUnitary:
 
     ``factors`` holds (G, tau) pairs, each e^{-i G tau} for a Hermitian
     generator G, in application order: factors[0] hits the state first.
-    Construction verifies number commutation on every generator exactly.
-    Within the dense cap it also builds the product once, block by block
-    over particle number, checks that it is unitary, and keeps it for
-    ``materialize`` and ``conjugate``; above the cap no product is built.
+    Construction checks that every generator is Hermitian and commutes
+    exactly with the region's number operator, and builds no matrix.
+    ``materialize`` and ``conjugate`` build the dense product on each call,
+    block by block over particle number, and check that it is unitary; above
+    the dense cap they refuse.
     """
 
     basis: FockBasis
@@ -108,12 +115,8 @@ class LocalUnitary:
                 f"local unitary generator does not commute with the region "
                 f"number operator (defect {defect:.3e})"
             )
-        if self.basis.dim <= dense_cap():
-            U = self._product
-            UU = U.adjoint() @ U - _Blocks.identity(self.basis)
-            uerr = _norm2(UU.mats.values(), hermitian=True)
-            if uerr > UNITARITY_TOL:
-                raise ValueError(f"materialized product is not unitary (defect {uerr:.3e})")
+        if not all(G.hermitian for G, _ in self.factors):
+            raise ValueError("local unitary generator must be Hermitian")
 
     def number_commutation_defect(self) -> float:
         """Exact max |[factor generator, n_support]| entry over all factors."""
@@ -126,28 +129,25 @@ class LocalUnitary:
                 worst = max(worst, float(d.max()))
         return worst
 
-    @cached_property
     def _product(self) -> _Blocks:
+        """The blocked dense product, built and checked for unitarity on every call."""
         _require_dense(self.basis.dim)
         U = _Blocks.identity(self.basis)
         for G, tau in self.factors:
             U = _dense_unitary(G, float(tau)) @ U
-        return U
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        U = self._product.dense()
-        # shared by every caller, so nobody may write to it
-        U.setflags(write=False)
+        UU = U.adjoint() @ U - _Blocks.identity(self.basis)
+        uerr = _norm2(UU.mats.values(), hermitian=True)
+        if uerr > UNITARITY_TOL:
+            raise ValueError(f"materialized product is not unitary (defect {uerr:.3e})")
         return U
 
     def materialize(self) -> np.ndarray:
-        """Dense product matrix, read-only; factors[0] is rightmost."""
-        return self._matrix
+        """Dense product matrix; factors[0] is rightmost."""
+        return self._product().dense()
 
     def conjugate(self, O: OperatorMatrix) -> OperatorMatrix:
         """U^dagger O U from the blocked product, supported on this unitary's and O's sites."""
-        return _from_blocks(_conjugate(self._product, _Blocks.of(O)), self.support | O.support)
+        return _from_blocks(_conjugate(self._product(), _Blocks.of(O)), self.support | O.support)
 
 
 def _halo_regions(
@@ -298,8 +298,7 @@ def _step_chain(
 
     ``build(X, ell0, q, dt)`` makes step m on X = i0[r_{m-1}]; ell0 and q
     default as approximate_heisenberg documents, and every step must stay
-    inside i0[R].  The chain then drops the step's dense product, so it
-    holds one at a time; a caller that needs it uses it inside ``build``.
+    inside i0[R].  Each step holds only its (G, tau) factors.
     """
     if delta_t0 is None:
         delta_t0 = consts.delta_t0 if consts is not None and consts.eta is not None else t
@@ -317,8 +316,6 @@ def _step_chain(
                 f"step {m} support exceeds i0[{R}]; shrink ell0 "
                 f"(ell0 = {ell}, dr = {sched.dr})"
             )
-        for product in ("_product", "_matrix"):
-            vars(step).pop(product, None)
         steps.append(step)
         records.append({"m": m, "support_size": len(step.support), "truncation_q": q_used})
     return ApproxTrace(
@@ -354,18 +351,15 @@ def approximate_heisenberg(
         return (O, trace) if return_trace else O
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
+    trace = _step_chain(
+        partial(local_step_unitary, spec, b), spec.lattice, b, i0, r0, R, t, consts, ell0, q,
+        delta_t0,
+    )
     current = _Blocks.of(O)
     norm0 = _norm2(current.mats.values(), O.hermitian)
-
-    def conjugating_step(X, ell, q_m, dt) -> LocalUnitary:
-        nonlocal current
-        step = local_step_unitary(spec, b, X, ell, q_m, dt)
-        current = _conjugate(step._product, current)
-        return step
-
-    trace = _step_chain(
-        conjugating_step, spec.lattice, b, i0, r0, R, t, consts, ell0, q, delta_t0
-    )
+    # one product at a time: each is dropped once it has conjugated
+    for step in trace.unitaries:
+        current = _conjugate(step._product(), current)
     norm_t = _norm2(current.mats.values(), O.hermitian)
     if abs(norm_t - norm0) > 1e-9 * trace.schedule.m_t + 1e-10:
         raise AssertionError(
@@ -421,7 +415,7 @@ def run_quench(
     energy = float(np.real(np.vdot(psi0.amplitudes, H.matrix @ psi0.amplitudes)))
     resid = float(np.linalg.norm(H.matrix @ psi0.amplitudes - energy * psi0.amplitudes))
     if resid > stationarity_tol:
-        raise ValueError(
+        raise StationarityError(
             f"psi0 is not stationary under H: residual {resid:.3e} exceeds "
             f"tolerance {stationarity_tol:.3e} (the construction requires "
             f"[rho0, H] = 0)"

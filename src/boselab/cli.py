@@ -82,7 +82,7 @@ from .probes import (
     restricted_error,
     tail_probability,
 )
-from .approx import approximate_heisenberg, local_step_unitary, run_quench
+from .approx import StationarityError, approximate_heisenberg, local_step_unitary, run_quench
 
 
 class ConfigError(ValueError):
@@ -442,12 +442,12 @@ class _Run:
         if "model" in needs:
             self.b = _build_basis(cfg, self.g)
             self.spec = _build_model(cfg, self.g)
-        # t0 defaults to the longest time the scenario asks for, qbar to the
+        # t0 defaults to the largest |t| the scenario asks for, qbar to the
         # highest occupation of psi0
         times = self.values("times", _finite, None) or (
             [self.value("t", _finite)] if "t" in scn else []
         )
-        self.t0 = max(times, default=1.0)
+        self.t0 = max(map(abs, times), default=1.0)
         self.t0_field = "scenario.times" if "times" in scn else "scenario.t"
         occ = _parse_psi0(scn["psi0"], self.b.n_sites) if "psi0" in scn else None
         self.qbar = 1.0 if occ is None else float(max(occ, default=0))
@@ -498,7 +498,7 @@ class _Run:
         _check_keys(block, _CONST_KEYS, "constants")
         if "t0" not in block and self.t0 <= 0:
             raise ConfigError(
-                f"{self.t0_field}: the longest time {self.t0} is the default "
+                f"{self.t0_field}: the largest |t|, {self.t0}, is the default "
                 f"constants.t0, which must be positive"
             )
         geo = geometric_constants(self.g)
@@ -750,7 +750,12 @@ def _quench_sim(run: _Run) -> list[dict]:
     kwargs = {key: v for key, v in options.items() if v is not None}
 
     def cell(R: int) -> dict:
-        err, report = run_quench(spec, h_X0, psi0, t, R, consts, **kwargs)
+        try:
+            err, report = run_quench(spec, h_X0, psi0, t, R, consts, **kwargs)
+        except StationarityError as exc:
+            raise ConfigError(
+                f"scenario.psi0: {exc}; scenario.stationarity_tol sets the tolerance"
+            ) from None
         trace = {
             "R": R,
             "params": dict(report.params),

@@ -361,9 +361,13 @@ class _Blocks:
     mats: dict[int, np.ndarray]
 
     @classmethod
-    def of(cls, O: OperatorMatrix, whole: bool = False) -> "_Blocks":
-        """The blocks of O; whole if asked for, or if O mixes particle numbers."""
-        whole = whole or O.delta_n is None
+    def of(cls, O: OperatorMatrix) -> "_Blocks":
+        """The blocks of O; whole if O mixes particle numbers.
+
+        A Hermitian O that shifts N is Hermitian only within tolerance, its
+        entries all near zero; it is whole too, so that its blocks are square.
+        """
+        whole = O.delta_n != 0 if O.hermitian else O.delta_n is None
         shift = 0 if whole else O.delta_n
         parts = cls.partition(O.basis, whole)
         keys = [N for N in parts if N + shift in parts]
@@ -452,7 +456,7 @@ def _dense_unitaries(H: OperatorMatrix, t) -> Iterator[_Blocks]:
     _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
-    blocks = _Blocks.of(H, whole=H.delta_n != 0)
+    blocks = _Blocks.of(H)
     eig = {N: eigh(M if M.imag.any() else M.real) for N, M in blocks.mats.items()}
     return (
         _Blocks(

@@ -131,16 +131,6 @@ def test_local_unitary_rejects_non_hermitian_generator():
         LocalUnitary(basis=b, support=frozenset({0}), scheme={}, factors=((G, 0.1),))
 
 
-def test_local_unitary_product_is_built_once_and_kept():
-    g, b, spec = chain_setup(5, 1)
-    step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
-    U = step.materialize()
-    assert step.materialize() is U
-    assert np.linalg.norm(U.conj().T @ U - np.eye(b.dim), 2) < 1e-10
-    with pytest.raises(ValueError):
-        U[0, 0] = 0.0  # read-only: every caller shares it
-
-
 def test_local_unitary_above_the_cap_refuses_its_product():
     g, b, spec = chain_setup(5, 1)
     token = RUN_DENSE_CAP.set(b.dim - 1)

@@ -150,6 +150,16 @@ def test_dense_expm_matches_the_whole_matrix_oracle(basis_kind, h_kind):
         np.testing.assert_allclose(dense_expm(H, t).dense(), oracle_unitary(H, t), atol=TOL)
 
 
+def test_an_operator_hermitian_only_within_tolerance_is_one_whole_block():
+    # entries far below the Hermiticity tolerance, all raising N by one: the
+    # check calls it Hermitian, yet its N-blocks would not be square
+    b, _ = setup()
+    H = _wrap(b, 1e-16 * probe("creation", b).matrix)
+    assert H.hermitian and H.delta_n == 1
+    np.testing.assert_allclose(dense_expm(H, 0.3).dense(), np.eye(b.dim), atol=TOL)
+    assert spectral_norm(H) < TOL
+
+
 @pytest.mark.parametrize("basis_kind, h_kind", CASES)
 @pytest.mark.parametrize("kind", PROBES)
 def test_heisenberg_matches_the_whole_matrix_oracle(basis_kind, h_kind, kind):
@@ -267,9 +277,9 @@ def test_diagonal_probes_are_never_blocked(monkeypatch):
     blocked = []
     real = evolve_mod._Blocks.of.__func__
 
-    def recording(cls, O, whole=False):
+    def recording(cls, O):
         blocked.append(O)
-        return real(cls, O, whole)
+        return real(cls, O)
 
     monkeypatch.setattr(evolve_mod._Blocks, "of", classmethod(recording))
     commutator_norms(H, O_A, O_Bs, [0.3, 0.9])

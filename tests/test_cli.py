@@ -343,10 +343,14 @@ def test_dense_cap_reaches_worker_threads(tmp_path, capsys):
         assert "exceeds dense cap 10" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind, products", [("short-lr-check", 2), ("approx-sweep", 3)])
+@pytest.mark.parametrize(
+    "kind, products", [("short-lr-check", 2), ("approx-sweep", 3), ("quench-sim", 0)]
+)
 def test_each_step_product_is_built_once(kind, products, tmp_path, monkeypatch):
-    # one single-factor step per cell, and its product serves both the
-    # unitarity check and the conjugation
+    # a step builds its product only where a caller uses it: one
+    # single-factor step per conjugating cell, whose product serves both the
+    # unitarity check and the conjugation; the quench applies its factors by
+    # Krylov propagation and builds none
     real, calls = approx_mod._dense_unitary, []
 
     def counting(H, t):
@@ -534,10 +538,12 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("approx-sweep", "scenario", "t", 0, "scenario.t"),
         ("approx-sweep", "scenario", "t", -0.1, "scenario.t"),
         ("quench-sim", "scenario", "t", 0, "scenario.t"),
-        # t0 not given: it defaults to the longest time, which the error names
-        ("moment-check", "scenario", "times", [-0.1], "scenario.times"),
+        # t0 not given: it defaults to the largest |t|, which the error names
+        ("moment-check", "scenario", "times", [0], "scenario.times"),
         ("tail-check", "scenario", "times", [0], "scenario.times"),
-        ("truncation-check", "scenario", "t", -0.1, "scenario.t"),
+        ("truncation-check", "scenario", "t", 0, "scenario.t"),
+        # a psi0 that is not stationary under H, refused by the quench
+        ("quench-sim", "scenario", "psi0", "mott-1", "scenario.psi0"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
@@ -546,6 +552,16 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_default_t0_is_the_largest_absolute_time(tmp_path):
+    # a negative time is checked against a window that contains it
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["scenario"]["times"] = [-2.0, 0.05]
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["resolved_constants"]["t0"] == 2.0
 
 
 def test_non_finite_time_with_a_given_t0_names_its_field(tmp_path, capsys):

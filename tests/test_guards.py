@@ -245,6 +245,22 @@ def test_one_factorisation_per_grid():
     assert sorted(_callers("eigh")) == ["evolve._dense_unitaries", "probes.ground_state"]
 
 
+def test_a_local_step_builds_its_product_only_where_it_is_used():
+    """A dense step product is built in ``LocalUnitary._product`` alone.
+
+    ``materialize``, ``conjugate`` and ``approximate_heisenberg`` call it;
+    the step's construction and the quench do not.  The other callers of
+    ``_dense_unitary`` are the dense oracles in ``evolve``.
+    """
+    assert sorted(_callers("_dense_unitary")) == [
+        "approx._product",
+        "evolve.dense_expm",
+        "evolve.heisenberg",
+        "evolve.interaction_picture_unitary",
+        "evolve.interaction_picture_unitary",
+    ]
+
+
 def test_every_import_is_at_module_level():
     """No function, method or branch of the package imports anything."""
     found = []
