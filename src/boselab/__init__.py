@@ -37,7 +37,6 @@ from .model import (
     creation_degree,
     effective_hamiltonian,
     local_operator,
-    operator_support,
     subset_hamiltonian,
 )
 from .evolve import (
@@ -86,6 +85,7 @@ from .bounds import (
 )
 from .approx import (
     LocalUnitary,
+    ScheduleError,
     StationarityError,
     StepSchedule,
     approximate_heisenberg,
@@ -105,8 +105,7 @@ __all__ = [
     "site_projector", "truncation_projector",
     "HamiltonianSpec", "Interaction", "Monomial", "OperatorMatrix",
     "assemble_hamiltonian", "bose_hubbard", "creation_degree",
-    "effective_hamiltonian", "local_operator", "operator_support",
-    "subset_hamiltonian",
+    "effective_hamiltonian", "local_operator", "subset_hamiltonian",
     "DENSE_CAP", "DenseCapError", "PropagationError", "StateVector", "dense_expm",
     "evolve_state", "heisenberg", "interaction_picture_unitary",
     "spectral_norm",
@@ -121,8 +120,8 @@ __all__ = [
     "lightcone_radius", "main_lr_bound", "moment_bound", "quench_bounds",
     "short_lr_bound", "solve_eta", "subtheorem_bound", "tail_bound",
     "truncation_error_bound",
-    "LocalUnitary", "StationarityError", "StepSchedule", "approximate_heisenberg",
-    "local_step_unitary", "quench_step_unitary", "run_quench",
-    "step_schedule",
+    "LocalUnitary", "ScheduleError", "StationarityError", "StepSchedule",
+    "approximate_heisenberg", "local_step_unitary", "quench_step_unitary",
+    "run_quench", "step_schedule",
     "__version__",
 ]

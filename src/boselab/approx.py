@@ -44,6 +44,10 @@ class StationarityError(ValueError):
     """The initial state of a quench is not stationary under H."""
 
 
+class ScheduleError(ValueError):
+    """No step schedule of (t, R - r0) keeps every step inside i0[R]."""
+
+
 @dataclass(frozen=True)
 class StepSchedule:
     """Partition of (t, R - r0) into m_t short steps of radius growth dr."""
@@ -82,7 +86,7 @@ def step_schedule(t: float, R: float, r0: int, delta_t0: float) -> StepSchedule:
         raise AssertionError("schedule produced dt > delta_t0")
     dr = int((R - r0) // m_t)
     if dr < 1:
-        raise ValueError(
+        raise ScheduleError(
             f"infeasible schedule: {m_t} steps require R - r0 >= m_t "
             f"(dr >= 1), got R - r0 = {R - r0}"
         )
@@ -298,7 +302,8 @@ def _step_chain(
 
     ``build(X, ell0, q, dt)`` makes step m on X = i0[r_{m-1}]; ell0 and q
     default as approximate_heisenberg documents, and every step must stay
-    inside i0[R].  Each step holds only its (G, tau) factors.
+    inside i0[R], or a ScheduleError says what to change.  Each step holds
+    only its (G, tau) factors.
     """
     if delta_t0 is None:
         delta_t0 = consts.delta_t0 if consts is not None and consts.eta is not None else t
@@ -312,9 +317,13 @@ def _step_chain(
     for m, X in enumerate(starts, start=1):
         step = build(X, ell, q_used, sched.dt)
         if not step.support <= X_final:
-            raise ValueError(
-                f"step {m} support exceeds i0[{R}]; shrink ell0 "
-                f"(ell0 = {ell}, dr = {sched.dr})"
+            # the default ell0 fits whenever dr >= 2, so only a given one can shrink
+            hint = (
+                "shrink ell0" if ell0 is not None
+                else f"the default ell0 needs dr >= 2, so R - r0 >= {2 * sched.m_t}"
+            )
+            raise ScheduleError(
+                f"step {m} support exceeds i0[{R}] (ell0 = {ell}, dr = {sched.dr}); {hint}"
             )
         steps.append(step)
         records.append({"m": m, "support_size": len(step.support), "truncation_q": q_used})
@@ -441,12 +450,7 @@ def run_quench(
     for G, tau in backward + [step.factors[1] for step in trace.unitaries]:
         state = evolve_state(G, state, tau, tol=tol)
 
-    H_quench = _wrap(
-        b,
-        H.matrix + h_X0.matrix,
-        declared_support=sorted(H.support | h_X0.support),
-        verify_support=False,
-    )
+    H_quench = _wrap(b, H.matrix + h_X0.matrix, H.support | h_X0.support)
     exact = evolve_state(H_quench, psi0, t, tol=tol)
 
     a = state.amplitudes / np.linalg.norm(state.amplitudes)

@@ -82,7 +82,13 @@ from .probes import (
     restricted_error,
     tail_probability,
 )
-from .approx import StationarityError, approximate_heisenberg, local_step_unitary, run_quench
+from .approx import (
+    ScheduleError,
+    StationarityError,
+    approximate_heisenberg,
+    local_step_unitary,
+    run_quench,
+)
 
 
 class ConfigError(ValueError):
@@ -716,10 +722,13 @@ def _approx_sweep(run: _Run) -> list[dict]:
     delta_t0 = run.value("delta_t0", _positive, None)
 
     def cell(R: int) -> dict:
-        O_R, trace = approximate_heisenberg(
-            O_X, i0, r0, R, t, spec, b, consts,
-            ell0=ell0, q=q, delta_t0=delta_t0, return_trace=True,
-        )
+        try:
+            O_R, trace = approximate_heisenberg(
+                O_X, i0, r0, R, t, spec, b, consts,
+                ell0=ell0, q=q, delta_t0=delta_t0, return_trace=True,
+            )
+        except ScheduleError as exc:
+            raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
         return {
             "R": R, "t": t, "ell0": trace.ell0, "q": trace.q,
             "m_t": trace.schedule.m_t, "error": restricted_error(H, O_X, O_R, psi0, t),
@@ -756,6 +765,8 @@ def _quench_sim(run: _Run) -> list[dict]:
             raise ConfigError(
                 f"scenario.psi0: {exc}; scenario.stationarity_tol sets the tolerance"
             ) from None
+        except ScheduleError as exc:
+            raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
         trace = {
             "R": R,
             "params": dict(report.params),

@@ -527,9 +527,8 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
 
 
 def _from_blocks(X: _Blocks, support) -> OperatorMatrix:
-    """A blocked operator as an operator on the sites ``support``, unverified."""
-    mat = sparse.csr_matrix(X.dense())
-    return _wrap(X.basis, mat, declared_support=sorted(support), verify_support=False)
+    """A blocked operator as an operator on the sites ``support``."""
+    return _wrap(X.basis, sparse.csr_matrix(X.dense()), support)
 
 
 def dense_expm(H: OperatorMatrix, t: float) -> OperatorMatrix:
@@ -559,9 +558,7 @@ def interaction_picture_unitary(
         raise ValueError("A and h must be Hermitian")
     support = A.support | h.support
     Ua = _dense_unitary(A, float(t))
-    A_minus_h = _wrap(
-        A.basis, A.matrix - h.matrix, declared_support=sorted(support), verify_support=False
-    )
+    A_minus_h = _wrap(A.basis, A.matrix - h.matrix, support)
     Ub = _dense_unitary(A_minus_h, -float(t))
     return _from_blocks(Ua @ Ub, support)
 

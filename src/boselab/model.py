@@ -17,9 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .fock import (
-    DiagonalOperator, FockBasis, number_operator, region_total_projector, truncation_projector,
-)
+from .fock import FockBasis, number_operator, region_total_projector, truncation_projector
 from .lattice import LatticeGraph
 
 __all__ = [
@@ -33,7 +31,6 @@ __all__ = [
     "effective_hamiltonian",
     "creation_degree",
     "local_operator",
-    "operator_support",
 ]
 
 HERMITICITY_RTOL = 1e-12
@@ -124,49 +121,15 @@ def _check_hermitian(mat: sparse.csr_matrix) -> bool:
     return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
 
 
-def operator_support(mat: sparse.spmatrix, b: FockBasis) -> frozenset[int]:
-    """Minimal site set on which the matrix acts non-trivially.
-
-    Exact on product bases: site i is outside the support iff the matrix is
-    block-identical across the n_i slices.  On sector bases only motion is
-    detectable (diagonal operators are functions of any one site given the
-    rest), so the result there is a lower bound refined by the caller's
-    declared support.
-    """
-    coo = mat.tocoo()
-    keep = np.abs(coo.data) > 0
-    rows, cols, vals = coo.row[keep], coo.col[keep], coo.data[keep]
-    if rows.size == 0:
-        return frozenset()
-    states = b.states
-    moved = states[rows] != states[cols]          # (nnz, n_sites) bool
-    support = set(int(i) for i in np.nonzero(moved.any(axis=0))[0])
-
-    if b.sector is not None:
-        return frozenset(support)
-
-    # n_i-slice comparison for unmoved sites on product bases: entries with
-    # equal rest = index - n_i * stride_i must agree for every n_i
-    rows, cols = rows.astype(np.int64), cols.astype(np.int64)
-    for i, stride in enumerate(b.completions[1:]):
-        n_vals = b.site_cutoffs[i] + 1
-        if i in support or n_vals == 1:
-            continue
-        shift = states[rows, i] * stride
-        key = (rows - shift) * b.dim + (cols - shift)
-        _, first, slot, count = np.unique(
-            key, return_index=True, return_inverse=True, return_counts=True
-        )
-        ref = vals[first][slot]
-        if np.any(count != n_vals) or np.any(
-            np.abs(vals - ref) > 1e-14 * np.maximum(np.abs(ref), 1.0)
-        ):
-            support.add(i)
-    return frozenset(support)
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """A sparse operator on a basis, with the site set it acts on.
+
+    ``support`` is declared by the operator's builder: every site the
+    operator acts on is in it, but it need not be the minimal such set.
+    Every OperatorMatrix is made by ``_wrap``.
+    """
+
     basis: FockBasis
     matrix: sparse.csr_matrix = field(repr=False)
     hermitian: bool
@@ -198,66 +161,31 @@ class OperatorMatrix:
         return int(shifts[0]) if shifts.size else 0
 
 
-def _wrap(
-    b: FockBasis,
-    mat: sparse.spmatrix,
-    declared_support: Iterable[int] | None = None,
-    *,
-    verify_support: bool = True,
-) -> OperatorMatrix:
+def _wrap(b: FockBasis, mat: sparse.spmatrix, support: Iterable[int]) -> OperatorMatrix:
+    """``mat`` on ``b`` as an OperatorMatrix on the sites ``support``.
+
+    The support is the builder's own, declared by construction: it is
+    sound (the operator acts as the identity off it) but need not be
+    minimal, and it is neither computed nor verified here.
+    """
     csr = sparse.csr_matrix(mat, dtype=np.complex128)
     csr.eliminate_zeros()
     if csr.shape != (b.dim, b.dim):
         raise ValueError("matrix dimension does not match basis")
+    # checked before the nnz-long row indices exist, which keeps the peak lower
     herm = _check_hermitian(csr)
-    if declared_support is not None:
-        declared = frozenset(int(i) for i in declared_support)
-        if verify_support:
-            computed = operator_support(csr, b)
-            if not computed <= declared:
-                raise ValueError(
-                    f"declared support {sorted(declared)} misses sites "
-                    f"{sorted(computed - declared)}"
-                )
-        supp = declared
-    else:
-        supp = operator_support(csr, b)
     rows = np.repeat(np.arange(b.dim), np.diff(csr.indptr))
     return OperatorMatrix(
         basis=b,
         matrix=csr,
         hermitian=herm,
         is_diagonal=bool(np.all(rows == csr.indices)),
-        support=supp,
+        support=frozenset(int(i) for i in support),
     )
-
-
-def diagonal_to_operator(d: DiagonalOperator, support: Iterable[int] | None = None) -> OperatorMatrix:
-    mat = sparse.diags(d.entries.astype(np.complex128), format="csr")
-    return _wrap(d.basis, mat, declared_support=support)
 
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-def _move_triplets(
-    b: FockBasis, src: np.ndarray, target: np.ndarray, amp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Triplets (dst, src, amp) of the local moves states[src] -> target rows.
-
-    Moves that leave the basis (past a cutoff or out of the sector) are dropped.
-    """
-    dst = b.rank(target)
-    keep = dst >= 0
-    return dst[keep], src[keep], amp[keep].astype(np.complex128)
-
-
-def _triplet_matrix(
-    b: FockBasis, parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
-) -> sparse.csr_matrix:
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(b.dim, b.dim))
 
 
 def _hopping_rows(
@@ -371,7 +299,7 @@ def assemble_hamiltonian(
     mask = truncation_projector(b, truncation).entries if truncation else None
     supp.update(int(i) for region, _ in truncation for i in region)
     mat = _hopping_rows(b, weights, diag, mask)
-    return _wrap(b, mat, declared_support=sorted(supp), verify_support=False)
+    return _wrap(b, mat, supp)
 
 
 def subset_hamiltonian(
@@ -421,16 +349,6 @@ def creation_degree(O: OperatorMatrix, X: Iterable[int]) -> int | str:
     return q0
 
 
-def _site_ladder(
-    b: FockBasis, i: int, create: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n_i = b.states[:, i].astype(np.float64)
-    target = b.states.copy()
-    target[:, i] += 1 if create else -1
-    amp = np.sqrt(n_i + 1.0) if create else np.sqrt(n_i)
-    return _move_triplets(b, np.arange(b.dim), target, amp)
-
-
 def local_operator(
     kind: str,
     X: Iterable[int] | int,
@@ -445,9 +363,10 @@ def local_operator(
     kinds: "number" (n_X), "creation"/"annihilation" (single site, clipped
     ladder), "projector" (region_total_projector, needs predicate),
     "custom-matrix" (matrix on the local occupation space of X, embedded;
-    basis states whose image leaves the basis are dropped).  Every kind is
-    built from the occupations of X alone, so its support is X by
-    construction and is not verified again.
+    basis states whose image leaves the basis are dropped).  A ladder is
+    the custom-matrix embedding of the site's local ladder matrix.  Every
+    kind is built from the occupations of X alone, so its support is X by
+    construction.
     """
     sites = [int(X)] if isinstance(X, int) else sorted(set(int(i) for i in X))
     if not sites:
@@ -461,42 +380,47 @@ def local_operator(
         else:
             d = region_total_projector(b, sites, predicate)
         mat = sparse.diags(d.entries.astype(np.complex128), format="csr")
-        return _wrap(b, mat, declared_support=sites, verify_support=False)
+        return _wrap(b, mat, sites)
     if kind in ("creation", "annihilation"):
         if len(sites) != 1:
             raise ValueError(f"{kind} operator acts on a single site")
-        mat = _triplet_matrix(b, [_site_ladder(b, sites[0], kind == "creation")])
-        return _wrap(b, mat, declared_support=sites, verify_support=False)
-    if kind == "custom-matrix":
-        if matrix is None:
-            raise ValueError("custom-matrix kind needs a matrix")
-        local_dims = [b.site_cutoffs[i] + 1 for i in sites]
-        ldim = int(np.prod(local_dims))
-        M = np.asarray(matrix, dtype=np.complex128)
-        if M.shape != (ldim, ldim):
-            raise ValueError(
-                f"custom matrix shape {M.shape} does not match local dimension {ldim}"
-            )
-        Mc = sparse.csc_matrix(M)
-        # basis state g meets the nonzeros of column loc[g] of M, loc[g] being
-        # its local index on X; k runs over those entries state by state, and
-        # each target takes its entry's row as the occupation of X
-        loc = np.ravel_multi_index(tuple(b.states[:, sites].T), local_dims)
-        count = np.diff(Mc.indptr)[loc]
-        src = np.repeat(np.arange(b.dim), count)
-        k = Mc.indptr[loc][src] + np.arange(src.size) - np.repeat(
-            np.cumsum(count) - count, count
+        # <n+1| b^dag |n> = sqrt(n+1) below the diagonal, and its transpose
+        c = b.site_cutoffs[sites[0]]
+        L = np.diag(np.sqrt(np.arange(1.0, c + 1.0)), -1)
+        matrix = L if kind == "creation" else L.T
+    elif kind != "custom-matrix":
+        raise ValueError(f"unknown operator kind: {kind!r}")
+    if matrix is None:
+        raise ValueError("custom-matrix kind needs a matrix")
+    local_dims = [b.site_cutoffs[i] + 1 for i in sites]
+    ldim = int(np.prod(local_dims))
+    M = np.asarray(matrix, dtype=np.complex128)
+    if M.shape != (ldim, ldim):
+        raise ValueError(
+            f"custom matrix shape {M.shape} does not match local dimension {ldim}"
         )
-        target = b.states[src]
-        target[:, sites] = np.stack(np.unravel_index(Mc.indices[k], local_dims), axis=1)
-        mat = _triplet_matrix(b, [_move_triplets(b, src, target, Mc.data[k])])
-        op = _wrap(b, mat, declared_support=sites, verify_support=False)
-        if unitary:
-            err = (op.matrix.getH() @ op.matrix - sparse.eye(b.dim)).tocoo()
-            worst = np.abs(err.data).max() if err.nnz else 0.0
-            if worst > 1e-10:
-                raise ValueError(
-                    f"custom matrix is not unitary on this basis (defect {worst:.2e})"
-                )
-        return op
-    raise ValueError(f"unknown operator kind: {kind!r}")
+    Mc = sparse.csc_matrix(M)
+    # basis state g meets the nonzeros of column loc[g] of M, loc[g] being
+    # its local index on X; k runs over those entries state by state, and
+    # each target takes its entry's row as the occupation of X
+    loc = np.ravel_multi_index(tuple(b.states[:, sites].T), local_dims)
+    count = np.diff(Mc.indptr)[loc]
+    src = np.repeat(np.arange(b.dim), count)
+    k = Mc.indptr[loc][src] + np.arange(src.size) - np.repeat(
+        np.cumsum(count) - count, count
+    )
+    target = b.states[src]
+    target[:, sites] = np.stack(np.unravel_index(Mc.indices[k], local_dims), axis=1)
+    # moves that leave the basis (past a cutoff or out of the sector) drop
+    dst = b.rank(target)
+    keep = dst >= 0
+    mat = sparse.csr_matrix((Mc.data[k][keep], (dst[keep], src[keep])), shape=(b.dim, b.dim))
+    op = _wrap(b, mat, sites)
+    if unitary:
+        err = (op.matrix.getH() @ op.matrix - sparse.eye(b.dim)).tocoo()
+        worst = np.abs(err.data).max() if err.nnz else 0.0
+        if worst > 1e-10:
+            raise ValueError(
+                f"custom matrix is not unitary on this basis (defect {worst:.2e})"
+            )
+    return op

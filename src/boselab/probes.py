@@ -211,9 +211,13 @@ def ground_state(H: OperatorMatrix) -> GroundStateResult:
 
     evals: np.ndarray
     evecs: np.ndarray
+    mat = H.matrix
+    if not mat.data.imag.any():
+        # a real symmetric H is solved in real arithmetic (LAPACK dsyevr
+        # below the cap, ARPACK dsaupd above it)
+        mat = mat.real
     if dim <= dense_cap():
-        evals, evecs = eigh(H.dense())
-        evals, evecs = evals[:2], evecs[:, :2]
+        evals, evecs = eigh(mat.toarray(), subset_by_index=[0, 1])
     else:
         # fixed start vector keeps repeated runs bit-identical
         v0 = np.random.default_rng(7).standard_normal(dim)
@@ -221,10 +225,6 @@ def ground_state(H: OperatorMatrix) -> GroundStateResult:
         # ground pair is the dominant-magnitude end; an unshifted solve can
         # miss an exactly-zero ground energy (the Krylov space loses any
         # null-space component after one matvec)
-        mat = H.matrix.tocsr()
-        if not mat.data.imag.any():
-            # a real symmetric H is solved in real arithmetic (ARPACK dsaupd)
-            mat = mat.real
         diag = mat.diagonal().real
         radius = np.asarray(np.abs(mat).sum(axis=1)).ravel() - np.abs(diag)
         sigma = float((diag + radius).max()) + 1.0

@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from boselab.approx import (
     LocalUnitary,
+    ScheduleError,
     approximate_heisenberg,
     local_step_unitary,
     quench_step_unitary,
@@ -64,7 +65,7 @@ def test_step_schedule_exact_multiple_does_not_overshoot():
 
 def test_step_schedule_infeasible():
     # ten steps cannot each grow the radius by >= 1 inside R - r0 = 5
-    with pytest.raises(ValueError, match="infeasible"):
+    with pytest.raises(ScheduleError, match="infeasible"):
         step_schedule(1.0, 5, 0, 0.1)
 
 
@@ -336,8 +337,18 @@ def test_approximate_heisenberg_dense_cap():
 def test_approximate_heisenberg_halo_overflow():
     g, b, spec = chain_setup(7, 1)
     O = local_operator("number", [0], b)
-    with pytest.raises(ValueError, match="support exceeds"):
+    with pytest.raises(ScheduleError, match="support exceeds.*shrink ell0"):
         approximate_heisenberg(O, 0, 0, 2, 0.1, spec, b, ell0=3, q=1)
+
+
+def test_default_ell0_overflow_does_not_suggest_shrinking_it():
+    # R = 1 in one step gives dr = 1, which the default ell0 = 1 overflows
+    g, b, spec = chain_setup(7, 1)
+    O = local_operator("number", [0], b)
+    with pytest.raises(ScheduleError, match=r"exceeds i0\[1\]") as info:
+        approximate_heisenberg(O, 0, 0, 1, 0.1, spec, b, q=1)
+    assert "shrink ell0" not in str(info.value)
+    assert "R - r0 >= 2" in str(info.value)
 
 
 # -- quench runs ----------------------------------------------------------------

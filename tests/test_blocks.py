@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from boselab import evolve as evolve_mod
 from boselab.approx import approximate_heisenberg, local_step_unitary
 from boselab.evolve import dense_expm, heisenberg, interaction_picture_unitary, spectral_norm
-from boselab.fock import enumerate_basis, number_operator
+from boselab.fock import enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import (
     _wrap,
     assemble_hamiltonian,
     bose_hubbard,
-    diagonal_to_operator,
     local_operator,
 )
 from boselab.probes import commutator_norms
@@ -54,7 +53,7 @@ def probe(kind, b, site=1):
 def mixing_hamiltonian(b, H):
     """H plus a Hermitian term that changes N, so its ΔN is None."""
     term = probe("mixing-hermitian", b, site=2)
-    return _wrap(b, H.matrix + 0.3 * term.matrix)
+    return _wrap(b, H.matrix + 0.3 * term.matrix, H.support | term.support)
 
 
 # -- blocks and ΔN ------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_delta_n_on_a_product_basis(kind, expected):
     elif kind == "projector":
         op = local_operator("projector", [1, 2], b, predicate=("<=", 1))
     elif kind == "density":
-        op = diagonal_to_operator(number_operator(b, [0, 3]), support=[0, 3])
+        op = local_operator("number", [0, 3], b)
     elif kind == "mixing-hamiltonian":
         op = mixing_hamiltonian(b, H)
     else:
@@ -154,7 +153,8 @@ def test_an_operator_hermitian_only_within_tolerance_is_one_whole_block():
     # entries far below the Hermiticity tolerance, all raising N by one: the
     # check calls it Hermitian, yet its N-blocks would not be square
     b, _ = setup()
-    H = _wrap(b, 1e-16 * probe("creation", b).matrix)
+    up = probe("creation", b)
+    H = _wrap(b, 1e-16 * up.matrix, up.support)
     assert H.hermitian and H.delta_n == 1
     np.testing.assert_allclose(dense_expm(H, 0.3).dense(), np.eye(b.dim), atol=TOL)
     assert spectral_norm(H) < TOL
@@ -210,13 +210,13 @@ def diagonal_case(cutoff, basis_kind, h_kind):
         # b_2 + b_2^dagger clipped at the cutoff: Hermitian, ΔN = ±1
         up = np.eye(cutoff + 1, k=-1)
         term = local_operator("custom-matrix", [2], b, matrix=up + up.T)
-        H = _wrap(b, H.matrix + 0.3 * term.matrix)
+        H = _wrap(b, H.matrix + 0.3 * term.matrix, H.support | term.support)
     elif h_kind == "complex":
         # i b_0^dagger b_1 + h.c.: Hermitian, conserving, with imaginary entries
         down = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
         hop = 1j * np.kron(down.T, down)
         term = local_operator("custom-matrix", [0, 1], b, matrix=hop + hop.conj().T)
-        H = _wrap(b, H.matrix + 0.4 * term.matrix)
+        H = _wrap(b, H.matrix + 0.4 * term.matrix, H.support | term.support)
         assert H.hermitian and H.delta_n == 0 and H.matrix.data.imag.any()
     return b, H
 
@@ -316,7 +316,7 @@ def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
 def test_interaction_picture_unitary_matches_the_whole_matrix_oracle(basis_kind, h_kind):
     b, A = case(basis_kind, "conserving")
     h = probe(h_kind, b, site=1)
-    A_minus_h = _wrap(b, A.matrix - h.matrix)
+    A_minus_h = _wrap(b, A.matrix - h.matrix, A.support | h.support)
     expect = oracle_unitary(A, 0.45) @ oracle_unitary(A_minus_h, -0.45)
     got = interaction_picture_unitary(A, h, 0.45).dense()
     np.testing.assert_allclose(got, expect, atol=TOL)

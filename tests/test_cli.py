@@ -544,6 +544,9 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         ("truncation-check", "scenario", "t", 0, "scenario.t"),
         # a psi0 that is not stationary under H, refused by the quench
         ("quench-sim", "scenario", "psi0", "mott-1", "scenario.psi0"),
+        # infeasible step schedules, named by the R that cannot hold them
+        ("approx-sweep", "scenario", "R_values", [1, 4], "scenario.R_values"),
+        ("quench-sim", "scenario", "delta_t0", 0.01, "scenario.R_values"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):

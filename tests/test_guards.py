@@ -273,3 +273,16 @@ def test_every_import_is_at_module_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
         ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    """Each name in the package's and its modules' ``__all__`` is bound.
+
+    A deleted public name left in an ``__all__`` fails here, where a star
+    import would otherwise be the first to notice.
+    """
+    missing = []
+    for name in ("boselab", "boselab.lattice", "boselab.fock", "boselab.model", "boselab.evolve"):
+        module = importlib.import_module(name)
+        missing += [f"{name}.{key}" for key in module.__all__ if not hasattr(module, key)]
+    assert missing == []

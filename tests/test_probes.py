@@ -313,7 +313,7 @@ def test_complex_hermitian_hamiltonian_keeps_complex_solver(iterative_ground_sta
     b = enumerate_basis(g, 2)
     H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=2.0), b)
     C = local_operator("custom-matrix", [0, 1], b, matrix=0.3 * random_hermitian(9, 4))
-    Hc = _wrap(b, H.matrix + C.matrix)
+    Hc = _wrap(b, H.matrix + C.matrix, H.support | C.support)
     assert Hc.hermitian and np.abs(Hc.matrix.data.imag).max() > 0
     res = solve(Hc)
     assert dtypes == [np.complex128]
