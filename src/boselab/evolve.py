@@ -20,6 +20,14 @@ on each side of zero; its step estimate bounds the defect over the whole
 step, so every time inside an accepted step is read from the subspace that
 step built, at no extra matvec.  A single time is a grid of one.
 
+The Lanczos recurrence runs without reorthogonalization.  Its vectors drift
+from orthogonal once a Ritz value converges, yet the step's error estimate
+needs only the three-term relation, which the recurrence keeps to rounding
+(see ``_lanczos_step``); Lanczos for matrix functions stays accurate without
+reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM J. Sci.
+Comput. 19, 38 (1998)).  Each vector then costs one matvec and O(n) work,
+not a projection against every vector before it.
+
 Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
 is held as those blocks (``_Blocks``): e^{-iHt} takes one ``eigh`` per block
@@ -149,13 +157,26 @@ def _lanczos_step(
     from the subspace, the estimate and the number of Krylov vectors built.
     The estimate bounds the defect over all of (0, dt], so it holds for the
     propagator at every tau in there.
+
+    The vectors are not reorthogonalized, and the estimate does not need
+    them orthogonal.  Let V_k hold the k vectors as columns and T_k the
+    tridiagonal of the alphas and betas.  The recurrence gives
+    H V_k = V_k T_k + beta_k v_{k+1} e_k^T, with ||v_{k+1}|| = 1 and
+    V_k e_1 = v / beta0, each to rounding however far V_k drifts from
+    orthogonal.  So u(s) = beta0 V_k exp(-i T_k s) e_1 starts at v and obeys
+    u' = -i H u + r(s), r(s) = i beta0 beta_k (e_k^T exp(-i T_k s) e_1) v_{k+1}.
+    Against the exact exp(-i H s) v the difference at tau is the integral
+    of exp(-i H (tau - s)) r(s) over (0, tau), and exp(-i H t) is unitary,
+    so its norm is at most beta0 beta_k times the integral of
+    |e_k^T exp(-i T_k s) e_1|, which the estimate bounds.  The block V is
+    left uninitialised: row k is written before it is read.
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
         return lambda tau: v.copy(), 0.0, 0
     n = v.size
     m = min(m, n)
-    V = np.zeros((m, n), dtype=np.complex128)
+    V = np.empty((m, n), dtype=np.complex128)
     alphas = np.zeros(m)
     betas = np.zeros(m)  # betas[k] couples V[k] and V[k+1]
     V[0] = v / beta0
@@ -168,9 +189,6 @@ def _lanczos_step(
         w -= a * V[k]
         if k > 0:
             w -= betas[k - 1] * V[k - 1]
-        # full reorthogonalization; conjugating w instead of the block
-        # projects without copying V
-        w -= V[: k + 1].T @ (V[: k + 1] @ w.conj()).conj()
         b = np.linalg.norm(w)
         betas[k] = b
         breakdown = k + 1 < m and b < 1e-14 * beta0

@@ -2,6 +2,7 @@
 
 import contextvars
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,71 @@ def test_early_stop_matches_expm_multiply_above_dense_cap(t):
     out = evolve_state(H, psi, t)
     ref = expm_multiply(-1j * t * H.matrix, psi.amplitudes)
     assert np.linalg.norm(out.amplitudes - ref) <= 1e-9
+
+
+# -- no reorthogonalization: the estimate rests on the three-term relation --
+
+
+def lanczos_basis(H, v, m):
+    """The first ``m`` vectors of the plain three-term Lanczos recurrence from v."""
+    V = [v / np.linalg.norm(v)]
+    beta = 0.0
+    for k in range(m - 1):
+        w = H @ V[k]
+        w -= np.vdot(V[k], w) * V[k]
+        if k:
+            w -= beta * V[k - 1]
+        beta = np.linalg.norm(w)
+        V.append(w / beta)
+    return np.array(V)
+
+
+# (system, start, t) -> Krylov vectors built by the march with full
+# reorthogonalization, which the plain recurrence must not exceed
+LONG_MARCHES = {
+    ("chain6-cutoff3-N6", "mott", 10.0): 384,
+    ("chain6-cutoff3-N6", "random", 10.0): 720,
+    ("chain6-cutoff3-N6", "mott", 40.0): 960,
+    ("chain6-cutoff3-N6", "random", 40.0): 2832,
+    ("chain4-cutoff4-U5", "random", 40.0): 12144,
+}
+
+
+@pytest.mark.parametrize("system, start, t", sorted(LONG_MARCHES))
+def test_estimate_bounds_the_error_without_orthogonality(system, start, t):
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS[system])
+    psi = early_stop_start(system, b, start)
+    tol = 1e-10
+    out, report = evolve_state(H, psi, t, tol=tol, return_report=True)
+    exact = dense_expm(H, t).dense() @ psi.amplitudes
+    assert np.linalg.norm(out.amplitudes - exact) <= report.est_error <= tol
+    assert report.matvecs <= LONG_MARCHES[system, start, t]
+
+
+@pytest.mark.parametrize(
+    "system, start", [("chain6-cutoff3-N6", "mott"), ("chain4-cutoff4-U5", "random")]
+)
+def test_a_full_krylov_step_loses_orthogonality(system, start):
+    # the premise of the test above: a step at the Krylov cap holds a basis
+    # far from orthogonal, so the estimate cannot lean on orthogonality
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS[system])
+    psi = early_stop_start(system, b, start)
+    V = lanczos_basis(H.matrix, psi.amplitudes, evolve_mod._MAX_KRYLOV)
+    assert np.abs(V.conj() @ V.T - np.eye(len(V))).max() > 1e-3
+
+
+@pytest.mark.parametrize("sector", [None, 1])
+def test_invariant_krylov_space_returns_the_exact_state(sector):
+    # one boson on two sites spans a 2-vector Krylov space: the recurrence's
+    # third vector is exactly zero, and the step must stop without dividing by it
+    g, b, H = chain_setup(2, 1, J=1.0, sector=sector)
+    psi = fock_state(b, (1, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out, report = evolve_state(H, psi, 3.0, return_report=True)
+    exact = dense_expm(H, 3.0).dense() @ psi.amplitudes
+    assert np.linalg.norm(out.amplitudes - exact) <= 1e-13
+    assert (report.steps, report.matvecs, report.est_error) == (1, 2, 0.0)
 
 
 # -- grids of times: one march per side of zero, every time read off a step --
