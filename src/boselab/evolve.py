@@ -7,18 +7,26 @@ few vectors and only long ones reach the size cap.  Operators move densely
 below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here: one refusal of
-the cap (``_require_dense``, which raises ``DenseCapError``), one dense
-e^{-iHt} by eigendecomposition (``_dense_unitaries``), one conjugation
-(``_conjugate``), one operator 2-norm (``_norm2``) and the norm of a
-commutator with a diagonal operator (``_diagonal_commutator_norm``).  The
-dense path doubles as the oracle for the Krylov path in the test suite.
+the cap (``_require_dense``, which raises ``DenseCapError``), one
+eigendecomposition of H per block (``_eigenbasis``, the divide-and-conquer
+``eigh`` driver), one dense e^{-iHt} from it (``_dense_unitary``), one
+Heisenberg-picture operator from it over a grid of times
+(``_heisenberg_stack``, conjugated in H's eigenbasis), one conjugation by a
+given unitary (``_conjugate``, for products of local steps), one operator
+2-norm (``_norm2``: ``eigvalsh`` of a Hermitian matrix, otherwise the top
+eigenvalue of the smaller Gram matrix) and the norm of a commutator with a
+diagonal operator (``_diagonal_commutator_norm``).  The dense path doubles
+as the oracle for the Krylov path in the test suite.
 
 One factorisation of H serves a whole grid of times, on both paths.  The
-dense path diagonalises each block of H once and builds e^{-iHt} from those
-eigenpairs at every time.  The Krylov loop marches once to the longest time
-on each side of zero; its step estimate bounds the defect over the whole
-step, so every time inside an accepted step is read from the subspace that
-step built, at no extra matvec.  A single time is a grid of one.
+dense path diagonalises each block of H once, moves an operator O into the
+eigenbasis once, W = Q^dagger O Q, and builds O(t) at every time as
+Q (e^{i lambda t} W e^{-i lambda t}) Q^dagger, the phases applied
+entrywise; the times of a grid form a stack that products and norms take
+whole.  The Krylov loop marches once to the longest time on each side of
+zero; its step estimate bounds the defect over the whole step, so every
+time inside an accepted step is read from the subspace that step built, at
+no extra matvec.  A single time is a grid of one.
 
 The Lanczos recurrence runs without reorthogonalization.  Its vectors drift
 from orthogonal once a Ritz value converges, yet the step's error estimate
@@ -31,17 +39,18 @@ not a projection against every vector before it.
 Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
 is held as those blocks (``_Blocks``): e^{-iHt} takes one ``eigh`` per block
-of H, a conjugation maps block (N + d, N) as U_{N+d}^dagger O U_N, and a
-2-norm is the largest block norm.  An operator whose ``delta_n`` is None is
-one block spanning the whole basis, and so is any product involving one.
-The cap still bounds the total dimension, not the block size.
+of H, O(t) maps block (N + d, N) as Q_{N+d} (phases of W_{N+d,N})
+Q_N^dagger, and a 2-norm is the largest block norm.  An operator whose
+``delta_n`` is None is one block spanning the whole basis, and so is any
+product involving one.  The cap still bounds the total dimension, not the
+block size.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -370,7 +379,9 @@ class _Blocks:
     every other entry is zero.  With ``whole`` set the whole basis is one
     block, keyed 0 with shift 0.  Operands of a product or difference must
     share the basis, and a difference's operands their shift; if only one
-    of them is whole, the other is merged.
+    of them is whole, the other is merged.  A block may be a stack
+    (times, rows, cols) of one operator at several times; products,
+    differences and adjoints then act on every time of the stack.
     """
 
     basis: FockBasis
@@ -428,14 +439,16 @@ class _Blocks:
         return _Blocks(self.basis, True, 0, {0: self.dense()})
 
     def dense(self) -> np.ndarray:
+        """The whole matrix; a stack of blocks gives a stack of whole matrices."""
         parts = self.partition(self.basis, self.whole)
-        out = np.zeros((self.basis.dim, self.basis.dim), dtype=np.complex128)
+        lead = next((M.shape[:-2] for M in self.mats.values()), ())
+        out = np.zeros((*lead, self.basis.dim, self.basis.dim), dtype=np.complex128)
         for N, M in self.mats.items():
-            out[np.ix_(parts[N + self.shift], parts[N])] = M
+            out[(..., *np.ix_(parts[N + self.shift], parts[N]))] = M
         return out
 
     def adjoint(self) -> "_Blocks":
-        mats = {N + self.shift: M.conj().T for N, M in self.mats.items()}
+        mats = {N + self.shift: M.conj().swapaxes(-1, -2) for N, M in self.mats.items()}
         return _Blocks(self.basis, self.whole, -self.shift, mats)
 
     def __matmul__(self, other: "_Blocks") -> "_Blocks":
@@ -461,36 +474,79 @@ class _Blocks:
         return _Blocks(self.basis, self.whole, self.shift, mats)
 
 
-def _dense_unitaries(H: OperatorMatrix, t) -> Iterator[_Blocks]:
-    """Dense e^{-iHt} at each time of ``t``, in grid order, from one ``eigh`` per block.
+def _eigenbasis(H: OperatorMatrix) -> tuple[_Blocks, dict[int, np.ndarray]]:
+    """H = Q diag(lambda) Q^dagger per block: Q as blocks and lambda per block key.
 
-    H must be Hermitian.  The blocks are diagonalised once, before the
-    first unitary is built; each unitary is then Q e^{-i lambda t} Q^dagger
-    per block, built when it is asked for, so a grid holds one at a time.
-    A block with no imaginary part is diagonalised in real arithmetic, so its
-    Q is real and only the phases e^{-i lambda t} are complex.
+    H must be Hermitian.  Each block takes one ``eigh`` with the
+    divide-and-conquer driver ("evd"), which is several times faster than
+    the default MRRR driver on the degenerate spectra of hard-core chains.
+    A block with no imaginary part is diagonalised in real arithmetic, so
+    its Q is real.
     """
-    times, _ = _times(t)
     _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
     blocks = _Blocks.of(H)
-    eig = {N: eigh(M if M.imag.any() else M.real) for N, M in blocks.mats.items()}
-    return (
-        _Blocks(
-            H.basis,
-            blocks.whole,
-            0,
-            {N: (Q * np.exp(-1j * s * lam)) @ Q.conj().T for N, (lam, Q) in eig.items()},
-        )
-        for s in times
-    )
+    eig = {
+        N: eigh(M if M.imag.any() else M.real, driver="evd") for N, M in blocks.mats.items()
+    }
+    Q = _Blocks(H.basis, blocks.whole, 0, {N: Q for N, (_, Q) in eig.items()})
+    return Q, {N: lam for N, (lam, _) in eig.items()}
 
 
 def _dense_unitary(H: OperatorMatrix, t: float) -> _Blocks:
-    """Dense e^{-iHt} at one time: the grid of one."""
-    (U,) = _dense_unitaries(H, [t])
-    return U
+    """Dense e^{-iHt} at one finite time: Q e^{-i lambda t} Q^dagger per block of H."""
+    (t,), _ = _times(t)
+    Q, lam = _eigenbasis(H)
+    mats = {N: (V * np.exp(-1j * t * lam[N])) @ V.conj().T for N, V in Q.mats.items()}
+    return _Blocks(H.basis, Q.whole, 0, mats)
+
+
+def _heisenberg_stack(H: OperatorMatrix, O: OperatorMatrix, t) -> _Blocks:
+    """O(t) = e^{iHt} O e^{-iHt} at each time of ``t``, each block a (times, rows, cols) stack.
+
+    H is diagonalised once (``_eigenbasis``) and O moved into its eigenbasis
+    once, W = Q_{N+d}^dagger O_{N+d,N} Q_N per block; then each time's block
+    is Q_{N+d} (e^{i lambda_{N+d} t} W e^{-i lambda_N t}) Q_N^dagger, with
+    the phases applied entrywise.  The times are built one at a time into the
+    stack, so no temporary holds every time's phases.  If only one of O and
+    H mixes particle numbers, the other is merged into one block.
+    """
+    times, _ = _times(t)
+    if H.basis is not O.basis:
+        raise ValueError("H and O live on different bases")
+    _require_dense(H.dim)
+    A = _Blocks.of(O)
+    Q, lam = _eigenbasis(H)
+    if A.whole and not Q.whole:
+        merged = np.empty(H.dim)
+        for N, idx in H.basis.blocks.items():
+            merged[idx] = lam[N]
+        Q, lam = Q.merged(), {0: merged}
+    W = Q.adjoint() @ A @ Q
+    mats = {}
+    for N, M in W.mats.items():
+        left, right = Q.mats[N + W.shift], Q.mats[N].conj()
+        stack = np.empty((times.size, *M.shape), dtype=np.complex128)
+        for j, s in enumerate(times):
+            phased = np.exp(1j * s * lam[N + W.shift])[:, None] * M * np.exp(-1j * s * lam[N])
+            # left X right^T as left (right X^T)^T: both products are taken from
+            # the left, where a real factor multiplies X's real view
+            stack[j] = _left_product(left, _left_product(right, phased.T).T)
+        mats[N] = stack
+    return _Blocks(O.basis, W.whole, W.shift, mats)
+
+
+def _left_product(L: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """L @ X for a complex X; a real L multiplies X's interleaved real view in one real product.
+
+    A real L times a complex X would otherwise be promoted to a complex
+    product, which does twice the real work.
+    """
+    if np.iscomplexobj(L):
+        return L @ X
+    X = np.ascontiguousarray(X)
+    return (L @ X.view(np.float64)).view(np.complex128)
 
 
 def _conjugate(U: _Blocks, A: _Blocks) -> _Blocks:
@@ -498,22 +554,35 @@ def _conjugate(U: _Blocks, A: _Blocks) -> _Blocks:
     return U.adjoint() @ A @ U
 
 
-def _norm2(mats: Iterable[np.ndarray], hermitian: bool) -> float:
+def _norm2(mats: Iterable[np.ndarray], hermitian: bool) -> float | np.ndarray:
     """Operator 2-norm of the direct sum of ``mats``: the largest of their norms.
 
     The blocks of a ``_Blocks`` act on disjoint rows and columns, so the
-    operator is their direct sum up to a permutation.  Hermitian matrices
-    take ``eigvalsh``, the others their largest singular value; a matrix
-    with no rows or no columns adds 0.
+    operator is their direct sum up to a permutation.  Each matrix may be a
+    stack (times, rows, cols); the norm is then taken per time, one call
+    per matrix covering the whole stack, and returned as an array over the
+    times.  Hermitian matrices take ``eigvalsh``.  The others take their
+    largest singular value as the square root of the top ``eigvalsh``
+    eigenvalue of the smaller Gram matrix, M M^dagger or M^dagger M, which
+    is accurate to rounding relative to the norm itself.  A matrix with no
+    rows or no columns adds 0.
     """
-    if hermitian:
-        norms = (np.abs(np.linalg.eigvalsh(M)).max() for M in mats if M.size)
-    else:
-        norms = (np.linalg.svd(M, compute_uv=False)[0] for M in mats if M.size)
-    return float(max(norms, default=0.0))
+    out = 0.0
+    for M in mats:
+        rows, cols = M.shape[-2:]
+        if not (rows and cols):
+            continue
+        if hermitian:
+            norm = np.abs(np.linalg.eigvalsh(M)).max(axis=-1)
+        else:
+            adj = M.conj().swapaxes(-1, -2)
+            gram = M @ adj if rows <= cols else adj @ M
+            norm = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+        out = np.maximum(out, norm)
+    return out
 
 
-def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> float:
+def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> float | np.ndarray:
     """Operator 2-norm of [A, D] for the diagonal D = diag(d), without forming A D or D A.
 
     [A, D] has the entries A_jk (d_k - d_j), on the rows and columns of A's
@@ -524,7 +593,8 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
     of it, and minus A from the columns out of P to the rows in it.  They act
     on disjoint rows and columns, so the norm is the larger of their top
     singular values.  A Hermitian A maps each block to itself (shift 0), so
-    the two parts are adjoints and one SVD serves.
+    the two parts are adjoints and one serves.  A stack of blocks, as
+    ``_heisenberg_stack`` builds, gives the norms per time, as ``_norm2`` does.
     """
     parts = A.partition(A.basis, A.whole)
     if not ((d == 0) | (d == 1)).all():
@@ -538,9 +608,9 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
     off = []
     for N, M in A.mats.items():
         r, c = p[parts[N + A.shift]], p[parts[N]]
-        off.append(M[np.ix_(r, ~c)])
+        off.append(M[(..., *np.ix_(r, ~c))])
         if not hermitian:
-            off.append(M[np.ix_(~r, c)])
+            off.append(M[(..., *np.ix_(~r, c))])
     return _norm2(off, hermitian=False)
 
 
@@ -555,11 +625,10 @@ def dense_expm(H: OperatorMatrix, t: float) -> OperatorMatrix:
 
 
 def heisenberg(H: OperatorMatrix, O: OperatorMatrix, t: float) -> OperatorMatrix:
-    """O(H,t) = e^{iHt} O e^{-iHt} (dense)."""
-    if H.basis is not O.basis:
-        raise ValueError("H and O live on different bases")
-    U = _dense_unitary(H, float(t))
-    return _from_blocks(_conjugate(U, _Blocks.of(O)), O.support | H.support)
+    """O(H,t) = e^{iHt} O e^{-iHt} (dense), built in H's eigenbasis as a grid of one."""
+    X = _heisenberg_stack(H, O, [float(t)])
+    X = _Blocks(X.basis, X.whole, X.shift, {N: M[0] for N, M in X.mats.items()})
+    return _from_blocks(X, O.support | H.support)
 
 
 def interaction_picture_unitary(
@@ -591,7 +660,7 @@ def spectral_norm(O: OperatorMatrix) -> float:
         # degenerate singular spectra, so never send them there
         return float(np.abs(O.matrix.data).max())
     if O.dim <= dense_cap():
-        return _norm2(_Blocks.of(O).mats.values(), O.hermitian)
+        return float(_norm2(_Blocks.of(O).mats.values(), O.hermitian))
     # a fixed start vector makes the result the same on every call
     v0 = np.random.default_rng(11).standard_normal(O.dim)
     try:

@@ -23,9 +23,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from .evolve import (
     StateVector,
     _Blocks,
-    _conjugate,
-    _dense_unitaries,
     _diagonal_commutator_norm,
+    _heisenberg_stack,
     _norm2,
     _times,
     dense_cap,
@@ -145,34 +144,32 @@ def commutator_norms(
 
     ``t`` is a time, which returns one norm per O_B, or a grid of times,
     which returns that list for each time in grid order.  H is diagonalised
-    once per call (one ``eigh`` per N-block).  O_A(t) is kept in blocks for
-    every time of the grid, and each O_B is blocked once and normed against
-    all of them, so one probe's blocks are held at a time.  The commutator
-    is formed and normed block by block over particle number; for Hermitian
-    O_A and O_B the norm comes from the eigenvalues of the Hermitian
-    i[O_A(t), O_B].  A diagonal O_B (number operators, projectors, phases) is
-    never blocked: its commutator is taken entrywise from O_A(t)'s blocks,
-    and a 0/1 diagonal by the SVD of the off-diagonal parts alone (see
-    ``evolve._diagonal_commutator_norm``).
+    once per call (one ``eigh`` per N-block) and O_A moved into its
+    eigenbasis once; O_A(t) is then held in blocks, each a stack over the
+    grid's times (see ``evolve._heisenberg_stack``).  Each O_B is blocked
+    once and normed against the whole stack, so one probe's blocks are held
+    at a time.  The commutator is formed and normed block by block over
+    particle number, each block's norm one call for every time: for
+    Hermitian O_A and O_B from the eigenvalues of the Hermitian
+    i[O_A(t), O_B], otherwise as the top singular value, from the top
+    eigenvalue of the smaller Gram matrix (``evolve._norm2``).  A diagonal
+    O_B (number operators, projectors, phases) is never blocked: its
+    commutator is taken entrywise from O_A(t)'s blocks, and a 0/1 diagonal
+    by the off-diagonal parts alone (see ``evolve._diagonal_commutator_norm``).
     """
-    if H.basis is not O_A.basis:
-        raise ValueError("H and O_A live on different bases")
     times, scalar = _times(t)
-    A0 = _Blocks.of(O_A)
-    As = [_conjugate(U, A0) for U in _dense_unitaries(H, times)]
-    out = [[0.0] * len(O_Bs) for _ in As]
+    A = _heisenberg_stack(H, O_A, times)
+    out = np.zeros((times.size, len(O_Bs)))
     for k, O_B in enumerate(O_Bs):
         hermitian = O_A.hermitian and O_B.hermitian
         if O_B.is_diagonal:
-            d = O_B.matrix.diagonal()
-            for norms, A in zip(out, As):
-                norms[k] = _diagonal_commutator_norm(A, d, hermitian)
+            out[:, k] = _diagonal_commutator_norm(A, O_B.matrix.diagonal(), hermitian)
             continue
         B = _Blocks.of(O_B)
-        for norms, A in zip(out, As):
-            C = A @ B - B @ A
-            norms[k] = _norm2((1j * C if hermitian else C).mats.values(), hermitian)
-    return out[0] if scalar else out
+        C = A @ B - B @ A
+        out[:, k] = _norm2((1j * C if hermitian else C).mats.values(), hermitian)
+    rows = out.tolist()
+    return rows[0] if scalar else rows
 
 
 def restricted_error(

@@ -311,6 +311,63 @@ def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
     assert commutator_norms(H_full, probes[0], probes, 0.6) == [0.0] * 4
 
 
+# -- Gram norms: top singular values from the smaller Gram matrix --------------
+
+
+def gram_case(shape, rng):
+    """A random complex block of a shape the Gram norm treats differently."""
+
+    def draw(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    if shape == "rank-1":
+        return draw(8, 1) @ draw(1, 10)
+    if shape == "zero":
+        return np.zeros((6, 7), dtype=complex)
+    return draw(*{"square": (9, 9), "1xn": (1, 12), "nx1": (12, 1), "wide": (5, 11),
+                  "tall": (11, 5)}[shape])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+@pytest.mark.parametrize("shape", ["square", "1xn", "nx1", "wide", "tall", "rank-1", "zero"])
+def test_gram_norm_matches_the_svd(shape, scale):
+    M = scale * gram_case(shape, np.random.default_rng(5))
+    expect = np.linalg.svd(M, compute_uv=False)[0]
+    got = evolve_mod._norm2([M], hermitian=False)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+def test_gram_norm_of_a_stack_is_the_largest_norm_at_each_time():
+    # three times of a direct sum with a wide, a tall and an empty block
+    rng = np.random.default_rng(6)
+    stacks = [
+        rng.standard_normal((3, r, c)) + 1j * rng.standard_normal((3, r, c))
+        for r, c in [(4, 9), (7, 2), (0, 5)]
+    ]
+    stacks[1][2] *= 1e-9
+    expect = [
+        max(np.linalg.svd(S[j], compute_uv=False)[0] for S in stacks if S[j].size)
+        for j in range(3)
+    ]
+    got = evolve_mod._norm2(stacks, hermitian=False)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+
+def test_commutator_norms_on_hard_core_chain_9_match_the_svd_oracle():
+    # dim 512, number probes on every site; at t = 0.25 the far sites' norms
+    # are below 1e-8 and still match to 1e-12
+    g = build_lattice("chain", [9])
+    b = enumerate_basis(g, 1)
+    H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=0.0), b)
+    probes = [local_operator("number", [i], b) for i in range(9)]
+    times = [0.25, 0.5, 1.5]
+    got = commutator_norms(H, probes[0], probes, times)
+    for t, norms in zip(times, got):
+        expect = oracle_commutator_norms(H, probes[0], probes, t)
+        np.testing.assert_allclose(norms, expect, rtol=0, atol=1e-12)
+    assert min(got[0]) < 1e-8
+
+
 @pytest.mark.parametrize("basis_kind", ["product", "sector"])
 @pytest.mark.parametrize("h_kind", ["number", "mixing-hermitian"])
 def test_interaction_picture_unitary_matches_the_whole_matrix_oracle(basis_kind, h_kind):

@@ -238,11 +238,12 @@ def test_one_factorisation_per_grid():
 
     The Krylov loop has one caller of its step, ``evolve._march``, which
     marches a grid; the one ``eigh`` of H's blocks is in
-    ``evolve._dense_unitaries``, which builds e^{-iHt} for a grid.  The
-    ground-state solve keeps its own whole-matrix ``eigh``.
+    ``evolve._eigenbasis``, whose eigenpairs build e^{-iHt} at a time and
+    the Heisenberg operators of a whole grid.  The ground-state solve keeps
+    its own whole-matrix ``eigh``.
     """
     assert _callers("_lanczos_step") == ["evolve._march"]
-    assert sorted(_callers("eigh")) == ["evolve._dense_unitaries", "probes.ground_state"]
+    assert sorted(_callers("eigh")) == ["evolve._eigenbasis", "probes.ground_state"]
 
 
 def test_a_local_step_builds_its_product_only_where_it_is_used():
@@ -255,7 +256,6 @@ def test_a_local_step_builds_its_product_only_where_it_is_used():
     assert sorted(_callers("_dense_unitary")) == [
         "approx._product",
         "evolve.dense_expm",
-        "evolve.heisenberg",
         "evolve.interaction_picture_unitary",
         "evolve.interaction_picture_unitary",
     ]
