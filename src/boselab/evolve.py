@@ -8,8 +8,8 @@ below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here: one refusal of
 the cap (``_require_dense``, which raises ``DenseCapError``), one
-eigendecomposition of H per block (``_eigenbasis``, the divide-and-conquer
-``eigh`` driver), one dense e^{-iHt} from it (``_dense_unitary``), one
+eigendecomposition of H per block (``_eigenbasis``, by divide-and-conquer
+``eigh``), one dense e^{-iHt} from it (``_dense_unitary``), one
 Heisenberg-picture operator from it over a grid of times
 (``_heisenberg_stack``, conjugated in H's eigenbasis), one conjugation by a
 given unitary (``_conjugate``, for products of local steps), one operator
@@ -477,9 +477,9 @@ class _Blocks:
 def _eigenbasis(H: OperatorMatrix) -> tuple[_Blocks, dict[int, np.ndarray]]:
     """H = Q diag(lambda) Q^dagger per block: Q as blocks and lambda per block key.
 
-    H must be Hermitian.  Each block takes one ``eigh`` with the
-    divide-and-conquer driver ("evd"), which is several times faster than
-    the default MRRR driver on the degenerate spectra of hard-core chains.
+    H must be Hermitian.  Each block takes one divide-and-conquer ``eigh``
+    ("evd"), several times faster than the default MRRR ("evr") on the
+    degenerate spectra of hard-core chains.
     A block with no imaginary part is diagonalised in real arithmetic, so
     its Q is real.
     """

@@ -287,6 +287,26 @@ def test_diagonal_probes_are_never_blocked(monkeypatch):
     assert len(blocked) == 2 and blocked[0] is O_A and blocked[1] is H
 
 
+def test_commutator_norms_above_the_cap_refuse_before_blocking(monkeypatch):
+    # blocking O_A allocates every dense block, so the cap is checked first
+    b, H = diagonal_case(1, "product", "conserving")
+    blocked = []
+    real = evolve_mod._Blocks.of.__func__
+
+    def recording(cls, O):
+        blocked.append(O)
+        return real(cls, O)
+
+    monkeypatch.setattr(evolve_mod._Blocks, "of", classmethod(recording))
+    token = evolve_mod.RUN_DENSE_CAP.set(b.dim - 1)
+    try:
+        with pytest.raises(evolve_mod.DenseCapError):
+            commutator_norms(H, probe("number", b, site=0), diagonal_probes(b), [0.3, 0.9])
+    finally:
+        evolve_mod.RUN_DENSE_CAP.reset(token)
+    assert blocked == []
+
+
 @pytest.mark.parametrize("a_kind", ["hermitian", "phase"])
 def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
     # hard-core chain 4: n_1 is 0 on the N = 0 block and 1 on the N = 4 block,
