@@ -78,9 +78,9 @@ from .probes import (
     ground_state,
     heisenberg_apply,
     mgf_condition,
-    moment,
+    moments,
     restricted_error,
-    tail_probability,
+    tail_probabilities,
 )
 from .approx import (
     ScheduleError,
@@ -615,9 +615,10 @@ def _transport_check(
 ) -> list[dict]:
     """moment-check and tail-check: a probe of O_X(t) psi0 at each site, against its bound.
 
-    ``probe(phi, i, v)`` measures, ``bound(run, O_X, consts)`` returns the
-    bound as a function of (v, d(i, X)); the columns name the parameter v,
-    the probe and the bound.
+    ``probe(phi, sites, values)`` measures every (site, v) pair at once, as
+    a (sites, values) array; ``bound(run, O_X, consts)`` returns the bound as
+    a function of (v, d(i, X)); the columns name the parameter v, the probe
+    and the bound.
     """
     param, probe_col, bound_col, log_col = (run.entry.columns[k] for k in (2, 4, 5, 6))
     H, g = run.H, run.g
@@ -644,9 +645,8 @@ def _transport_check(
     def cell(j: int) -> list[dict]:
         t, phi = times[j], phis[j]
         rows = []
-        for i in sites:
-            for v in params:
-                x = probe(phi, i, v)
+        for i, values in zip(sites, probe(phi, sites, params).tolist()):
+            for v, x in zip(params, values):
                 bv = bound_at(v, dists[i])
                 rows.append({
                     "i": i, param: v, "t": t, probe_col: x, bound_col: bv.value,
@@ -949,7 +949,7 @@ _SCENARIOS: dict[str, Scenario] = {
         ("scenario", "i", "s", "t", "M_probe", "M_bound", "log_M_bound", "pass"),
         _MODEL,
         lambda run: _transport_check(
-            run, "s_values", [1, 2, 3], lambda phi, i, s: moment(phi, i, s), _moment_bound
+            run, "s_values", [1, 2, 3], moments, _moment_bound
         ),
     ),
     "tail-check": Scenario(
@@ -957,8 +957,7 @@ _SCENARIOS: dict[str, Scenario] = {
         ("scenario", "i", "z0", "t", "P_probe", "P_bound", "log_P_bound", "pass"),
         _MODEL,
         lambda run: _transport_check(
-            run, "z_values", [1, 2, 3, 4, 5],
-            lambda phi, i, z0: tail_probability(phi, i, z0), _tail_bound,
+            run, "z_values", [1, 2, 3, 4, 5], tail_probabilities, _tail_bound
         ),
     ),
     "truncation-check": Scenario(

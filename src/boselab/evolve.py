@@ -34,7 +34,13 @@ needs only the three-term relation, which the recurrence keeps to rounding
 (see ``_lanczos_step``); Lanczos for matrix functions stays accurate without
 reorthogonalization (Druskin, Greenbaum and Knizhnerman, SIAM J. Sci.
 Comput. 19, 38 (1998)).  Each vector then costs one matvec and O(n) work,
-not a projection against every vector before it.
+not a projection against every vector before it.  That work is done in
+place on the matvec's result, with no other temporary: BLAS ``zdotc`` and
+``zaxpy`` orthogonalize it against the last two vectors, ``zdotc`` gives its
+norm, and one multiply by the norm's reciprocal writes the next vector into
+the step's Krylov block.  Each check of the step's estimate diagonalises
+the tridiagonal with LAPACK ``dstevd`` directly, the driver that
+``eigh_tridiagonal`` picks for a full spectrum, so its results are the same.
 
 Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
@@ -56,7 +62,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh
+from scipy.linalg.blas import zaxpy, zdotc
+from scipy.linalg.lapack import dstevd
 from scipy.sparse.linalg import ArpackError, svds
 
 from .fock import FockBasis, ResourceLimitError
@@ -143,6 +151,19 @@ def _defect_peak(lam: np.ndarray, S: np.ndarray, dt: float, end: float) -> float
     return peak
 
 
+def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the real symmetric tridiagonal (d, e), by LAPACK ``dstevd``.
+
+    The driver ``eigh_tridiagonal`` picks for a full spectrum, called without
+    its wrapper's checks; for one row LAPACK ignores ``e``, which must still
+    hold one entry.
+    """
+    lam, S, info = dstevd(d, e if e.size else np.zeros(1))
+    if info:
+        raise LinAlgError(f"dstevd failed with info {info}")
+    return lam, S
+
+
 def _lanczos_step(
     H: sparse.csr_matrix,
     v: np.ndarray,
@@ -179,6 +200,13 @@ def _lanczos_step(
     so its norm is at most beta0 beta_k times the integral of
     |e_k^T exp(-i T_k s) e_1|, which the estimate bounds.  The block V is
     left uninitialised: row k is written before it is read.
+
+    Each vector allocates only its matvec result w = H v_k: ``zaxpy``
+    subtracts alpha_k v_k and beta_{k-1} v_{k-1} from w in place, the norm is
+    sqrt(``zdotc``(w, w)), and v_{k+1} = w * (1 / beta_k) is written straight
+    into row k + 1 of V (a real reciprocal: a complex division costs about
+    nine times as much).  T_k's eigenproblem goes to ``dstevd``
+    (``_tridiagonal_eigh``).
     """
     beta0 = np.linalg.norm(v)
     if beta0 == 0.0:
@@ -188,17 +216,17 @@ def _lanczos_step(
     V = np.empty((m, n), dtype=np.complex128)
     alphas = np.zeros(m)
     betas = np.zeros(m)  # betas[k] couples V[k] and V[k+1]
-    V[0] = v / beta0
+    np.multiply(v, 1.0 / beta0, out=V[0])
     goal = 0.1 * budget
     last_check = trend = None
     for k in range(m):
         w = H @ V[k]
-        a = np.vdot(V[k], w)
+        a = zdotc(V[k], w)
         alphas[k] = a.real
-        w -= a * V[k]
+        w = zaxpy(V[k], w, a=-a)
         if k > 0:
-            w -= betas[k - 1] * V[k - 1]
-        b = np.linalg.norm(w)
+            w = zaxpy(V[k - 1], w, a=-betas[k - 1])
+        b = math.sqrt(zdotc(w, w).real)
         betas[k] = b
         breakdown = k + 1 < m and b < 1e-14 * beta0
         last = breakdown or k + 1 == m
@@ -210,9 +238,9 @@ def _lanczos_step(
             predicted = err_fit * (b / b_fit) * math.exp(rate * (k - k_fit))
             skip = skip or predicted > math.sqrt(goal * err_fit)
         if skip and not last:
-            V[k + 1] = w / b
+            np.multiply(w, 1.0 / b, out=V[k + 1])
             continue
-        lam, S = eigh_tridiagonal(alphas[: k + 1], betas[:k])
+        lam, S = _tridiagonal_eigh(alphas[: k + 1], betas[:k])
         y = S @ (np.exp(-1j * dt * lam) * S[0, :].conj())
         if breakdown:  # the subspace is invariant: the step is exact
             err = 0.0
@@ -227,7 +255,7 @@ def _lanczos_step(
             rate = math.log(err / last_check[1]) / (k - last_check[0])
             trend = (k, err, b, rate)
         last_check = (k, err)
-        V[k + 1] = w / b
+        np.multiply(w, 1.0 / b, out=V[k + 1])
 
     def at(tau: float) -> np.ndarray:
         y = S @ (np.exp(-1j * tau * lam) * S[0, :].conj())
@@ -320,7 +348,8 @@ def _march(
     back = [t - float(ts[j]) for j in order]
     nxt = 0
     out: list = [None] * ts.size
-    v = psi.astype(np.complex128).copy()
+    # read, never written: each accepted step makes a new vector
+    v = np.asarray(psi, dtype=np.complex128)
     remaining = t
     dt = t
     steps = rejected = matvecs = first_check = 0
@@ -393,6 +422,7 @@ class _Blocks:
     def of(cls, O: OperatorMatrix) -> "_Blocks":
         """The blocks of O; whole if O mixes particle numbers.
 
+        The blocks are real when O has no imaginary entry, complex otherwise.
         A Hermitian O that shifts N is Hermitian only within tolerance, its
         entries all near zero; it is whole too, so that its blocks are square.
         """
@@ -416,9 +446,11 @@ class _Blocks:
         width = np.array([c for _, c in shapes], dtype=np.intp)
         flat = offsets[k] + place[rows] * width[k] + place[csr.indices]
         total = int(offsets[-1])
-        buf = np.bincount(flat, csr.data.real, total) + 1j * np.bincount(
-            flat, csr.data.imag, total
-        )
+        # a real operator keeps real blocks, whose products stay real; the
+        # cast covers an operator with no entries, whose bincount is integer
+        buf = np.bincount(flat, csr.data.real, total).astype(np.float64, copy=False)
+        if csr.data.imag.any():
+            buf = buf + 1j * np.bincount(flat, csr.data.imag, total)
         mats = {
             N: buf[a : a + r * c].reshape(r, c) for N, a, (r, c) in zip(keys, offsets, shapes)
         }

@@ -184,6 +184,31 @@ def _wrap(b: FockBasis, mat: sparse.spmatrix, support: Iterable[int]) -> Operato
     )
 
 
+def _wrap_diagonal(b: FockBasis, d: np.ndarray, support: Iterable[int]) -> OperatorMatrix:
+    """diag(d) on ``b`` as an OperatorMatrix on the sites ``support``.
+
+    The same operator as ``_wrap(b, sparse.diags(d), support)``, built
+    straight from the nonzeros of d: one stored entry per nonzero, diagonal
+    by construction.  Its Hermiticity test is ``_check_hermitian``'s, whose
+    mismatches for a diagonal are the entries 2i Im d_j.
+    """
+    d = np.asarray(d, dtype=np.complex128)
+    if d.shape != (b.dim,):
+        raise ValueError("matrix dimension does not match basis")
+    nz = np.flatnonzero(d)
+    indptr = np.zeros(b.dim + 1, dtype=np.int64)
+    np.cumsum(d != 0, out=indptr[1:])
+    csr = sparse.csr_matrix((d[nz], nz, indptr), shape=(b.dim, b.dim))
+    scale = max(np.abs(csr.data).max(initial=0.0), 1.0)
+    return OperatorMatrix(
+        basis=b,
+        matrix=csr,
+        hermitian=bool(2.0 * np.abs(d.imag).max(initial=0.0) <= HERMITICITY_RTOL * scale),
+        is_diagonal=True,
+        support=frozenset(int(i) for i in support),
+    )
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -379,8 +404,7 @@ def local_operator(
             raise ValueError("projector kind needs a predicate")
         else:
             d = region_total_projector(b, sites, predicate)
-        mat = sparse.diags(d.entries.astype(np.complex128), format="csr")
-        return _wrap(b, mat, sites)
+        return _wrap_diagonal(b, d.entries, sites)
     if kind in ("creation", "annihilation"):
         if len(sites) != 1:
             raise ValueError(f"{kind} operator acts on a single site")

@@ -83,6 +83,50 @@ def tail_probability(rho_tilde_t: StateVector, i: int, z0: int) -> float:
     return float(np.sum(np.abs(rho_tilde_t.amplitudes[mask]) ** 2))
 
 
+def _occupation_weights(rho_tilde_t: StateVector, sites: Sequence[int]) -> np.ndarray:
+    """W[a, k]: the summed |amplitude|^2 of the basis states with k bosons on ``sites[a]``.
+
+    Every moment and tail probability at a site is a sum over k of W[a, k]
+    times a function of k alone.
+    """
+    amp = rho_tilde_t.amplitudes
+    weights = amp.real**2 + amp.imag**2
+    states = rho_tilde_t.basis.states
+    width = max(rho_tilde_t.basis.site_cutoffs) + 1
+    return np.array([np.bincount(states[:, i], weights, width) for i in sites])
+
+
+def moments(rho_tilde_t: StateVector, sites: Sequence[int], orders: Sequence[int]) -> np.ndarray:
+    """Every :func:`moment` of ``rho_tilde_t`` at the ``sites`` and ``orders``.
+
+    Entry (a, b) is ``moment(rho_tilde_t, sites[a], orders[b])``.  The weights
+    |amplitude|^2 are taken once and summed per site by occupation k
+    (``_occupation_weights``); one product with the table k^s then gives
+    every value.
+    """
+    s = np.asarray(orders)
+    if (s < 1).any():
+        raise ValueError("moment order s must be >= 1")
+    W = _occupation_weights(rho_tilde_t, sites)
+    k = np.arange(W.shape[1], dtype=np.float64)
+    return W @ k[:, None] ** s
+
+
+def tail_probabilities(
+    rho_tilde_t: StateVector, sites: Sequence[int], z0s: Sequence[int]
+) -> np.ndarray:
+    """Every :func:`tail_probability` of ``rho_tilde_t`` at the ``sites`` and thresholds ``z0s``.
+
+    Entry (a, b) is ``tail_probability(rho_tilde_t, sites[a], z0s[b])``.  The
+    weights |amplitude|^2 are taken once and summed per site by occupation k
+    (``_occupation_weights``); one product with the 0/1 table k >= z0 then
+    gives every value.
+    """
+    W = _occupation_weights(rho_tilde_t, sites)
+    k = np.arange(W.shape[1])
+    return W @ (k[:, None] >= np.asarray(z0s)).astype(np.float64)
+
+
 def mgf_condition(rho: StateVector | Ensemble, c0: float, qbar: float) -> float:
     """Worst-site exponential-moment value max_i tr(e^{c0(n_i - qbar)} rho).
 

@@ -388,6 +388,18 @@ def test_commutator_norms_on_hard_core_chain_9_match_the_svd_oracle():
     assert min(got[0]) < 1e-8
 
 
+@pytest.mark.parametrize("sector", [None, 4])
+def test_a_real_operator_keeps_real_blocks(sector):
+    b, H = setup(sector)
+    for O in (local_operator("number", [1], b), H, probe("mixing", b)):
+        blocks = evolve_mod._Blocks.of(O)
+        assert all(M.dtype == np.float64 for M in blocks.mats.values())
+        np.testing.assert_array_equal(blocks.dense(), O.dense())
+    phase = evolve_mod._Blocks.of(probe("phase", b))
+    assert all(M.dtype == np.complex128 for M in phase.mats.values())
+    np.testing.assert_array_equal(phase.dense(), probe("phase", b).dense())
+
+
 @pytest.mark.parametrize("basis_kind", ["product", "sector"])
 @pytest.mark.parametrize("h_kind", ["number", "mixing-hermitian"])
 def test_interaction_picture_unitary_matches_the_whole_matrix_oracle(basis_kind, h_kind):

@@ -294,6 +294,41 @@ def test_a_full_krylov_step_loses_orthogonality(system, start):
     assert np.abs(V.conj() @ V.T - np.eye(len(V))).max() > 1e-3
 
 
+def lanczos_tridiagonal(H, V):
+    """The alphas and betas of the recurrence that built the rows of V."""
+    alphas, betas = [], []
+    for k in range(len(V)):
+        w = H @ V[k]
+        alphas.append(np.vdot(V[k], w).real)
+        w -= np.vdot(V[k], w) * V[k]
+        if k:
+            w -= betas[-1] * V[k - 1]
+        betas.append(np.linalg.norm(w))
+    T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+    return T
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.03, 0.4])
+@pytest.mark.parametrize("start", ["random", "mott", "fock"])
+@pytest.mark.parametrize("system", sorted(EARLY_STOP_SYSTEMS))
+def test_step_vector_is_the_three_term_recurrence(system, start, t):
+    # an accepted step's vector is beta0 V exp(-i T dt) e_1 for the plain
+    # recurrence's V and T, built here in ordinary numpy arithmetic; a
+    # rejected step's vector is not, as rounding decides it
+    g, b, H = chain_setup(J=1.0, **EARLY_STOP_SYSTEMS[system])
+    v = 0.7 * early_stop_start(system, b, start).amplitudes
+    budget = 1e-10
+    at, err, built = evolve_mod._lanczos_step(
+        H.matrix, v, t, evolve_mod._MAX_KRYLOV, budget, 0
+    )
+    assert err <= budget
+    V = lanczos_basis(H.matrix, v, built)
+    T = lanczos_tridiagonal(H.matrix, V)
+    lam, S = np.linalg.eigh(T)
+    expect = 0.7 * V.T @ (S @ (np.exp(-1j * t * lam) * S[0].conj()))
+    assert np.linalg.norm(at(t) - expect) <= 1e-13
+
+
 @pytest.mark.parametrize("sector", [None, 1])
 def test_invariant_krylov_space_returns_the_exact_state(sector):
     # one boson on two sites spans a 2-vector Krylov space: the recurrence's

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from boselab.fock import enumerate_basis, truncation_projector
+from boselab.fock import (
+    enumerate_basis,
+    number_operator,
+    region_total_projector,
+    truncation_projector,
+)
 from boselab.lattice import build_lattice
 from boselab.model import (
     HamiltonianSpec,
@@ -21,7 +26,7 @@ from boselab.model import (
     local_operator,
     subset_hamiltonian,
 )
-from boselab.model import HERMITICITY_RTOL, _check_hermitian
+from boselab.model import HERMITICITY_RTOL, _check_hermitian, _wrap, _wrap_diagonal
 from helpers import (
     oracle_custom_matrix,
     oracle_hamiltonian,
@@ -316,6 +321,46 @@ def test_number_and_projector_supports_hold_by_construction(kind, sites, predica
         assert oracle_support(op.matrix, b) == op.support
     else:
         assert oracle_support(op.matrix, b) <= op.support
+
+
+@pytest.mark.parametrize("sector", [None, 3])
+@pytest.mark.parametrize(
+    "kind, sites, predicate",
+    [
+        ("number", [1], None),
+        ("number", [0, 2], None),
+        ("projector", [1], ("==", 1)),
+        ("projector", [0, 2], ("<=", 1)),
+        ("projector", [0], (">=", 3)),  # empty: above the cutoff
+    ],
+)
+def test_number_and_projector_equal_their_wrapped_diagonals(kind, sites, predicate, sector):
+    # built straight from the diagonal, they store what _wrap stores for sparse.diags(d)
+    b = enumerate_basis(build_lattice("chain", [3]), 2, sector=sector)
+    op = local_operator(kind, sites, b, predicate=predicate)
+    if kind == "number":
+        d = number_operator(b, sites).entries
+    else:
+        d = region_total_projector(b, sites, predicate).entries
+    ref = _wrap(b, sparse.diags(d), sites)
+    for name in ("indptr", "indices", "data"):
+        got, expect = getattr(op.matrix, name), getattr(ref.matrix, name)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)
+    assert (op.hermitian, op.is_diagonal) == (ref.hermitian, ref.is_diagonal)
+    assert op.support == ref.support
+
+
+@pytest.mark.parametrize("imag", [0.0, 0.4 * HERMITICITY_RTOL, 0.6 * HERMITICITY_RTOL, 0.3])
+def test_wrapped_diagonal_hermiticity_matches_the_sparse_check(imag):
+    # 2 |Im d| against the tolerance, as _check_hermitian sees a diagonal
+    b = enumerate_basis(build_lattice("chain", [2]), 2)
+    d = np.linspace(-1.0, 1.0, b.dim) + 1j * imag * (np.arange(b.dim) % 2)
+    op = _wrap_diagonal(b, d, [0, 1])
+    ref = _wrap(b, sparse.diags(d), [0, 1])
+    assert op.hermitian == ref.hermitian == (2 * imag <= HERMITICITY_RTOL)
+    assert np.array_equal(op.matrix.data, ref.matrix.data)
+    assert np.array_equal(op.matrix.indices, ref.matrix.indices)
 
 
 def test_creation_degree():

@@ -18,7 +18,9 @@ from boselab.probes import (
     heisenberg_apply,
     mgf_condition,
     moment,
+    moments,
     restricted_error,
+    tail_probabilities,
     tail_probability,
 )
 from helpers import fock_state, random_hermitian, random_state
@@ -76,6 +78,30 @@ def test_tail_obeys_markov_on_evolved_state():
             p = tail_probability(psi, i, z0)
             for s in (1, 2, 3, 4):
                 assert p <= moment(psi, i, s) / z0**s + 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, cutoff, sector", [(4, 3, None), (5, 2, 5)], ids=["product", "sector"]
+)
+def test_batched_probes_equal_the_per_site_probes(n, cutoff, sector):
+    # one product per state gives every (site, parameter) value; z0 = cutoff + 1
+    # and beyond select no state
+    g, b, H = chain_setup(n, cutoff, J=1.0, U=0.8, sector=sector)
+    psi = evolve_state(H, random_state(b, 5), 0.6)
+    hit = StateVector(b, local_operator("creation", [1], b).matrix @ psi.amplitudes)
+    sites = [2, 0, n - 1]
+    orders = [1, 2, 3]
+    z0s = [1, 2, cutoff, cutoff + 1, cutoff + 4]
+    for phi in (psi, hit):
+        got = moments(phi, sites, orders)
+        expect = [[moment(phi, i, s) for s in orders] for i in sites]
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+        got = tail_probabilities(phi, sites, z0s)
+        expect = [[tail_probability(phi, i, z0) for z0 in z0s] for i in sites]
+        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+        assert (got[:, 3:] == 0.0).all()
+    with pytest.raises(ValueError):
+        moments(psi, sites, [1, 0])
 
 
 def test_mgf_condition_values():
