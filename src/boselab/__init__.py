@@ -58,7 +58,9 @@ from .probes import (
     heisenberg_apply,
     mgf_condition,
     moment,
+    moments,
     restricted_error,
+    tail_probabilities,
     tail_probability,
 )
 from .bounds import (
@@ -111,8 +113,8 @@ __all__ = [
     "spectral_norm",
     "GroundStateResult", "commutator_norms",
     "connected_correlation", "ground_state", "heisenberg_apply",
-    "mgf_condition", "moment", "restricted_error",
-    "tail_probability",
+    "mgf_condition", "moment", "moments", "restricted_error",
+    "tail_probabilities", "tail_probability",
     "BoundConditionError", "BoundConstants", "BoundValue",
     "adjacency_exp_bound", "clustering_bound",
     "concentration_bound", "expectation_lemma_rhs", "first_moment_bound",

@@ -92,8 +92,10 @@ def _occupation_weights(rho_tilde_t: StateVector, sites: Sequence[int]) -> np.nd
     amp = rho_tilde_t.amplitudes
     weights = amp.real**2 + amp.imag**2
     states = rho_tilde_t.basis.states
-    width = max(rho_tilde_t.basis.site_cutoffs) + 1
-    return np.array([np.bincount(states[:, i], weights, width) for i in sites])
+    W = np.empty((len(sites), max(rho_tilde_t.basis.site_cutoffs) + 1))
+    for a, i in enumerate(sites):
+        W[a] = np.bincount(states[:, i], weights, W.shape[1])
+    return W
 
 
 def moments(rho_tilde_t: StateVector, sites: Sequence[int], orders: Sequence[int]) -> np.ndarray:

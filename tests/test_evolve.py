@@ -295,17 +295,17 @@ def test_a_full_krylov_step_loses_orthogonality(system, start):
 
 
 def lanczos_tridiagonal(H, V):
-    """The alphas and betas of the recurrence that built the rows of V."""
+    """The tridiagonal T of the alphas and betas of the recurrence that built the rows of V."""
     alphas, betas = [], []
     for k in range(len(V)):
         w = H @ V[k]
-        alphas.append(np.vdot(V[k], w).real)
-        w -= np.vdot(V[k], w) * V[k]
+        a = np.vdot(V[k], w)
+        alphas.append(a.real)
+        w -= a * V[k]
         if k:
             w -= betas[-1] * V[k - 1]
         betas.append(np.linalg.norm(w))
-    T = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
-    return T
+    return np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.03, 0.4])

@@ -84,8 +84,8 @@ def test_tail_obeys_markov_on_evolved_state():
     "n, cutoff, sector", [(4, 3, None), (5, 2, 5)], ids=["product", "sector"]
 )
 def test_batched_probes_equal_the_per_site_probes(n, cutoff, sector):
-    # one product per state gives every (site, parameter) value; z0 = cutoff + 1
-    # and beyond select no state
+    # every (site, parameter) value of a state from one pass over it; z0 above
+    # the cutoff selects no state
     g, b, H = chain_setup(n, cutoff, J=1.0, U=0.8, sector=sector)
     psi = evolve_state(H, random_state(b, 5), 0.6)
     hit = StateVector(b, local_operator("creation", [1], b).matrix @ psi.amplitudes)
