@@ -39,7 +39,7 @@ place on the matvec's result, with no other temporary: BLAS ``zdotc`` and
 ``zaxpy`` orthogonalize it against the last two vectors, ``zdotc`` gives its
 norm, and one multiply by the norm's reciprocal writes the next vector into
 the step's Krylov block.  Each check of the step's estimate diagonalises
-the tridiagonal with LAPACK ``dstevd`` directly, the driver that
+the tridiagonal with LAPACK ``dstevd`` directly, the routine that
 ``eigh_tridiagonal`` picks for a full spectrum, so its results are the same.
 
 Dense work runs per particle-number block.  An operator with a fixed
@@ -154,7 +154,7 @@ def _defect_peak(lam: np.ndarray, S: np.ndarray, dt: float, end: float) -> float
 def _tridiagonal_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the real symmetric tridiagonal (d, e), by LAPACK ``dstevd``.
 
-    The driver ``eigh_tridiagonal`` picks for a full spectrum, called without
+    The routine ``eigh_tridiagonal`` picks for a full spectrum, called without
     its wrapper's checks; for one row LAPACK ignores ``e``, which must still
     hold one entry.
     """
