@@ -18,13 +18,11 @@ from .lattice import (
 )
 from .fock import (
     DIMENSION_CAP,
-    DiagonalOperator,
     FockBasis,
     ResourceLimitError,
     enumerate_basis,
     number_operator,
     region_total_projector,
-    site_projector,
     truncation_projector,
 )
 from .model import (
@@ -57,11 +55,9 @@ from .probes import (
     ground_state,
     heisenberg_apply,
     mgf_condition,
-    moment,
     moments,
     restricted_error,
     tail_probabilities,
-    tail_probability,
 )
 from .bounds import (
     BoundConditionError,
@@ -102,9 +98,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GeometryConstants", "LatticeGraph", "ball", "boundary", "build_lattice",
     "distance", "geometric_constants", "lattice_from_edges",
-    "DIMENSION_CAP", "DiagonalOperator", "FockBasis", "ResourceLimitError",
-    "enumerate_basis", "number_operator", "region_total_projector",
-    "site_projector", "truncation_projector",
+    "DIMENSION_CAP", "FockBasis", "ResourceLimitError", "enumerate_basis",
+    "number_operator", "region_total_projector", "truncation_projector",
     "HamiltonianSpec", "Interaction", "Monomial", "OperatorMatrix",
     "assemble_hamiltonian", "bose_hubbard", "creation_degree",
     "effective_hamiltonian", "local_operator", "subset_hamiltonian",
@@ -113,8 +108,7 @@ __all__ = [
     "spectral_norm",
     "GroundStateResult", "commutator_norms",
     "connected_correlation", "ground_state", "heisenberg_apply",
-    "mgf_condition", "moment", "moments", "restricted_error",
-    "tail_probabilities", "tail_probability",
+    "mgf_condition", "moments", "restricted_error", "tail_probabilities",
     "BoundConditionError", "BoundConstants", "BoundValue",
     "adjacency_exp_bound", "clustering_bound",
     "concentration_bound", "expectation_lemma_rhs", "first_moment_bound",

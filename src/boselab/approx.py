@@ -124,7 +124,7 @@ class LocalUnitary:
 
     def number_commutation_defect(self) -> float:
         """Exact max |[factor generator, n_support]| entry over all factors."""
-        n = number_operator(self.basis, self.support).entries
+        n = number_operator(self.basis, self.support)
         worst = 0.0
         for G, _ in self.factors:
             mat = G.matrix.tocoo()
@@ -201,7 +201,7 @@ def _step_unitary(
         "L2p": tuple(sorted(L2p)),
         "clipped": clipped,
         "ell0_ge_8k": ell0 >= 8 * kk,
-        "surviving_dim": int(truncation_projector(b, truncation).entries.sum()),
+        "surviving_dim": int(truncation_projector(b, truncation).sum()),
     }
     return LocalUnitary(basis=b, support=support, scheme=scheme, factors=factors)
 

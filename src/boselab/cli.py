@@ -526,6 +526,12 @@ class _Run:
             consts = BoundConstants(**vals)
         except (ValueError, AssertionError) as exc:
             raise ConfigError(f"constants: {exc}") from exc
+        except OverflowError:
+            field = "constants.t0" if "t0" in block else self.t0_field
+            raise ConfigError(
+                f"{field}: t0 = {vals['t0']} overflows a derived constant such as "
+                f"c1 = e^(8 J_bar dG t0) / c0, at J_bar = {vals['J_bar']}, dG = {vals['dG']}"
+            ) from None
         resolved = {
             "c0": consts.c0,
             "qbar": consts.qbar,
@@ -1026,7 +1032,7 @@ def run_scenario(
 
         out_block = cfg.get("output", {})
         _check_keys(out_block, ("directory", "formats"), "output")
-        formats = out_block.get("formats", ["csv"])
+        formats = _as_list(out_block.get("formats", ["csv"]))
         for fmt in formats:
             if fmt not in ("csv", "json"):
                 raise ConfigError(f"output.formats: '{fmt}' not supported")

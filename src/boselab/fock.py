@@ -1,4 +1,4 @@
-"""Truncated bosonic Fock bases and diagonal (number-basis) operators.
+"""Truncated bosonic Fock bases and the diagonals of number-basis operators.
 
 States are occupation vectors respecting per-site cutoffs and, optionally, a
 fixed total boson number.  Ordering is lexicographic by occupation vector so
@@ -17,10 +17,8 @@ from .lattice import LatticeGraph
 
 __all__ = [
     "FockBasis",
-    "DiagonalOperator",
     "ResourceLimitError",
     "enumerate_basis",
-    "site_projector",
     "region_total_projector",
     "truncation_projector",
     "number_operator",
@@ -184,27 +182,6 @@ class FockBasis:
         return idx
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Operator diagonal in the occupation basis."""
-
-    basis: FockBasis
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.entries.shape != (self.basis.dim,):
-            raise ValueError("entry count must equal basis dimension")
-
-    def is_projector(self, tol: float = 0.0) -> bool:
-        e = self.entries
-        return bool(np.all((np.abs(e) <= tol) | (np.abs(e - 1.0) <= tol)))
-
-    def compose(self, other: "DiagonalOperator") -> "DiagonalOperator":
-        if other.basis is not self.basis:
-            raise ValueError("operands live on different bases")
-        return DiagonalOperator(self.basis, self.entries * other.entries)
-
-
 def _completion_counts(cutoffs: Sequence[int], sector: int | None) -> np.ndarray:
     """Completion counts W of the basis, in exact Python integers."""
     n = len(cutoffs)
@@ -300,31 +277,36 @@ def _predicate_mask(values: np.ndarray, predicate: tuple[str, int]) -> np.ndarra
     return values >= q
 
 
-def site_projector(
-    b: FockBasis, i: int, predicate: tuple[str, int]
-) -> DiagonalOperator:
-    """Pi_{i,=q}, Pi_{i,<=q}, or Pi_{i,>=q} as a diagonal 0/1 operator."""
-    if not (0 <= i < b.n_sites):
-        raise ValueError(f"site {i} out of range")
-    vals = b.states[:, i].astype(np.int64)
-    return DiagonalOperator(b, _predicate_mask(vals, predicate).astype(np.float64))
+def _region_occupations(b: FockBasis, X: Iterable[int]) -> np.ndarray:
+    """n_X = sum_{i in X} n_i on every basis state, as int64.
+
+    X must be a nonempty set of sites of ``b``.
+    """
+    idx = sorted(set(int(i) for i in X))
+    if not idx:
+        raise ValueError("region must be nonempty")
+    for i in (idx[0], idx[-1]):
+        if not 0 <= i < b.n_sites:
+            raise ValueError(f"site {i} out of range")
+    # column by column: a strided view adds without gathering the columns
+    out = b.states[:, idx[0]].astype(np.int64)
+    for i in idx[1:]:
+        out += b.states[:, i]
+    return out
 
 
 def region_total_projector(
     b: FockBasis, X: Iterable[int], predicate: tuple[str, int]
-) -> DiagonalOperator:
-    """Projector onto eigenspaces of n_X = sum_{i in X} n_i."""
-    idx = sorted(set(int(i) for i in X))
-    if not idx:
-        raise ValueError("region must be nonempty")
-    vals = b.states[:, idx].astype(np.int64).sum(axis=1)
-    return DiagonalOperator(b, _predicate_mask(vals, predicate).astype(np.float64))
+) -> np.ndarray:
+    """Diagonal of the projector onto an eigenspace of n_X = sum_{i in X} n_i, as 0/1 floats."""
+    vals = _region_occupations(b, X)
+    return _predicate_mask(vals, predicate).astype(np.float64)
 
 
 def truncation_projector(
     b: FockBasis, scheme: Sequence[tuple[Iterable[int], int]]
-) -> DiagonalOperator:
-    """Product of per-site <=q projectors over the scheme's regions.
+) -> np.ndarray:
+    """Diagonal of the product of per-site <=q projectors over the scheme's regions, as 0/1 floats.
 
     Overlapping regions resolve to the elementwise minimum cutoff.
     """
@@ -332,21 +314,14 @@ def truncation_projector(
     for region, q in scheme:
         if q < 0:
             raise ValueError("truncation cutoff must be >= 0")
-        for i in region:
-            i = int(i)
-            if not (0 <= i < b.n_sites):
-                raise ValueError(f"site {i} out of range")
+        for i in map(int, region):
             eff[i] = min(eff.get(i, q), q)
     mask = np.ones(b.dim, dtype=bool)
     for i, q in eff.items():
-        mask &= b.states[:, i] <= q
-    return DiagonalOperator(b, mask.astype(np.float64))
+        mask &= _region_occupations(b, [i]) <= q
+    return mask.astype(np.float64)
 
 
-def number_operator(b: FockBasis, X: Iterable[int]) -> DiagonalOperator:
-    """n_X as a diagonal operator."""
-    idx = sorted(set(int(i) for i in X))
-    if not idx:
-        raise ValueError("region must be nonempty")
-    vals = b.states[:, idx].astype(np.float64).sum(axis=1)
-    return DiagonalOperator(b, vals)
+def number_operator(b: FockBasis, X: Iterable[int]) -> np.ndarray:
+    """Diagonal of n_X = sum_{i in X} n_i, as floats."""
+    return _region_occupations(b, X).astype(np.float64)

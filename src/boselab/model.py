@@ -321,7 +321,7 @@ def assemble_hamiltonian(
             raise ValueError("extra term must be Hermitian (its diagonal is not real)")
         diag += d.real
         supp |= extra.support
-    mask = truncation_projector(b, truncation).entries if truncation else None
+    mask = truncation_projector(b, truncation) if truncation else None
     supp.update(int(i) for region, _ in truncation for i in region)
     mat = _hopping_rows(b, weights, diag, mask)
     return _wrap(b, mat, supp)
@@ -396,6 +396,9 @@ def local_operator(
     sites = [int(X)] if isinstance(X, int) else sorted(set(int(i) for i in X))
     if not sites:
         raise ValueError("X must be nonempty")
+    for i in (sites[0], sites[-1]):
+        if not 0 <= i < b.n_sites:
+            raise ValueError(f"site {i} out of range")
 
     if kind in ("number", "projector"):
         if kind == "number":
@@ -404,7 +407,7 @@ def local_operator(
             raise ValueError("projector kind needs a predicate")
         else:
             d = region_total_projector(b, sites, predicate)
-        return _wrap_diagonal(b, d.entries, sites)
+        return _wrap_diagonal(b, d, sites)
     if kind in ("creation", "annihilation"):
         if len(sites) != 1:
             raise ValueError(f"{kind} operator acts on a single site")

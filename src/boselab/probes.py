@@ -4,9 +4,11 @@ Every function here measures, on an exactly representable basis, one of the
 objects that :mod:`boselab.bounds` upper-bounds analytically: boson-number
 moments of the sandwiched state, site tail probabilities, the
 moment-generating-function condition on the initial state, commutator norms,
-and state-restricted approximation errors.  Keeping the measurement code
-independent of the bound evaluators is what makes the inequality tests
-meaningful.
+and state-restricted approximation errors.  The first three are |amplitude|^2
+summed against a function of one site's occupation, so all three read one
+per-site occupation histogram (``_occupation_weights``) and differ only in
+that function.  Keeping the measurement code independent of the bound
+evaluators is what makes the inequality tests meaningful.
 """
 
 from __future__ import annotations
@@ -58,36 +60,12 @@ def _as_ensemble(rho: StateVector | Ensemble) -> list[tuple[float, StateVector]]
     return out
 
 
-def moment(rho_tilde_t: StateVector, i: int, s: int) -> float:
-    """Boson-number moment of the (generally unnormalized) sandwiched state.
-
-    ``rho_tilde_t`` holds the vector ``O_X(t) |psi0>``, as
-    :func:`heisenberg_apply` returns it; the moment is the unnormalized trace
-    sum_states n_i^s |amplitude|^2.  Callers comparing against norm-scaled
-    bounds divide by ``zeta0**2`` themselves.
-    """
-    if s < 1:
-        raise ValueError("moment order s must be >= 1")
-    n_i = rho_tilde_t.basis.states[:, i].astype(np.float64)
-    weights = np.abs(rho_tilde_t.amplitudes) ** 2
-    return float(np.dot(n_i**s, weights))
-
-
-def tail_probability(rho_tilde_t: StateVector, i: int, z0: int) -> float:
-    """Unnormalized weight of basis states with at least ``z0`` bosons on ``i``.
-
-    ``rho_tilde_t`` holds ``O_X(t) |psi0>``, as :func:`heisenberg_apply`
-    returns it.
-    """
-    mask = rho_tilde_t.basis.states[:, i] >= z0
-    return float(np.sum(np.abs(rho_tilde_t.amplitudes[mask]) ** 2))
-
-
 def _occupation_weights(rho_tilde_t: StateVector, sites: Sequence[int]) -> np.ndarray:
     """W[a, k]: the summed |amplitude|^2 of the basis states with k bosons on ``sites[a]``.
 
-    Every moment and tail probability at a site is a sum over k of W[a, k]
-    times a function of k alone.
+    Every probe of a state at a site is a sum over k of W[a, k] times a
+    function of k alone, and this is the one place a probe reads the basis
+    states.
     """
     amp = rho_tilde_t.amplitudes
     weights = amp.real**2 + amp.imag**2
@@ -99,12 +77,14 @@ def _occupation_weights(rho_tilde_t: StateVector, sites: Sequence[int]) -> np.nd
 
 
 def moments(rho_tilde_t: StateVector, sites: Sequence[int], orders: Sequence[int]) -> np.ndarray:
-    """Every :func:`moment` of ``rho_tilde_t`` at the ``sites`` and ``orders``.
+    """Boson-number moments of the (generally unnormalized) sandwiched state.
 
-    Entry (a, b) is ``moment(rho_tilde_t, sites[a], orders[b])``.  The weights
-    |amplitude|^2 are taken once and summed per site by occupation k
-    (``_occupation_weights``); one product with the table k^s then gives
-    every value.
+    ``rho_tilde_t`` holds the vector ``O_X(t) |psi0>``, as
+    :func:`heisenberg_apply` returns it.  Entry (a, b) is the unnormalized
+    trace sum_states n_i^s |amplitude|^2 at site i = ``sites[a]`` and order
+    s = ``orders[b]``; callers comparing against norm-scaled bounds divide
+    by ``zeta0**2`` themselves.  One product of the occupation histogram
+    (``_occupation_weights``) with the table k^s gives every value.
     """
     s = np.asarray(orders)
     if (s < 1).any():
@@ -117,12 +97,12 @@ def moments(rho_tilde_t: StateVector, sites: Sequence[int], orders: Sequence[int
 def tail_probabilities(
     rho_tilde_t: StateVector, sites: Sequence[int], z0s: Sequence[int]
 ) -> np.ndarray:
-    """Every :func:`tail_probability` of ``rho_tilde_t`` at the ``sites`` and thresholds ``z0s``.
+    """Unnormalized weights of the basis states with at least z0 bosons on a site.
 
-    Entry (a, b) is ``tail_probability(rho_tilde_t, sites[a], z0s[b])``.  The
-    weights |amplitude|^2 are taken once and summed per site by occupation k
-    (``_occupation_weights``); one product with the 0/1 table k >= z0 then
-    gives every value.
+    ``rho_tilde_t`` holds ``O_X(t) |psi0>``, as :func:`heisenberg_apply`
+    returns it.  Entry (a, b) is the weight at site ``sites[a]`` and
+    threshold z0 = ``z0s[b]``: one product of the occupation histogram
+    (``_occupation_weights``) with the 0/1 table k >= z0.
     """
     W = _occupation_weights(rho_tilde_t, sites)
     k = np.arange(W.shape[1])
@@ -132,23 +112,19 @@ def tail_probabilities(
 def mgf_condition(rho: StateVector | Ensemble, c0: float, qbar: float) -> float:
     """Worst-site exponential-moment value max_i tr(e^{c0(n_i - qbar)} rho).
 
-    The low-density condition holds iff the returned value is <= 1.
+    The low-density condition holds iff the returned value is <= 1.  The
+    members' occupation histograms, summed with their weights, meet
+    e^{c0 (k - qbar)} in one product.
     """
     if not 0.0 < c0 <= 1.0:
         raise ValueError("c0 must lie in (0, 1]")
     parts = _as_ensemble(rho)
     basis = parts[0][1].basis
-    worst = 0.0
-    for i in range(basis.n_sites):
-        n_i = basis.states[:, i].astype(np.float64)
-        factor = np.exp(c0 * (n_i - qbar))
-        total = 0.0
-        for w, psi in parts:
-            if psi.basis is not basis:
-                raise ValueError("ensemble members live on different bases")
-            total += w * float(np.dot(factor, np.abs(psi.amplitudes) ** 2))
-        worst = max(worst, total)
-    return worst
+    if any(psi.basis is not basis for _, psi in parts):
+        raise ValueError("ensemble members live on different bases")
+    W = sum(w * _occupation_weights(psi, range(basis.n_sites)) for w, psi in parts)
+    k = np.arange(W.shape[1], dtype=np.float64)
+    return float((W @ np.exp(c0 * (k - qbar))).max())
 
 
 def heisenberg_apply(

@@ -49,9 +49,9 @@ from boselab.probes import (
     ground_state,
     heisenberg_apply,
     mgf_condition,
-    moment,
+    moments,
     restricted_error,
-    tail_probability,
+    tail_probabilities,
 )
 from helpers import fock_state, random_hermitian, random_state
 
@@ -169,11 +169,12 @@ def test_criterion_05_evolved_moments_below_bound(mott_chain5):
         consts = chain_consts(g, qbar=1.0, t0=0.1, zeta0=spectral_norm(O_X))
         for t in (0.02, 0.05, 0.1):
             phi = heisenberg_apply(H, O_X, psi0, t)
+            m = moments(phi, g.sites, [1, 2, 3])
             for i in g.sites:
                 d = float(g.distances[i, i0])
                 for s in (1, 2, 3):
                     bv = moment_bound(s, 1.0, d, consts)
-                    assert moment(phi, i, s) <= bv.value * (1.0 + 1e-9)
+                    assert m[i, s - 1] <= bv.value * (1.0 + 1e-9)
     assert time.monotonic() - start <= 600.0
 
 
@@ -184,10 +185,11 @@ def test_criterion_06_first_moment_bound(mott_chain5):
     for O_X in mott_observables(b, i0).values():
         for t in (0.02, 0.05, 0.1):
             phi = heisenberg_apply(H, O_X, psi0, t)
+            m = moments(phi, g.sites, [1])
             for i in g.sites:
                 d = float(g.distances[i, i0])
                 bv = first_moment_bound(d, t, 1.0, 1.0, consts)
-                assert moment(phi, i, 1) <= bv.value * (1.0 + 1e-9)
+                assert m[i, 0] <= bv.value * (1.0 + 1e-9)
 
 
 def test_criterion_07_initial_moments_below_bounds(mott_chain5):
@@ -196,10 +198,11 @@ def test_criterion_07_initial_moments_below_bounds(mott_chain5):
     X = [1, 2, 3]
     region_n = b.states[:, X].sum(axis=1).astype(np.float64)
     weights = np.abs(psi0.amplitudes) ** 2
+    m = moments(psi0, g.sites, [1, 2, 3, 4])
     for s in (1, 2, 3, 4):
         single_bv, region_bv = initial_moment_bounds(s, float(len(X)), consts)
         for i in g.sites:
-            assert moment(psi0, i, s) <= single_bv.value
+            assert m[i, s - 1] <= single_bv.value
         region_moment = float(weights @ region_n**s)
         assert region_moment <= region_bv.value
 
@@ -211,11 +214,12 @@ def test_criterion_08_tail_probabilities_below_bound(mott_chain5):
     consts = chain_consts(g, qbar=1.0, t0=0.1, zeta0=spectral_norm(O_X))
     for t in (0.05, 0.1):
         phi = heisenberg_apply(H, O_X, psi0, t)
+        tails = tail_probabilities(phi, g.sites, [1, 2, 3, 4, 5])
         for i in g.sites:
             d = float(g.distances[i, i0])
             for z0 in (1, 2, 3, 4, 5):
                 bv = tail_bound(z0, d, 3.0, consts, mode="markov-optimized")
-                assert tail_probability(phi, i, z0) <= bv.value * (1.0 + 1e-9)
+                assert tails[i, z0 - 1] <= bv.value * (1.0 + 1e-9)
 
 
 def test_criterion_09_hard_truncation_error_shrinks_with_cutoff():

@@ -192,7 +192,7 @@ def test_local_step_truncated_generator_dual_route():
     step = local_step_unitary(spec, b, [2], 1, 1, 0.11, k=0)
     L2 = sorted(step.scheme["L2"])
     ltilde = sorted(set(L2) - set(step.scheme["L1"]))
-    pi = truncation_projector(b, [(ltilde, 1)]).entries
+    pi = truncation_projector(b, [(ltilde, 1)])
     H_sub = subset_hamiltonian(spec, b, L2).dense()
     G = pi[:, None] * H_sub * pi[None, :]
     np.testing.assert_allclose(step.materialize(), expm(-1j * 0.11 * G), atol=1e-10)
@@ -242,7 +242,7 @@ def test_quench_step_echo_factors():
 
     # A - B is exactly the quench term sandwiched by the annulus projector
     ltilde = sorted(set(step.scheme["L2"]) - set(step.scheme["L1"]))
-    pi = truncation_projector(b, [(ltilde, 1)]).entries
+    pi = truncation_projector(b, [(ltilde, 1)])
     diff = (A.matrix - B.matrix).toarray()
     assert np.max(np.abs(diff - np.diag(np.diag(diff)))) < 1e-14
     np.testing.assert_allclose(

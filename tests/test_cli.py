@@ -405,6 +405,32 @@ def test_unsupported_output_format_exits_two(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
+def test_output_formats_may_be_one_string(tmp_path):
+    payload = json.loads(json.dumps(CONFIGS["fs-check"]))
+    payload["output"]["formats"] = "json"
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "o"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fs-check.json", "run_manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "scenario, constants, field",
+    [
+        ({"times": [45.0]}, {}, "scenario.times"),
+        ({}, {"t0": 50}, "constants.t0"),
+    ],
+)
+def test_overflowing_t0_names_its_field(scenario, constants, field, tmp_path, capsys):
+    # 8 J_bar dG t0 past 709.8 overflows c1 = e^(8 J_bar dG t0) / c0 on a J = 1 chain
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["scenario"].update(scenario)
+    payload["constants"].update(constants)
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {field}: t0 = " in capsys.readouterr().err
+
+
 def test_invalid_constants_exit_two(tmp_path):
     payload = json.loads(json.dumps(CONFIGS["moment-check"]))
     payload["constants"]["c0"] = 5.0  # outside (0, 1]

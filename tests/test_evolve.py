@@ -655,6 +655,18 @@ def test_spectral_norm_degenerate_spectra_above_cap():
     assert norm_under_cap(u_perm, 8) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_spectral_norm_falls_back_to_power_iteration(monkeypatch):
+    # dim 16,384 > DENSE_CAP; with the Lanczos SVD failing, power iteration on
+    # A^dag A gives ||b^dag|| = sqrt(3) at cutoff 3
+    def fail(*args, **kwargs):
+        raise evolve_mod.ArpackError(-9999)
+
+    b = enumerate_basis(build_lattice("chain", [7]), 3)
+    bdag = local_operator("creation", [3], b)
+    monkeypatch.setattr(evolve_mod, "svds", fail)
+    assert spectral_norm(bdag) == pytest.approx(math.sqrt(3.0), rel=0, abs=1e-10)
+
+
 def test_spectral_norm_is_deterministic_above_cap():
     # dim 7776 > DENSE_CAP, so every call goes through the Lanczos SVD
     g, b, H = chain_setup(5, 5, J=1.0, U=1.0)

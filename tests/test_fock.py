@@ -1,4 +1,4 @@
-"""Basis enumeration, projectors, and diagonal operators."""
+"""Basis enumeration, and the diagonals of number operators and projectors."""
 
 import itertools
 
@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boselab.fock import (
-    DiagonalOperator,
     ResourceLimitError,
     enumerate_basis,
     number_operator,
     region_total_projector,
-    site_projector,
     truncation_projector,
 )
 from boselab.lattice import build_lattice
@@ -101,48 +99,63 @@ def test_empty_sector_rejected():
 def test_site_projector_entries():
     g = build_lattice("chain", [1])
     b = enumerate_basis(g, 3)
-    p = site_projector(b, 0, (">=", 2))
-    assert np.array_equal(p.entries, [0.0, 0.0, 1.0, 1.0])
-    assert p.is_projector()
-    q = site_projector(b, 0, ("==", 0))
-    assert np.array_equal(q.entries, [1.0, 0.0, 0.0, 0.0])
-    le = site_projector(b, 0, ("<=", 1))
-    assert np.array_equal(le.entries, [1.0, 1.0, 0.0, 0.0])
+    p = region_total_projector(b, [0], (">=", 2))
+    assert p.dtype == np.float64
+    assert np.array_equal(p, [0.0, 0.0, 1.0, 1.0])
+    q = region_total_projector(b, [0], ("==", 0))
+    assert np.array_equal(q, [1.0, 0.0, 0.0, 0.0])
+    le = region_total_projector(b, [0], ("<=", 1))
+    assert np.array_equal(le, [1.0, 1.0, 0.0, 0.0])
 
 
 def test_site_projector_completeness_and_composition():
     g = build_lattice("chain", [2])
     b = enumerate_basis(g, 3)
-    zero = site_projector(b, 0, ("==", 0))
-    plus = site_projector(b, 0, (">=", 1))
-    assert np.array_equal(zero.entries + plus.entries, np.ones(b.dim))
-    # <=q composed with >=q picks out ==q
+    zero = region_total_projector(b, [0], ("==", 0))
+    plus = region_total_projector(b, [0], (">=", 1))
+    assert np.array_equal(zero + plus, np.ones(b.dim))
+    # <=q times >=q picks out ==q
     q = 2
-    both = site_projector(b, 0, ("<=", q)).compose(site_projector(b, 0, (">=", q)))
-    assert np.array_equal(both.entries, site_projector(b, 0, ("==", q)).entries)
+    both = region_total_projector(b, [0], ("<=", q)) * region_total_projector(b, [0], (">=", q))
+    assert np.array_equal(both, region_total_projector(b, [0], ("==", q)))
 
 
 def test_site_projector_rejects_bad_input():
     g = build_lattice("chain", [2])
     b = enumerate_basis(g, 2)
     with pytest.raises(ValueError):
-        site_projector(b, 5, ("==", 0))
+        region_total_projector(b, [5], ("==", 0))
     with pytest.raises(ValueError):
-        site_projector(b, 0, ("!=", 0))
+        region_total_projector(b, [0], ("!=", 0))
+
+
+@pytest.mark.parametrize("site", [-1, 3])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda b, i: number_operator(b, [0, i]),
+        lambda b, i: region_total_projector(b, [i], ("<=", 1)),
+        lambda b, i: truncation_projector(b, [([0], 1), ([i], 1)]),
+    ],
+    ids=["number", "region_total", "truncation"],
+)
+def test_diagonal_builders_refuse_sites_outside_the_lattice(build, site):
+    # -1 is not read as the last site, and n_sites is not a bare IndexError
+    b = enumerate_basis(build_lattice("chain", [3]), 2)
+    with pytest.raises(ValueError, match=f"site {site} out of range"):
+        build(b, site)
 
 
 def test_region_total_projector():
     g = build_lattice("chain", [2])
     b = enumerate_basis(g, 2)
     p = region_total_projector(b, [0, 1], ("==", 2))
-    hit = {tuple(s) for s, v in zip(b.states, p.entries) if v == 1.0}
+    hit = {tuple(s) for s, v in zip(b.states, p) if v == 1.0}
     assert hit == {(0, 2), (1, 1), (2, 0)}
-    assert np.array_equal(
-        region_total_projector(b, [0, 1], (">=", 0)).entries, np.ones(b.dim)
-    )
+    assert np.array_equal(region_total_projector(b, [0, 1], (">=", 0)), np.ones(b.dim))
     total = np.zeros(b.dim)
     for n in range(5):
-        total += region_total_projector(b, [0, 1], ("==", n)).entries
+        total += region_total_projector(b, [0, 1], ("==", n))
     assert np.array_equal(total, np.ones(b.dim))
 
 
@@ -150,21 +163,19 @@ def test_truncation_projector_semantics():
     g = build_lattice("chain", [3])
     b = enumerate_basis(g, 3)
     # an empty scheme truncates nothing
-    assert np.array_equal(truncation_projector(b, []).entries, np.ones(b.dim))
-    assert np.array_equal(
-        truncation_projector(b, [(list(g.sites), 3)]).entries, np.ones(b.dim)
-    )
+    assert np.array_equal(truncation_projector(b, []), np.ones(b.dim))
+    assert np.array_equal(truncation_projector(b, [(list(g.sites), 3)]), np.ones(b.dim))
     p = truncation_projector(b, [([0, 1], 1)])
-    for s, v in zip(b.states, p.entries):
+    assert p.dtype == np.float64
+    for s, v in zip(b.states, p):
         assert v == (1.0 if s[0] <= 1 and s[1] <= 1 else 0.0)
-    assert p.is_projector()
 
 
 def test_truncation_projector_overlap_takes_minimum():
     g = build_lattice("chain", [2])
     b = enumerate_basis(g, 3)
     p = truncation_projector(b, [([0, 1], 2), ([1], 1)])
-    for s, v in zip(b.states, p.entries):
+    for s, v in zip(b.states, p):
         assert v == (1.0 if s[0] <= 2 and s[1] <= 1 else 0.0)
 
 
@@ -181,37 +192,24 @@ def test_number_operator():
     g = build_lattice("chain", [2])
     b = enumerate_basis(g, 2)
     n0 = number_operator(b, [0])
-    for s, v in zip(b.states, n0.entries):
+    assert n0.dtype == np.float64
+    for s, v in zip(b.states, n0):
         assert v == float(s[0])
     ntot = number_operator(b, [0, 1])
-    assert np.array_equal(ntot.entries, n0.entries + number_operator(b, [1]).entries)
+    assert np.array_equal(ntot, n0 + number_operator(b, [1]))
     # on a fixed-number sector the total number operator is a constant
     sec = enumerate_basis(b.lattice, 2, sector=2)
-    assert np.array_equal(
-        number_operator(sec, [0, 1]).entries, np.full(sec.dim, 2.0)
-    )
-
-
-def test_diagonal_operator_validation():
-    g = build_lattice("chain", [2])
-    b = enumerate_basis(g, 1)
-    with pytest.raises(ValueError):
-        DiagonalOperator(b, np.ones(b.dim + 1))
-    other = enumerate_basis(g, 2)
-    with pytest.raises(ValueError):
-        number_operator(b, [0]).compose(number_operator(other, [0]))
-    # entries reach 2, so the number operator is not a projector there
-    assert not number_operator(other, [0]).is_projector()
+    assert np.array_equal(number_operator(sec, [0, 1]), np.full(sec.dim, 2.0))
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_projector_idempotence(a, bq, c):
+    # a diagonal is a projector exactly when its entries are 0 or 1
     g = build_lattice("chain", [3])
     basis = enumerate_basis(g, 2)
     p = truncation_projector(basis, [([0], a), ([1], bq), ([0, 2], c)])
-    assert p.is_projector()
-    assert np.array_equal(p.compose(p).entries, p.entries)
+    assert set(np.unique(p)) <= {0.0, 1.0}
 
 
 @given(small_bases())

@@ -261,6 +261,32 @@ def test_a_local_step_builds_its_product_only_where_it_is_used():
     ]
 
 
+def test_probes_read_the_basis_states_in_one_place():
+    """Moments, tails and the mgf condition all read one occupation histogram.
+
+    ``probes._occupation_weights`` is the only function in ``probes`` that
+    reads a basis's ``states``; a probe with its own per-site loop fails here.
+    """
+    found = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self) -> None:
+            self.stack = ["<module>"]
+
+        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            self.stack.append(node.name)
+            self.generic_visit(node)
+            self.stack.pop()
+
+        def visit_Attribute(self, node: ast.Attribute) -> None:
+            if node.attr == "states":
+                found.append(self.stack[-1])
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse((SRC / "probes.py").read_text(), filename="probes.py"))
+    assert found and set(found) == {"_occupation_weights"}
+
+
 def test_every_import_is_at_module_level():
     """No function, method or branch of the package imports anything."""
     found = []

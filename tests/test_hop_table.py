@@ -139,7 +139,7 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
     )
     assert_same_csr(
         effective_hamiltonian(spec, b, scheme).matrix,
-        sandwiched(full, truncation_projector(b, scheme).entries),
+        sandwiched(full, truncation_projector(b, scheme)),
     )
 
     cut = b.site_cutoffs[site]
@@ -152,7 +152,7 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
     L1, L2 = set(s["L1"]), set(s["L2"])
     live = [(sorted(r), c) for r, c in ((L2 - L1, q), (L1, qprime)) if r]
     local = oracle_hamiltonian(restricted_spec(spec, s["L2p"], L2), b)
-    entries = truncation_projector(b, live).entries  # L1 is never empty
+    entries = truncation_projector(b, live)  # L1 is never empty
     (B, _), (A, _) = step.factors
     assert_same_csr(B.matrix, sandwiched(local, entries))
     assert_same_csr(A.matrix, sandwiched(local + h.matrix, entries))

@@ -202,7 +202,7 @@ def test_effective_hamiltonian_is_projected_sandwich():
     spec = bose_hubbard(g, J=1.0, U=1.0, mu=0.2)
     scheme = [([1, 2], 1)]
     Ht = effective_hamiltonian(spec, b, scheme)
-    mask = truncation_projector(b, scheme).entries
+    mask = truncation_projector(b, scheme)
     H = assemble_hamiltonian(spec, b).dense()
     expected = (mask[:, None] * H) * mask[None, :]
     assert np.allclose(Ht.dense(), expected, atol=1e-14)
@@ -301,6 +301,24 @@ def test_local_operator_custom_matrix_validation():
     assert np.allclose(u.dense() @ u.dense().conj().T, np.eye(4), atol=1e-12)
 
 
+@pytest.mark.parametrize("site", [-1, 3])
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    [
+        ("number", {}),
+        ("projector", {"predicate": ("==", 1)}),
+        ("creation", {}),
+        ("annihilation", {}),
+        ("custom-matrix", {"matrix": np.eye(3)}),
+    ],
+)
+def test_local_operator_refuses_sites_outside_the_lattice(kind, kwargs, site):
+    # -1 would declare support {-1} and index the last site's cutoff
+    b = enumerate_basis(build_lattice("chain", [3]), 2)
+    with pytest.raises(ValueError, match=f"site {site} out of range"):
+        local_operator(kind, [site], b, **kwargs)
+
+
 @pytest.mark.parametrize("sector", [None, 3])
 @pytest.mark.parametrize(
     "kind, sites, predicate",
@@ -339,9 +357,9 @@ def test_number_and_projector_equal_their_wrapped_diagonals(kind, sites, predica
     b = enumerate_basis(build_lattice("chain", [3]), 2, sector=sector)
     op = local_operator(kind, sites, b, predicate=predicate)
     if kind == "number":
-        d = number_operator(b, sites).entries
+        d = number_operator(b, sites)
     else:
-        d = region_total_projector(b, sites, predicate).entries
+        d = region_total_projector(b, sites, predicate)
     ref = _wrap(b, sparse.diags(d), sites)
     for name in ("indptr", "indices", "data"):
         got, expect = getattr(op.matrix, name), getattr(ref.matrix, name)
@@ -393,6 +411,18 @@ def test_creation_degree_unbounded():
     assert creation_degree(local_operator("custom-matrix", [0], b, matrix=m), [0]) == (
         "unbounded"
     )
+
+
+def test_creation_degree_on_a_sector_spans_the_sector_values():
+    # a hop 1 -> 0 declared on X = {0}: n_0 gains one boson.  In the N = 2
+    # sector of a 3-site chain n_0 spans 0..2, so the degree is 1; in the
+    # N = 1 sector of a 2-site chain it spans 0..1, so one boson is all of it
+    for n, sector, expect in ((3, 2, 1), (2, 1, "unbounded")):
+        g = build_lattice("chain", [n])
+        b = enumerate_basis(g, 2, sector=sector)
+        spec = bose_hubbard(g, J=1.0, U=0.0)
+        hop = assemble_hamiltonian(spec, b, hop_sites=[0, 1], int_sites=[])
+        assert creation_degree(_wrap(b, hop.matrix, [0]), [0]) == expect
 
 
 def test_ladder_commutes_through_number_polynomial():

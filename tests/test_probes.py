@@ -17,11 +17,9 @@ from boselab.probes import (
     ground_state,
     heisenberg_apply,
     mgf_condition,
-    moment,
     moments,
     restricted_error,
     tail_probabilities,
-    tail_probability,
 )
 from helpers import fock_state, random_hermitian, random_state
 
@@ -36,56 +34,59 @@ def chain_setup(n, cutoff, J=1.0, U=0.0, mu=0.0, sector=None):
 def test_moment_basic_values():
     g, b, _ = chain_setup(3, 2)
     mott = fock_state(b, (1, 1, 1))
-    for i in range(3):
-        for s in (1, 2, 3):
-            assert moment(mott, i, s) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(moments(mott, [0, 1, 2], [1, 2, 3]), 1.0, rtol=0, atol=1e-14)
     g1, b1, _ = chain_setup(1, 3)
     two = fock_state(b1, (2,))
-    assert moment(two, 0, 1) == pytest.approx(2.0)
-    assert moment(two, 0, 2) == pytest.approx(4.0)
+    np.testing.assert_allclose(moments(two, [0], [1, 2]), [[2.0, 4.0]])
     with pytest.raises(ValueError):
-        moment(two, 0, 0)
+        moments(two, [0], [0])
 
 
 def test_moment_is_unnormalized():
     # sandwiched vectors keep the weight of the operator hit
     g, b, _ = chain_setup(1, 2)
     half = StateVector(b, 0.5 * fock_state(b, (2,)).amplitudes)
-    assert moment(half, 0, 1) == pytest.approx(0.5)
+    assert moments(half, [0], [1])[0, 0] == pytest.approx(0.5)
 
 
 def test_tail_probability():
     g, b, _ = chain_setup(3, 2)
     mott = fock_state(b, (1, 1, 1))
-    assert tail_probability(mott, 0, 2) == 0.0
-    assert tail_probability(mott, 0, 1) == 1.0
-    assert tail_probability(mott, 0, 0) == 1.0
+    assert tail_probabilities(mott, [0], [2, 1, 0]).tolist() == [[0.0, 1.0, 1.0]]
     g1, b1, _ = chain_setup(1, 2)
     sup = StateVector(
         b1,
         (fock_state(b1, (0,)).amplitudes + fock_state(b1, (2,)).amplitudes)
         / math.sqrt(2),
     )
-    assert tail_probability(sup, 0, 1) == pytest.approx(0.5)
-    assert tail_probability(sup, 0, 2) == pytest.approx(0.5)
+    np.testing.assert_allclose(tail_probabilities(sup, [0], [1, 2]), [[0.5, 0.5]])
 
 
 def test_tail_obeys_markov_on_evolved_state():
     g, b, H = chain_setup(3, 3, J=1.0, U=0.6)
     psi = evolve_state(H, fock_state(b, (2, 1, 0)), 0.7)
+    z0s, orders = np.array([1, 2, 3]), np.array([1, 2, 3, 4])
+    tails = tail_probabilities(psi, range(3), z0s)
+    m = moments(psi, range(3), orders)
     for i in range(3):
-        for z0 in (1, 2, 3):
-            p = tail_probability(psi, i, z0)
-            for s in (1, 2, 3, 4):
-                assert p <= moment(psi, i, s) / z0**s + 1e-12
+        assert (tails[i][:, None] <= m[i] / z0s[:, None] ** orders + 1e-12).all()
+
+
+def per_state_sum(phi, i, f):
+    """sum over basis states of |amplitude|^2 f(n_i), one state at a time, exactly rounded."""
+    return math.fsum(
+        abs(a) ** 2 * f(int(occ[i])) for a, occ in zip(phi.amplitudes, phi.basis.states)
+    )
 
 
 @pytest.mark.parametrize(
     "n, cutoff, sector", [(4, 3, None), (5, 2, 5)], ids=["product", "sector"]
 )
 def test_batched_probes_equal_the_per_site_probes(n, cutoff, sector):
-    # every (site, parameter) value of a state from one pass over it; z0 above
-    # the cutoff selects no state
+    # every (site, parameter) value, and the worst-site mgf value, against
+    # its sum over the basis states;
+    # z0 above the cutoff selects no state.  The batched sums run in another
+    # order, so they agree to dim * eps (dim <= 256), not bit for bit
     g, b, H = chain_setup(n, cutoff, J=1.0, U=0.8, sector=sector)
     psi = evolve_state(H, random_state(b, 5), 0.6)
     hit = StateVector(b, local_operator("creation", [1], b).matrix @ psi.amplitudes)
@@ -94,12 +95,14 @@ def test_batched_probes_equal_the_per_site_probes(n, cutoff, sector):
     z0s = [1, 2, cutoff, cutoff + 1, cutoff + 4]
     for phi in (psi, hit):
         got = moments(phi, sites, orders)
-        expect = [[moment(phi, i, s) for s in orders] for i in sites]
-        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+        expect = [[per_state_sum(phi, i, lambda k: k**s) for s in orders] for i in sites]
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
         got = tail_probabilities(phi, sites, z0s)
-        expect = [[tail_probability(phi, i, z0) for z0 in z0s] for i in sites]
-        np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0)
+        expect = [[per_state_sum(phi, i, lambda k: k >= z0) for z0 in z0s] for i in sites]
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
         assert (got[:, 3:] == 0.0).all()
+        expect = max(per_state_sum(phi, i, lambda k: math.exp(0.7 * (k - 1.0))) for i in g.sites)
+        assert mgf_condition(phi, 0.7, 1.0) == pytest.approx(expect, rel=1e-13)
     with pytest.raises(ValueError):
         moments(psi, sites, [1, 0])
 
@@ -129,6 +132,9 @@ def test_mgf_condition_ensemble_and_validation():
         mgf_condition([], 1.0, 0.0)
     with pytest.raises(ValueError):
         mgf_condition([(-0.5, vac), (1.5, two)], 1.0, 0.0)
+    other = fock_state(enumerate_basis(g, 3), (0,))
+    with pytest.raises(ValueError, match="different bases"):
+        mgf_condition([(0.5, vac), (0.5, other)], 1.0, 0.0)
 
 
 def test_heisenberg_apply_matches_dense_route():
