@@ -83,11 +83,13 @@ from .bounds import (
 )
 from .approx import (
     LocalUnitary,
+    QuenchReference,
     ScheduleError,
     StationarityError,
     StepSchedule,
     approximate_heisenberg,
     local_step_unitary,
+    quench_reference,
     quench_step_unitary,
     run_quench,
     step_schedule,
@@ -116,8 +118,8 @@ __all__ = [
     "lightcone_radius", "main_lr_bound", "moment_bound", "quench_bounds",
     "short_lr_bound", "solve_eta", "subtheorem_bound", "tail_bound",
     "truncation_error_bound",
-    "LocalUnitary", "ScheduleError", "StationarityError", "StepSchedule",
-    "approximate_heisenberg", "local_step_unitary", "quench_step_unitary",
-    "run_quench", "step_schedule",
+    "LocalUnitary", "QuenchReference", "ScheduleError", "StationarityError",
+    "StepSchedule", "approximate_heisenberg", "local_step_unitary",
+    "quench_reference", "quench_step_unitary", "run_quench", "step_schedule",
     "__version__",
 ]

@@ -14,7 +14,10 @@ builder's ``extra``, applied to the state by Krylov propagation, so it
 builds no dense product.  With full coverage and cutoffs the echo
 telescopes to the exact quenched evolution, using only stationarity.  Both
 walk one step chain, which checks each step's support against i0[R] and
-records {m, support_size, truncation_q} per step.
+records {m, support_size, truncation_q} per step.  What a quench does not
+owe to R (psi0's stationarity residual under H, and the exact state
+e^{-i(H+h_X0)t} psi0) is a QuenchReference, made once by quench_reference
+and passed to run_quench at every R.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .evolve import (
 )
 from .fock import FockBasis, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball, geometric_constants
-from .model import HamiltonianSpec, OperatorMatrix, _wrap, assemble_hamiltonian
+from .model import HamiltonianSpec, OperatorMatrix, assemble_hamiltonian
 
 UNITARITY_TOL = 1e-10
 NUMBER_COMM_TOL = 1e-10
@@ -394,6 +397,58 @@ class QuenchReport:
     params: Mapping[str, Any] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class QuenchReference:
+    """The R-independent half of a quench, made once by ``quench_reference``.
+
+    ``exact`` is the normalized exact quenched state e^{-i(H+h_X0)t} psi0;
+    the spec, h_X0, psi0, t and tol it was made for are kept so that
+    ``run_quench`` can refuse a reference made for other inputs.
+    """
+
+    spec: HamiltonianSpec
+    h_X0: OperatorMatrix
+    psi0: StateVector
+    t: float
+    tol: float
+    stationarity_residual: float
+    exact: np.ndarray
+
+
+def quench_reference(
+    spec: HamiltonianSpec,
+    h_X0: OperatorMatrix,
+    psi0: StateVector,
+    t: float,
+    *,
+    stationarity_tol: float = 1e-6,
+    tol: float = 1e-10,
+) -> QuenchReference:
+    """Check psi0 is stationary under H and evolve it exactly under H + h_X0.
+
+    Raises StationarityError when the residual ||H psi0 - E psi0|| exceeds
+    ``stationarity_tol``.  Every R of a quench shares the result.
+    """
+    b = psi0.basis
+    H = assemble_hamiltonian(spec, b)
+    energy = float(np.real(np.vdot(psi0.amplitudes, H.matrix @ psi0.amplitudes)))
+    resid = float(np.linalg.norm(H.matrix @ psi0.amplitudes - energy * psi0.amplitudes))
+    if resid > stationarity_tol:
+        raise StationarityError(
+            f"psi0 is not stationary under H: residual {resid:.3e} exceeds "
+            f"tolerance {stationarity_tol:.3e} (the construction requires "
+            f"[rho0, H] = 0)"
+        )
+    del H  # freed before H + h_X0 is built
+    exact = evolve_state(assemble_hamiltonian(spec, b, extra=h_X0), psi0, t, tol=tol).amplitudes
+    exact = exact / np.linalg.norm(exact)
+    exact.flags.writeable = False  # every R reads it, from any thread
+    return QuenchReference(
+        spec=spec, h_X0=h_X0, psi0=psi0, t=float(t), tol=float(tol),
+        stationarity_residual=resid, exact=exact,
+    )
+
+
 def run_quench(
     spec: HamiltonianSpec,
     h_X0: OperatorMatrix,
@@ -410,6 +465,7 @@ def run_quench(
     delta_t0: float | None = None,
     stationarity_tol: float = 1e-6,
     tol: float = 1e-10,
+    reference: QuenchReference | None = None,
 ) -> tuple[float, QuenchReport]:
     """Simulate the quench H -> H + h_X0 on a stationary state with local unitaries.
 
@@ -417,18 +473,25 @@ def run_quench(
     psi0 (backward factors from the outermost step inward, then forward
     factors outward), and reports the trace-norm distance to the exact
     quenched evolution together with the analytic bound and a cost counter.
+    The exact state comes from ``reference``, which ``quench_reference``
+    made for the same spec, h_X0 and psi0 objects and an equal t and tol (a
+    ValueError otherwise); without one it is made here, with
+    ``stationarity_tol``.
     """
+    if reference is None:
+        reference = quench_reference(
+            spec, h_X0, psi0, t, stationarity_tol=stationarity_tol, tol=tol
+        )
+    elif not (
+        reference.spec is spec and reference.h_X0 is h_X0 and reference.psi0 is psi0
+        and reference.t == t and reference.tol == tol
+    ):
+        raise ValueError(
+            "reference was made for another spec, h_X0, psi0, t or tol; "
+            "make it with quench_reference from the same inputs"
+        )
     b = psi0.basis
     g = spec.lattice
-    H = assemble_hamiltonian(spec, b)
-    energy = float(np.real(np.vdot(psi0.amplitudes, H.matrix @ psi0.amplitudes)))
-    resid = float(np.linalg.norm(H.matrix @ psi0.amplitudes - energy * psi0.amplitudes))
-    if resid > stationarity_tol:
-        raise StationarityError(
-            f"psi0 is not stationary under H: residual {resid:.3e} exceeds "
-            f"tolerance {stationarity_tol:.3e} (the construction requires "
-            f"[rho0, H] = 0)"
-        )
     if i0 is None:
         if not h_X0.support:
             raise ValueError("h_X0 has empty support; pass i0 explicitly")
@@ -450,11 +513,8 @@ def run_quench(
     for G, tau in backward + [step.factors[1] for step in trace.unitaries]:
         state = evolve_state(G, state, tau, tol=tol)
 
-    H_quench = _wrap(b, H.matrix + h_X0.matrix, H.support | h_X0.support)
-    exact = evolve_state(H_quench, psi0, t, tol=tol)
-
     a = state.amplitudes / np.linalg.norm(state.amplitudes)
-    bvec = exact.amplitudes / np.linalg.norm(exact.amplitudes)
+    bvec = reference.exact
     # trace distance 2 sqrt(1 - |<a,b>|^2), computed through the orthogonal
     # residual so near-identical states do not cancel catastrophically
     c = complex(np.vdot(bvec, a))
@@ -474,7 +534,7 @@ def run_quench(
     report = QuenchReport(
         error=error,
         schedule=trace.schedule,
-        stationarity_residual=resid,
+        stationarity_residual=reference.stationarity_residual,
         cost_states=cost,
         bound=qb,
         step_records=trace.step_records,

@@ -87,6 +87,7 @@ from .approx import (
     StationarityError,
     approximate_heisenberg,
     local_step_unitary,
+    quench_reference,
     run_quench,
 )
 
@@ -357,6 +358,7 @@ def _build_observable(
 
 
 _CONST_KEYS = tuple(f.name for f in fields(BoundConstants))
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x with a finite e^x
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +483,13 @@ class _Run:
         """The initial state ``psi0`` names, ``default`` if the scenario names none."""
         occ = _parse_psi0(self.scn.get("psi0", default), self.b.n_sites)
         if occ is None:
-            return ground_state(self.H).ground
+            gs = ground_state(self.H)
+            # a degenerate ground state is an arbitrary vector of its eigenspace
+            self.manifest["ground_state"] = {
+                "E0": gs.E0, "gap": gs.gap_DeltaE, "degenerate": gs.degenerate,
+                "dim": self.b.dim,
+            }
+            return gs.ground
         try:
             idx = self.b.index_of(occ)
         except KeyError:
@@ -527,6 +535,13 @@ class _Run:
         except (ValueError, AssertionError) as exc:
             raise ConfigError(f"constants: {exc}") from exc
         except OverflowError:
+            if "q0" in block and 8.0 * vals["J_bar"] * vals["dG"] * vals["t0"] < _LOG_MAX:
+                # c1 = e^(8 J_bar dG t0) / c0 holds, so the q0 in c1' overflows
+                raise ConfigError(
+                    f"constants.q0: q0 = {vals['q0']} overflows c1' = 320 c0^-3 "
+                    f"e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) at sizeX = 1, "
+                    f"t0 = {vals['t0']}, c0 = {vals['c0']}"
+                ) from None
             field = "constants.t0" if "t0" in block else self.t0_field
             raise ConfigError(
                 f"{field}: t0 = {vals['t0']} overflows a derived constant such as "
@@ -763,14 +778,18 @@ def _quench_sim(run: _Run) -> list[dict]:
                           ("delta_t0", _positive), ("stationarity_tol", _NON_NEGATIVE))
     }
     kwargs = {key: v for key, v in options.items() if v is not None}
+    stationarity = {k: kwargs.pop(k) for k in ["stationarity_tol"] if k in kwargs}
+    # the stationarity check and the exact quenched state serve every R
+    try:
+        reference = quench_reference(spec, h_X0, psi0, t, **stationarity)
+    except StationarityError as exc:
+        raise ConfigError(
+            f"scenario.psi0: {exc}; scenario.stationarity_tol sets the tolerance"
+        ) from None
 
     def cell(R: int) -> dict:
         try:
-            err, report = run_quench(spec, h_X0, psi0, t, R, consts, **kwargs)
-        except StationarityError as exc:
-            raise ConfigError(
-                f"scenario.psi0: {exc}; scenario.stationarity_tol sets the tolerance"
-            ) from None
+            err, report = run_quench(spec, h_X0, psi0, t, R, consts, reference=reference, **kwargs)
         except ScheduleError as exc:
             raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
         trace = {

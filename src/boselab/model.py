@@ -17,7 +17,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .fock import FockBasis, number_operator, region_total_projector, truncation_projector
+from .fock import (
+    FockBasis, _region_occupations, number_operator, region_total_projector, truncation_projector,
+)
 from .lattice import LatticeGraph
 
 __all__ = [
@@ -362,7 +364,7 @@ def creation_degree(O: OperatorMatrix, X: Iterable[int]) -> int | str:
     keep = np.abs(coo.data) > 0
     if not keep.any():
         return 0
-    nX = O.basis.states[:, Xs].astype(np.int64).sum(axis=1)
+    nX = _region_occupations(O.basis, Xs)
     gain = nX[coo.row[keep]] - nX[coo.col[keep]]
     q0 = int(max(0, gain.max()))
     span = int(sum(O.basis.site_cutoffs[i] for i in Xs))

@@ -7,15 +7,17 @@ from scipy.linalg import expm
 from boselab.approx import (
     LocalUnitary,
     ScheduleError,
+    StationarityError,
     approximate_heisenberg,
     local_step_unitary,
+    quench_reference,
     quench_step_unitary,
     run_quench,
     step_schedule,
     StepSchedule,
 )
 from boselab.bounds import BoundConstants, QuenchBounds, quench_bounds
-from boselab.evolve import RUN_DENSE_CAP, dense_expm, heisenberg
+from boselab.evolve import RUN_DENSE_CAP, StateVector, dense_expm, heisenberg
 from boselab.fock import ResourceLimitError, enumerate_basis, truncation_projector
 from boselab.lattice import ball, build_lattice
 from boselab.model import (
@@ -417,3 +419,47 @@ def test_run_quench_seed_ball_covers_quench_support():
     err, rep = run_quench(spec, h, psi0, 0.2, 5, i0=0, ell0=4, q=1, qprime=1)
     assert rep.params["r0"] == 3 and rep.schedule.r0 == 3
     assert err < 1e-8
+
+
+def _quench_case(sector):
+    g = build_lattice("chain", [6])
+    b = enumerate_basis(g, 2, sector=6) if sector else enumerate_basis(g, 1)
+    spec = bose_hubbard(g, J=1.0, U=4.0)
+    psi0 = ground_state(assemble_hamiltonian(spec, b)).ground
+    cut = b.site_cutoffs[3]
+    h = local_operator("custom-matrix", [3], b, matrix=np.diag(0.5 * np.arange(cut + 1.0) ** 2))
+    return spec, h, psi0
+
+
+@pytest.mark.parametrize("sector", [True, False], ids=["sector", "product"])
+def test_run_quench_with_a_reference_matches_a_run_without(sector):
+    spec, h, psi0 = _quench_case(sector)
+    ref = quench_reference(spec, h, psi0, 0.1)
+    assert ref.exact.flags.writeable is False
+    for R in (2, 4, 5):
+        err, rep = run_quench(spec, h, psi0, 0.1, R, delta_t0=0.1)
+        err_ref, rep_ref = run_quench(spec, h, psi0, 0.1, R, delta_t0=0.1, reference=ref)
+        assert err_ref == err and rep_ref == rep
+        assert rep.stationarity_residual == ref.stationarity_residual
+
+
+def test_run_quench_refuses_a_reference_made_for_other_inputs():
+    spec, h, psi0 = _quench_case(True)
+    other_h = local_operator("custom-matrix", [3], psi0.basis, matrix=np.diag([0.0, 0.5, 2.0]))
+    other_psi0 = StateVector(psi0.basis, psi0.amplitudes.copy())
+    ref = quench_reference(spec, h, psi0, 0.1)
+    for args, kwargs in [
+        ((spec, h, psi0, 0.2), {}),
+        ((spec, h, other_psi0, 0.1), {}),
+        ((spec, other_h, psi0, 0.1), {}),
+        ((spec, h, psi0, 0.1), {"tol": 1e-12}),
+    ]:
+        with pytest.raises(ValueError, match="reference was made for another"):
+            run_quench(*args, 4, reference=ref, **kwargs)
+
+
+def test_quench_reference_refuses_a_nonstationary_state():
+    g, b, spec = chain_setup(5, 1)
+    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5]))
+    with pytest.raises(StationarityError, match="not stationary"):
+        quench_reference(spec, h, fock_state(b, (1, 0, 1, 0, 1)), 0.2)

@@ -165,6 +165,20 @@ def test_scenario_smoke(kind, tmp_path):
     assert "created_utc" in manifest
 
 
+@pytest.mark.parametrize("kind", ["quench-sim", "clustering"])
+def test_manifest_records_the_ground_state_solve(kind, tmp_path):
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    gs = json.loads((out / "run_manifest.json").read_text())["ground_state"]
+    assert sorted(gs) == ["E0", "degenerate", "dim", "gap"]
+    assert isinstance(gs["E0"], float) and gs["gap"] > 0
+    assert gs["degenerate"] is False
+    assert gs["dim"] == {"quench-sim": 141, "clustering": 336}[kind]
+    # recording the solve moves no report byte
+    assert (out / f"{kind}.csv").read_bytes() == (GOLDEN / f"{kind}.csv").read_bytes()
+
+
 def test_json_report_mirrors_csv(tmp_path):
     cfg = write_cfg(tmp_path, CONFIGS["fs-check"])
     out = tmp_path / "out"
@@ -429,6 +443,17 @@ def test_overflowing_t0_names_its_field(scenario, constants, field, tmp_path, ca
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: t0 = " in capsys.readouterr().err
+
+
+def test_overflowing_q0_names_its_field(tmp_path, capsys):
+    # c1' = 320 c0^-3 e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) overflows at q0 = 2000,
+    # while c1 = e^(8 J_bar dG t0) / c0 is finite at t0 = 0.1
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["scenario"]["times"] = [0.1]
+    payload["constants"]["q0"] = 2000
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: constants.q0: q0 = 2000" in capsys.readouterr().err
 
 
 def test_invalid_constants_exit_two(tmp_path):

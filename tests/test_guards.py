@@ -261,6 +261,20 @@ def test_a_local_step_builds_its_product_only_where_it_is_used():
     ]
 
 
+def test_a_quench_does_its_r_independent_work_once():
+    """H, H + h_X0 and the exact quenched state are made in ``quench_reference``.
+
+    ``run_quench`` runs once per R: it assembles no Hamiltonian of its own
+    (its step generators come from the step builder) and evolves only the
+    echo steps, in one ``evolve_state`` call site.
+    """
+    assemblers = _callers("assemble_hamiltonian")
+    assert assemblers.count("approx.quench_reference") == 2
+    assert "approx.run_quench" not in assemblers
+    assert _callers("evolve_state").count("approx.run_quench") == 1
+    assert _callers("evolve_state").count("approx.quench_reference") == 1
+
+
 def test_probes_read_the_basis_states_in_one_place():
     """Moments, tails and the mgf condition all read one occupation histogram.
 

@@ -403,6 +403,14 @@ def test_creation_degree_support_violation():
         creation_degree(O, [0])
 
 
+@pytest.mark.parametrize("X, site", [([0, -1], -1), ([0, 3], 3)])
+def test_creation_degree_refuses_a_site_outside_the_lattice(X, site):
+    # site -1 used to sum in site 2, and site 3 to raise a bare IndexError
+    b = enumerate_basis(build_lattice("chain", [3]), 2)
+    with pytest.raises(ValueError, match=f"site {site} out of range"):
+        creation_degree(local_operator("creation", [0], b), X)
+
+
 def test_creation_degree_unbounded():
     g = build_lattice("chain", [1])
     b = enumerate_basis(g, 2)
