@@ -535,13 +535,17 @@ class _Run:
         except (ValueError, AssertionError) as exc:
             raise ConfigError(f"constants: {exc}") from exc
         except OverflowError:
-            if "q0" in block and 8.0 * vals["J_bar"] * vals["dG"] * vals["t0"] < _LOG_MAX:
-                # c1 = e^(8 J_bar dG t0) / c0 holds, so the q0 in c1' overflows
-                raise ConfigError(
-                    f"constants.q0: q0 = {vals['q0']} overflows c1' = 320 c0^-3 "
-                    f"e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) at sizeX = 1, "
-                    f"t0 = {vals['t0']}, c0 = {vals['c0']}"
-                ) from None
+            # c1 = e^(8 J_bar dG t0) / c0 overflows only through t0; if it
+            # holds, the overflow is in c1' = 320 c0^-3 e^(4 J_bar dG t0 +
+            # c0 (1 + q0 / sizeX)), through c0^-3 or else through q0
+            if 8.0 * vals["J_bar"] * vals["dG"] * vals["t0"] < _LOG_MAX:
+                field = "c0" if -3.0 * math.log(vals["c0"]) >= _LOG_MAX else "q0"
+                if field == "c0" or "q0" in block:
+                    raise ConfigError(
+                        f"constants.{field}: {field} = {vals[field]} overflows c1' = "
+                        f"320 c0^-3 e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) at sizeX = 1, "
+                        f"t0 = {vals['t0']}"
+                    ) from None
             field = "constants.t0" if "t0" in block else self.t0_field
             raise ConfigError(
                 f"{field}: t0 = {vals['t0']} overflows a derived constant such as "

@@ -360,11 +360,11 @@ def creation_degree(O: OperatorMatrix, X: Iterable[int]) -> int | str:
     Xs = sorted(set(int(i) for i in X))
     if not O.support <= set(Xs):
         raise ValueError(f"operator support {sorted(O.support)} not within X")
+    nX = _region_occupations(O.basis, Xs)
     coo = O.matrix.tocoo()
     keep = np.abs(coo.data) > 0
     if not keep.any():
         return 0
-    nX = _region_occupations(O.basis, Xs)
     gain = nX[coo.row[keep]] - nX[coo.col[keep]]
     q0 = int(max(0, gain.max()))
     span = int(sum(O.basis.site_cutoffs[i] for i in Xs))

@@ -445,15 +445,22 @@ def test_overflowing_t0_names_its_field(scenario, constants, field, tmp_path, ca
     assert f"config error: {field}: t0 = " in capsys.readouterr().err
 
 
-def test_overflowing_q0_names_its_field(tmp_path, capsys):
-    # c1' = 320 c0^-3 e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) overflows at q0 = 2000,
-    # while c1 = e^(8 J_bar dG t0) / c0 is finite at t0 = 0.1
+@pytest.mark.parametrize(
+    "constants, message",
+    [
+        ({"q0": 2000}, "constants.q0: q0 = 2000.0"),
+        ({"c0": 1e-110, "q0": 1}, "constants.c0: c0 = 1e-110"),
+    ],
+)
+def test_overflowing_c1_prime_names_its_field(constants, message, tmp_path, capsys):
+    # c1' = 320 c0^-3 e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) overflows through
+    # q0 or c0^-3, while c1 = e^(8 J_bar dG t0) / c0 is finite at t0 = 0.1
     payload = json.loads(json.dumps(CONFIGS["moment-check"]))
     payload["scenario"]["times"] = [0.1]
-    payload["constants"]["q0"] = 2000
+    payload["constants"].update(constants)
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "config error: constants.q0: q0 = 2000" in capsys.readouterr().err
+    assert f"config error: {message} overflows c1'" in capsys.readouterr().err
 
 
 def test_invalid_constants_exit_two(tmp_path):
