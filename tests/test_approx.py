@@ -7,7 +7,6 @@ from scipy.linalg import expm
 from boselab.approx import (
     LocalUnitary,
     ScheduleError,
-    StationarityError,
     approximate_heisenberg,
     local_step_unitary,
     quench_reference,
@@ -456,10 +455,3 @@ def test_run_quench_refuses_a_reference_made_for_other_inputs():
     ]:
         with pytest.raises(ValueError, match="reference was made for another"):
             run_quench(*args, 4, reference=ref, **kwargs)
-
-
-def test_quench_reference_refuses_a_nonstationary_state():
-    g, b, spec = chain_setup(5, 1)
-    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5]))
-    with pytest.raises(StationarityError, match="not stationary"):
-        quench_reference(spec, h, fock_state(b, (1, 0, 1, 0, 1)), 0.2)

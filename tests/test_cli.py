@@ -615,6 +615,18 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
+def test_quench_stationarity_tol_reaches_the_reference(tmp_path):
+    # mott-1 is refused at the default tolerance (residual about 4.47)
+    payload = json.loads(json.dumps(CONFIGS["quench-sim"]))
+    payload["scenario"].update(psi0="mott-1", stationarity_tol=10.0)
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) in (0, 1)
+    steps = json.loads((tmp_path / "o" / "quench_steps.json").read_text())
+    residuals = {row["stationarity_residual"] for row in steps}
+    assert len(steps) == 3 and len(residuals) == 1
+    assert 1.0 < residuals.pop() < 10.0
+
+
 def test_default_t0_is_the_largest_absolute_time(tmp_path):
     # a negative time is checked against a window that contains it
     payload = json.loads(json.dumps(CONFIGS["moment-check"]))
