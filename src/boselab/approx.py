@@ -16,8 +16,8 @@ telescopes to the exact quenched evolution, using only stationarity.  Both
 walk one step chain, which checks each step's support against i0[R] and
 records {m, support_size, truncation_q} per step.  What a quench does not
 owe to R (psi0's stationarity residual under H, and the exact state
-e^{-i(H+h_X0)t} psi0) is a QuenchReference, made once by quench_reference
-and passed to run_quench at every R.
+e^{-i(H+h_X0)t} psi0) is a QuenchReference, made once by quench_reference;
+run_quench takes it at every R and reads the quench's inputs from it.
 """
 
 from __future__ import annotations
@@ -348,19 +348,18 @@ def approximate_heisenberg(
     ell0: int | None = None,
     q: int | None = None,
     delta_t0: float | None = None,
-    return_trace: bool = False,
-) -> OperatorMatrix | tuple[OperatorMatrix, ApproxTrace]:
+) -> tuple[OperatorMatrix, ApproxTrace]:
     """Approximate O(t) by m_t local conjugations with support inside i0[R].
 
     Each step conjugates by local_step_unitary on the current ball; supports
     grow by dr per step.  The default ell0 = max(1, dr // 2) keeps every
     halo inside the next ball (this needs dr >= 2); the default q comes from
     solve_eta when its regime applies and is the full cutoff otherwise.
+    Returns the approximation with the ApproxTrace of its steps.
     """
     _require_dense(b.dim)
     if t == 0.0:
-        trace = ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
-        return (O, trace) if return_trace else O
+        return O, ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
     trace = _step_chain(
@@ -382,8 +381,7 @@ def approximate_heisenberg(
     for M in current.mats.values():
         M[np.abs(M) < 1e-15 * max(1.0, norm0)] = 0.0
     support = O.support.union(*(step.support for step in trace.unitaries))
-    out = _from_blocks(current, support)
-    return (out, trace) if return_trace else out
+    return _from_blocks(current, support), trace
 
 
 @dataclass(frozen=True)
@@ -401,16 +399,15 @@ class QuenchReport:
 class QuenchReference:
     """The R-independent half of a quench, made once by ``quench_reference``.
 
-    ``exact`` is the normalized exact quenched state e^{-i(H+h_X0)t} psi0;
-    the spec, h_X0, psi0, t and tol it was made for are kept so that
-    ``run_quench`` can refuse a reference made for other inputs.
+    It holds the quench's inputs (spec, h_X0, psi0 and t), psi0's
+    stationarity residual under H, and ``exact``, the normalized exact
+    quenched state e^{-i(H+h_X0)t} psi0 that ``run_quench`` measures against.
     """
 
     spec: HamiltonianSpec
     h_X0: OperatorMatrix
     psi0: StateVector
     t: float
-    tol: float
     stationarity_residual: float
     exact: np.ndarray
 
@@ -422,7 +419,6 @@ def quench_reference(
     t: float,
     *,
     stationarity_tol: float = 1e-6,
-    tol: float = 1e-10,
 ) -> QuenchReference:
     """Check psi0 is stationary under H and evolve it exactly under H + h_X0.
 
@@ -440,20 +436,16 @@ def quench_reference(
             f"[rho0, H] = 0)"
         )
     del H  # freed before H + h_X0 is built
-    exact = evolve_state(assemble_hamiltonian(spec, b, extra=h_X0), psi0, t, tol=tol).amplitudes
+    exact = evolve_state(assemble_hamiltonian(spec, b, extra=h_X0), psi0, t).amplitudes
     exact = exact / np.linalg.norm(exact)
     exact.flags.writeable = False  # every R reads it, from any thread
     return QuenchReference(
-        spec=spec, h_X0=h_X0, psi0=psi0, t=float(t), tol=float(tol),
-        stationarity_residual=resid, exact=exact,
+        spec=spec, h_X0=h_X0, psi0=psi0, t=float(t), stationarity_residual=resid, exact=exact,
     )
 
 
 def run_quench(
-    spec: HamiltonianSpec,
-    h_X0: OperatorMatrix,
-    psi0: StateVector,
-    t: float,
+    reference: QuenchReference,
     R: int,
     consts: BoundConstants | None = None,
     *,
@@ -463,33 +455,15 @@ def run_quench(
     q: int | None = None,
     qprime: int | None = None,
     delta_t0: float | None = None,
-    stationarity_tol: float = 1e-6,
-    tol: float = 1e-10,
-    reference: QuenchReference | None = None,
 ) -> tuple[float, QuenchReport]:
-    """Simulate the quench H -> H + h_X0 on a stationary state with local unitaries.
+    """Simulate the quench of ``reference`` with local unitaries at radius R.
 
     Builds the step-connected echo product over the schedule, applies it to
     psi0 (backward factors from the outermost step inward, then forward
-    factors outward), and reports the trace-norm distance to the exact
-    quenched evolution together with the analytic bound and a cost counter.
-    The exact state comes from ``reference``, which ``quench_reference``
-    made for the same spec, h_X0 and psi0 objects and an equal t and tol (a
-    ValueError otherwise); without one it is made here, with
-    ``stationarity_tol``.
+    factors outward), and reports the trace-norm distance to the reference's
+    exact quenched state together with the analytic bound and a cost counter.
     """
-    if reference is None:
-        reference = quench_reference(
-            spec, h_X0, psi0, t, stationarity_tol=stationarity_tol, tol=tol
-        )
-    elif not (
-        reference.spec is spec and reference.h_X0 is h_X0 and reference.psi0 is psi0
-        and reference.t == t and reference.tol == tol
-    ):
-        raise ValueError(
-            "reference was made for another spec, h_X0, psi0, t or tol; "
-            "make it with quench_reference from the same inputs"
-        )
+    spec, h_X0, psi0, t = reference.spec, reference.h_X0, reference.psi0, reference.t
     b = psi0.basis
     g = spec.lattice
     if i0 is None:
@@ -511,7 +485,7 @@ def run_quench(
     backward = [step.factors[0] for step in reversed(trace.unitaries)]
     state = psi0
     for G, tau in backward + [step.factors[1] for step in trace.unitaries]:
-        state = evolve_state(G, state, tau, tol=tol)
+        state = evolve_state(G, state, tau)
 
     a = state.amplitudes / np.linalg.norm(state.amplitudes)
     bvec = reference.exact

@@ -4,7 +4,11 @@ Every evaluator here computes the closed-form upper bound that the matching
 probe in :mod:`boselab.probes` measures numerically.  The bounds overflow
 float64 at very modest parameters (they reach e^~thousands), so all internal
 arithmetic is done on logarithms and results are reported as
-:class:`BoundValue` pairs (log-value, value-if-representable).
+:class:`BoundValue` pairs (log-value, value-if-representable).  A bound's
+validity conditions are flags on its BoundValue, not exceptions.  Two
+failures do raise BoundConditionError: ``solve_eta``'s conditions, since it
+must return a usable q, and lattice constants that leave the tail proof's
+distance window empty.
 
 The constants C0, C1, C2, C3, C3p, c2 and Gamma_c are existence constants:
 they are user parameters defaulting to 1 and are never tested numerically.
@@ -24,6 +28,11 @@ from .lattice import LatticeGraph
 
 _OVERFLOW_LOG = 700.0
 _RECOMPUTE_RTOL = 1e-12
+
+# Search caps: the highest moment order the markov-optimized tail bound
+# scans, and the largest occupation cutoff solve_eta tries.
+TAIL_S_CAP = 50_000
+ETA_Q_CAP = 1_000_000_000
 
 # Matrix-exponential lemma constants; chi is pinned, C follows from it.
 CHI = 3.59
@@ -331,15 +340,13 @@ def tail_bound(
     r: float,
     consts: BoundConstants,
     mode: str = "markov-optimized",
-    *,
-    check: bool = True,
-    s_cap: int = 50_000,
 ) -> BoundValue:
     """Bound on the probability of >= z0 bosons at distance d_iX from X = i0[r].
 
-    "markov-optimized" minimizes moment_bound(s)/z0^s over integer s and is
-    always sound; "paper" evaluates the closed distance-window form, which
-    additionally needs d_iX above the stated log threshold.
+    "markov-optimized" minimizes moment_bound(s)/z0^s over integer s up to
+    TAIL_S_CAP and is always sound; "paper" evaluates the closed
+    distance-window form, which additionally needs d_iX above the stated log
+    threshold.
     """
     if z0 < 1:
         raise ValueError("z0 must be a positive integer")
@@ -351,7 +358,7 @@ def tail_bound(
 
     if mode == "markov-optimized":
         logz = math.log(z0)
-        s_stop = min(max(64, int(z0 / (consts.c1 * math.e)) + 10), s_cap)
+        s_stop = min(max(64, int(z0 / (consts.c1 * math.e)) + 10), TAIL_S_CAP)
         best = math.inf
         for s in range(1, s_stop + 1):
             best = min(best, moment_bound(s, sizeX, d_iX, consts).log_value - s * logz)
@@ -368,7 +375,6 @@ def tail_bound(
         ("d_iX >= 2 log(gamma^3 c1p/c1pp) + 6 D log r", d_iX >= d_min),
         ("decay base c1_tilde d_iX / z0 <= 1", base <= 1.0),
     )
-    _require(check, conds)
     power = c1pt * d_iX / logr
     tail_term = 0.0 if power == 0.0 else power * _log(base)
     log_v = (
@@ -419,15 +425,12 @@ def truncation_error_bound(
     ell0: float,
     r: float,
     consts: BoundConstants,
-    *,
-    check: bool = True,
 ) -> BoundValue:
     """Trace-norm error of evolving with the occupation-truncated Hamiltonian."""
     if q < 1 or sizeL < 1 or ell0 <= 0:
         raise ValueError("q, sizeL >= 1 and ell0 > 0 required")
     c1t, c1pt = _ctilde(consts, r)
     conds = _ell0_conditions(ell0, r, consts, c1pt)
-    _require(check, conds)
     log_v = (
         consts.c0 * consts.qbar
         + _log(consts.zeta0)
@@ -447,7 +450,6 @@ def solve_eta(
     sizeLtilde: float,
     consts: BoundConstants,
     *,
-    q_cap: int = 1_000_000_000,
     check: bool = True,
 ) -> EtaResult:
     """Smallest occupation cutoff q whose truncation error fits the step budget.
@@ -475,12 +477,12 @@ def solve_eta(
     if excess(1) <= 0.0:
         return EtaResult(eta=1.0 / ell0, q=1)
     lo, hi = 1, 2
-    while hi < q_cap and excess(hi) > 0.0:
-        lo, hi = hi, min(hi * 2, q_cap)
+    while hi < ETA_Q_CAP and excess(hi) > 0.0:
+        lo, hi = hi, min(hi * 2, ETA_Q_CAP)
     if excess(hi) > 0.0:
         raise BoundConditionError(
-            f"no q <= {q_cap} meets the truncation budget; "
-            f"log-residual at the cap is {excess(q_cap):.3e}"
+            f"no q <= {ETA_Q_CAP} meets the truncation budget; "
+            f"log-residual at the cap is {excess(ETA_Q_CAP):.3e}"
         )
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -526,14 +528,11 @@ def short_lr_bound(
     boundary_size: float,
     t: float,
     consts: BoundConstants,
-    *,
-    check: bool = True,
 ) -> BoundValue:
     """Error of restricting one short step to the doubled-halo region."""
     if ell0 <= 0 or boundary_size < 0 or t < 0:
         raise ValueError("ell0 > 0, boundary_size >= 0 and t >= 0 required")
     conds = (("t <= delta_t0 = 1/(e c3p)", t <= consts.delta_t0),)
-    _require(check, conds)
     log_v = (
         math.log(2.0)
         + 3.0

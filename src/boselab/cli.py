@@ -476,6 +476,13 @@ class _Run:
         """``scenario[key]`` as a list, each item through ``conv``."""
         return self.value(key, lambda v: [conv(x) for x in _as_list(v)], default)
 
+    def region(self) -> list[int]:
+        """The sites of ``scenario.X``, at least one; the middle site by default."""
+        X = self.values("X", self.site, [self.g.site_count // 2])
+        if not X:
+            raise ConfigError("scenario.X: the region has no site")
+        return X
+
     def observable(self, default: Mapping) -> OperatorMatrix:
         return _build_observable(self.scn.get("observable", default), self.b, self.rng)
 
@@ -632,7 +639,7 @@ def _moment_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Cal
 def _tail_bound(run: _Run, O_X: OperatorMatrix, consts: BoundConstants) -> Callable:
     r = run.value("r", _RADIUS, 3.0)
     mode = run.value("mode", _one_of(_TAIL_MODES), "markov-optimized")
-    return lambda z0, d: tail_bound(z0, d, r, consts, mode=mode, check=False)
+    return lambda z0, d: tail_bound(z0, d, r, consts, mode=mode)
 
 
 def _transport_check(
@@ -684,7 +691,7 @@ def _transport_check(
 
 def _truncation_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
-    X = run.values("X", run.site, [g.site_count // 2])
+    X = run.region()
     ell0 = run.value("ell0", _POSITIVE, 1)
     q_values = run.values("q_values", _POSITIVE, list(range(1, max(b.site_cutoffs) + 1)))
     t = run.value("t", _finite, 0.1)
@@ -703,7 +710,7 @@ def _truncation_check(run: _Run) -> list[dict]:
         H_eff = effective_hamiltonian(spec, b, [(Ltilde, q)])
         approx = evolve_state(H_eff, v, t)
         err = float(np.linalg.norm(exact.amplitudes - approx.amplitudes))
-        bv = truncation_error_bound(q, len(L2), ell0, r, consts, check=False)
+        bv = truncation_error_bound(q, len(L2), ell0, r, consts)
         return {"q": q, "t": t, **_error_cells(err, bv), "bound_valid": bv.valid}
 
     return run.sweep(cell, q_values)
@@ -711,7 +718,7 @@ def _truncation_check(run: _Run) -> list[dict]:
 
 def _short_lr_check(run: _Run) -> list[dict]:
     g, b, spec, H = run.g, run.b, run.spec, run.H
-    X = run.values("X", run.site, [g.site_count // 2])
+    X = run.region()
     ell0_values = run.values("ell0_values", _POSITIVE, [1, 2])
     t = run.value("t", _NON_NEGATIVE, 0.05)
     q = run.value("q", _POSITIVE, max(b.site_cutoffs))
@@ -728,7 +735,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
         err = restricted_error(H, O_X, O_apx, psi0, t)
         L2p = ball(g, X, max(0, 2 * ell0 - 2 * spec.k_max))
         bsize = len(boundary(g, L2p)) if L2p else 0
-        bv = short_lr_bound(ell0, bsize, t, consts, check=False)
+        bv = short_lr_bound(ell0, bsize, t, consts)
         return {"ell0": ell0, "t": t, **_error_cells(err, bv), "conditions_ok": bv.valid}
 
     return run.sweep(cell, ell0_values)
@@ -749,8 +756,7 @@ def _approx_sweep(run: _Run) -> list[dict]:
     def cell(R: int) -> dict:
         try:
             O_R, trace = approximate_heisenberg(
-                O_X, i0, r0, R, t, spec, b, consts,
-                ell0=ell0, q=q, delta_t0=delta_t0, return_trace=True,
+                O_X, i0, r0, R, t, spec, b, consts, ell0=ell0, q=q, delta_t0=delta_t0
             )
         except ScheduleError as exc:
             raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
@@ -793,7 +799,7 @@ def _quench_sim(run: _Run) -> list[dict]:
 
     def cell(R: int) -> dict:
         try:
-            err, report = run_quench(spec, h_X0, psi0, t, R, consts, reference=reference, **kwargs)
+            err, report = run_quench(reference, R, consts, **kwargs)
         except ScheduleError as exc:
             raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
         trace = {
@@ -850,10 +856,10 @@ def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], 
         "first-moment": entry(first_moment_bound, "d_iX t N_X n0"),
         "initial-moment-single": entry(lambda *a: initial_moment_bounds(*a)[0], "s sizeX"),
         "initial-moment-region": entry(lambda *a: initial_moment_bounds(*a)[1], "s sizeX"),
-        "tail": entry(tail_bound, "z0 d_iX r", mode="markov-optimized", check=False),
-        "truncation": entry(truncation_error_bound, "q sizeL ell0 r", check=False),
+        "tail": entry(tail_bound, "z0 d_iX r", mode="markov-optimized"),
+        "truncation": entry(truncation_error_bound, "q sizeL ell0 r"),
         "concentration": entry(concentration_bound, "q sizeL ell0 r"),
-        "short-lr": entry(short_lr_bound, "ell0 boundary_size t", check=False),
+        "short-lr": entry(short_lr_bound, "ell0 boundary_size t"),
         "subtheorem": entry(subtheorem_bound, "ell r"),
         "main-lr": entry(main_lr_bound, "R r0 t"),
         "clustering": entry(clustering_bound, "R DeltaE"),

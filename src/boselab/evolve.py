@@ -55,7 +55,6 @@ block size.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable, Iterable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -125,7 +124,6 @@ class PropagatorReport:
     method: str  # krylov | dense | diagonal
     steps: int  # accepted steps
     est_error: float
-    wall_time: float
     matvecs: int = 0  # Krylov vectors built, rejected attempts included
     rejected: int = 0  # rejected steps
 
@@ -301,7 +299,6 @@ def evolve_state(
     if not H.hermitian:
         raise ValueError("evolve_state requires a Hermitian generator")
     times, scalar = _times(t)
-    t_start = time.perf_counter()
     out: list = [None] * times.size
     for j in np.flatnonzero(times == 0.0):
         out[j] = psi.amplitudes.copy()
@@ -321,9 +318,7 @@ def evolve_state(
                 method = "krylov"
                 counts = tuple(a + b for a, b in zip(counts, more))
     steps, err, matvecs, rejected = counts
-    rep = PropagatorReport(
-        method, steps, err, time.perf_counter() - t_start, matvecs, rejected
-    )
+    rep = PropagatorReport(method, steps, err, matvecs, rejected)
     states = [StateVector(psi.basis, w) for w in out]
     result = states[0] if scalar else states
     return (result, rep) if return_report else result

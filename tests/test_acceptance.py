@@ -13,7 +13,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from boselab.approx import approximate_heisenberg, quench_step_unitary, run_quench
+from boselab.approx import (
+    approximate_heisenberg, quench_reference, quench_step_unitary, run_quench,
+)
 from boselab.bounds import (
     BoundConstants,
     adjacency_exp_bound,
@@ -246,7 +248,7 @@ def test_criterion_09_hard_truncation_error_shrinks_with_cutoff():
     assert errs[-1] < 1e-6  # q = 6 is the full cutoff: nothing truncates
     consts = chain_consts(g, qbar=1.0, t0=t)
     for q, err in zip(range(1, 7), errs):
-        bv = truncation_error_bound(q, len(Ltilde), ell0, 3.0, consts, check=False)
+        bv = truncation_error_bound(q, len(Ltilde), ell0, 3.0, consts)
         if bv.valid:
             assert err <= bv.value
     assert time.monotonic() - start <= 600.0
@@ -295,18 +297,16 @@ def test_criterion_11_heisenberg_sweep_on_hard_core_chain():
 
     errs = []
     for R in range(2, 8):
-        approx = approximate_heisenberg(O, 0, 0, R, t, spec, b, q=1)
+        approx, _ = approximate_heisenberg(O, 0, 0, R, t, spec, b, q=1)
         errs.append(restricted_error(H, O, approx, psi0, t))
     for later, earlier in zip(errs[1:], errs[:-1]):
         assert later <= earlier + 1e-8
 
-    full = approximate_heisenberg(O, 0, 0, 7, t, spec, b, ell0=7, q=1)
+    full, _ = approximate_heisenberg(O, 0, 0, 7, t, spec, b, ell0=7, q=1)
     assert restricted_error(H, O, full, psi0, t) <= 1e-6
 
     # multi-step chain: the total error telescopes into per-step defects
-    approx_ms, trace = approximate_heisenberg(
-        O, 0, 0, 7, t, spec, b, delta_t0=0.1, q=1, return_trace=True
-    )
+    approx_ms, trace = approximate_heisenberg(O, 0, 0, 7, t, spec, b, delta_t0=0.1, q=1)
     dt = trace.schedule.dt
     V = dense_expm(H, dt).dense()
     O_m = O.dense()
@@ -341,15 +341,16 @@ def test_criterion_12_quench_simulation_converges(quench_chain8):
         "custom-matrix", [4], b, matrix=np.diag(0.5 * np.arange(5.0) ** 2)
     )
 
+    ref = quench_reference(spec, h, psi0, 0.1, stationarity_tol=1e-6)
     errs = []
     for R in range(2, 8):
-        err, rep = run_quench(spec, h, psi0, 0.1, R, stationarity_tol=1e-6)
+        err, rep = run_quench(ref, R)
         assert rep.stationarity_residual <= 1e-6
         errs.append(err)
     for later, earlier in zip(errs[1:], errs[:-1]):
         assert later <= earlier + 1e-8
 
-    err_full, _ = run_quench(spec, h, psi0, 0.1, 7, ell0=5, q=4, qprime=4)
+    err_full, _ = run_quench(ref, 7, ell0=5, q=4, qprime=4)
     assert err_full <= 1e-5
 
     # every step generator commutes with the region number operator
@@ -357,13 +358,13 @@ def test_criterion_12_quench_simulation_converges(quench_chain8):
     assert step.number_commutation_defect() <= 1e-10
 
     err_ms, rep_ms = run_quench(
-        spec, h, psi0, 0.2, 7, ell0=5, q=4, qprime=4, delta_t0=0.05
+        quench_reference(spec, h, psi0, 0.2), 7, ell0=5, q=4, qprime=4, delta_t0=0.05
     )
     assert rep_ms.schedule.m_t == 4
     assert err_ms <= 1e-5
 
     zero = local_operator("custom-matrix", [4], b, matrix=np.zeros((5, 5)))
-    err0, _ = run_quench(spec, zero, psi0, 0.1, 7, i0=4, ell0=5, q=4, qprime=4)
+    err0, _ = run_quench(quench_reference(spec, zero, psi0, 0.1), 7, i0=4, ell0=5, q=4, qprime=4)
     assert err0 <= 1e-8
     assert time.monotonic() - start <= 600.0
 

@@ -16,7 +16,7 @@ from boselab.approx import (
     StepSchedule,
 )
 from boselab.bounds import BoundConstants, QuenchBounds, quench_bounds
-from boselab.evolve import RUN_DENSE_CAP, StateVector, dense_expm, heisenberg
+from boselab.evolve import RUN_DENSE_CAP, dense_expm, heisenberg
 from boselab.fock import ResourceLimitError, enumerate_basis, truncation_projector
 from boselab.lattice import ball, build_lattice
 from boselab.model import (
@@ -261,10 +261,8 @@ def test_quench_step_echo_factors():
 def test_approximate_heisenberg_time_zero():
     g, b, spec = chain_setup(5, 1)
     O = local_operator("number", [0], b)
-    out = approximate_heisenberg(O, 0, 0, 3, 0.0, spec, b)
+    out, trace = approximate_heisenberg(O, 0, 0, 3, 0.0, spec, b)
     assert out is O
-    out2, trace = approximate_heisenberg(O, 0, 0, 3, 0.0, spec, b, return_trace=True)
-    assert out2 is O
     assert trace.schedule is None
     assert trace.unitaries == () and trace.step_records == ()
 
@@ -280,7 +278,7 @@ def test_approximate_heisenberg_full_coverage_matches_exact():
     g, b, spec = chain_setup(5, 1)
     H = assemble_hamiltonian(spec, b)
     O = local_operator("number", [0], b)
-    approx = approximate_heisenberg(O, 0, 0, 4, 0.2, spec, b, ell0=3, q=1)
+    approx, _ = approximate_heisenberg(O, 0, 0, 4, 0.2, spec, b, ell0=3, q=1)
     exact = heisenberg(H, O, 0.2).dense()
     assert np.max(np.abs(approx.dense() - exact)) < 1e-10
 
@@ -292,7 +290,7 @@ def test_approximate_heisenberg_error_improves_with_radius():
     psi = fock_state(b, (1, 0, 1, 0, 1, 0, 1))
     errs = []
     for R in (2, 4, 6):  # default ell0 = dr // 2 grows with R here
-        approx = approximate_heisenberg(O, 0, 0, R, 0.2, spec, b, q=1)
+        approx, _ = approximate_heisenberg(O, 0, 0, R, 0.2, spec, b, q=1)
         errs.append(restricted_error(H, O, approx, psi, 0.2))
     assert errs[1] <= errs[0] + 1e-12
     assert errs[2] <= errs[1] + 1e-12
@@ -302,9 +300,7 @@ def test_approximate_heisenberg_error_improves_with_radius():
 def test_approximate_heisenberg_trace_contents():
     g, b, spec = chain_setup(6, 1)
     O = local_operator("number", [0], b)
-    approx, trace = approximate_heisenberg(
-        O, 0, 0, 4, 0.3, spec, b, delta_t0=0.1, q=1, return_trace=True
-    )
+    approx, trace = approximate_heisenberg(O, 0, 0, 4, 0.3, spec, b, delta_t0=0.1, q=1)
     assert trace.schedule.m_t == 3 and trace.schedule.dr == 1
     assert trace.ell0 == 1  # dr // 2 floors to 0 and is clamped
     assert trace.q == 1
@@ -322,9 +318,7 @@ def test_approximate_heisenberg_trace_contents():
 def test_approximate_heisenberg_default_q_is_full_cutoff():
     g, b, spec = chain_setup(5, 3)
     O = local_operator("number", [2], b)
-    _, trace = approximate_heisenberg(
-        O, 2, 0, 2, 0.1, spec, b, ell0=1, return_trace=True
-    )
+    _, trace = approximate_heisenberg(O, 2, 0, 2, 0.1, spec, b, ell0=1)
     assert trace.q == 3
 
 
@@ -360,7 +354,7 @@ def test_run_quench_rejects_nonstationary_state():
     h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5]))
     psi = fock_state(b, (1, 0, 1, 0, 1))
     with pytest.raises(ValueError, match="not stationary"):
-        run_quench(spec, h, psi, 0.2, 4)
+        run_quench(quench_reference(spec, h, psi, 0.2), 4)
 
 
 def test_run_quench_full_coverage_tracks_exact_evolution():
@@ -368,7 +362,9 @@ def test_run_quench_full_coverage_tracks_exact_evolution():
     H = assemble_hamiltonian(spec, b)
     psi0 = ground_state(H).ground
     h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.7]))
-    err, rep = run_quench(spec, h, psi0, 0.3, 4, ell0=4, q=1, qprime=1)
+    ref = quench_reference(spec, h, psi0, 0.3)
+    assert ref.exact.flags.writeable is False
+    err, rep = run_quench(ref, 4, ell0=4, q=1, qprime=1)
     assert err < 1e-8
     assert rep.error == err
     assert rep.schedule.m_t == 1
@@ -390,7 +386,7 @@ def test_run_quench_multistep_and_bound_passthrough():
     consts = BoundConstants(
         c0=1.0, qbar=0.0, t0=0.1, J_bar=1.0, dG=2.0, gamma=3.0, lambda0=2.0, D=1
     )
-    err, rep = run_quench(spec, h, psi0, 0.3, 6, consts, delta_t0=0.1, q=1)
+    err, rep = run_quench(quench_reference(spec, h, psi0, 0.3), 6, consts, delta_t0=0.1, q=1)
     assert rep.schedule.m_t == 3 and rep.schedule.dr == 2
     assert len(rep.step_records) == 3
     assert rep.cost_states == 6 * b.dim  # two factors per step, nothing truncated
@@ -404,10 +400,11 @@ def test_run_quench_zero_quench_control():
     psi0 = ground_state(assemble_hamiltonian(spec, b)).ground
     zero = assemble_hamiltonian(HamiltonianSpec(g, (), (), k_max=1, J_bar=0.0), b)
     assert zero.support == frozenset()
+    ref = quench_reference(spec, zero, psi0, 0.2)
     with pytest.raises(ValueError, match="i0"):
-        run_quench(spec, zero, psi0, 0.2, 4)
+        run_quench(ref, 4)
     # with h = 0 the echo pair cancels per step even when the halo truncates
-    err, rep = run_quench(spec, zero, psi0, 0.2, 4, i0=2, ell0=1, q=1, qprime=1)
+    err, rep = run_quench(ref, 4, i0=2, ell0=1, q=1, qprime=1)
     assert err < 1e-8
 
 
@@ -415,43 +412,6 @@ def test_run_quench_seed_ball_covers_quench_support():
     g, b, spec = chain_setup(6, 1)
     psi0 = ground_state(assemble_hamiltonian(spec, b)).ground
     h = local_operator("custom-matrix", [3], b, matrix=np.diag([0.0, 0.3]))
-    err, rep = run_quench(spec, h, psi0, 0.2, 5, i0=0, ell0=4, q=1, qprime=1)
+    err, rep = run_quench(quench_reference(spec, h, psi0, 0.2), 5, i0=0, ell0=4, q=1, qprime=1)
     assert rep.params["r0"] == 3 and rep.schedule.r0 == 3
     assert err < 1e-8
-
-
-def _quench_case(sector):
-    g = build_lattice("chain", [6])
-    b = enumerate_basis(g, 2, sector=6) if sector else enumerate_basis(g, 1)
-    spec = bose_hubbard(g, J=1.0, U=4.0)
-    psi0 = ground_state(assemble_hamiltonian(spec, b)).ground
-    cut = b.site_cutoffs[3]
-    h = local_operator("custom-matrix", [3], b, matrix=np.diag(0.5 * np.arange(cut + 1.0) ** 2))
-    return spec, h, psi0
-
-
-@pytest.mark.parametrize("sector", [True, False], ids=["sector", "product"])
-def test_run_quench_with_a_reference_matches_a_run_without(sector):
-    spec, h, psi0 = _quench_case(sector)
-    ref = quench_reference(spec, h, psi0, 0.1)
-    assert ref.exact.flags.writeable is False
-    for R in (2, 4, 5):
-        err, rep = run_quench(spec, h, psi0, 0.1, R, delta_t0=0.1)
-        err_ref, rep_ref = run_quench(spec, h, psi0, 0.1, R, delta_t0=0.1, reference=ref)
-        assert err_ref == err and rep_ref == rep
-        assert rep.stationarity_residual == ref.stationarity_residual
-
-
-def test_run_quench_refuses_a_reference_made_for_other_inputs():
-    spec, h, psi0 = _quench_case(True)
-    other_h = local_operator("custom-matrix", [3], psi0.basis, matrix=np.diag([0.0, 0.5, 2.0]))
-    other_psi0 = StateVector(psi0.basis, psi0.amplitudes.copy())
-    ref = quench_reference(spec, h, psi0, 0.1)
-    for args, kwargs in [
-        ((spec, h, psi0, 0.2), {}),
-        ((spec, h, other_psi0, 0.1), {}),
-        ((spec, other_h, psi0, 0.1), {}),
-        ((spec, h, psi0, 0.1), {"tol": 1e-12}),
-    ]:
-        with pytest.raises(ValueError, match="reference was made for another"):
-            run_quench(*args, 4, reference=ref, **kwargs)

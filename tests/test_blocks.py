@@ -431,7 +431,7 @@ def test_approximate_heisenberg_full_coverage_matches_the_oracle(kind):
     b = enumerate_basis(g, 2)
     spec = bose_hubbard(g, J=1.0, U=0.7)
     O = probe(kind, b, site=0)
-    approx = approximate_heisenberg(O, 0, 0, 3, 0.2, spec, b, ell0=3, q=2, delta_t0=0.1)
+    approx, _ = approximate_heisenberg(O, 0, 0, 3, 0.2, spec, b, ell0=3, q=2, delta_t0=0.1)
     expect = oracle_heisenberg(assemble_hamiltonian(spec, b), O, 0.2)
     np.testing.assert_allclose(approx.dense(), expect, atol=1e-10)
     assert approx.delta_n == O.delta_n

@@ -265,12 +265,15 @@ def test_threads_do_not_change_output(tmp_path):
 
 @pytest.mark.parametrize("kind", ["quench-sim", "approx-sweep"])
 def test_pooled_cells_sharing_the_hop_table_keep_output(kind, tmp_path):
-    # the cells of these sweeps assemble generators from the basis's one hop table
+    # the cells of these sweeps assemble generators from the basis's one hop table;
+    # each quench cell also reads psi0, t and the exact state from one shared reference
     cfg = write_cfg(tmp_path, CONFIGS[kind])
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(cfg), "--out", str(out_a), "--threads", "1"]) == 0
     assert main(["run", str(cfg), "--out", str(out_b), "--threads", "3"]) == 0
-    assert (out_a / f"{kind}.csv").read_bytes() == (out_b / f"{kind}.csv").read_bytes()
+    reports = [f"{kind}.csv"] + (["quench_steps.json"] if kind == "quench-sim" else [])
+    for name in reports:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_dense_cap_flag_reaches_evolver(tmp_path, monkeypatch):
@@ -605,6 +608,9 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         # infeasible step schedules, named by the R that cannot hold them
         ("approx-sweep", "scenario", "R_values", [1, 4], "scenario.R_values"),
         ("quench-sim", "scenario", "delta_t0", 0.01, "scenario.R_values"),
+        # a region with no site
+        ("truncation-check", "scenario", "X", [], "scenario.X"),
+        ("short-lr-check", "scenario", "X", [], "scenario.X"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):

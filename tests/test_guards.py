@@ -89,8 +89,8 @@ _CLOCKS = {
 } | {"datetime.datetime.now", "datetime.datetime.utcnow", "datetime.datetime.today",
      "datetime.date.today"}
 
-# evolve: PropagatorReport.wall_time; cli: the manifest's created_utc
-_CLOCK_READERS = {"evolve.py", "cli.py"}
+# cli: the manifest's created_utc
+_CLOCK_READERS = {"cli.py"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, str]:
