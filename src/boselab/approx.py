@@ -9,22 +9,24 @@ approximate_heisenberg conjugates an observable by the dense products of
 short steps over nested balls X_m, one product at a time, keeping its
 support controlled.  run_quench simulates a quench on a stationary state by
 echo steps, which also truncate X[ell0] by q': a backward unquenched pair
-(B, -dt), then a forward quenched (A, dt), A taking the quench term as the
-builder's ``extra``, applied to the state by Krylov propagation, so it
-builds no dense product.  With full coverage and cutoffs the echo
-telescopes to the exact quenched evolution, using only stationarity.  Both
-walk one step chain, which checks each step's support against i0[R] and
-records {m, support_size, truncation_q} per step.  What a quench does not
-owe to R (psi0's stationarity residual under H, and the exact state
-e^{-i(H+h_X0)t} psi0) is a QuenchReference, made once by quench_reference;
-run_quench takes it at every R and reads the quench's inputs from it.
+(B, -dt), then a forward quenched (A, dt), applied to the state by Krylov
+propagation, so it builds no dense product.  The quench term h is a number
+polynomial, one more ``model.Interaction``: A is the builder's generator of
+the spec with h appended as its last interaction, as H + h is.  With full
+coverage and cutoffs the echo telescopes to the exact quenched evolution,
+using only stationarity.  Both walk one step chain, which checks each
+step's support against i0[R] and records {m, support_size, truncation_q}
+per step.  What a quench does not owe to R (psi0's stationarity residual
+under H, and the exact state e^{-i(H+h)t} psi0) is a QuenchReference, made
+once by quench_reference; run_quench takes it at every R, with the run's
+bound constants, and reads the quench's inputs from it.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any
 
@@ -36,8 +38,8 @@ from .evolve import (
     evolve_state,
 )
 from .fock import FockBasis, number_operator, truncation_projector
-from .lattice import LatticeGraph, ball, geometric_constants
-from .model import HamiltonianSpec, OperatorMatrix, assemble_hamiltonian
+from .lattice import LatticeGraph, ball
+from .model import HamiltonianSpec, Interaction, OperatorMatrix, assemble_hamiltonian
 
 UNITARITY_TOL = 1e-10
 NUMBER_COMM_TOL = 1e-10
@@ -168,6 +170,13 @@ def _halo_regions(
     return L1, L2, L2p, Ltilde, clipped
 
 
+def _quenched(spec: HamiltonianSpec, h: Interaction) -> HamiltonianSpec:
+    """The spec of H + h: h appended last, k_max raised to its region if needed."""
+    return replace(
+        spec, interactions=(*spec.interactions, h), k_max=max(spec.k_max, len(h.region))
+    )
+
+
 def _step_unitary(
     spec: HamiltonianSpec,
     b: FockBasis,
@@ -176,29 +185,32 @@ def _step_unitary(
     q: int,
     dt: float,
     k: int | None,
-    h_X0: OperatorMatrix | None = None,
+    h: Interaction | None = None,
     qprime: int | None = None,
 ) -> LocalUnitary:
     """A step on the halo X[2 ell0]: e^{-i B dt}, truncated by q on the annulus.
 
-    With a quench term h_X0, q' truncates X[ell0] as well, and the step is the
-    echo pair e^{+i B dt}, then e^{-i A dt}, with A = B + h_X0 compressed alike.
+    With a quench term h, q' truncates X[ell0] as well, and the step is the
+    echo pair e^{+i B dt}, then e^{-i A dt}, with A = B + h compressed alike.
     """
     kk = int(spec.k_max if k is None else k)
     L1, L2, L2p, Ltilde, clipped = _halo_regions(spec.lattice, X, ell0, kk)
-    truncation = [(Ltilde, q)] if h_X0 is None else [(Ltilde, q), (L1, qprime)]
-    local = {"hop_sites": L2p, "int_sites": L2, "truncation": truncation}
-    B = assemble_hamiltonian(spec, b, **local)
-    if h_X0 is None:
-        support, factors = frozenset(L2), ((B, float(dt)),)
+    if h is not None and not L2.issuperset(h.region):
+        # int_sites = L2 would drop h from A without a word
+        raise ValueError(f"quench term region {h.region} is not inside X[2 ell0]")
+    truncation = [(Ltilde, q)] if h is None else [(Ltilde, q), (L1, qprime)]
+    B = assemble_hamiltonian(spec, b, hop_sites=L2p, int_sites=L2, truncation=truncation)
+    if h is None:
+        factors = ((B, float(dt)),)
     else:
-        A = assemble_hamiltonian(spec, b, **local, extra=h_X0)
-        support = frozenset(L2) | h_X0.support
+        A = assemble_hamiltonian(
+            _quenched(spec, h), b, hop_sites=L2p, int_sites=L2, truncation=truncation
+        )
         factors = ((B, -float(dt)), (A, float(dt)))
     scheme = {
         "ell0": int(ell0),
         "q": int(q),
-        "qprime": None if h_X0 is None else int(qprime),
+        "qprime": None if h is None else int(qprime),
         "L1": tuple(sorted(L1)),
         "L2": tuple(sorted(L2)),
         "L2p": tuple(sorted(L2p)),
@@ -206,7 +218,7 @@ def _step_unitary(
         "ell0_ge_8k": ell0 >= 8 * kk,
         "surviving_dim": int(truncation_projector(b, truncation).sum()),
     }
-    return LocalUnitary(basis=b, support=support, scheme=scheme, factors=factors)
+    return LocalUnitary(basis=b, support=frozenset(L2), scheme=scheme, factors=factors)
 
 
 def local_step_unitary(
@@ -233,7 +245,7 @@ def local_step_unitary(
 
 def quench_step_unitary(
     spec: HamiltonianSpec,
-    h_X0: OperatorMatrix,
+    h: Interaction,
     b: FockBasis,
     X: Iterable[int],
     ell0: int,
@@ -247,16 +259,16 @@ def quench_step_unitary(
 
     B is the compressed unquenched local generator (hoppings in L2',
     interactions in L2, two-region truncation q on the annulus and q' on
-    X[ell0]); A = B + h_tilde with the quench term compressed the same way.
+    X[ell0]); A is the same generator of the spec with the quench term h
+    appended, h_tilde compressed the same way, so A - B is h's diagonal
+    inside the truncation.  h's region must lie in the halo X[2 ell0].
     Chained across steps as L_m ... L_1 u R_1 ... R_m, the product applied to
     a stationary state reproduces e^{-i(H+h)t} exactly in the full-coverage
     limit, which is what the error sweeps measure.
     """
     if ell0 < 1 or q < 1 or qprime < 1:
         raise ValueError("ell0, q and qprime must be >= 1")
-    if not h_X0.is_diagonal:
-        raise ValueError("quench term must be a number polynomial (diagonal matrix)")
-    return _step_unitary(spec, b, X, ell0, q, dt, k, h_X0, qprime)
+    return _step_unitary(spec, b, X, ell0, q, dt, k, h, qprime)
 
 
 def _solve_q_default(
@@ -399,13 +411,15 @@ class QuenchReport:
 class QuenchReference:
     """The R-independent half of a quench, made once by ``quench_reference``.
 
-    It holds the quench's inputs (spec, h_X0, psi0 and t), psi0's
-    stationarity residual under H, and ``exact``, the normalized exact
-    quenched state e^{-i(H+h_X0)t} psi0 that ``run_quench`` measures against.
+    It holds the quench's inputs (spec, the quench term h, psi0 and t),
+    psi0's stationarity residual under H, and ``exact``, the normalized
+    exact quenched state e^{-i(H+h)t} psi0 that ``run_quench`` measures
+    against.  h is a number polynomial, a ``model.Interaction``; H + h is
+    the spec with h appended as its last interaction.
     """
 
     spec: HamiltonianSpec
-    h_X0: OperatorMatrix
+    h: Interaction
     psi0: StateVector
     t: float
     stationarity_residual: float
@@ -414,13 +428,13 @@ class QuenchReference:
 
 def quench_reference(
     spec: HamiltonianSpec,
-    h_X0: OperatorMatrix,
+    h: Interaction,
     psi0: StateVector,
     t: float,
     *,
     stationarity_tol: float = 1e-6,
 ) -> QuenchReference:
-    """Check psi0 is stationary under H and evolve it exactly under H + h_X0.
+    """Check psi0 is stationary under H and evolve it exactly under H + h.
 
     Raises StationarityError when the residual ||H psi0 - E psi0|| exceeds
     ``stationarity_tol``.  Every R of a quench shares the result.
@@ -435,19 +449,19 @@ def quench_reference(
             f"tolerance {stationarity_tol:.3e} (the construction requires "
             f"[rho0, H] = 0)"
         )
-    del H  # freed before H + h_X0 is built
-    exact = evolve_state(assemble_hamiltonian(spec, b, extra=h_X0), psi0, t).amplitudes
+    del H  # freed before H + h is built
+    exact = evolve_state(assemble_hamiltonian(_quenched(spec, h), b), psi0, t).amplitudes
     exact = exact / np.linalg.norm(exact)
     exact.flags.writeable = False  # every R reads it, from any thread
     return QuenchReference(
-        spec=spec, h_X0=h_X0, psi0=psi0, t=float(t), stationarity_residual=resid, exact=exact,
+        spec=spec, h=h, psi0=psi0, t=float(t), stationarity_residual=resid, exact=exact,
     )
 
 
 def run_quench(
     reference: QuenchReference,
     R: int,
-    consts: BoundConstants | None = None,
+    consts: BoundConstants,
     *,
     i0: int | None = None,
     r0: int = 0,
@@ -462,22 +476,24 @@ def run_quench(
     psi0 (backward factors from the outermost step inward, then forward
     factors outward), and reports the trace-norm distance to the reference's
     exact quenched state together with the analytic bound and a cost counter.
+    i0 defaults to the first site of h's region, and r0 grows to cover the
+    region from i0.  ``consts`` gives the bound its c0 and qbar, which
+    describe psi0.
     """
-    spec, h_X0, psi0, t = reference.spec, reference.h_X0, reference.psi0, reference.t
+    spec, h, psi0, t = reference.spec, reference.h, reference.psi0, reference.t
     b = psi0.basis
     g = spec.lattice
     if i0 is None:
-        if not h_X0.support:
-            raise ValueError("h_X0 has empty support; pass i0 explicitly")
-        i0 = min(h_X0.support)
-    if h_X0.support:
-        r_need = max(int(g.distances[i0, j]) for j in h_X0.support)
-        r0 = max(r0, r_need)
+        if not h.region:
+            raise ValueError("h has an empty region; pass i0 explicitly")
+        i0 = h.region[0]
+    r0 = max([r0, *(int(g.distances[i0, j]) for j in h.region)])
 
-    # r0 covers the support of h_X0, so the chain's i0[R] check covers it too
+    # r0 covers h's region, so every step's X = i0[r_{m-1}], and the chain's
+    # i0[R] check, cover it too
     trace = _step_chain(
         lambda X, ell, q_m, dt: quench_step_unitary(
-            spec, h_X0, b, X, ell, q_m, q_m if qprime is None else int(qprime), dt
+            spec, h, b, X, ell, q_m, q_m if qprime is None else int(qprime), dt
         ),
         g, b, i0, r0, R, t, consts, ell0, q, delta_t0,
     )
@@ -495,16 +511,7 @@ def run_quench(
     ortho = a - c * bvec
     error = 2.0 * min(1.0, float(np.linalg.norm(ortho)))
 
-    if consts is not None:
-        qb = quench_bounds(float(R), float(r0), max(t, 1e-12), consts)
-    else:
-        geo = geometric_constants(g)
-        fallback = BoundConstants(
-            c0=1.0, qbar=0.0, t0=max(t, 1e-12), J_bar=spec.J_bar,
-            dG=geo.max_degree_dG, gamma=geo.gamma, lambda0=geo.lambda0,
-            D=geo.dimension_D,
-        )
-        qb = quench_bounds(float(R), float(r0), max(t, 1e-12), fallback)
+    qb = quench_bounds(float(R), float(r0), max(t, 1e-12), consts)
     report = QuenchReport(
         error=error,
         schedule=trace.schedule,

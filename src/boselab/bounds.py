@@ -77,14 +77,6 @@ def _mk(log_value: float, conditions: tuple[tuple[str, bool], ...] = ()) -> Boun
     return BoundValue(lv, value, conditions)
 
 
-def _require(check: bool, conditions: tuple[tuple[str, bool], ...]) -> None:
-    if not check:
-        return
-    for name, ok in conditions:
-        if not ok:
-            raise BoundConditionError(f"validity condition violated: {name}")
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Model and initial-state constants feeding every bound evaluator.
@@ -449,20 +441,21 @@ def solve_eta(
     r: float,
     sizeLtilde: float,
     consts: BoundConstants,
-    *,
-    check: bool = True,
 ) -> EtaResult:
     """Smallest occupation cutoff q whose truncation error fits the step budget.
 
     The budget is (1/2) e^{-2 ell0 / log r}; the e^{c0 qbar} zeta0 factor
     appears on both sides and cancels.  Returns eta = q / ell0 together with
-    the minimizing q, and asserts minimality of the returned q.
+    the minimizing q, and asserts minimality of the returned q.  Raises
+    BoundConditionError when a condition on ell0 fails or no q up to
+    ETA_Q_CAP fits.
     """
     if ell0 <= 0 or sizeLtilde < 1:
         raise ValueError("ell0 > 0 and sizeLtilde >= 1 required")
     c1t, c1pt = _ctilde(consts, r)
-    conds = _ell0_conditions(ell0, r, consts, c1pt)
-    _require(check, conds)
+    for name, ok in _ell0_conditions(ell0, r, consts, c1pt):
+        if not ok:
+            raise BoundConditionError(f"validity condition violated: {name}")
     target = math.log(0.5) - 2.0 * ell0 / math.log(r)
 
     def excess(q: int) -> float:

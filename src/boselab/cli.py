@@ -690,7 +690,7 @@ def _transport_check(
 
 
 def _truncation_check(run: _Run) -> list[dict]:
-    g, b, spec, H = run.g, run.b, run.spec, run.H
+    g, b, spec = run.g, run.b, run.spec
     X = run.region()
     ell0 = run.value("ell0", _POSITIVE, 1)
     q_values = run.values("q_values", _POSITIVE, list(range(1, max(b.site_cutoffs) + 1)))
@@ -704,7 +704,7 @@ def _truncation_check(run: _Run) -> list[dict]:
     L2 = ball(g, X, 2 * ell0)
     Ltilde = sorted(L2 - L1)
     v = StateVector(b, O_X.matrix @ psi0.amplitudes)
-    exact = evolve_state(H, v, t)
+    exact = evolve_state(run.H, v, t)
 
     def cell(q: int) -> dict:
         H_eff = effective_hamiltonian(spec, b, [(Ltilde, q)])
@@ -717,7 +717,7 @@ def _truncation_check(run: _Run) -> list[dict]:
 
 
 def _short_lr_check(run: _Run) -> list[dict]:
-    g, b, spec, H = run.g, run.b, run.spec, run.H
+    g, b, spec = run.g, run.b, run.spec
     X = run.region()
     ell0_values = run.values("ell0_values", _POSITIVE, [1, 2])
     t = run.value("t", _NON_NEGATIVE, 0.05)
@@ -729,6 +729,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
         raise ConfigError(
             "short-lr-check: constants.eta is required (the step bound depends on it)"
         )
+    H = run.H
 
     def cell(ell0: int) -> dict:
         O_apx = local_step_unitary(spec, b, X, ell0, q, t).conjugate(O_X)
@@ -769,15 +770,13 @@ def _approx_sweep(run: _Run) -> list[dict]:
 
 
 def _quench_sim(run: _Run) -> list[dict]:
-    b, spec = run.b, run.spec
+    spec = run.spec
     h_cfg = run.value("h", dict)
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
     site = _need(h_cfg, "scenario.h", "site", run.site)
     coeff = _need(h_cfg, "scenario.h", "coeff", _finite, 1.0)
     power = _need(h_cfg, "scenario.h", "power", _bounded(0), 2)
-    cut = b.site_cutoffs[site]
-    h_mat = np.diag(coeff * np.arange(cut + 1, dtype=np.float64) ** power)
-    h_X0 = local_operator("custom-matrix", [site], b, matrix=h_mat)
+    h = Interaction((site,), (Monomial(coeff, (power,)),))
     psi0 = run.state("ground")
     t = run.value("t", _positive, 0.1)
     R_values = run.values("R_values", _POSITIVE)
@@ -791,7 +790,7 @@ def _quench_sim(run: _Run) -> list[dict]:
     stationarity = {k: kwargs.pop(k) for k in ["stationarity_tol"] if k in kwargs}
     # the stationarity check and the exact quenched state serve every R
     try:
-        reference = quench_reference(spec, h_X0, psi0, t, **stationarity)
+        reference = quench_reference(spec, h, psi0, t, **stationarity)
     except StationarityError as exc:
         raise ConfigError(
             f"scenario.psi0: {exc}; scenario.stationarity_tol sets the tolerance"

@@ -284,18 +284,15 @@ def assemble_hamiltonian(
     hop_sites: Iterable[int] | None = None,
     int_sites: Iterable[int] | None = None,
     truncation: Sequence[tuple[Iterable[int], int]] = (),
-    extra: OperatorMatrix | None = None,
 ) -> OperatorMatrix:
-    """Pi_bar (H restricted to the given sites + extra) Pi_bar, built in one pass.
+    """Pi_bar (H restricted to the given sites) Pi_bar, built in one pass.
 
     ``hop_sites`` keeps the hoppings with both ends in it, ``int_sites``
     the interactions whose region lies in it; None keeps every term.
     ``truncation`` is a ``truncation_projector`` scheme [(region, q)]
     whose projector Pi_bar compresses the sum from both sides (none by
-    default).  ``extra`` is a diagonal Hermitian operator, such as a
-    quench term, added on the diagonal.  The declared support is the sites
-    of the kept terms, the truncated regions that are not empty and the
-    support of ``extra``.
+    default).  The declared support is the sites of the kept terms and
+    the truncated regions that are not empty.
     """
     if spec.lattice is not b.lattice and spec.lattice.edges != b.lattice.edges:
         raise ValueError("spec and basis lattices differ")
@@ -315,14 +312,6 @@ def assemble_hamiltonian(
     for t in terms:
         if any(m.coeff != 0.0 and any(m.powers) for m in t.monomials):
             supp.update(t.region)
-    if extra is not None:
-        if not extra.is_diagonal:
-            raise ValueError("extra term must be diagonal")
-        d = extra.matrix.diagonal()
-        if np.any(d.imag != 0.0):
-            raise ValueError("extra term must be Hermitian (its diagonal is not real)")
-        diag += d.real
-        supp |= extra.support
     mask = truncation_projector(b, truncation) if truncation else None
     supp.update(int(i) for region, _ in truncation for i in region)
     mat = _hopping_rows(b, weights, diag, mask)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh
 
+from boselab.bounds import BoundConstants
 from boselab.evolve import StateVector
 from boselab.fock import FockBasis, enumerate_basis
-from boselab.lattice import build_lattice
+from boselab.lattice import build_lattice, geometric_constants
 from boselab.model import HERMITICITY_RTOL
 
 
@@ -21,6 +22,16 @@ def fock_state(b: FockBasis, occ) -> StateVector:
     amps = np.zeros(b.dim, dtype=np.complex128)
     amps[b.index_of(tuple(occ))] = 1.0
     return StateVector(b, amps)
+
+
+def chain_consts(g, *, qbar, t0, zeta0=1.0, q0=0.0) -> BoundConstants:
+    """Bound constants with c0 = J_bar = 1 and the geometric constants of g."""
+    geo = geometric_constants(g)
+    return BoundConstants(
+        c0=1.0, qbar=qbar, t0=t0, J_bar=1.0, dG=geo.max_degree_dG,
+        gamma=geo.gamma, lambda0=geo.lambda0, D=geo.dimension_D,
+        q0=q0, zeta0=zeta0,
+    )
 
 
 def random_state(b: FockBasis, seed: int) -> StateVector:

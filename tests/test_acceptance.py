@@ -39,8 +39,10 @@ from boselab.evolve import (
     spectral_norm,
 )
 from boselab.fock import enumerate_basis
-from boselab.lattice import ball, build_lattice, geometric_constants
+from boselab.lattice import ball, build_lattice
 from boselab.model import (
+    Interaction,
+    Monomial,
     assemble_hamiltonian,
     bose_hubbard,
     effective_hamiltonian,
@@ -55,22 +57,13 @@ from boselab.probes import (
     restricted_error,
     tail_probabilities,
 )
-from helpers import fock_state, random_hermitian, random_state
+from helpers import chain_consts, fock_state, random_hermitian, random_state
 
 CHAIN1 = build_lattice("chain", [1])
 
 
 def single_site_basis(dim):
     return enumerate_basis(CHAIN1, dim - 1)
-
-
-def chain_consts(g, *, qbar, t0, zeta0=1.0, q0=0.0):
-    geo = geometric_constants(g)
-    return BoundConstants(
-        c0=1.0, qbar=qbar, t0=t0, J_bar=1.0, dG=geo.max_degree_dG,
-        gamma=geo.gamma, lambda0=geo.lambda0, D=geo.dimension_D,
-        q0=q0, zeta0=zeta0,
-    )
 
 
 # shared Mott instance for the moment/tail criteria: 5 sites, 6 levels each
@@ -337,20 +330,19 @@ def test_criterion_12_quench_simulation_converges(quench_chain8):
     start = time.monotonic()
     g, b, spec, H, gs = quench_chain8
     psi0 = gs.ground
-    h = local_operator(
-        "custom-matrix", [4], b, matrix=np.diag(0.5 * np.arange(5.0) ** 2)
-    )
+    h = Interaction((4,), (Monomial(0.5, (2,)),))
+    consts = chain_consts(g, qbar=1.0, t0=0.2)
 
     ref = quench_reference(spec, h, psi0, 0.1, stationarity_tol=1e-6)
     errs = []
     for R in range(2, 8):
-        err, rep = run_quench(ref, R)
+        err, rep = run_quench(ref, R, consts)
         assert rep.stationarity_residual <= 1e-6
         errs.append(err)
     for later, earlier in zip(errs[1:], errs[:-1]):
         assert later <= earlier + 1e-8
 
-    err_full, _ = run_quench(ref, 7, ell0=5, q=4, qprime=4)
+    err_full, _ = run_quench(ref, 7, consts, ell0=5, q=4, qprime=4)
     assert err_full <= 1e-5
 
     # every step generator commutes with the region number operator
@@ -358,13 +350,15 @@ def test_criterion_12_quench_simulation_converges(quench_chain8):
     assert step.number_commutation_defect() <= 1e-10
 
     err_ms, rep_ms = run_quench(
-        quench_reference(spec, h, psi0, 0.2), 7, ell0=5, q=4, qprime=4, delta_t0=0.05
+        quench_reference(spec, h, psi0, 0.2), 7, consts, ell0=5, q=4, qprime=4, delta_t0=0.05
     )
     assert rep_ms.schedule.m_t == 4
     assert err_ms <= 1e-5
 
-    zero = local_operator("custom-matrix", [4], b, matrix=np.zeros((5, 5)))
-    err0, _ = run_quench(quench_reference(spec, zero, psi0, 0.1), 7, i0=4, ell0=5, q=4, qprime=4)
+    zero = Interaction((4,), ())
+    err0, _ = run_quench(
+        quench_reference(spec, zero, psi0, 0.1), 7, consts, i0=4, ell0=5, q=4, qprime=4
+    )
     assert err0 <= 1e-8
     assert time.monotonic() - start <= 600.0
 

@@ -20,14 +20,15 @@ from boselab.evolve import RUN_DENSE_CAP, dense_expm, heisenberg
 from boselab.fock import ResourceLimitError, enumerate_basis, truncation_projector
 from boselab.lattice import ball, build_lattice
 from boselab.model import (
-    HamiltonianSpec,
+    Interaction,
+    Monomial,
     assemble_hamiltonian,
     bose_hubbard,
     local_operator,
     subset_hamiltonian,
 )
 from boselab.probes import ground_state, restricted_error
-from helpers import fock_state
+from helpers import chain_consts, fock_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0):
@@ -210,16 +211,9 @@ def test_local_step_validation():
 # -- quench step --------------------------------------------------------------
 
 
-def test_quench_step_requires_diagonal_quench_term():
-    g, b, spec = chain_setup(4, 1)
-    h_bad = local_operator("creation", [2], b)
-    with pytest.raises(ValueError, match="number polynomial"):
-        quench_step_unitary(spec, h_bad, b, [2], 1, 1, 1, 0.1)
-
-
 def test_quench_step_validation():
     g, b, spec = chain_setup(4, 1)
-    h = local_operator("custom-matrix", [1], b, matrix=np.diag([0.0, 0.5]))
+    h = Interaction((1,), (Monomial(0.5, (1,)),))
     for kw in (
         dict(ell0=0, q=1, qprime=1),
         dict(ell0=1, q=0, qprime=1),
@@ -229,17 +223,26 @@ def test_quench_step_validation():
             quench_step_unitary(spec, h, b, [1], kw["ell0"], kw["q"], kw["qprime"], 0.1)
 
 
-def test_quench_step_echo_factors():
-    g, b, spec = chain_setup(4, 2, U=0.9)
-    h = local_operator(
-        "custom-matrix", [2], b, matrix=np.diag(0.5 * np.arange(3.0) ** 2)
-    )
+def test_quench_step_refuses_a_term_outside_its_halo():
+    # with int_sites = X[2 ell0], A would drop the term and equal B
+    g, b, spec = chain_setup(6, 1)
+    h = Interaction((5,), (Monomial(0.5, (1,)),))
+    with pytest.raises(ValueError, match="not inside"):
+        quench_step_unitary(spec, h, b, [1], 1, 1, 1, 0.1)
+
+
+@pytest.mark.parametrize("sector", [None, 4])
+def test_quench_step_echo_factors(sector):
+    g = build_lattice("chain", [4])
+    b = enumerate_basis(g, 2, sector=sector)
+    spec = bose_hubbard(g, J=1.0, U=0.9)
+    h = Interaction((2,), (Monomial(0.5, (2,)),))
     dt = 0.19
     step = quench_step_unitary(spec, h, b, [2], 1, 1, 2, dt)
     (B, tau_b), (A, tau_a) = step.factors
     assert tau_b == pytest.approx(-dt) and tau_a == pytest.approx(dt)
     assert step.scheme["qprime"] == 2
-    assert step.support == frozenset(step.scheme["L2"]) | h.support
+    assert step.support == frozenset(step.scheme["L2"]) | set(h.region)
 
     # A - B is exactly the quench term sandwiched by the annulus projector
     ltilde = sorted(set(step.scheme["L2"]) - set(step.scheme["L1"]))
@@ -247,7 +250,7 @@ def test_quench_step_echo_factors():
     diff = (A.matrix - B.matrix).toarray()
     assert np.max(np.abs(diff - np.diag(np.diag(diff)))) < 1e-14
     np.testing.assert_allclose(
-        np.diag(diff), pi * h.matrix.diagonal().real, atol=1e-14
+        np.diag(diff), pi * 0.5 * b.states[:, 2] ** 2.0, atol=1e-14
     )
 
     # application order: e^{+iB dt} first, then e^{-iA dt}
@@ -351,20 +354,20 @@ def test_default_ell0_overflow_does_not_suggest_shrinking_it():
 
 def test_run_quench_rejects_nonstationary_state():
     g, b, spec = chain_setup(5, 1)
-    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5]))
+    h = Interaction((2,), (Monomial(0.5, (1,)),))
     psi = fock_state(b, (1, 0, 1, 0, 1))
     with pytest.raises(ValueError, match="not stationary"):
-        run_quench(quench_reference(spec, h, psi, 0.2), 4)
+        run_quench(quench_reference(spec, h, psi, 0.2), 4, chain_consts(g, qbar=1.0, t0=0.2))
 
 
 def test_run_quench_full_coverage_tracks_exact_evolution():
     g, b, spec = chain_setup(5, 1)
     H = assemble_hamiltonian(spec, b)
     psi0 = ground_state(H).ground
-    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.7]))
+    h = Interaction((2,), (Monomial(0.7, (1,)),))
     ref = quench_reference(spec, h, psi0, 0.3)
     assert ref.exact.flags.writeable is False
-    err, rep = run_quench(ref, 4, ell0=4, q=1, qprime=1)
+    err, rep = run_quench(ref, 4, chain_consts(g, qbar=1.0, t0=0.3), ell0=4, q=1, qprime=1)
     assert err < 1e-8
     assert rep.error == err
     assert rep.schedule.m_t == 1
@@ -382,7 +385,7 @@ def test_run_quench_multistep_and_bound_passthrough():
     g, b, spec = chain_setup(7, 1)
     H = assemble_hamiltonian(spec, b)
     psi0 = ground_state(H).ground
-    h = local_operator("custom-matrix", [3], b, matrix=np.diag([0.0, 0.4]))
+    h = Interaction((3,), (Monomial(0.4, (1,)),))
     consts = BoundConstants(
         c0=1.0, qbar=0.0, t0=0.1, J_bar=1.0, dG=2.0, gamma=3.0, lambda0=2.0, D=1
     )
@@ -398,20 +401,24 @@ def test_run_quench_multistep_and_bound_passthrough():
 def test_run_quench_zero_quench_control():
     g, b, spec = chain_setup(5, 1)
     psi0 = ground_state(assemble_hamiltonian(spec, b)).ground
-    zero = assemble_hamiltonian(HamiltonianSpec(g, (), (), k_max=1, J_bar=0.0), b)
-    assert zero.support == frozenset()
+    consts = chain_consts(g, qbar=1.0, t0=0.2)
+    zero = Interaction((), ())
+    assert zero.region == ()
     ref = quench_reference(spec, zero, psi0, 0.2)
     with pytest.raises(ValueError, match="i0"):
-        run_quench(ref, 4)
+        run_quench(ref, 4, consts)
     # with h = 0 the echo pair cancels per step even when the halo truncates
-    err, rep = run_quench(ref, 4, i0=2, ell0=1, q=1, qprime=1)
+    err, rep = run_quench(ref, 4, consts, i0=2, ell0=1, q=1, qprime=1)
     assert err < 1e-8
 
 
 def test_run_quench_seed_ball_covers_quench_support():
     g, b, spec = chain_setup(6, 1)
     psi0 = ground_state(assemble_hamiltonian(spec, b)).ground
-    h = local_operator("custom-matrix", [3], b, matrix=np.diag([0.0, 0.3]))
-    err, rep = run_quench(quench_reference(spec, h, psi0, 0.2), 5, i0=0, ell0=4, q=1, qprime=1)
+    h = Interaction((3,), (Monomial(0.3, (1,)),))
+    err, rep = run_quench(
+        quench_reference(spec, h, psi0, 0.2), 5, chain_consts(g, qbar=1.0, t0=0.2),
+        i0=0, ell0=4, q=1, qprime=1,
+    )
     assert rep.params["r0"] == 3 and rep.schedule.r0 == 3
     assert err < 1e-8

@@ -621,6 +621,33 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
     assert f"config error: {field}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("truncation-check", "X", [99]),
+        ("truncation-check", "ell0", 0),
+        ("truncation-check", "q_values", [0]),
+        ("truncation-check", "t", 0),
+        ("truncation-check", "r", math.inf),
+        ("short-lr-check", "X", []),
+        ("short-lr-check", "ell0_values", [0]),
+        ("short-lr-check", "q", 0),
+        ("short-lr-check", "t", -0.05),
+    ],
+)
+def test_a_bad_scenario_value_exits_before_h_is_assembled(
+    kind, key, value, tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(cli, "assemble_hamiltonian", lambda *a, **kw: calls.append(a))
+    payload = json.loads(json.dumps(CONFIGS[kind]))
+    payload["scenario"][key] = value
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: scenario.{key}: " in capsys.readouterr().err
+    assert calls == []
+
+
 def test_quench_stationarity_tol_reaches_the_reference(tmp_path):
     # mott-1 is refused at the default tolerance (residual about 4.47)
     payload = json.loads(json.dumps(CONFIGS["quench-sim"]))

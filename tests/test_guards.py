@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -273,6 +274,31 @@ def test_a_quench_does_its_r_independent_work_once():
     assert "approx.run_quench" not in assemblers
     assert _callers("evolve_state").count("approx.run_quench") == 1
     assert _callers("evolve_state").count("approx.quench_reference") == 1
+
+
+def test_every_assembly_names_only_the_region_keywords():
+    """``assemble_hamiltonian`` takes the spec, the basis and three keywords.
+
+    A term such as a quench is one more interaction of the spec it is given,
+    never an operator passed beside it, so every call in the package passes
+    only ``hop_sites``, ``int_sites`` and ``truncation``, each by name (no
+    ``**`` splat).
+    """
+    allowed = {"hop_sites", "int_sites", "truncation"}
+    keyword_only = [
+        p.name for p in inspect.signature(boselab.model.assemble_hamiltonian).parameters.values()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert sorted(keyword_only) == sorted(allowed)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and _call_name(node) == "assemble_hamiltonian":
+                found += [
+                    f"{path.name}:{node.lineno}: {kw.arg or '**'}"
+                    for kw in node.keywords if kw.arg not in allowed
+                ]
+    assert found == []
 
 
 def test_probes_read_the_basis_states_in_one_place():

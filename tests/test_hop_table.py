@@ -17,7 +17,6 @@ from boselab.model import (
     assemble_hamiltonian,
     bose_hubbard,
     effective_hamiltonian,
-    local_operator,
     subset_hamiltonian,
 )
 from helpers import oracle_hamiltonian, oracle_rank
@@ -142,20 +141,19 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
         sandwiched(full, truncation_projector(b, scheme)),
     )
 
-    cut = b.site_cutoffs[site]
-    h = local_operator(
-        "custom-matrix", [site], b, matrix=np.diag(0.5 * np.arange(cut + 1.0) ** 2)
-    )
+    h = Interaction((site,), (Monomial(0.5, (2,)),))
+    quenched = HamiltonianSpec(g, spec.hoppings, (*spec.interactions, h), spec.k_max, spec.J_bar)
     q, qprime = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     step = quench_step_unitary(spec, h, b, [site], data.draw(st.integers(1, 2)), q, qprime, 0.1)
     s = step.scheme
     L1, L2 = set(s["L1"]), set(s["L2"])
     live = [(sorted(r), c) for r, c in ((L2 - L1, q), (L1, qprime)) if r]
     local = oracle_hamiltonian(restricted_spec(spec, s["L2p"], L2), b)
+    local_quenched = oracle_hamiltonian(restricted_spec(quenched, s["L2p"], L2), b)
     entries = truncation_projector(b, live)  # L1 is never empty
     (B, _), (A, _) = step.factors
     assert_same_csr(B.matrix, sandwiched(local, entries))
-    assert_same_csr(A.matrix, sandwiched(local + h.matrix, entries))
+    assert_same_csr(A.matrix, sandwiched(local_quenched, entries))
 
     assert_same_csr(assemble_hamiltonian(spec, b).matrix, full)
 
@@ -196,7 +194,7 @@ def sector_setup():
 def test_second_assembly_ranks_nothing(rank_calls):
     """The table and every assembly on the basis make no rank call at all."""
     spec, b = sector_setup()
-    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5, 2.0]))
+    h = Interaction((2,), (Monomial(0.5, (2,)),))
     rank_calls.clear()
     b.hop_targets
     first = assemble_hamiltonian(spec, b)
@@ -211,29 +209,13 @@ def test_second_assembly_ranks_nothing(rank_calls):
 def test_each_generator_is_checked_for_hermiticity_once(hermitian_checks):
     """B and A of a quench step, and an effective H, go through one wrap each."""
     spec, b = sector_setup()
-    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 0.5, 2.0]))
+    h = Interaction((2,), (Monomial(0.5, (2,)),))
     hermitian_checks.clear()
     quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
     assert len(hermitian_checks) == 2
     hermitian_checks.clear()
     effective_hamiltonian(spec, b, [([2], 1)])
     assert len(hermitian_checks) == 1
-
-
-@pytest.mark.parametrize("imag", [0.5, 1e-15])
-def test_extra_term_with_an_imaginary_diagonal_is_refused(imag):
-    """Folding the extra term into the real diagonal never drops an imaginary part."""
-    spec, b = sector_setup()
-    h = local_operator("custom-matrix", [2], b, matrix=np.diag([0.0, 1j * imag, 2.0]))
-    assert h.is_diagonal
-    with pytest.raises(ValueError, match="must be Hermitian"):
-        quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
-
-
-def test_extra_term_off_the_diagonal_is_refused():
-    spec, b = sector_setup()
-    with pytest.raises(ValueError, match="must be diagonal"):
-        assemble_hamiltonian(spec, b, extra=assemble_hamiltonian(spec, b))
 
 
 def test_hop_table_is_read_only():

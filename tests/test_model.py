@@ -1,5 +1,6 @@
 """Hamiltonian assembly, locality helpers, and operator wrappers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -504,7 +505,7 @@ def test_custom_matrix_is_bit_identical_to_loop_reference(b, seed, data):
         ({"hop_sites": [1, 2, 3], "int_sites": []}, {1, 2, 3}),
         ({"hop_sites": [], "int_sites": [0, 4]}, {0, 4}),
         ({"hop_sites": [0, 1], "int_sites": [0, 1], "truncation": [([3], 1)]}, {0, 1, 3}),
-        ({"hop_sites": [0, 1], "int_sites": [0, 1], "extra": 4}, {0, 1, 4}),
+        ({"hop_sites": [0, 1], "int_sites": [0, 1, 4], "quench": 4}, {0, 1, 4}),
     ],
 )
 def test_assembled_supports_are_sound(kwargs, declared, sector):
@@ -512,10 +513,11 @@ def test_assembled_supports_are_sound(kwargs, declared, sector):
     # product bases, where it also sees diagonal dependence, they are equal
     b = enumerate_basis(build_lattice("chain", [5]), 2, sector=sector)
     spec = bose_hubbard(b.lattice, J=1.0, U=1.0, mu=0.3)
-    if "extra" in kwargs:
-        h = np.diag([0.0, 0.5, 2.0])
-        extra = local_operator("custom-matrix", [kwargs["extra"]], b, matrix=h)
-        kwargs = {**kwargs, "extra": extra}
+    if "quench" in kwargs:
+        # a quench term is the spec's last interaction, kept by int_sites
+        kwargs = dict(kwargs)
+        h = Interaction((kwargs.pop("quench"),), (Monomial(0.5, (2,)),))
+        spec = dataclasses.replace(spec, interactions=(*spec.interactions, h))
     H = assemble_hamiltonian(spec, b, **kwargs)
     assert H.support == frozenset(declared)
     if sector is None:
