@@ -68,7 +68,6 @@ from .bounds import (
     concentration_bound,
     expectation_lemma_rhs,
     first_moment_bound,
-    fs_lemma_check,
     fs_polynomial,
     initial_moment_bounds,
     lightcone_radius,
@@ -114,7 +113,7 @@ __all__ = [
     "BoundConditionError", "BoundConstants", "BoundValue",
     "adjacency_exp_bound", "clustering_bound",
     "concentration_bound", "expectation_lemma_rhs", "first_moment_bound",
-    "fs_lemma_check", "fs_polynomial", "initial_moment_bounds",
+    "fs_polynomial", "initial_moment_bounds",
     "lightcone_radius", "main_lr_bound", "moment_bound", "quench_bounds",
     "short_lr_bound", "solve_eta", "subtheorem_bound", "tail_bound",
     "truncation_error_bound",

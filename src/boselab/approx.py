@@ -3,23 +3,25 @@
 One builder makes every step: a LocalUnitary, a chain of (G, tau) pairs
 e^{-iG tau} whose G is a subset Hamiltonian on the halo X[2 ell0],
 occupation-truncated by q on the annulus, each G one
-``assemble_hamiltonian`` call.  A step holds only these factors; its dense
-product is built, within the dense cap, where a caller uses it.
-approximate_heisenberg conjugates an observable by the dense products of
-short steps over nested balls X_m, one product at a time, keeping its
-support controlled.  run_quench simulates a quench on a stationary state by
-echo steps, which also truncate X[ell0] by q': a backward unquenched pair
-(B, -dt), then a forward quenched (A, dt), applied to the state by Krylov
-propagation, so it builds no dense product.  The quench term h is a number
-polynomial, one more ``model.Interaction``: A is the builder's generator of
-the spec with h appended as its last interaction, as H + h is.  With full
-coverage and cutoffs the echo telescopes to the exact quenched evolution,
-using only stationarity.  Both walk one step chain, which checks each
-step's support against i0[R] and records {m, support_size, truncation_q}
-per step.  What a quench does not owe to R (psi0's stationarity residual
-under H, and the exact state e^{-i(H+h)t} psi0) is a QuenchReference, made
-once by quench_reference; run_quench takes it at every R, with the run's
-bound constants, and reads the quench's inputs from it.
+``assemble_hamiltonian`` call.  A step holds only these factors, and every
+caller applies them to a state one pair at a time by Krylov propagation
+(``LocalUnitary.apply``), so no path builds a dense product; ``materialize``
+builds one, within the dense cap, as the test oracle.  approximate_heisenberg
+returns O_R psi0 for the approximation O_R of O(t) by short steps over
+nested balls X_m: the steps from the last to the first, then O, then their
+adjoints from the first to the last.  run_quench simulates a quench on a
+stationary state by echo steps, which also truncate X[ell0] by q': a
+backward unquenched pair (B, -dt), then a forward quenched (A, dt).  The
+quench term h is a number polynomial, one more ``model.Interaction``: A is
+the builder's generator of the spec with h appended as its last
+interaction, as H + h is.  With full coverage and cutoffs the echo
+telescopes to the exact quenched evolution, using only stationarity.  Both
+walk one step chain, which checks each step's support against i0[R] and
+records {m, support_size, truncation_q} per step.  What a quench does not
+owe to R (psi0's stationarity residual under H, and the exact state
+e^{-i(H+h)t} psi0) is a QuenchReference, made once by quench_reference;
+run_quench takes it at every R, with the run's bound constants, and reads
+the quench's inputs from it.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from typing import Any
 import numpy as np
 
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
-from .evolve import (
-    StateVector, _Blocks, _conjugate, _dense_unitary, _from_blocks, _norm2, _require_dense,
-    evolve_state,
-)
+from .evolve import StateVector, _Blocks, _dense_unitary, _norm2, _require_dense, evolve_state
 from .fock import FockBasis, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball
 from .model import HamiltonianSpec, Interaction, OperatorMatrix, assemble_hamiltonian
@@ -107,9 +106,10 @@ class LocalUnitary:
     generator G, in application order: factors[0] hits the state first.
     Construction checks that every generator is Hermitian and commutes
     exactly with the region's number operator, and builds no matrix.
-    ``materialize`` and ``conjugate`` build the dense product on each call,
-    block by block over particle number, and check that it is unitary; above
-    the dense cap they refuse.
+    ``apply`` moves a state through the pairs by Krylov propagation, at any
+    dimension; no CLI path builds the dense product.  ``materialize``, the
+    test oracle, builds it on each call, block by block over particle
+    number, and checks that it is unitary; above the dense cap it refuses.
     """
 
     basis: FockBasis
@@ -154,9 +154,18 @@ class LocalUnitary:
         """Dense product matrix; factors[0] is rightmost."""
         return self._product().dense()
 
-    def conjugate(self, O: OperatorMatrix) -> OperatorMatrix:
-        """U^dagger O U from the blocked product, supported on this unitary's and O's sites."""
-        return _from_blocks(_conjugate(self._product(), _Blocks.of(O)), self.support | O.support)
+    def apply(self, psi: StateVector, adjoint: bool = False) -> StateVector:
+        """U psi, or U^dagger psi: the adjoint runs the pairs in reverse order with -tau."""
+        if adjoint:
+            return _apply_pairs(((G, -tau) for G, tau in reversed(self.factors)), psi)
+        return _apply_pairs(self.factors, psi)
+
+
+def _apply_pairs(pairs: Iterable[tuple[OperatorMatrix, float]], psi: StateVector) -> StateVector:
+    """psi moved by e^{-i G tau} for each (G, tau) in order, by Krylov propagation."""
+    for G, tau in pairs:
+        psi = evolve_state(G, psi, tau)
+    return psi
 
 
 def _halo_regions(
@@ -354,46 +363,42 @@ def approximate_heisenberg(
     R: int,
     t: float,
     spec: HamiltonianSpec,
-    b: FockBasis,
+    psi0: StateVector,
     consts: BoundConstants | None = None,
     *,
     ell0: int | None = None,
     q: int | None = None,
     delta_t0: float | None = None,
-) -> tuple[OperatorMatrix, ApproxTrace]:
-    """Approximate O(t) by m_t local conjugations with support inside i0[R].
+) -> tuple[StateVector, ApproxTrace]:
+    """O_R psi0 for the approximation O_R of O(t) by m_t local steps inside i0[R].
 
-    Each step conjugates by local_step_unitary on the current ball; supports
-    grow by dr per step.  The default ell0 = max(1, dr // 2) keeps every
-    halo inside the next ball (this needs dr >= 2); the default q comes from
-    solve_eta when its regime applies and is the full cutoff otherwise.
-    Returns the approximation with the ApproxTrace of its steps.
+    O_R = U_m^dagger ... U_1^dagger O U_1 ... U_m is O conjugated by
+    local_step_unitary on the current ball, step 1 first; supports grow by
+    dr per step.  It is never formed: psi0 goes through the steps from m_t
+    down to 1, then O, then the adjoints from 1 up to m_t, each pair by
+    Krylov propagation, so any basis dimension works.  The default
+    ell0 = max(1, dr // 2) keeps every halo inside the next ball (this needs
+    dr >= 2); the default q comes from solve_eta when its regime applies and
+    is the full cutoff otherwise.  Returns O_R psi0 with the ApproxTrace of
+    its steps.
     """
-    _require_dense(b.dim)
+    b = psi0.basis
     if t == 0.0:
-        return O, ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
+        hit = StateVector(b, O.matrix @ psi0.amplitudes)
+        return hit, ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
     trace = _step_chain(
         partial(local_step_unitary, spec, b), spec.lattice, b, i0, r0, R, t, consts, ell0, q,
         delta_t0,
     )
-    current = _Blocks.of(O)
-    norm0 = _norm2(current.mats.values(), O.hermitian)
-    # one product at a time: each is dropped once it has conjugated
+    state = psi0
+    for step in reversed(trace.unitaries):
+        state = step.apply(state)
+    state = StateVector(b, O.matrix @ state.amplitudes)
     for step in trace.unitaries:
-        current = _conjugate(step._product(), current)
-    norm_t = _norm2(current.mats.values(), O.hermitian)
-    if abs(norm_t - norm0) > 1e-9 * trace.schedule.m_t + 1e-10:
-        raise AssertionError(
-            f"conjugation chain drifted the operator norm: {norm0} -> {norm_t}"
-        )
-    # conjugation roundoff sprays ~1e-17 entries over the blocks; the true
-    # support is the accumulated step-support union, checked per step
-    for M in current.mats.values():
-        M[np.abs(M) < 1e-15 * max(1.0, norm0)] = 0.0
-    support = O.support.union(*(step.support for step in trace.unitaries))
-    return _from_blocks(current, support), trace
+        state = step.apply(state, adjoint=True)
+    return state, trace
 
 
 @dataclass(frozen=True)
@@ -472,10 +477,11 @@ def run_quench(
 ) -> tuple[float, QuenchReport]:
     """Simulate the quench of ``reference`` with local unitaries at radius R.
 
-    Builds the step-connected echo product over the schedule, applies it to
-    psi0 (backward factors from the outermost step inward, then forward
-    factors outward), and reports the trace-norm distance to the reference's
-    exact quenched state together with the analytic bound and a cost counter.
+    Applies the step-connected echo pairs over the schedule to psi0 by
+    Krylov propagation (backward factors from the outermost step inward,
+    then forward factors outward), and reports the trace-norm distance to
+    the reference's exact quenched state together with the analytic bound
+    and a cost counter.
     i0 defaults to the first site of h's region, and r0 grows to cover the
     region from i0.  ``consts`` gives the bound its c0 and qbar, which
     describe psi0.
@@ -499,9 +505,7 @@ def run_quench(
     )
     cost = sum(len(u.factors) * int(u.scheme["surviving_dim"]) for u in trace.unitaries)
     backward = [step.factors[0] for step in reversed(trace.unitaries)]
-    state = psi0
-    for G, tau in backward + [step.factors[1] for step in trace.unitaries]:
-        state = evolve_state(G, state, tau)
+    state = _apply_pairs(backward + [step.factors[1] for step in trace.unitaries], psi0)
 
     a = state.amplitudes / np.linalg.norm(state.amplitudes)
     bvec = reference.exact

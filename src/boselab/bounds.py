@@ -758,27 +758,6 @@ def fs_polynomial(s: int) -> FsPolynomial:
     return poly
 
 
-class FsLemmaReport(NamedTuple):
-    passed: bool
-    failures: tuple[tuple[int, str], ...]
-
-
-def fs_lemma_check(s: int, m_max: int) -> FsLemmaReport:
-    """Exact check of (m-1)^s <= f_s(m) <= m^s and f_s(m) + s^s/4 >= m^s/4."""
-    poly = fs_polynomial(s)
-    quarter = Fraction(s**s, 4)
-    failures: list[tuple[int, str]] = []
-    for m in range(1, m_max + 1):
-        fm = poly(m)
-        if not Fraction((m - 1) ** s) <= fm:
-            failures.append((m, "lower"))
-        if not fm <= Fraction(m**s):
-            failures.append((m, "upper"))
-        if not fm + quarter >= Fraction(m**s, 4):
-            failures.append((m, "quarter"))
-    return FsLemmaReport(passed=not failures, failures=tuple(failures))
-
-
 def expectation_lemma_rhs(s: int, s1: int, M_pair: tuple[float, float]) -> float:
     """Convex split of a hopping expectation into two higher moments."""
     if s1 > s:

@@ -69,6 +69,7 @@ from .model import (
     OperatorMatrix,
     assemble_hamiltonian,
     bose_hubbard,
+    creation_degree,
     effective_hamiltonian,
     local_operator,
 )
@@ -510,12 +511,21 @@ class _Run:
     def constants(self, O: OperatorMatrix | None = None) -> BoundConstants:
         """The ``constants`` block over geometric and run defaults, recorded in the manifest.
 
-        zeta0 defaults to the norm of ``O``, or to 1 without one.
+        zeta0 defaults to the norm of ``O``, or to 1 without one; q0 to the
+        creation degree of ``O`` on its support, or to 0 without one.
         """
         block = self.cfg.get("constants", {})
-        zeta0 = 1.0
+        zeta0, q0 = 1.0, 0.0
         if O is not None and "zeta0" not in block:
             zeta0 = spectral_norm(O)
+        if O is not None and "q0" not in block:
+            degree = creation_degree(O, O.support)
+            if degree == "unbounded":
+                raise ConfigError(
+                    f"constants.q0: the observable's creation degree on sites "
+                    f"{sorted(O.support)} spans their whole occupation range; set constants.q0"
+                )
+            q0 = float(degree)
         _check_keys(block, _CONST_KEYS, "constants")
         if "t0" not in block and self.t0 <= 0:
             raise ConfigError(
@@ -533,6 +543,7 @@ class _Run:
             "lambda0": geo.lambda0,
             "D": geo.dimension_D,
             "zeta0": zeta0,
+            "q0": q0,
         }
         for key in block:
             conv = _integer if key in ("dG", "D", "k") else _finite
@@ -564,6 +575,7 @@ class _Run:
             "t0": consts.t0,
             "J_bar": consts.J_bar,
             "zeta0": consts.zeta0,
+            "q0": consts.q0,
             "c1": consts.c1,
             "c1_prime_sizeX1": consts.c1p(1),
             "c1_double_prime": consts.c1pp,
@@ -732,8 +744,10 @@ def _short_lr_check(run: _Run) -> list[dict]:
     H = run.H
 
     def cell(ell0: int) -> dict:
-        O_apx = local_step_unitary(spec, b, X, ell0, q, t).conjugate(O_X)
-        err = restricted_error(H, O_X, O_apx, psi0, t)
+        # U^dagger O_X U psi0, each e^{-iGt} applied to the state by Krylov
+        step = local_step_unitary(spec, b, X, ell0, q, t)
+        hit = StateVector(b, O_X.matrix @ step.apply(psi0).amplitudes)
+        err = restricted_error(H, O_X, step.apply(hit, adjoint=True), psi0, t)
         L2p = ball(g, X, max(0, 2 * ell0 - 2 * spec.k_max))
         bsize = len(boundary(g, L2p)) if L2p else 0
         bv = short_lr_bound(ell0, bsize, t, consts)
@@ -743,7 +757,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
 
 
 def _approx_sweep(run: _Run) -> list[dict]:
-    b, spec, H = run.b, run.spec, run.H
+    spec, H = run.spec, run.H
     i0 = run.value("i0", run.site, 0)
     r0 = run.value("r0", _bounded(0), 0)
     R_values = run.values("R_values", _bounded(r0 + 1))
@@ -756,14 +770,14 @@ def _approx_sweep(run: _Run) -> list[dict]:
 
     def cell(R: int) -> dict:
         try:
-            O_R, trace = approximate_heisenberg(
-                O_X, i0, r0, R, t, spec, b, consts, ell0=ell0, q=q, delta_t0=delta_t0
+            O_R_psi0, trace = approximate_heisenberg(
+                O_X, i0, r0, R, t, spec, psi0, consts, ell0=ell0, q=q, delta_t0=delta_t0
             )
         except ScheduleError as exc:
             raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
         return {
             "R": R, "t": t, "ell0": trace.ell0, "q": trace.q,
-            "m_t": trace.schedule.m_t, "error": restricted_error(H, O_X, O_R, psi0, t),
+            "m_t": trace.schedule.m_t, "error": restricted_error(H, O_X, O_R_psi0, psi0, t),
         }
 
     return run.sweep(cell, R_values)

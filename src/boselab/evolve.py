@@ -11,8 +11,7 @@ the cap (``_require_dense``, which raises ``DenseCapError``), one
 eigendecomposition of H per block (``_eigenbasis``, by divide-and-conquer
 ``eigh``), one dense e^{-iHt} from it (``_dense_unitary``), one
 Heisenberg-picture operator from it over a grid of times
-(``_heisenberg_stack``, conjugated in H's eigenbasis), one conjugation by a
-given unitary (``_conjugate``, for products of local steps), one operator
+(``_heisenberg_stack``, conjugated in H's eigenbasis), one operator
 2-norm (``_norm2``: ``eigvalsh`` of a Hermitian matrix, otherwise the top
 eigenvalue of the smaller Gram matrix) and the norm of a commutator with a
 diagonal operator (``_diagonal_commutator_norm``).  The dense path doubles
@@ -574,11 +573,6 @@ def _left_product(L: np.ndarray, X: np.ndarray) -> np.ndarray:
         return L @ X
     X = np.ascontiguousarray(X)
     return (L @ X.view(np.float64)).view(np.complex128)
-
-
-def _conjugate(U: _Blocks, A: _Blocks) -> _Blocks:
-    """U^dagger A U, block (N + d, N) as U_{N+d}^dagger A_{N+d,N} U_N."""
-    return U.adjoint() @ A @ U
 
 
 def _norm2(mats: Iterable[np.ndarray], hermitian: bool) -> float | np.ndarray:

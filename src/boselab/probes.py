@@ -49,17 +49,6 @@ class GroundStateResult:
     degenerate: bool
 
 
-def _as_ensemble(rho: StateVector | Ensemble) -> list[tuple[float, StateVector]]:
-    if isinstance(rho, StateVector):
-        return [(1.0, rho)]
-    out = [(float(w), psi) for w, psi in rho]
-    if not out:
-        raise ValueError("empty ensemble")
-    if any(w < 0 for w, _ in out):
-        raise ValueError("ensemble weights must be non-negative")
-    return out
-
-
 def _occupation_weights(rho_tilde_t: StateVector, sites: Sequence[int]) -> np.ndarray:
     """W[a, k]: the summed |amplitude|^2 of the basis states with k bosons on ``sites[a]``.
 
@@ -118,7 +107,11 @@ def mgf_condition(rho: StateVector | Ensemble, c0: float, qbar: float) -> float:
     """
     if not 0.0 < c0 <= 1.0:
         raise ValueError("c0 must lie in (0, 1]")
-    parts = _as_ensemble(rho)
+    parts = [(1.0, rho)] if isinstance(rho, StateVector) else [(float(w), psi) for w, psi in rho]
+    if not parts:
+        raise ValueError("empty ensemble")
+    if any(w < 0 for w, _ in parts):
+        raise ValueError("ensemble weights must be non-negative")
     basis = parts[0][1].basis
     if any(psi.basis is not basis for _, psi in parts):
         raise ValueError("ensemble members live on different bases")
@@ -197,27 +190,20 @@ def commutator_norms(
 def restricted_error(
     H_true: OperatorMatrix,
     O: OperatorMatrix,
-    O_approx: OperatorMatrix,
-    psi0: StateVector | Ensemble,
+    approx: StateVector,
+    psi0: StateVector,
     t: float,
     *,
     tol: float = 1e-10,
 ) -> float:
-    """State-restricted trace-norm error ||(O(t) - O_approx) rho0||_1.
+    """State-restricted trace-norm error ||(O(t) - O_approx) rho0||_1 for a pure psi0.
 
-    For a pure ``psi0`` this is exact: the trace norm of a rank-one
-    M|psi><psi| equals ||M psi||_2.  For an ensemble the convexity upper
-    bound sum_j w_j ||M psi_j||_2 is returned; it over-estimates the trace
-    norm, so an inequality test that passes with it is still sound while a
-    failure is inconclusive and needs a dense recomputation.
+    ``approx`` is the vector O_approx psi0, as ``approximate_heisenberg``
+    returns it.  The trace norm of the rank-one M|psi0><psi0| equals
+    ||M psi0||_2, so this is exact.
     """
-    parts = _as_ensemble(psi0)
-    total = 0.0
-    for w, psi in parts:
-        target = heisenberg_apply(H_true, O, psi, t, tol=tol)
-        defect = target.amplitudes - O_approx.matrix @ psi.amplitudes
-        total += w * float(np.linalg.norm(defect))
-    return total
+    target = heisenberg_apply(H_true, O, psi0, t, tol=tol)
+    return float(np.linalg.norm(target.amplitudes - approx.amplitudes))
 
 
 def ground_state(H: OperatorMatrix) -> GroundStateResult:

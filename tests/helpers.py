@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import eigh
 
+from boselab import cli
 from boselab.bounds import BoundConstants
 from boselab.evolve import StateVector
 from boselab.fock import FockBasis, enumerate_basis
@@ -32,6 +33,14 @@ def chain_consts(g, *, qbar, t0, zeta0=1.0, q0=0.0) -> BoundConstants:
         gamma=geo.gamma, lambda0=geo.lambda0, D=geo.dimension_D,
         q0=q0, zeta0=zeta0,
     )
+
+
+def basis_vectors(b: FockBasis):
+    """Every unit basis vector of ``b``, in basis order."""
+    for k in range(b.dim):
+        amps = np.zeros(b.dim, dtype=np.complex128)
+        amps[k] = 1.0
+        yield StateVector(b, amps)
 
 
 def random_state(b: FockBasis, seed: int) -> StateVector:
@@ -210,3 +219,9 @@ def oracle_commutator_norms(H, O_A, O_Bs, t: float) -> list[float]:
     """SVD 2-norms of the whole commutators [O_A(t), O_B]."""
     A = oracle_heisenberg(H, O_A, t)
     return [float(np.linalg.norm(A @ B - B @ A, 2)) for B in (O.dense() for O in O_Bs)]
+
+
+def fs_check_rows(s_max: int, m_max: int) -> list[dict]:
+    """The rows the ``fs-check`` scenario reports for s = 1..s_max, m = 1..m_max."""
+    cfg = {"scenario": {"kind": "fs-check", "s_max": s_max, "m_max": m_max}}
+    return cli._fs_check(cli._Run(cfg, "fs-check", seed=0, threads=1))

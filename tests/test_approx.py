@@ -1,4 +1,4 @@
-"""Tests for schedules, local step unitaries, and the conjugation chains."""
+"""Tests for schedules, local step unitaries, and the step chains applied to states."""
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from boselab.model import (
     subset_hamiltonian,
 )
 from boselab.probes import ground_state, restricted_error
-from helpers import chain_consts, fock_state
+from helpers import basis_vectors, chain_consts, fock_state, random_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0):
@@ -105,15 +105,15 @@ def test_schedule_subsets_are_balls():
 # -- local unitaries ----------------------------------------------------------
 
 
-def test_local_unitary_conjugate_matches_dense_product():
+def test_local_unitary_apply_matches_dense_product():
     g, b, spec = chain_setup(5, 1, U=0.6)
     step = local_step_unitary(spec, b, [2], 1, 1, 0.17)
-    O = local_operator("number", [4], b)
     U = step.materialize()
-    got = step.conjugate(O)
-    np.testing.assert_array_equal(got.dense(), U.conj().T @ O.dense() @ U)
-    assert got.support == step.support | {4}
-    assert got.hermitian
+    for k, psi in enumerate(basis_vectors(b)):
+        np.testing.assert_allclose(step.apply(psi).amplitudes, U[:, k], atol=1e-10)
+        np.testing.assert_allclose(
+            step.apply(psi, adjoint=True).amplitudes, U.conj().T[:, k], atol=1e-10
+        )
 
 
 def test_local_unitary_rejects_number_leak():
@@ -258,14 +258,15 @@ def test_quench_step_echo_factors(sector):
     np.testing.assert_allclose(step.materialize(), expect, atol=1e-10)
 
 
-# -- Heisenberg conjugation chain ----------------------------------------------
+# -- Heisenberg step chain applied to psi0 ------------------------------------
 
 
 def test_approximate_heisenberg_time_zero():
     g, b, spec = chain_setup(5, 1)
     O = local_operator("number", [0], b)
-    out, trace = approximate_heisenberg(O, 0, 0, 3, 0.0, spec, b)
-    assert out is O
+    psi = random_state(b, 3)
+    out, trace = approximate_heisenberg(O, 0, 0, 3, 0.0, spec, psi)
+    np.testing.assert_array_equal(out.amplitudes, O.matrix @ psi.amplitudes)
     assert trace.schedule is None
     assert trace.unitaries == () and trace.step_records == ()
 
@@ -274,16 +275,17 @@ def test_approximate_heisenberg_rejects_support_outside_seed_ball():
     g, b, spec = chain_setup(5, 1)
     O = local_operator("number", [3], b)
     with pytest.raises(ValueError, match="support"):
-        approximate_heisenberg(O, 0, 0, 4, 0.1, spec, b)
+        approximate_heisenberg(O, 0, 0, 4, 0.1, spec, random_state(b, 3))
 
 
 def test_approximate_heisenberg_full_coverage_matches_exact():
     g, b, spec = chain_setup(5, 1)
     H = assemble_hamiltonian(spec, b)
     O = local_operator("number", [0], b)
-    approx, _ = approximate_heisenberg(O, 0, 0, 4, 0.2, spec, b, ell0=3, q=1)
-    exact = heisenberg(H, O, 0.2).dense()
-    assert np.max(np.abs(approx.dense() - exact)) < 1e-10
+    psi = random_state(b, 4)
+    approx, _ = approximate_heisenberg(O, 0, 0, 4, 0.2, spec, psi, ell0=3, q=1)
+    exact = heisenberg(H, O, 0.2).dense() @ psi.amplitudes
+    assert np.max(np.abs(approx.amplitudes - exact)) < 1e-10
 
 
 def test_approximate_heisenberg_error_improves_with_radius():
@@ -293,7 +295,7 @@ def test_approximate_heisenberg_error_improves_with_radius():
     psi = fock_state(b, (1, 0, 1, 0, 1, 0, 1))
     errs = []
     for R in (2, 4, 6):  # default ell0 = dr // 2 grows with R here
-        approx, _ = approximate_heisenberg(O, 0, 0, R, 0.2, spec, b, q=1)
+        approx, _ = approximate_heisenberg(O, 0, 0, R, 0.2, spec, psi, q=1)
         errs.append(restricted_error(H, O, approx, psi, 0.2))
     assert errs[1] <= errs[0] + 1e-12
     assert errs[2] <= errs[1] + 1e-12
@@ -303,7 +305,9 @@ def test_approximate_heisenberg_error_improves_with_radius():
 def test_approximate_heisenberg_trace_contents():
     g, b, spec = chain_setup(6, 1)
     O = local_operator("number", [0], b)
-    approx, trace = approximate_heisenberg(O, 0, 0, 4, 0.3, spec, b, delta_t0=0.1, q=1)
+    _, trace = approximate_heisenberg(
+        O, 0, 0, 4, 0.3, spec, random_state(b, 5), delta_t0=0.1, q=1
+    )
     assert trace.schedule.m_t == 3 and trace.schedule.dr == 1
     assert trace.ell0 == 1  # dr // 2 floors to 0 and is clamped
     assert trace.q == 1
@@ -315,28 +319,35 @@ def test_approximate_heisenberg_trace_contents():
         assert rec["support_size"] == len(u.support)
         assert rec["truncation_q"] == 1
         assert set(rec) == {"m", "support_size", "truncation_q"}
-    assert approx.support <= final_ball
 
 
 def test_approximate_heisenberg_default_q_is_full_cutoff():
     g, b, spec = chain_setup(5, 3)
     O = local_operator("number", [2], b)
-    _, trace = approximate_heisenberg(O, 2, 0, 2, 0.1, spec, b, ell0=1)
+    _, trace = approximate_heisenberg(O, 2, 0, 2, 0.1, spec, fock_state(b, (1,) * 5), ell0=1)
     assert trace.q == 3
 
 
 def test_approximate_heisenberg_dense_cap():
+    # above the dense cap the steps still apply to psi0, so O_R psi0 comes
+    # out as at any size: with full coverage it is O(t) psi0
     g, b, spec = chain_setup(8, 2)  # 6561 states
+    H = assemble_hamiltonian(spec, b)
     O = local_operator("number", [0], b)
-    with pytest.raises(ResourceLimitError, match="dimension 6561 exceeds dense cap 2000"):
-        approximate_heisenberg(O, 0, 0, 4, 0.1, spec, b)
+    psi = fock_state(b, (1, 0, 2, 0, 1, 0, 1, 0))
+    token = RUN_DENSE_CAP.set(100)
+    try:
+        approx, _ = approximate_heisenberg(O, 0, 0, 7, 0.1, spec, psi, ell0=7, q=2)
+    finally:
+        RUN_DENSE_CAP.reset(token)
+    assert restricted_error(H, O, approx, psi, 0.1) < 1e-9
 
 
 def test_approximate_heisenberg_halo_overflow():
     g, b, spec = chain_setup(7, 1)
     O = local_operator("number", [0], b)
     with pytest.raises(ScheduleError, match="support exceeds.*shrink ell0"):
-        approximate_heisenberg(O, 0, 0, 2, 0.1, spec, b, ell0=3, q=1)
+        approximate_heisenberg(O, 0, 0, 2, 0.1, spec, fock_state(b, (1,) * 7), ell0=3, q=1)
 
 
 def test_default_ell0_overflow_does_not_suggest_shrinking_it():
@@ -344,7 +355,7 @@ def test_default_ell0_overflow_does_not_suggest_shrinking_it():
     g, b, spec = chain_setup(7, 1)
     O = local_operator("number", [0], b)
     with pytest.raises(ScheduleError, match=r"exceeds i0\[1\]") as info:
-        approximate_heisenberg(O, 0, 0, 1, 0.1, spec, b, q=1)
+        approximate_heisenberg(O, 0, 0, 1, 0.1, spec, fock_state(b, (1,) * 7), q=1)
     assert "shrink ell0" not in str(info.value)
     assert "R - r0 >= 2" in str(info.value)
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 
 from boselab import evolve as evolve_mod
-from boselab.approx import approximate_heisenberg, local_step_unitary
+from boselab.approx import approximate_heisenberg, local_step_unitary, quench_step_unitary
 from boselab.evolve import dense_expm, heisenberg, interaction_picture_unitary, spectral_norm
 from boselab.fock import enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import (
+    Interaction,
+    Monomial,
     _wrap,
     assemble_hamiltonian,
     bose_hubbard,
@@ -18,9 +20,11 @@ from boselab.model import (
 )
 from boselab.probes import commutator_norms
 from helpers import (
+    basis_vectors,
     oracle_commutator_norms,
     oracle_heisenberg,
     oracle_unitary,
+    random_state,
     small_bases,
 )
 
@@ -317,7 +321,8 @@ def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
         O_A = local_operator("custom-matrix", [0], b, matrix=np.diag([1.0, 2.0]))
     else:
         O_A = probe("phase", b, site=0)
-    A = evolve_mod._conjugate(evolve_mod._dense_unitary(H, 0.6), evolve_mod._Blocks.of(O_A))
+    U = evolve_mod._dense_unitary(H, 0.6)
+    A = U.adjoint() @ evolve_mod._Blocks.of(O_A) @ U
     d = probe("number", b, site=1).matrix.diagonal()
     hermitian = a_kind == "hermitian"
     for N in (0, 4):
@@ -426,15 +431,63 @@ def test_spectral_norm_of_a_diagonal_operator_is_its_largest_entry():
 
 @pytest.mark.parametrize("kind", ["creation", "annihilation", "mixing", "mixing-hermitian"])
 def test_approximate_heisenberg_full_coverage_matches_the_oracle(kind):
-    # a full-coverage chain is exact, whatever blocks the observable maps between
+    # a full-coverage chain is exact, whatever blocks the observable maps
+    # between: O_R psi0 is the oracle's O(t) applied to every basis vector
     g = build_lattice("chain", [4])
     b = enumerate_basis(g, 2)
     spec = bose_hubbard(g, J=1.0, U=0.7)
     O = probe(kind, b, site=0)
-    approx, _ = approximate_heisenberg(O, 0, 0, 3, 0.2, spec, b, ell0=3, q=2, delta_t0=0.1)
     expect = oracle_heisenberg(assemble_hamiltonian(spec, b), O, 0.2)
-    np.testing.assert_allclose(approx.dense(), expect, atol=1e-10)
-    assert approx.delta_n == O.delta_n
+    for k, psi in enumerate(basis_vectors(b)):
+        approx, _ = approximate_heisenberg(
+            O, 0, 0, 3, 0.2, spec, psi, ell0=3, q=2, delta_t0=0.1
+        )
+        np.testing.assert_allclose(approx.amplitudes, expect[:, k], atol=1e-10)
+
+
+@pytest.mark.parametrize("sector", [None, 4])
+@pytest.mark.parametrize("echo", [False, True])
+def test_local_unitary_apply_matches_the_materialized_product(sector, echo):
+    # a short step, and an echo pair whose two factors do not commute (B
+    # hops on X[2 ell0 - 2] = X[2], A adds h), so they must run in order
+    g = build_lattice("chain", [4])
+    b = enumerate_basis(g, 2, sector=sector)
+    spec = bose_hubbard(g, J=1.0, U=0.7, mu=0.2)
+    if echo:
+        h = Interaction((1,), (Monomial(0.5, (2,)),))
+        step = quench_step_unitary(spec, h, b, [1], 2, 1, 2, 0.3)
+    else:
+        step = local_step_unitary(spec, b, [1], 2, 1, 0.3)
+    U = step.materialize()
+    for k, psi in enumerate(basis_vectors(b)):
+        np.testing.assert_allclose(step.apply(psi).amplitudes, U[:, k], atol=1e-10)
+        np.testing.assert_allclose(
+            step.apply(psi, adjoint=True).amplitudes, U.conj().T[:, k], atol=1e-10
+        )
+
+
+@pytest.mark.parametrize(
+    "sector, kind", [(None, "number"), (None, "creation"), (None, "annihilation"), (5, "number")]
+)
+def test_approximate_heisenberg_matches_the_product_of_materialized_steps(sector, kind):
+    # three steps (m_t = 3) short of full coverage, so each step's
+    # truncation shows: U_m^dagger ... U_1^dagger O U_1 ... U_m psi0, the
+    # dense way, for fixed random states
+    g = build_lattice("chain", [5])
+    b = enumerate_basis(g, 2, sector=sector)
+    spec = bose_hubbard(g, J=1.0, U=0.7)
+    O = probe(kind, b, site=0)
+    for seed in (1, 2):
+        psi = random_state(b, seed)
+        approx, trace = approximate_heisenberg(
+            O, 0, 0, 4, 0.3, spec, psi, delta_t0=0.1, q=1
+        )
+        assert trace.schedule.m_t == 3
+        M = O.dense()
+        for step in trace.unitaries:
+            U = step.materialize()
+            M = U.conj().T @ M @ U
+        np.testing.assert_allclose(approx.amplitudes, M @ psi.amplitudes, atol=1e-10)
 
 
 def test_local_unitary_product_is_unitary_per_block_and_whole():

@@ -16,7 +16,6 @@ from boselab.bounds import (
     concentration_bound,
     expectation_lemma_rhs,
     first_moment_bound,
-    fs_lemma_check,
     fs_polynomial,
     initial_moment_bounds,
     lightcone_radius,
@@ -30,6 +29,7 @@ from boselab.bounds import (
     truncation_error_bound,
 )
 from boselab.lattice import build_lattice
+from helpers import fs_check_rows
 
 
 def base_consts(**over):
@@ -461,10 +461,14 @@ def test_fs_polynomials_exact():
 
 
 def test_fs_lemma_check():
-    for s in range(1, 11):
-        report = fs_lemma_check(s, 100)
-        assert report.passed
-        assert report.failures == ()
+    # (m-1)^s <= f_s(m) <= m^s is fs-check's own check; the quarter
+    # inequality f_s(m) + s^s/4 >= m^s/4 is checked here from f_s itself
+    rows = fs_check_rows(10, 100)
+    assert len(rows) == 10 * 100
+    for row in rows:
+        s, m = row["s"], row["m"]
+        assert row["pass"] and row["lower"] == (m - 1) ** s <= row["f_s"] <= row["upper"] == m**s
+        assert fs_polynomial(s)(m) + Fraction(s**s, 4) >= Fraction(m**s, 4)
 
 
 def test_expectation_lemma_rhs():

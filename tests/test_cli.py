@@ -349,25 +349,40 @@ def test_dense_cap_refusal_names_its_flag(tmp_path, capsys):
     assert "--dense-cap" not in err
 
 
-def test_dense_cap_reaches_worker_threads(tmp_path, capsys):
-    # lightcone-map factorises H once, before any pool; approx-sweep builds
-    # its step products in the pooled cells, so only there can the cap refuse
-    for name, payload in (("lightcone", LIGHTCONE_32), ("approx", CONFIGS["approx-sweep"])):
-        cfg = write_cfg(tmp_path, payload, f"{name}.json")
-        out = str(tmp_path / name)
-        rc = main(["run", str(cfg), "--out", out, "--dense-cap", "10", "--threads", "3"])
-        assert rc == 2
-        assert "exceeds dense cap 10" in capsys.readouterr().err
+def test_dense_cap_reaches_worker_threads(tmp_path, capsys, monkeypatch):
+    # lightcone-map factorises H once, before any pool, and refuses there;
+    # approx-sweep's cells run in the pool, and each reads the run's cap
+    flags = ["--dense-cap", "10", "--threads", "3"]
+    cfg = write_cfg(tmp_path, LIGHTCONE_32, "lightcone.json")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "lc"), *flags]) == 2
+    assert "exceeds dense cap 10" in capsys.readouterr().err
+    real, seen = cli.approximate_heisenberg, []
+
+    def recording(*args, **kwargs):
+        seen.append(evolve_mod.dense_cap())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "approximate_heisenberg", recording)
+    cfg = write_cfg(tmp_path, CONFIGS["approx-sweep"], "approx.json")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "ap"), *flags]) == 0
+    assert seen == [10, 10, 10]
 
 
-@pytest.mark.parametrize(
-    "kind, products", [("short-lr-check", 2), ("approx-sweep", 3), ("quench-sim", 0)]
-)
-def test_each_step_product_is_built_once(kind, products, tmp_path, monkeypatch):
-    # a step builds its product only where a caller uses it: one
-    # single-factor step per conjugating cell, whose product serves both the
-    # unitarity check and the conjugation; the quench applies its factors by
-    # Krylov propagation and builds none
+@pytest.mark.parametrize("kind", ["short-lr-check", "approx-sweep"])
+def test_approximation_errors_run_above_the_dense_cap(kind, tmp_path):
+    # the steps are applied to psi0 by Krylov, so a cap below the basis
+    # dimension (243 and 256 states) changes no byte of the report
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "free")]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path / "cap"), "--dense-cap", "10"]) == 0
+    name = f"{kind}.csv"
+    assert (tmp_path / "cap" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["short-lr-check", "approx-sweep", "quench-sim"])
+def test_no_scenario_builds_a_step_product(kind, tmp_path, monkeypatch):
+    # every scenario applies its steps' (G, tau) pairs to a state by Krylov
+    # propagation; the dense product is the test oracle's alone
     real, calls = approx_mod._dense_unitary, []
 
     def counting(H, t):
@@ -377,7 +392,7 @@ def test_each_step_product_is_built_once(kind, products, tmp_path, monkeypatch):
     monkeypatch.setattr(approx_mod, "_dense_unitary", counting)
     cfg = write_cfg(tmp_path, CONFIGS[kind])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == products
+    assert calls == []
 
 
 def test_failing_rows_exit_one(tmp_path, monkeypatch):
@@ -760,6 +775,29 @@ def test_manifest_records_the_constants_the_run_resolved(tmp_path):
     b = enumerate_basis(build_lattice("chain", [5]), 3)
     # zeta0 is the norm of n_2 that M_bound used, not the no-observable default 1
     assert rc["zeta0"] == spectral_norm(local_operator("number", [2], b)) == 3.0
+
+
+def test_manifest_records_the_creation_degree_as_q0(tmp_path):
+    # q0 defaults to the observable's creation degree on its site; a given q0 is kept
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["basis"] = {"cutoff": 3}
+    for kind, given, q0 in (("creation", None, 1), ("number", None, 0), ("creation", 2.5, 2.5)):
+        payload["scenario"]["observable"] = {"kind": kind, "site": 2}
+        if given is not None:
+            payload["constants"]["q0"] = given
+        out = tmp_path / f"{kind}-{given}"
+        assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["resolved_constants"]["q0"] == q0
+
+
+def test_unbounded_creation_degree_names_q0(tmp_path, capsys):
+    # on a hard-core site b^dag raises n from 0 to 1, the whole range
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["basis"] = {"cutoff": 1}
+    payload["scenario"]["observable"] = {"kind": "creation", "site": 2}
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: constants.q0: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["lightcone-map", "clustering", "adjacency-check", "fs-check"])

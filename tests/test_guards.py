@@ -250,9 +250,9 @@ def test_one_factorisation_per_grid():
 def test_a_local_step_builds_its_product_only_where_it_is_used():
     """A dense step product is built in ``LocalUnitary._product`` alone.
 
-    ``materialize``, ``conjugate`` and ``approximate_heisenberg`` call it;
-    the step's construction and the quench do not.  The other callers of
-    ``_dense_unitary`` are the dense oracles in ``evolve``.
+    Only ``materialize``, the test oracle, calls it: every other caller
+    applies a step's pairs to a state by Krylov propagation.  The other
+    callers of ``_dense_unitary`` are the dense oracles in ``evolve``.
     """
     assert sorted(_callers("_dense_unitary")) == [
         "approx._product",
@@ -260,6 +260,18 @@ def test_a_local_step_builds_its_product_only_where_it_is_used():
         "evolve.interaction_picture_unitary",
         "evolve.interaction_picture_unitary",
     ]
+    assert _callers("_product") == ["approx.materialize"]
+    # so the dense cap is refused for a step product in ``_product`` alone
+    assert sorted(_callers("_require_dense")) == [
+        "approx._product", "evolve._eigenbasis", "evolve._heisenberg_stack",
+    ]
+
+
+def test_cli_applies_steps_to_states_only():
+    """``cli.py`` calls no ``.conjugate(`` and no ``_product(``: no step product on a CLI path."""
+    text = (SRC / "cli.py").read_text()
+    assert ".conjugate(" not in text
+    assert "_product(" not in text
 
 
 def test_a_quench_does_its_r_independent_work_once():
@@ -267,13 +279,17 @@ def test_a_quench_does_its_r_independent_work_once():
 
     ``run_quench`` runs once per R: it assembles no Hamiltonian of its own
     (its step generators come from the step builder) and evolves only the
-    echo steps, in one ``evolve_state`` call site.
+    echo steps, through ``_apply_pairs``, the one ``evolve_state`` call site
+    that applies a step's pairs.
     """
     assemblers = _callers("assemble_hamiltonian")
     assert assemblers.count("approx.quench_reference") == 2
     assert "approx.run_quench" not in assemblers
-    assert _callers("evolve_state").count("approx.run_quench") == 1
-    assert _callers("evolve_state").count("approx.quench_reference") == 1
+    evolvers = _callers("evolve_state")
+    assert "approx.run_quench" not in evolvers
+    assert evolvers.count("approx._apply_pairs") == 1
+    assert evolvers.count("approx.quench_reference") == 1
+    assert _callers("_apply_pairs").count("approx.run_quench") == 1
 
 
 def test_every_assembly_names_only_the_region_keywords():
