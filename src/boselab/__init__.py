@@ -35,17 +35,13 @@ from .model import (
     creation_degree,
     effective_hamiltonian,
     local_operator,
-    subset_hamiltonian,
 )
 from .evolve import (
     DENSE_CAP,
     DenseCapError,
     PropagationError,
     StateVector,
-    dense_expm,
     evolve_state,
-    heisenberg,
-    interaction_picture_unitary,
     spectral_norm,
 )
 from .probes import (
@@ -56,7 +52,6 @@ from .probes import (
     heisenberg_apply,
     mgf_condition,
     moments,
-    restricted_error,
     tail_probabilities,
 )
 from .bounds import (
@@ -66,7 +61,6 @@ from .bounds import (
     adjacency_exp_bound,
     clustering_bound,
     concentration_bound,
-    expectation_lemma_rhs,
     first_moment_bound,
     fs_polynomial,
     initial_moment_bounds,
@@ -103,16 +97,15 @@ __all__ = [
     "number_operator", "region_total_projector", "truncation_projector",
     "HamiltonianSpec", "Interaction", "Monomial", "OperatorMatrix",
     "assemble_hamiltonian", "bose_hubbard", "creation_degree",
-    "effective_hamiltonian", "local_operator", "subset_hamiltonian",
-    "DENSE_CAP", "DenseCapError", "PropagationError", "StateVector", "dense_expm",
-    "evolve_state", "heisenberg", "interaction_picture_unitary",
-    "spectral_norm",
+    "effective_hamiltonian", "local_operator",
+    "DENSE_CAP", "DenseCapError", "PropagationError", "StateVector",
+    "evolve_state", "spectral_norm",
     "GroundStateResult", "commutator_norms",
     "connected_correlation", "ground_state", "heisenberg_apply",
-    "mgf_condition", "moments", "restricted_error", "tail_probabilities",
+    "mgf_condition", "moments", "tail_probabilities",
     "BoundConditionError", "BoundConstants", "BoundValue",
     "adjacency_exp_bound", "clustering_bound",
-    "concentration_bound", "expectation_lemma_rhs", "first_moment_bound",
+    "concentration_bound", "first_moment_bound",
     "fs_polynomial", "initial_moment_bounds",
     "lightcone_radius", "main_lr_bound", "moment_bound", "quench_bounds",
     "short_lr_bound", "solve_eta", "subtheorem_bound", "tail_bound",

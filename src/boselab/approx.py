@@ -5,11 +5,11 @@ e^{-iG tau} whose G is a subset Hamiltonian on the halo X[2 ell0],
 occupation-truncated by q on the annulus, each G one
 ``assemble_hamiltonian`` call.  A step holds only these factors, and every
 caller applies them to a state one pair at a time by Krylov propagation
-(``LocalUnitary.apply``), so no path builds a dense product; ``materialize``
-builds one, within the dense cap, as the test oracle.  approximate_heisenberg
-returns O_R psi0 for the approximation O_R of O(t) by short steps over
-nested balls X_m: the steps from the last to the first, then O, then their
-adjoints from the first to the last.  run_quench simulates a quench on a
+(``LocalUnitary.apply``), so no step is ever a dense matrix and none is
+refused by the dense cap.  approximate_heisenberg returns O_R psi0 for the
+approximation O_R of O(t) by short steps over nested balls X_m: the steps
+from the last to the first, then O, then their adjoints from the first to
+the last.  run_quench simulates a quench on a
 stationary state by echo steps, which also truncate X[ell0] by q': a
 backward unquenched pair (B, -dt), then a forward quenched (A, dt).  The
 quench term h is a number polynomial, one more ``model.Interaction``: A is
@@ -35,12 +35,11 @@ from typing import Any
 import numpy as np
 
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
-from .evolve import StateVector, _Blocks, _dense_unitary, _norm2, _require_dense, evolve_state
+from .evolve import StateVector, evolve_state
 from .fock import FockBasis, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball
 from .model import HamiltonianSpec, Interaction, OperatorMatrix, assemble_hamiltonian
 
-UNITARITY_TOL = 1e-10
 NUMBER_COMM_TOL = 1e-10
 
 
@@ -107,9 +106,7 @@ class LocalUnitary:
     Construction checks that every generator is Hermitian and commutes
     exactly with the region's number operator, and builds no matrix.
     ``apply`` moves a state through the pairs by Krylov propagation, at any
-    dimension; no CLI path builds the dense product.  ``materialize``, the
-    test oracle, builds it on each call, block by block over particle
-    number, and checks that it is unitary; above the dense cap it refuses.
+    dimension; the product of the pairs is never formed.
     """
 
     basis: FockBasis
@@ -137,22 +134,6 @@ class LocalUnitary:
                 d = np.abs(mat.data * (n[mat.col] - n[mat.row]))
                 worst = max(worst, float(d.max()))
         return worst
-
-    def _product(self) -> _Blocks:
-        """The blocked dense product, built and checked for unitarity on every call."""
-        _require_dense(self.basis.dim)
-        U = _Blocks.identity(self.basis)
-        for G, tau in self.factors:
-            U = _dense_unitary(G, float(tau)) @ U
-        UU = U.adjoint() @ U - _Blocks.identity(self.basis)
-        uerr = _norm2(UU.mats.values(), hermitian=True)
-        if uerr > UNITARITY_TOL:
-            raise ValueError(f"materialized product is not unitary (defect {uerr:.3e})")
-        return U
-
-    def materialize(self) -> np.ndarray:
-        """Dense product matrix; factors[0] is rightmost."""
-        return self._product().dense()
 
     def apply(self, psi: StateVector, adjoint: bool = False) -> StateVector:
         """U psi, or U^dagger psi: the adjoint runs the pairs in reverse order with -tau."""

@@ -756,12 +756,3 @@ def fs_polynomial(s: int) -> FsPolynomial:
         if poly(x + 1) - poly(x) != s * Fraction(x) ** (s - 1):
             raise AssertionError(f"f_{s} difference identity failed at x = {x}")
     return poly
-
-
-def expectation_lemma_rhs(s: int, s1: int, M_pair: tuple[float, float]) -> float:
-    """Convex split of a hopping expectation into two higher moments."""
-    if s1 > s:
-        raise ValueError("s1 must not exceed s")
-    w = 1.0 / (2.0 * (s - s1 + 1))
-    M_i, M_j = M_pair
-    return (1.0 - w) * M_i + w * M_j

@@ -80,7 +80,6 @@ from .probes import (
     heisenberg_apply,
     mgf_condition,
     moments,
-    restricted_error,
     tail_probabilities,
 )
 from .approx import (
@@ -741,13 +740,17 @@ def _short_lr_check(run: _Run) -> list[dict]:
         raise ConfigError(
             "short-lr-check: constants.eta is required (the step bound depends on it)"
         )
-    H = run.H
+    # O(t) psi0 does not depend on ell0: one exact evolution serves every cell
+    exact = heisenberg_apply(run.H, O_X, psi0, t)
 
     def cell(ell0: int) -> dict:
         # U^dagger O_X U psi0, each e^{-iGt} applied to the state by Krylov
         step = local_step_unitary(spec, b, X, ell0, q, t)
         hit = StateVector(b, O_X.matrix @ step.apply(psi0).amplitudes)
-        err = restricted_error(H, O_X, step.apply(hit, adjoint=True), psi0, t)
+        v = step.apply(hit, adjoint=True)
+        # the trace norm of the rank-one (O(t) - O_R)|psi0><psi0| is the
+        # 2-norm of (O(t) - O_R) psi0, so the state-restricted error is exact
+        err = float(np.linalg.norm(exact.amplitudes - v.amplitudes))
         L2p = ball(g, X, max(0, 2 * ell0 - 2 * spec.k_max))
         bsize = len(boundary(g, L2p)) if L2p else 0
         bv = short_lr_bound(ell0, bsize, t, consts)
@@ -757,7 +760,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
 
 
 def _approx_sweep(run: _Run) -> list[dict]:
-    spec, H = run.spec, run.H
+    spec = run.spec
     i0 = run.value("i0", run.site, 0)
     r0 = run.value("r0", _bounded(0), 0)
     R_values = run.values("R_values", _bounded(r0 + 1))
@@ -767,17 +770,21 @@ def _approx_sweep(run: _Run) -> list[dict]:
     consts = run.constants(O_X)
     ell0, q = run.value("ell0", _POSITIVE, None), run.value("q", _POSITIVE, None)
     delta_t0 = run.value("delta_t0", _positive, None)
+    # O(t) psi0 does not depend on R: one exact evolution serves every cell
+    exact = heisenberg_apply(run.H, O_X, psi0, t)
 
     def cell(R: int) -> dict:
         try:
-            O_R_psi0, trace = approximate_heisenberg(
+            v, trace = approximate_heisenberg(
                 O_X, i0, r0, R, t, spec, psi0, consts, ell0=ell0, q=q, delta_t0=delta_t0
             )
         except ScheduleError as exc:
             raise ConfigError(f"scenario.R_values: R={R}: {exc}") from None
+        # the state-restricted error of a pure psi0, exact as in _short_lr_check
+        err = float(np.linalg.norm(exact.amplitudes - v.amplitudes))
         return {
             "R": R, "t": t, "ell0": trace.ell0, "q": trace.q,
-            "m_t": trace.schedule.m_t, "error": restricted_error(H, O_X, O_R_psi0, psi0, t),
+            "m_t": trace.schedule.m_t, "error": err,
         }
 
     return run.sweep(cell, R_values)

@@ -6,16 +6,16 @@ estimate meets the step's share of the tolerance, so short steps build a
 few vectors and only long ones reach the size cap.  Operators move densely
 below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
-does for one run.  The package's dense work all comes here: one refusal of
-the cap (``_require_dense``, which raises ``DenseCapError``), one
-eigendecomposition of H per block (``_eigenbasis``, by divide-and-conquer
-``eigh``), one dense e^{-iHt} from it (``_dense_unitary``), one
-Heisenberg-picture operator from it over a grid of times
-(``_heisenberg_stack``, conjugated in H's eigenbasis), one operator
-2-norm (``_norm2``: ``eigvalsh`` of a Hermitian matrix, otherwise the top
-eigenvalue of the smaller Gram matrix) and the norm of a commutator with a
-diagonal operator (``_diagonal_commutator_norm``).  The dense path doubles
-as the oracle for the Krylov path in the test suite.
+does for one run.  The package's dense work all comes here, and only
+commutator norms (``probes.commutator_norms``, for ``lightcone-map``) and
+``spectral_norm`` use it: one refusal of the cap (``_require_dense``, which
+raises ``DenseCapError``), one eigendecomposition of H per block
+(``_eigenbasis``, by divide-and-conquer ``eigh``), one Heisenberg-picture
+operator from it over a grid of times (``_heisenberg_stack``, conjugated in
+H's eigenbasis), one operator 2-norm (``_norm2``: ``eigvalsh`` of a
+Hermitian matrix, otherwise the top eigenvalue of the smaller Gram matrix)
+and the norm of a commutator with a diagonal operator
+(``_diagonal_commutator_norm``).
 
 One factorisation of H serves a whole grid of times, on both paths.  The
 dense path diagonalises each block of H once, moves an operator O into the
@@ -43,8 +43,8 @@ the tridiagonal with LAPACK ``dstevd`` directly, the routine that
 
 Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
-is held as those blocks (``_Blocks``): e^{-iHt} takes one ``eigh`` per block
-of H, O(t) maps block (N + d, N) as Q_{N+d} (phases of W_{N+d,N})
+is held as those blocks (``_Blocks``): H's eigenbasis takes one ``eigh`` per
+block of H, O(t) maps block (N + d, N) as Q_{N+d} (phases of W_{N+d,N})
 Q_N^dagger, and a 2-norm is the largest block norm.  An operator whose
 ``delta_n`` is None is one block spanning the whole basis, and so is any
 product involving one.  The cap still bounds the total dimension, not the
@@ -66,7 +66,7 @@ from scipy.linalg.lapack import dstevd
 from scipy.sparse.linalg import ArpackError, svds
 
 from .fock import FockBasis, ResourceLimitError
-from .model import OperatorMatrix, _wrap
+from .model import OperatorMatrix
 
 __all__ = [
     "StateVector",
@@ -77,9 +77,6 @@ __all__ = [
     "RUN_DENSE_CAP",
     "dense_cap",
     "evolve_state",
-    "heisenberg",
-    "interaction_picture_unitary",
-    "dense_expm",
     "spectral_norm",
 ]
 
@@ -450,10 +447,6 @@ class _Blocks:
         }
         return cls(O.basis, whole, shift, mats)
 
-    @classmethod
-    def identity(cls, basis: FockBasis) -> "_Blocks":
-        return cls(basis, False, 0, {N: np.eye(idx.size) for N, idx in basis.blocks.items()})
-
     @staticmethod
     def partition(basis: FockBasis, whole: bool) -> dict[int, np.ndarray]:
         return {0: np.arange(basis.dim)} if whole else basis.blocks
@@ -518,14 +511,6 @@ def _eigenbasis(H: OperatorMatrix) -> tuple[_Blocks, dict[int, np.ndarray]]:
     }
     Q = _Blocks(H.basis, blocks.whole, 0, {N: Q for N, (_, Q) in eig.items()})
     return Q, {N: lam for N, (lam, _) in eig.items()}
-
-
-def _dense_unitary(H: OperatorMatrix, t: float) -> _Blocks:
-    """Dense e^{-iHt} at one finite time: Q e^{-i lambda t} Q^dagger per block of H."""
-    (t,), _ = _times(t)
-    Q, lam = _eigenbasis(H)
-    mats = {N: (V * np.exp(-1j * t * lam[N])) @ V.conj().T for N, V in Q.mats.items()}
-    return _Blocks(H.basis, Q.whole, 0, mats)
 
 
 def _heisenberg_stack(H: OperatorMatrix, O: OperatorMatrix, t) -> _Blocks:
@@ -633,42 +618,6 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
         if not hermitian:
             off.append(M[(..., *np.ix_(~r, c))])
     return _norm2(off, hermitian=False)
-
-
-def _from_blocks(X: _Blocks, support) -> OperatorMatrix:
-    """A blocked operator as an operator on the sites ``support``."""
-    return _wrap(X.basis, sparse.csr_matrix(X.dense()), support)
-
-
-def dense_expm(H: OperatorMatrix, t: float) -> OperatorMatrix:
-    """e^{-iHt} by Hermitian eigendecomposition (oracle path)."""
-    return _from_blocks(_dense_unitary(H, float(t)), H.support)
-
-
-def heisenberg(H: OperatorMatrix, O: OperatorMatrix, t: float) -> OperatorMatrix:
-    """O(H,t) = e^{iHt} O e^{-iHt} (dense), built in H's eigenbasis as a grid of one."""
-    X = _heisenberg_stack(H, O, [float(t)])
-    X = _Blocks(X.basis, X.whole, X.shift, {N: M[0] for N, M in X.mats.items()})
-    return _from_blocks(X, O.support | H.support)
-
-
-def interaction_picture_unitary(
-    A: OperatorMatrix, h: OperatorMatrix, t: float
-) -> OperatorMatrix:
-    """Closed form of T exp(-i Int_0^t e^{-iA tau} h e^{iA tau} d tau).
-
-    Equals e^{-iAt} e^{i(A-h)t}; the equivalence with direct integration of
-    the time-ordered product is exercised in the test suite.
-    """
-    if A.basis is not h.basis:
-        raise ValueError("A and h live on different bases")
-    if not (A.hermitian and h.hermitian):
-        raise ValueError("A and h must be Hermitian")
-    support = A.support | h.support
-    Ua = _dense_unitary(A, float(t))
-    A_minus_h = _wrap(A.basis, A.matrix - h.matrix, support)
-    Ub = _dense_unitary(A_minus_h, -float(t))
-    return _from_blocks(Ua @ Ub, support)
 
 
 def spectral_norm(O: OperatorMatrix) -> float:

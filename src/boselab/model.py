@@ -29,7 +29,6 @@ __all__ = [
     "OperatorMatrix",
     "bose_hubbard",
     "assemble_hamiltonian",
-    "subset_hamiltonian",
     "effective_hamiltonian",
     "creation_degree",
     "local_operator",
@@ -316,14 +315,6 @@ def assemble_hamiltonian(
     supp.update(int(i) for region, _ in truncation for i in region)
     mat = _hopping_rows(b, weights, diag, mask)
     return _wrap(b, mat, supp)
-
-
-def subset_hamiltonian(
-    spec: HamiltonianSpec, b: FockBasis, X: Iterable[int]
-) -> OperatorMatrix:
-    """H_X: hoppings with both endpoints in X, interactions with Z subset X."""
-    Xs = set(X)
-    return assemble_hamiltonian(spec, b, hop_sites=Xs, int_sites=Xs)
 
 
 def effective_hamiltonian(

@@ -4,7 +4,8 @@ Every function here measures, on an exactly representable basis, one of the
 objects that :mod:`boselab.bounds` upper-bounds analytically: boson-number
 moments of the sandwiched state, site tail probabilities, the
 moment-generating-function condition on the initial state, commutator norms,
-and state-restricted approximation errors.  The first three are |amplitude|^2
+and the state O(t) psi0 that state-restricted approximation errors are
+measured against (``heisenberg_apply``).  The first three are |amplitude|^2
 summed against a function of one site's occupation, so all three read one
 per-site occupation histogram (``_occupation_weights``) and differ only in
 that function.  Keeping the measurement code independent of the bound
@@ -185,25 +186,6 @@ def commutator_norms(
         out[:, k] = _norm2((1j * C if hermitian else C).mats.values(), hermitian)
     rows = out.tolist()
     return rows[0] if scalar else rows
-
-
-def restricted_error(
-    H_true: OperatorMatrix,
-    O: OperatorMatrix,
-    approx: StateVector,
-    psi0: StateVector,
-    t: float,
-    *,
-    tol: float = 1e-10,
-) -> float:
-    """State-restricted trace-norm error ||(O(t) - O_approx) rho0||_1 for a pure psi0.
-
-    ``approx`` is the vector O_approx psi0, as ``approximate_heisenberg``
-    returns it.  The trace norm of the rank-one M|psi0><psi0| equals
-    ||M psi0||_2, so this is exact.
-    """
-    target = heisenberg_apply(H_true, O, psi0, t, tol=tol)
-    return float(np.linalg.norm(target.amplitudes - approx.amplitudes))
 
 
 def ground_state(H: OperatorMatrix) -> GroundStateResult:

@@ -15,7 +15,9 @@ from boselab.bounds import BoundConstants
 from boselab.evolve import StateVector
 from boselab.fock import FockBasis, enumerate_basis
 from boselab.lattice import build_lattice, geometric_constants
-from boselab.model import HERMITICITY_RTOL
+from boselab.approx import _apply_pairs
+from boselab.model import HERMITICITY_RTOL, local_operator
+from boselab.probes import heisenberg_apply
 
 
 def fock_state(b: FockBasis, occ) -> StateVector:
@@ -213,6 +215,29 @@ def oracle_heisenberg(H, O, t: float) -> np.ndarray:
     """e^{iHt} O e^{-iHt} as whole dense matrices."""
     U = oracle_unitary(H, t)
     return U.conj().T @ O.dense() @ U
+
+
+def oracle_step(step) -> np.ndarray:
+    """A local step's product of e^{-iG tau} over its (G, tau) pairs; factors[0] is rightmost."""
+    U = np.eye(step.basis.dim, dtype=np.complex128)
+    for G, tau in step.factors:
+        U = oracle_unitary(G, tau) @ U
+    return U
+
+
+def quench_echo(b: FockBasis, a_mat: np.ndarray, h_mat: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iAt} e^{i(A-h)t} on a one-site basis, each column applied to a basis
+    vector as ``run_quench`` applies its echo pairs: (A - h, -t), then (A, t)."""
+    A = local_operator("custom-matrix", [0], b, matrix=a_mat)
+    A_minus_h = local_operator("custom-matrix", [0], b, matrix=a_mat - h_mat)
+    cols = [_apply_pairs([(A_minus_h, -t), (A, t)], e).amplitudes for e in basis_vectors(b)]
+    return np.column_stack(cols)
+
+
+def restricted_error(H, O, approx: StateVector, psi0: StateVector, t, *, tol=1e-10) -> float:
+    """||O(t) psi0 - approx||, the state-restricted trace-norm error of a pure psi0."""
+    exact = heisenberg_apply(H, O, psi0, t, tol=tol)
+    return float(np.linalg.norm(exact.amplitudes - approx.amplitudes))
 
 
 def oracle_commutator_norms(H, O_A, O_Bs, t: float) -> list[float]:

@@ -31,13 +31,7 @@ from boselab.bounds import (
     truncation_error_bound,
 )
 from boselab.cli import main as cli_main
-from boselab.evolve import (
-    StateVector,
-    dense_expm,
-    evolve_state,
-    interaction_picture_unitary,
-    spectral_norm,
-)
+from boselab.evolve import StateVector, evolve_state, spectral_norm
 from boselab.fock import enumerate_basis
 from boselab.lattice import ball, build_lattice
 from boselab.model import (
@@ -54,10 +48,19 @@ from boselab.probes import (
     heisenberg_apply,
     mgf_condition,
     moments,
-    restricted_error,
     tail_probabilities,
 )
-from helpers import chain_consts, fock_state, fs_check_rows, random_hermitian, random_state
+from helpers import (
+    chain_consts,
+    fock_state,
+    fs_check_rows,
+    oracle_step,
+    oracle_unitary,
+    quench_echo,
+    random_hermitian,
+    random_state,
+    restricted_error,
+)
 
 CHAIN1 = build_lattice("chain", [1])
 
@@ -98,7 +101,7 @@ def test_criterion_01_sparse_evolution_matches_dense():
         psi = random_state(b, seed=200 + trial)
         t = float(rng.uniform(0.1, 2.0))
         fast = evolve_state(H, psi, t)
-        ref = dense_expm(H, t).dense() @ psi.amplitudes
+        ref = oracle_unitary(H, t) @ psi.amplitudes
         assert np.linalg.norm(fast.amplitudes - ref) <= 1e-8
     assert time.monotonic() - start <= 60.0
 
@@ -255,10 +258,9 @@ def test_criterion_10_interaction_picture_matches_ode():
         b = single_site_basis(dim)
         a_mat = random_hermitian(dim, seed=300 + trial) / math.sqrt(dim)
         h_mat = 0.5 * random_hermitian(dim, seed=400 + trial) / math.sqrt(dim)
-        A = local_operator("custom-matrix", [0], b, matrix=a_mat)
-        h = local_operator("custom-matrix", [0], b, matrix=h_mat)
         t = float(rng.uniform(0.2, 1.2))
-        U = interaction_picture_unitary(A, h, t).dense()
+        # the echo as run_quench applies it, e^{-iAt} e^{i(A-h)t}, on every basis vector
+        U = quench_echo(b, a_mat, h_mat, t)
 
         # integrate i dW/dtau = e^{-iA tau} h e^{iA tau} W in the A eigenbasis,
         # where the conjugation is a cheap phase sandwich
@@ -302,11 +304,11 @@ def test_criterion_11_heisenberg_sweep_on_hard_core_chain():
     # multi-step chain: the total error telescopes into per-step defects
     approx_ms, trace = approximate_heisenberg(O, 0, 0, 7, t, spec, psi0, delta_t0=0.1, q=1)
     dt = trace.schedule.dt
-    V = dense_expm(H, dt).dense()
+    V = oracle_unitary(H, dt)
     O_m = O.dense()
     step_defects = []
     for m, step in enumerate(trace.unitaries, start=1):
-        U = step.materialize()
+        U = oracle_step(step)
         exact_next = V.conj().T @ O_m @ V
         approx_next = U.conj().T @ O_m @ U
         psi_m = evolve_state(H, psi0, t - m * dt).amplitudes

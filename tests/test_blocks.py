@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from boselab import evolve as evolve_mod
 from boselab.approx import approximate_heisenberg, local_step_unitary, quench_step_unitary
-from boselab.evolve import dense_expm, heisenberg, interaction_picture_unitary, spectral_norm
+from boselab.evolve import _heisenberg_stack, spectral_norm
 from boselab.fock import enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import (
@@ -23,7 +23,7 @@ from helpers import (
     basis_vectors,
     oracle_commutator_norms,
     oracle_heisenberg,
-    oracle_unitary,
+    oracle_step,
     random_state,
     small_bases,
 )
@@ -146,13 +146,6 @@ def case(basis_kind, h_kind):
     return b, (mixing_hamiltonian(b, H) if h_kind == "mixing" else H)
 
 
-@pytest.mark.parametrize("basis_kind, h_kind", CASES)
-def test_dense_expm_matches_the_whole_matrix_oracle(basis_kind, h_kind):
-    b, H = case(basis_kind, h_kind)
-    for t in (0.0, 0.37, -1.1):
-        np.testing.assert_allclose(dense_expm(H, t).dense(), oracle_unitary(H, t), atol=TOL)
-
-
 def test_an_operator_hermitian_only_within_tolerance_is_one_whole_block():
     # entries far below the Hermiticity tolerance, all raising N by one: the
     # check calls it Hermitian, yet its N-blocks would not be square
@@ -160,7 +153,10 @@ def test_an_operator_hermitian_only_within_tolerance_is_one_whole_block():
     up = probe("creation", b)
     H = _wrap(b, 1e-16 * up.matrix, up.support)
     assert H.hermitian and H.delta_n == 1
-    np.testing.assert_allclose(dense_expm(H, 0.3).dense(), np.eye(b.dim), atol=TOL)
+    Q, _ = evolve_mod._eigenbasis(H)
+    assert Q.whole
+    O = probe("number", b)
+    np.testing.assert_allclose(_heisenberg_stack(H, O, [0.3]).dense()[0], O.dense(), atol=TOL)
     assert spectral_norm(H) < TOL
 
 
@@ -169,11 +165,10 @@ def test_an_operator_hermitian_only_within_tolerance_is_one_whole_block():
 def test_heisenberg_matches_the_whole_matrix_oracle(basis_kind, h_kind, kind):
     b, H = case(basis_kind, h_kind)
     O = probe(kind, b, site=0)
-    got = heisenberg(H, O, 0.8)
-    np.testing.assert_allclose(got.dense(), oracle_heisenberg(H, O, 0.8), atol=TOL)
-    assert got.hermitian == O.hermitian
+    got = _heisenberg_stack(H, O, [0.8])
+    np.testing.assert_allclose(got.dense()[0], oracle_heisenberg(H, O, 0.8), atol=TOL)
     if h_kind == "conserving":
-        assert got.delta_n == O.delta_n
+        assert got.shift == (O.delta_n or 0) and got.whole == (O.delta_n is None)
 
 
 @pytest.mark.parametrize("basis_kind, h_kind", CASES)
@@ -321,8 +316,8 @@ def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
         O_A = local_operator("custom-matrix", [0], b, matrix=np.diag([1.0, 2.0]))
     else:
         O_A = probe("phase", b, site=0)
-    U = evolve_mod._dense_unitary(H, 0.6)
-    A = U.adjoint() @ evolve_mod._Blocks.of(O_A) @ U
+    A = _heisenberg_stack(H, O_A, [0.6])
+    A = evolve_mod._Blocks(b, A.whole, A.shift, {N: M[0] for N, M in A.mats.items()})
     d = probe("number", b, site=1).matrix.diagonal()
     hermitian = a_kind == "hermitian"
     for N in (0, 4):
@@ -405,17 +400,6 @@ def test_a_real_operator_keeps_real_blocks(sector):
     np.testing.assert_array_equal(phase.dense(), probe("phase", b).dense())
 
 
-@pytest.mark.parametrize("basis_kind", ["product", "sector"])
-@pytest.mark.parametrize("h_kind", ["number", "mixing-hermitian"])
-def test_interaction_picture_unitary_matches_the_whole_matrix_oracle(basis_kind, h_kind):
-    b, A = case(basis_kind, "conserving")
-    h = probe(h_kind, b, site=1)
-    A_minus_h = _wrap(b, A.matrix - h.matrix, A.support | h.support)
-    expect = oracle_unitary(A, 0.45) @ oracle_unitary(A_minus_h, -0.45)
-    got = interaction_picture_unitary(A, h, 0.45).dense()
-    np.testing.assert_allclose(got, expect, atol=TOL)
-
-
 @pytest.mark.parametrize("kind", ["hamiltonian", *PROBES])
 def test_spectral_norm_matches_the_whole_matrix_norm(kind):
     b, H = setup()
@@ -449,7 +433,8 @@ def test_approximate_heisenberg_full_coverage_matches_the_oracle(kind):
 @pytest.mark.parametrize("echo", [False, True])
 def test_local_unitary_apply_matches_the_materialized_product(sector, echo):
     # a short step, and an echo pair whose two factors do not commute (B
-    # hops on X[2 ell0 - 2] = X[2], A adds h), so they must run in order
+    # hops on X[2 ell0 - 2] = X[2], A adds h), so they must run in order;
+    # the product is the oracle's, of whole-matrix exponentials
     g = build_lattice("chain", [4])
     b = enumerate_basis(g, 2, sector=sector)
     spec = bose_hubbard(g, J=1.0, U=0.7, mu=0.2)
@@ -458,7 +443,7 @@ def test_local_unitary_apply_matches_the_materialized_product(sector, echo):
         step = quench_step_unitary(spec, h, b, [1], 2, 1, 2, 0.3)
     else:
         step = local_step_unitary(spec, b, [1], 2, 1, 0.3)
-    U = step.materialize()
+    U = oracle_step(step)
     for k, psi in enumerate(basis_vectors(b)):
         np.testing.assert_allclose(step.apply(psi).amplitudes, U[:, k], atol=1e-10)
         np.testing.assert_allclose(
@@ -472,7 +457,7 @@ def test_local_unitary_apply_matches_the_materialized_product(sector, echo):
 def test_approximate_heisenberg_matches_the_product_of_materialized_steps(sector, kind):
     # three steps (m_t = 3) short of full coverage, so each step's
     # truncation shows: U_m^dagger ... U_1^dagger O U_1 ... U_m psi0, the
-    # dense way, for fixed random states
+    # dense way from the oracle's step products, for fixed random states
     g = build_lattice("chain", [5])
     b = enumerate_basis(g, 2, sector=sector)
     spec = bose_hubbard(g, J=1.0, U=0.7)
@@ -485,19 +470,6 @@ def test_approximate_heisenberg_matches_the_product_of_materialized_steps(sector
         assert trace.schedule.m_t == 3
         M = O.dense()
         for step in trace.unitaries:
-            U = step.materialize()
+            U = oracle_step(step)
             M = U.conj().T @ M @ U
         np.testing.assert_allclose(approx.amplitudes, M @ psi.amplitudes, atol=1e-10)
-
-
-def test_local_unitary_product_is_unitary_per_block_and_whole():
-    b, _ = setup()
-    spec = bose_hubbard(build_lattice("chain", [4]), J=1.0, U=0.7)
-    step = local_step_unitary(spec, b, [1], 1, 2, 0.3)
-    U = step.materialize()
-    np.testing.assert_allclose(U.conj().T @ U, np.eye(b.dim), atol=1e-12)
-    # block-diagonal over N: no amplitude moves between blocks
-    for N, rows in b.blocks.items():
-        for M, cols in b.blocks.items():
-            if M != N:
-                assert not U[np.ix_(rows, cols)].any()

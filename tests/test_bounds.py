@@ -14,7 +14,6 @@ from boselab.bounds import (
     adjacency_exp_bound,
     clustering_bound,
     concentration_bound,
-    expectation_lemma_rhs,
     first_moment_bound,
     fs_polynomial,
     initial_moment_bounds,
@@ -469,15 +468,3 @@ def test_fs_lemma_check():
         s, m = row["s"], row["m"]
         assert row["pass"] and row["lower"] == (m - 1) ** s <= row["f_s"] <= row["upper"] == m**s
         assert fs_polynomial(s)(m) + Fraction(s**s, 4) >= Fraction(m**s, 4)
-
-
-def test_expectation_lemma_rhs():
-    assert expectation_lemma_rhs(3, 3, (2.0, 10.0)) == pytest.approx(
-        0.5 * 2.0 + 0.5 * 10.0
-    )
-    # s1 far below s pushes nearly all weight onto the first moment
-    assert expectation_lemma_rhs(10, 1, (1.0, 0.0)) == pytest.approx(
-        1.0 - 1.0 / 20.0
-    )
-    with pytest.raises(ValueError):
-        expectation_lemma_rhs(2, 3, (1.0, 1.0))

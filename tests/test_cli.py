@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-import boselab.approx as approx_mod
 import boselab.cli as cli
 import boselab.evolve as evolve_mod
 from boselab.cli import main
@@ -175,8 +174,8 @@ def test_manifest_records_the_ground_state_solve(kind, tmp_path):
     assert isinstance(gs["E0"], float) and gs["gap"] > 0
     assert gs["degenerate"] is False
     assert gs["dim"] == {"quench-sim": 141, "clustering": 336}[kind]
-    # recording the solve moves no report byte
-    assert (out / f"{kind}.csv").read_bytes() == (GOLDEN / f"{kind}.csv").read_bytes()
+    # recording the solve moves no report value
+    assert_matches_golden(out / f"{kind}.csv", kind)
 
 
 def test_json_report_mirrors_csv(tmp_path):
@@ -382,14 +381,14 @@ def test_approximation_errors_run_above_the_dense_cap(kind, tmp_path):
 @pytest.mark.parametrize("kind", ["short-lr-check", "approx-sweep", "quench-sim"])
 def test_no_scenario_builds_a_step_product(kind, tmp_path, monkeypatch):
     # every scenario applies its steps' (G, tau) pairs to a state by Krylov
-    # propagation; the dense product is the test oracle's alone
-    real, calls = approx_mod._dense_unitary, []
+    # propagation, so none reaches the dense eigensolve
+    real, calls = evolve_mod._eigenbasis, []
 
-    def counting(H, t):
+    def counting(H):
         calls.append(H.dim)
-        return real(H, t)
+        return real(H)
 
-    monkeypatch.setattr(approx_mod, "_dense_unitary", counting)
+    monkeypatch.setattr(evolve_mod, "_eigenbasis", counting)
     cfg = write_cfg(tmp_path, CONFIGS[kind])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert calls == []
@@ -648,6 +647,8 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
         ("short-lr-check", "ell0_values", [0]),
         ("short-lr-check", "q", 0),
         ("short-lr-check", "t", -0.05),
+        ("approx-sweep", "R_values", [0]),
+        ("approx-sweep", "t", 0),
     ],
 )
 def test_a_bad_scenario_value_exits_before_h_is_assembled(
@@ -854,20 +855,16 @@ def _is_float(cell):
     return math.isfinite(value) and not _is_int(cell)
 
 
-@pytest.mark.parametrize("kind", sorted(CONFIGS))
-def test_report_matches_golden(kind, tmp_path):
-    """Every smoke config reproduces its committed report.
+def assert_matches_golden(path: Path, kind: str) -> None:
+    """The report at ``path`` reproduces ``tests/golden/<kind>.csv``.
 
     Text, int and bool columns must match exactly; float columns (any cell
     that is a finite number but not an integer) to 1e-10 + 1e-9 |ref|, since
     1e-10 is the Krylov propagation tolerance; their non-finite cells exactly.
     """
-    cfg = write_cfg(tmp_path, CONFIGS[kind])
-    out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 0
     with (GOLDEN / f"{kind}.csv").open() as fh:
         ref = list(csv.reader(fh))
-    with (out / f"{kind}.csv").open() as fh:
+    with path.open() as fh:
         got = list(csv.reader(fh))
     assert got[0] == ref[0]
     assert len(got) == len(ref)
@@ -878,3 +875,12 @@ def test_report_matches_golden(kind, tmp_path):
                 assert abs(float(x) - float(r)) <= 1e-10 + 1e-9 * abs(float(r)), (c, x, r)
             else:
                 assert x == r, (c, x, r)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_report_matches_golden(kind, tmp_path):
+    """Every smoke config reproduces its committed report (``assert_matches_golden``)."""
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert_matches_golden(out / f"{kind}.csv", kind)

@@ -1,4 +1,4 @@
-"""Time evolution: sparse propagator, dense references, interaction picture."""
+"""Time evolution: sparse propagator, dense Heisenberg operators, the quench echo."""
 
 import contextvars
 import math
@@ -14,16 +14,14 @@ from boselab.evolve import (
     PropagationError,
     RUN_DENSE_CAP,
     StateVector,
-    dense_expm,
+    _heisenberg_stack,
     evolve_state,
-    heisenberg,
-    interaction_picture_unitary,
     spectral_norm,
 )
 from boselab.fock import ResourceLimitError, enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
-from helpers import fock_state, mott_occupation, oracle_unitary, random_state
+from helpers import fock_state, mott_occupation, oracle_unitary, quench_echo, random_state
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0, mu=0.0, sector=None):
@@ -104,24 +102,17 @@ def test_number_sector_amplitudes_stay_exactly_zero():
 
 def test_matches_dense_reference():
     g, b, H = chain_setup(3, 2, J=1.0, U=1.3, mu=0.4)
-    U_dense = dense_expm(H, 0.8).dense()
+    U_dense = oracle_unitary(H, 0.8)
     psi = random_state(b, 13)
     out = evolve_state(H, psi, 0.8, tol=1e-12)
     assert np.linalg.norm(out.amplitudes - U_dense @ psi.amplitudes) <= 1e-9
-
-
-def test_dense_expm_unitary():
-    g, b, H = chain_setup(3, 2, J=1.0, U=2.0)
-    U = dense_expm(H, 0.5).dense()
-    assert np.allclose(U @ U.conj().T, np.eye(b.dim), atol=1e-12)
-    assert np.allclose(dense_expm(H, 0.0).dense(), np.eye(b.dim), atol=1e-13)
 
 
 def test_report_error_estimate_is_honest():
     g, b, H = chain_setup(3, 3, J=1.0, U=1.0)
     psi = random_state(b, 21)
     out, report = evolve_state(H, psi, 1.2, tol=1e-10, return_report=True)
-    exact = dense_expm(H, 1.2).dense() @ psi.amplitudes
+    exact = oracle_unitary(H, 1.2) @ psi.amplitudes
     actual = np.linalg.norm(out.amplitudes - exact)
     assert actual <= max(report.est_error, 1e-10) * 10
     assert report.steps >= 1
@@ -188,7 +179,7 @@ def test_early_stop_matches_dense_oracle(system, start, t):
     psi = early_stop_start(system, b, start)
     tol = 1e-10
     out, report = evolve_state(H, psi, t, tol=tol, return_report=True)
-    exact = dense_expm(H, t).dense() @ psi.amplitudes
+    exact = oracle_unitary(H, t) @ psi.amplitudes
     assert np.linalg.norm(out.amplitudes - exact) <= tol
     if t <= 0.03:
         # short steps stop well below the Krylov cap
@@ -215,7 +206,7 @@ def test_early_stop_survives_vanishing_estimate(system, occ, t):
     psi = fock_state(b, occ)
     tol = 1e-10
     out = evolve_state(H, psi, t, tol=tol)
-    exact = dense_expm(H, t).dense() @ psi.amplitudes
+    exact = oracle_unitary(H, t) @ psi.amplitudes
     assert np.linalg.norm(out.amplitudes - exact) <= tol
 
 
@@ -228,7 +219,7 @@ def test_long_evolution_matches_dense_oracle(start):
     psi = early_stop_start(system, b, start)
     tol = 1e-10
     out, report = evolve_state(H, psi, 20.0, tol=tol, return_report=True)
-    exact = dense_expm(H, 20.0).dense() @ psi.amplitudes
+    exact = oracle_unitary(H, 20.0) @ psi.amplitudes
     assert report.steps > 4 and report.rejected > 0
     assert np.linalg.norm(out.amplitudes - exact) <= tol
 
@@ -277,7 +268,7 @@ def test_estimate_bounds_the_error_without_orthogonality(system, start, t):
     psi = early_stop_start(system, b, start)
     tol = 1e-10
     out, report = evolve_state(H, psi, t, tol=tol, return_report=True)
-    exact = dense_expm(H, t).dense() @ psi.amplitudes
+    exact = oracle_unitary(H, t) @ psi.amplitudes
     assert np.linalg.norm(out.amplitudes - exact) <= report.est_error <= tol
     assert report.matvecs <= LONG_MARCHES[system, start, t]
 
@@ -338,7 +329,7 @@ def test_invariant_krylov_space_returns_the_exact_state(sector):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out, report = evolve_state(H, psi, 3.0, return_report=True)
-    exact = dense_expm(H, 3.0).dense() @ psi.amplitudes
+    exact = oracle_unitary(H, 3.0) @ psi.amplitudes
     assert np.linalg.norm(out.amplitudes - exact) <= 1e-13
     assert (report.steps, report.matvecs, report.est_error) == (1, 2, 0.0)
 
@@ -447,9 +438,7 @@ def test_non_finite_times_are_refused(bad):
     calls = [
         lambda: evolve_state(H, psi, bad),
         lambda: evolve_state(H, psi, [0.1, bad]),
-        lambda: dense_expm(H, bad),
-        lambda: heisenberg(H, O, bad),
-        lambda: interaction_picture_unitary(H, O, bad),
+        lambda: _heisenberg_stack(H, O, [0.1, bad]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
@@ -460,25 +449,30 @@ def test_non_finite_times_are_refused(bad):
         evolve_state(H1, fock_state(b1, (2,)), bad)
 
 
+def heisenberg_at(H, O, t):
+    """O(t) as one whole matrix, from the dense Heisenberg stack of a one-time grid."""
+    return _heisenberg_stack(H, O, [t]).dense()[0]
+
+
 def test_heisenberg_conjugation():
     g, b, H = chain_setup(3, 2, J=1.0, U=0.7)
     O = local_operator("number", [0], b)
     t = 0.6
-    Ut = dense_expm(H, t).dense()
+    Ut = oracle_unitary(H, t)
     expected = Ut.conj().T @ O.dense() @ Ut
-    got = heisenberg(H, O, t)
-    assert np.allclose(got.dense(), expected, atol=1e-11)
-    assert got.hermitian
+    got = heisenberg_at(H, O, t)
+    assert np.allclose(got, expected, atol=1e-11)
+    assert np.allclose(got, got.conj().T, atol=1e-12)
     # t = 0 returns the operator unchanged
-    assert np.allclose(heisenberg(H, O, 0.0).dense(), O.dense(), atol=1e-14)
+    assert np.allclose(heisenberg_at(H, O, 0.0), O.dense(), atol=1e-14)
 
 
 def test_heisenberg_preserves_spectrum():
     g, b, H = chain_setup(3, 2, J=1.0, U=0.7)
     O = local_operator("number", [1], b)
-    evo = heisenberg(H, O, 0.9)
+    evo = heisenberg_at(H, O, 0.9)
     a = np.sort(np.linalg.eigvalsh(O.dense()))
-    c = np.sort(np.linalg.eigvalsh(evo.dense()))
+    c = np.sort(np.linalg.eigvalsh(evo))
     assert np.allclose(a, c, atol=1e-10)
 
 
@@ -525,12 +519,7 @@ def test_interaction_picture_closed_form_vs_ode():
         method="DOP853",
     )
     W_ode = sol.y[:, -1].reshape(dim, dim)
-    b1 = single_site_basis(dim)
-    W = interaction_picture_unitary(
-        local_operator("custom-matrix", [0], b1, matrix=A),
-        local_operator("custom-matrix", [0], b1, matrix=h),
-        t,
-    ).dense()
+    W = quench_echo(single_site_basis(dim), A, h, t)
     assert np.linalg.norm(W - W_ode, ord=2) <= 1e-8
 
 
@@ -539,17 +528,12 @@ def test_interaction_picture_degenerate_cases():
     dim = 6
     b1 = single_site_basis(dim)
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    A = local_operator("custom-matrix", [0], b1, matrix=(a + a.conj().T) / 2)
-    zero = local_operator("custom-matrix", [0], b1, matrix=np.zeros((dim, dim)))
+    A = (a + a.conj().T) / 2
     # h = 0 gives the identity for any t
-    assert np.allclose(
-        interaction_picture_unitary(A, zero, 1.3).dense(), np.eye(dim), atol=1e-12
-    )
+    assert np.allclose(quench_echo(b1, A, np.zeros((dim, dim)), 1.3), np.eye(dim), atol=1e-12)
     # commuting A and h reduce to the bare phase e^{-i h t}
     diag2 = rng.standard_normal(dim)
-    d1 = local_operator("custom-matrix", [0], b1, matrix=np.diag(rng.standard_normal(dim)))
-    d2 = local_operator("custom-matrix", [0], b1, matrix=np.diag(diag2))
-    got = interaction_picture_unitary(d1, d2, 0.9).dense()
+    got = quench_echo(b1, np.diag(rng.standard_normal(dim)), np.diag(diag2), 0.9)
     want = np.diag(np.exp(-1j * 0.9 * diag2))
     assert np.allclose(got, want, atol=1e-12)
 
@@ -586,12 +570,10 @@ def test_dense_cap_enforced():
     H = assemble_hamiltonian(bose_hubbard(g, J=0.0, U=1.0), b)
     refusal = "dimension 2401 exceeds dense cap 2000"
     with pytest.raises(ResourceLimitError, match=refusal):
-        dense_expm(H, 0.1)
+        evolve_mod._eigenbasis(H)
     O = local_operator("number", [0], b)
     with pytest.raises(ResourceLimitError, match=refusal):
-        heisenberg(H, O, 0.1)
-    with pytest.raises(ResourceLimitError, match=refusal):
-        interaction_picture_unitary(O, O, 0.1)
+        _heisenberg_stack(H, O, [0.1])
     # sparse evolution still works there (diagonal fast path)
     psi = fock_state(b, (3,))
     out = evolve_state(H, psi, 0.4)
@@ -608,7 +590,7 @@ def test_dense_cap_refusal_is_its_own_type():
 
     def refused():
         RUN_DENSE_CAP.set(4)
-        dense_expm(H, 0.1)
+        evolve_mod._eigenbasis(H)
 
     with pytest.raises(evolve_mod.DenseCapError, match="dimension 8 exceeds dense cap 4"):
         contextvars.copy_context().run(refused)

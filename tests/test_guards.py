@@ -239,32 +239,35 @@ def test_one_factorisation_per_grid():
 
     The Krylov loop has one caller of its step, ``evolve._march``, which
     marches a grid; the one ``eigh`` of H's blocks is in
-    ``evolve._eigenbasis``, whose eigenpairs build e^{-iHt} at a time and
-    the Heisenberg operators of a whole grid.  The ground-state solve keeps
-    its own whole-matrix ``eigh``.
+    ``evolve._eigenbasis``, whose eigenpairs build the Heisenberg operators
+    of a whole grid.  The ground-state solve keeps its own whole-matrix
+    ``eigh``.
     """
     assert _callers("_lanczos_step") == ["evolve._march"]
     assert sorted(_callers("eigh")) == ["evolve._eigenbasis", "probes.ground_state"]
 
 
-def test_a_local_step_builds_its_product_only_where_it_is_used():
-    """A dense step product is built in ``LocalUnitary._product`` alone.
+def test_only_the_light_cone_path_refuses_the_dense_cap():
+    """The dense cap is refused in H's eigensolve and the Heisenberg stack alone.
 
-    Only ``materialize``, the test oracle, calls it: every other caller
-    applies a step's pairs to a state by Krylov propagation.  The other
-    callers of ``_dense_unitary`` are the dense oracles in ``evolve``.
+    Those are the dense operator paths that commutator norms take; no local
+    step, quench or approximation error builds a dense matrix.
     """
-    assert sorted(_callers("_dense_unitary")) == [
-        "approx._product",
-        "evolve.dense_expm",
-        "evolve.interaction_picture_unitary",
-        "evolve.interaction_picture_unitary",
-    ]
-    assert _callers("_product") == ["approx.materialize"]
-    # so the dense cap is refused for a step product in ``_product`` alone
     assert sorted(_callers("_require_dense")) == [
-        "approx._product", "evolve._eigenbasis", "evolve._heisenberg_stack",
+        "evolve._eigenbasis", "evolve._heisenberg_stack",
     ]
+
+
+def test_approx_imports_no_private_evolve_name():
+    """``approx`` reaches ``evolve`` through its public names only: no dense helper."""
+    tree = ast.parse((SRC / "approx.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "evolve"
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 def test_cli_applies_steps_to_states_only():

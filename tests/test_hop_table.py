@@ -17,7 +17,6 @@ from boselab.model import (
     assemble_hamiltonian,
     bose_hubbard,
     effective_hamiltonian,
-    subset_hamiltonian,
 )
 from helpers import oracle_hamiltonian, oracle_rank
 
@@ -133,7 +132,7 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
 
     assert_same_csr(assemble_hamiltonian(spec, b).matrix, full)
     assert_same_csr(
-        subset_hamiltonian(spec, b, X).matrix,
+        assemble_hamiltonian(spec, b, hop_sites=X, int_sites=X).matrix,
         oracle_hamiltonian(restricted_spec(spec, X, X), b),
     )
     assert_same_csr(
@@ -199,7 +198,7 @@ def test_second_assembly_ranks_nothing(rank_calls):
     b.hop_targets
     first = assemble_hamiltonian(spec, b)
     second = assemble_hamiltonian(spec, b)
-    subset_hamiltonian(spec, b, [1, 2, 3])
+    assemble_hamiltonian(spec, b, hop_sites=[1, 2, 3], int_sites=[1, 2, 3])
     effective_hamiltonian(spec, b, [([2], 1)])
     quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
     assert rank_calls == []

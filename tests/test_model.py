@@ -25,7 +25,6 @@ from boselab.model import (
     creation_degree,
     effective_hamiltonian,
     local_operator,
-    subset_hamiltonian,
 )
 from boselab.model import HERMITICITY_RTOL, _check_hermitian, _wrap, _wrap_diagonal
 from helpers import (
@@ -148,11 +147,11 @@ def test_subset_hamiltonian():
     g = build_lattice("chain", [6])
     b = enumerate_basis(g, 2)
     spec = bose_hubbard(g, J=1.0, U=2.0, mu=0.3)
-    full = subset_hamiltonian(spec, b, g.sites)
+    full = assemble_hamiltonian(spec, b, hop_sites=g.sites, int_sites=g.sites)
     assert (full.matrix - assemble_hamiltonian(spec, b).matrix).nnz == 0
 
     X = [0, 1, 2]
-    HX = subset_hamiltonian(spec, b, X)
+    HX = assemble_hamiltonian(spec, b, hop_sites=X, int_sites=X)
     inner = HamiltonianSpec(
         g,
         tuple(h for h in spec.hoppings if h[0] in X and h[1] in X),
@@ -181,8 +180,8 @@ def test_bulk_plus_boundary_reconstruction():
         spec.J_bar,
     )
     total = (
-        subset_hamiltonian(spec, b, X).matrix
-        + subset_hamiltonian(spec, b, Xc).matrix
+        assemble_hamiltonian(spec, b, hop_sites=X, int_sites=X).matrix
+        + assemble_hamiltonian(spec, b, hop_sites=Xc, int_sites=Xc).matrix
         + assemble_hamiltonian(crossing, b).matrix
     )
     assert (total - assemble_hamiltonian(spec, b).matrix).nnz == 0
