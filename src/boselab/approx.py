@@ -3,7 +3,8 @@
 One builder makes every step: a LocalUnitary, a chain of (G, tau) pairs
 e^{-iG tau} whose G is a subset Hamiltonian on the halo X[2 ell0],
 occupation-truncated by q on the annulus, each G one
-``assemble_hamiltonian`` call.  A step holds only these factors, and every
+``assemble_hamiltonian`` call.  ``halo`` draws a step's regions, with the
+interaction range k = spec.k_max.  A step holds only these factors, and every
 caller applies them to a state one pair at a time by Krylov propagation
 (``LocalUnitary.apply``), so no step is ever a dense matrix and none is
 refused by the dense cap.  approximate_heisenberg returns O_R psi0 for the
@@ -106,12 +107,13 @@ class LocalUnitary:
     Construction checks that every generator is Hermitian and commutes
     exactly with the region's number operator, and builds no matrix.
     ``apply`` moves a state through the pairs by Krylov propagation, at any
-    dimension; the product of the pairs is never formed.
+    dimension; the product of the pairs is never formed.  ``surviving_dim``
+    counts the basis states the step's truncation keeps.
     """
 
     basis: FockBasis
     support: frozenset[int]
-    scheme: Mapping[str, Any]
+    surviving_dim: int
     factors: tuple[tuple[OperatorMatrix, float], ...]
 
     def __post_init__(self) -> None:
@@ -149,15 +151,25 @@ def _apply_pairs(pairs: Iterable[tuple[OperatorMatrix, float]], psi: StateVector
     return psi
 
 
-def _halo_regions(
-    g: LatticeGraph, X: Iterable[int], ell0: int, k: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int], bool]:
-    L1 = ball(g, X, ell0)
-    L2 = ball(g, X, 2 * ell0)
-    L2p = ball(g, X, max(0, 2 * ell0 - 2 * k))
-    Ltilde = frozenset(L2 - L1)
-    clipped = len(L2) == g.site_count
-    return L1, L2, L2p, Ltilde, clipped
+@dataclass(frozen=True)
+class Halo:
+    """The regions of a step on X with interaction range k.
+
+    L1 = X[ell0] and L2 = X[2 ell0]; hoppings are kept in
+    L2p = X[max(0, 2 ell0 - 2k)], and occupations are truncated on the
+    annulus L2 - L1.  A ball that reaches the lattice boundary ends there.
+    """
+
+    L1: frozenset[int]
+    L2: frozenset[int]
+    L2p: frozenset[int]
+    annulus: frozenset[int]
+
+
+def halo(g: LatticeGraph, X: Iterable[int], ell0: int, k: int) -> Halo:
+    """The Halo of a step on X with radius ell0 and interaction range k."""
+    L1, L2 = ball(g, X, ell0), ball(g, X, 2 * ell0)
+    return Halo(L1=L1, L2=L2, L2p=ball(g, X, max(0, 2 * ell0 - 2 * k)), annulus=L2 - L1)
 
 
 def _quenched(spec: HamiltonianSpec, h: Interaction) -> HamiltonianSpec:
@@ -174,7 +186,6 @@ def _step_unitary(
     ell0: int,
     q: int,
     dt: float,
-    k: int | None,
     h: Interaction | None = None,
     qprime: int | None = None,
 ) -> LocalUnitary:
@@ -183,32 +194,21 @@ def _step_unitary(
     With a quench term h, q' truncates X[ell0] as well, and the step is the
     echo pair e^{+i B dt}, then e^{-i A dt}, with A = B + h compressed alike.
     """
-    kk = int(spec.k_max if k is None else k)
-    L1, L2, L2p, Ltilde, clipped = _halo_regions(spec.lattice, X, ell0, kk)
-    if h is not None and not L2.issuperset(h.region):
+    reg = halo(spec.lattice, X, ell0, spec.k_max)
+    if h is not None and not reg.L2.issuperset(h.region):
         # int_sites = L2 would drop h from A without a word
         raise ValueError(f"quench term region {h.region} is not inside X[2 ell0]")
-    truncation = [(Ltilde, q)] if h is None else [(Ltilde, q), (L1, qprime)]
-    B = assemble_hamiltonian(spec, b, hop_sites=L2p, int_sites=L2, truncation=truncation)
+    truncation = [(reg.annulus, q)] if h is None else [(reg.annulus, q), (reg.L1, qprime)]
+    B = assemble_hamiltonian(spec, b, hop_sites=reg.L2p, int_sites=reg.L2, truncation=truncation)
     if h is None:
         factors = ((B, float(dt)),)
     else:
         A = assemble_hamiltonian(
-            _quenched(spec, h), b, hop_sites=L2p, int_sites=L2, truncation=truncation
+            _quenched(spec, h), b, hop_sites=reg.L2p, int_sites=reg.L2, truncation=truncation
         )
         factors = ((B, -float(dt)), (A, float(dt)))
-    scheme = {
-        "ell0": int(ell0),
-        "q": int(q),
-        "qprime": None if h is None else int(qprime),
-        "L1": tuple(sorted(L1)),
-        "L2": tuple(sorted(L2)),
-        "L2p": tuple(sorted(L2p)),
-        "clipped": clipped,
-        "ell0_ge_8k": ell0 >= 8 * kk,
-        "surviving_dim": int(truncation_projector(b, truncation).sum()),
-    }
-    return LocalUnitary(basis=b, support=frozenset(L2), scheme=scheme, factors=factors)
+    kept = int(truncation_projector(b, truncation).sum())
+    return LocalUnitary(basis=b, support=reg.L2, surviving_dim=kept, factors=factors)
 
 
 def local_step_unitary(
@@ -218,19 +218,17 @@ def local_step_unitary(
     ell0: int,
     q: int,
     dt: float,
-    *,
-    k: int | None = None,
 ) -> LocalUnitary:
     """One short-step unitary e^{-i G dt} on the halo X[2 ell0].
 
     G keeps hoppings with both endpoints in L2' = X[2 ell0 - 2k] and
     interactions inside L2 = X[2 ell0], compressed by the occupation cutoff q
-    on the annulus L2 minus X[ell0].  Halos that run into the lattice
-    boundary are clipped and flagged in the scheme.
+    on the annulus L2 minus X[ell0]; k is spec.k_max, and ``halo`` draws
+    the regions.
     """
     if ell0 < 1 or q < 1:
         raise ValueError("ell0 and q must be >= 1")
-    return _step_unitary(spec, b, X, ell0, q, dt, k)
+    return _step_unitary(spec, b, X, ell0, q, dt)
 
 
 def quench_step_unitary(
@@ -242,8 +240,6 @@ def quench_step_unitary(
     q: int,
     qprime: int,
     dt: float,
-    *,
-    k: int | None = None,
 ) -> LocalUnitary:
     """One quench step as the echo pair (e^{+iB dt} first, then e^{-iA dt}).
 
@@ -258,7 +254,7 @@ def quench_step_unitary(
     """
     if ell0 < 1 or q < 1 or qprime < 1:
         raise ValueError("ell0, q and qprime must be >= 1")
-    return _step_unitary(spec, b, X, ell0, q, dt, k, h, qprime)
+    return _step_unitary(spec, b, X, ell0, q, dt, h, qprime)
 
 
 def _solve_q_default(
@@ -283,7 +279,7 @@ def _solve_q_default(
 
 @dataclass(frozen=True)
 class ApproxTrace:
-    schedule: StepSchedule | None  # None only for the trivial t = 0 call
+    schedule: StepSchedule
     ell0: int
     q: int
     unitaries: tuple[LocalUnitary, ...]
@@ -361,12 +357,9 @@ def approximate_heisenberg(
     ell0 = max(1, dr // 2) keeps every halo inside the next ball (this needs
     dr >= 2); the default q comes from solve_eta when its regime applies and
     is the full cutoff otherwise.  Returns O_R psi0 with the ApproxTrace of
-    its steps.
+    its steps; t must be positive.
     """
     b = psi0.basis
-    if t == 0.0:
-        hit = StateVector(b, O.matrix @ psi0.amplitudes)
-        return hit, ApproxTrace(schedule=None, ell0=0, q=0, unitaries=(), step_records=())
     if not O.support <= ball(spec.lattice, [i0], r0):
         raise ValueError(f"operator support {sorted(O.support)} not inside i0[r0]")
     trace = _step_chain(
@@ -384,7 +377,6 @@ def approximate_heisenberg(
 
 @dataclass(frozen=True)
 class QuenchReport:
-    error: float
     schedule: StepSchedule
     stationarity_residual: float
     cost_states: int
@@ -450,7 +442,6 @@ def run_quench(
     consts: BoundConstants,
     *,
     i0: int | None = None,
-    r0: int = 0,
     ell0: int | None = None,
     q: int | None = None,
     qprime: int | None = None,
@@ -463,9 +454,9 @@ def run_quench(
     then forward factors outward), and reports the trace-norm distance to
     the reference's exact quenched state together with the analytic bound
     and a cost counter.
-    i0 defaults to the first site of h's region, and r0 grows to cover the
-    region from i0.  ``consts`` gives the bound its c0 and qbar, which
-    describe psi0.
+    i0 defaults to the first site of h's region, and r0 is the distance
+    from i0 to the farthest site of the region.  ``consts`` gives the bound
+    its c0 and qbar, which describe psi0.
     """
     spec, h, psi0, t = reference.spec, reference.h, reference.psi0, reference.t
     b = psi0.basis
@@ -474,7 +465,7 @@ def run_quench(
         if not h.region:
             raise ValueError("h has an empty region; pass i0 explicitly")
         i0 = h.region[0]
-    r0 = max([r0, *(int(g.distances[i0, j]) for j in h.region)])
+    r0 = max((int(g.distances[i0, j]) for j in h.region), default=0)
 
     # r0 covers h's region, so every step's X = i0[r_{m-1}], and the chain's
     # i0[R] check, cover it too
@@ -484,7 +475,7 @@ def run_quench(
         ),
         g, b, i0, r0, R, t, consts, ell0, q, delta_t0,
     )
-    cost = sum(len(u.factors) * int(u.scheme["surviving_dim"]) for u in trace.unitaries)
+    cost = sum(len(u.factors) * u.surviving_dim for u in trace.unitaries)
     backward = [step.factors[0] for step in reversed(trace.unitaries)]
     state = _apply_pairs(backward + [step.factors[1] for step in trace.unitaries], psi0)
 
@@ -498,7 +489,6 @@ def run_quench(
 
     qb = quench_bounds(float(R), float(r0), max(t, 1e-12), consts)
     report = QuenchReport(
-        error=error,
         schedule=trace.schedule,
         stationarity_residual=reference.stationarity_residual,
         cost_states=cost,
@@ -506,7 +496,7 @@ def run_quench(
         step_records=trace.step_records,
         params={
             "i0": int(i0), "r0": int(r0), "R": int(R), "t": float(t), "ell0": trace.ell0,
-            "q": trace.q, "qprime": trace.unitaries[0].scheme["qprime"],
+            "q": trace.q, "qprime": trace.q if qprime is None else int(qprime),
         },
     )
     return error, report

@@ -10,8 +10,9 @@ failures do raise BoundConditionError: ``solve_eta``'s conditions, since it
 must return a usable q, and lattice constants that leave the tail proof's
 distance window empty.
 
-The constants C0, C1, C2, C3, C3p, c2 and Gamma_c are existence constants:
-they are user parameters defaulting to 1 and are never tested numerically.
+The constants C0, C1, C2, C3, C3p and Gamma_c are existence constants:
+they are user parameters defaulting to 1 (C1 and C2 to derived values) and
+are never tested numerically.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class BoundConstants:
     c0 and qbar come from the low-density condition on the initial state, q0
     is the creation degree of the probed observable, t0 the short-time window
     and zeta0 its operator norm.  J_bar, dG, gamma, lambda0 and D describe
-    the model on its lattice.  eta is only available after the truncation
+    the model on its lattice, and k is its interaction range (a model's
+    k_max; the CLI fills it in unless the constants block sets it).  eta is only available after the truncation
     budget has been solved (see :func:`solve_eta`) and gates the c3 family.
     """
 
@@ -105,7 +107,6 @@ class BoundConstants:
     C2: float | None = None
     C3: float = 1.0
     C3p: float = 1.0
-    c2: float = 1.0
     Gamma_c: float = 1.0
 
     def __post_init__(self) -> None:
@@ -125,7 +126,7 @@ class BoundConstants:
             raise ValueError("zeta0 must be positive")
         if self.eta is not None and self.eta <= 0:
             raise ValueError("eta, when set, must be positive")
-        for name in ("C0", "C3", "C3p", "c2", "Gamma_c"):
+        for name in ("C0", "C3", "C3p", "Gamma_c"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("C1", "C2"):
@@ -493,8 +494,6 @@ def concentration_bound(
     ell0: float,
     r: float,
     consts: BoundConstants,
-    *,
-    distance_ok: bool = True,
 ) -> BoundValue:
     """Weight outside the q-occupation subspace of a region L at distance >= ell0."""
     if q < 1 or sizeL < 1 or ell0 <= 0:
@@ -509,8 +508,7 @@ def concentration_bound(
         + math.log(sizeL)
         + power * math.log(c1t * ell0 / q)
     )
-    conds = (("d(X, L) >= ell0 (caller-supplied regime flag)", bool(distance_ok)),)
-    return _mk(log_v, conds)
+    return _mk(log_v)
 
 
 # -- short-time and assembled propagation bounds ----------------------------
@@ -616,7 +614,6 @@ def clustering_bound(
     *,
     norm_X: float = 1.0,
     norm_Y: float = 1.0,
-    validity_const: float = 1.0,
 ) -> BoundValue:
     """Gapped ground-state correlation decay across distance R."""
     if R < 3:
@@ -625,7 +622,7 @@ def clustering_bound(
         raise ValueError("DeltaE must be positive")
     logR = math.log(R)
     log_inv = math.log(1.0 / DeltaE)
-    threshold = validity_const * (1.0 / DeltaE) * max(0.0, log_inv) ** 3
+    threshold = (1.0 / DeltaE) * max(0.0, log_inv) ** 3
     conds = (("R >= const (1/DeltaE) log^3(1/DeltaE)", R >= threshold),)
     log_v = (
         _log(consts.C3)
@@ -649,15 +646,13 @@ def quench_bounds(
     consts: BoundConstants,
     *,
     epsilon: float = math.exp(-1.0),
-    cost_const: float = 1.0,
-    C1_prime: float | None = None,
-    C2_prime: float | None = None,
 ) -> QuenchBounds:
     """Error, gate-cost, and 1D time-complexity forms for local quench dynamics.
 
-    The error has the assembled light-cone shape with primed constants and no
-    zeta0 (the quench unitary is exactly unitary); the unspecified O(1)
-    factors are exposed as parameters defaulting to the unprimed values.
+    The error has the assembled light-cone shape and no zeta0 (the quench
+    unitary is exactly unitary): its decay constant is effective_C1 and its
+    offset C0 + 2.  The cost is R^D log R, and epsilon is the 1D cost's
+    target precision.
     """
     if R <= r0 or R <= 1:
         raise ValueError("need R > r0 and R > 1")
@@ -665,13 +660,12 @@ def quench_bounds(
         raise ValueError("t must be positive")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    C1p = C1_prime if C1_prime is not None else consts.effective_C1
-    # step recombination gives (C0'+1) log R + 1/log R <= (C0'+2) log R
-    C2p = C2_prime if C2_prime is not None else consts.C0 + 2.0
+    # step recombination gives (C0+1) log R + 1/log R <= (C0+2) log R
+    C2 = consts.C0 + 2.0
     logR = math.log(R)
     conds = (("t >= 1", t >= 1.0),)
-    err_log = consts.c0 * consts.qbar - C1p * (R - r0) / (t * logR) + C2p * logR
-    cost_log = cost_const * R**consts.D * logR
+    err_log = consts.c0 * consts.qbar - consts.effective_C1 * (R - r0) / (t * logR) + C2 * logR
+    cost_log = R**consts.D * logR
     log_inv = math.log(1.0 / epsilon)
     cost1d_log = t * math.log(t) ** 3 + t * log_inv * math.log(log_inv) ** 2
     return QuenchBounds(

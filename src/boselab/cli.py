@@ -61,7 +61,7 @@ from .bounds import (
 )
 from .evolve import RUN_DENSE_CAP, DenseCapError, StateVector, evolve_state, spectral_norm
 from .fock import FockBasis, ResourceLimitError, enumerate_basis
-from .lattice import LatticeGraph, ball, boundary, build_lattice, geometric_constants
+from .lattice import LatticeGraph, boundary, build_lattice, geometric_constants
 from .model import (
     HamiltonianSpec,
     Interaction,
@@ -86,6 +86,7 @@ from .approx import (
     ScheduleError,
     StationarityError,
     approximate_heisenberg,
+    halo,
     local_step_unitary,
     quench_reference,
     run_quench,
@@ -511,7 +512,8 @@ class _Run:
         """The ``constants`` block over geometric and run defaults, recorded in the manifest.
 
         zeta0 defaults to the norm of ``O``, or to 1 without one; q0 to the
-        creation degree of ``O`` on its support, or to 0 without one.
+        creation degree of ``O`` on its support, or to 0 without one; k to
+        the model's k_max, or to 1 without a model.
         """
         block = self.cfg.get("constants", {})
         zeta0, q0 = 1.0, 0.0
@@ -531,6 +533,11 @@ class _Run:
                 f"{self.t0_field}: the largest |t|, {self.t0}, is the default "
                 f"constants.t0, which must be positive"
             )
+        k = self.spec.k_max if self.spec is not None else 1
+        if "k" not in block and k < 1:
+            raise ConfigError(
+                f"model.k_max: {k} is the default constants.k, which must be at least 1"
+            )
         geo = geometric_constants(self.g)
         vals: dict = {
             "c0": 1.0,
@@ -541,6 +548,7 @@ class _Run:
             "gamma": geo.gamma,
             "lambda0": geo.lambda0,
             "D": geo.dimension_D,
+            "k": k,
             "zeta0": zeta0,
             "q0": q0,
         }
@@ -575,6 +583,7 @@ class _Run:
             "J_bar": consts.J_bar,
             "zeta0": consts.zeta0,
             "q0": consts.q0,
+            "k": consts.k,
             "c1": consts.c1,
             "c1_prime_sizeX1": consts.c1p(1),
             "c1_double_prime": consts.c1pp,
@@ -701,7 +710,7 @@ def _transport_check(
 
 
 def _truncation_check(run: _Run) -> list[dict]:
-    g, b, spec = run.g, run.b, run.spec
+    b, spec = run.b, run.spec
     X = run.region()
     ell0 = run.value("ell0", _POSITIVE, 1)
     q_values = run.values("q_values", _POSITIVE, list(range(1, max(b.site_cutoffs) + 1)))
@@ -711,17 +720,16 @@ def _truncation_check(run: _Run) -> list[dict]:
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
 
-    L1 = ball(g, X, ell0)
-    L2 = ball(g, X, 2 * ell0)
-    Ltilde = sorted(L2 - L1)
+    regions = halo(run.g, X, ell0, spec.k_max)
+    annulus = sorted(regions.annulus)
     v = StateVector(b, O_X.matrix @ psi0.amplitudes)
     exact = evolve_state(run.H, v, t)
 
     def cell(q: int) -> dict:
-        H_eff = effective_hamiltonian(spec, b, [(Ltilde, q)])
+        H_eff = effective_hamiltonian(spec, b, [(annulus, q)])
         approx = evolve_state(H_eff, v, t)
         err = float(np.linalg.norm(exact.amplitudes - approx.amplitudes))
-        bv = truncation_error_bound(q, len(L2), ell0, r, consts)
+        bv = truncation_error_bound(q, len(regions.L2), ell0, r, consts)
         return {"q": q, "t": t, **_error_cells(err, bv), "bound_valid": bv.valid}
 
     return run.sweep(cell, q_values)
@@ -751,8 +759,7 @@ def _short_lr_check(run: _Run) -> list[dict]:
         # the trace norm of the rank-one (O(t) - O_R)|psi0><psi0| is the
         # 2-norm of (O(t) - O_R) psi0, so the state-restricted error is exact
         err = float(np.linalg.norm(exact.amplitudes - v.amplitudes))
-        L2p = ball(g, X, max(0, 2 * ell0 - 2 * spec.k_max))
-        bsize = len(boundary(g, L2p)) if L2p else 0
+        bsize = len(boundary(g, halo(g, X, ell0, spec.k_max).L2p))
         bv = short_lr_bound(ell0, bsize, t, consts)
         return {"ell0": ell0, "t": t, **_error_cells(err, bv), "conditions_ok": bv.valid}
 
@@ -896,7 +903,7 @@ def _report_bounds(run: _Run) -> list[dict]:
         grid = run.value("grid", dict)
         _check_keys(grid, ("t", "delta"), "scenario.grid")
         # t outer, delta inner; params keep the values as the config gave them
-        axes = (_as_list(grid.get("t", 1.0)), _as_list(grid.get("delta", 1.0)))
+        axes = (_as_list(_need(grid, "scenario.grid", k)) for k in ("t", "delta"))
         points = [{"t": t, "delta": delta} for t, delta in itertools.product(*axes)]
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
@@ -949,9 +956,15 @@ def _report_bounds(run: _Run) -> list[dict]:
 
     rows = []
     for p in points:
-        value, log_value, valid = evaluate(p)
+        params = json.dumps(p, sort_keys=True)
+        try:
+            value, log_value, valid = evaluate(p)
+        except ConfigError:
+            raise
+        except ValueError as exc:  # the evaluator refused this point of the grid
+            raise ConfigError(f"scenario.grid: {params}: {exc}") from None
         rows.append({
-            "bound": name, "params": json.dumps(p, sort_keys=True),
+            "bound": name, "params": params,
             "log_value": log_value, "value": value, "valid": valid,
         })
     return rows
@@ -959,7 +972,7 @@ def _report_bounds(run: _Run) -> list[dict]:
 
 def _fs_check(run: _Run) -> list[dict]:
     s_max = run.value("s_max", _bounded(1, 20), 10)  # fs_polynomial's range
-    m_max = run.value("m_max", _integer, 100)
+    m_max = run.value("m_max", _POSITIVE, 100)
     rows = []
     for s in range(1, s_max + 1):
         poly = fs_polynomial(s)

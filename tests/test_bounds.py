@@ -286,8 +286,6 @@ def test_concentration_bound():
         for q in (10**4, 10**6, 10**8)
     ]
     assert logs[0] > logs[1] > logs[2]
-    flagged = concentration_bound(10**6, 12.0, ell0, r, c, distance_ok=False)
-    assert not flagged.valid
     with pytest.raises(ValueError):
         concentration_bound(0, 12.0, ell0, r, c)
 
@@ -389,9 +387,10 @@ def test_quench_bounds():
     assert qb.cost_1d.log_value == pytest.approx(
         t * math.log(t) ** 3 + t * li * math.log(li) ** 2, rel=1e-12
     )
-    # default primed offset constant is C0 + 2, two below the unprimed one
-    direct = quench_bounds(20.0, 1.0, t, c, C2_prime=c.C0 + 2.0)
-    assert direct.error.log_value == pytest.approx(qb.error.log_value, rel=1e-12)
+    # the decay constant is effective_C1 and the offset C0 + 2, two below main_lr's
+    logR = math.log(20.0)
+    direct = c.c0 * c.qbar - c.effective_C1 * 19.0 / (t * logR) + (c.C0 + 2.0) * logR
+    assert qb.error.log_value == pytest.approx(direct, rel=1e-12)
     assert main_lr_bound(20.0, 1.0, t, c).log_value > qb.error.log_value
     with pytest.raises(ValueError):
         quench_bounds(20.0, 1.0, t, c, epsilon=1.0)

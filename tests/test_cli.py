@@ -216,6 +216,37 @@ def test_manifest_includes_interaction_range_constants_with_eta(tmp_path):
     assert rc["c3"] > 0 and rc["c3_prime"] > 0 and rc["delta_t0"] > 0
 
 
+def test_constants_k_defaults_to_the_model_interaction_range(tmp_path, capsys):
+    """constants.k is the model's k_max unless the block sets it, and the manifest records it.
+
+    A model with a two-site interaction (k_max = 2) reports the same step
+    bounds by default as with ``constants.k: 2``; a k_max below 1 cannot be
+    the default.
+    """
+    payload = json.loads(json.dumps(CONFIGS["short-lr-check"]))
+    payload["lattice"]["dims"] = [7]
+    payload["model"] = {
+        "hoppings": [[i, i + 1, 1.0] for i in range(6)],
+        "interactions": [{"region": [2, 3], "monomials": [[0.5, [1, 1]]]}],
+    }
+    payload["scenario"].update(X=[3], observable={"kind": "number", "site": 3})
+    reports = []
+    for k in (None, 2):
+        if k is not None:
+            payload["constants"]["k"] = k
+        out = tmp_path / f"k-{k}"
+        assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 0
+        reports.append((out / "short-lr-check.csv").read_bytes())
+        rc = json.loads((out / "run_manifest.json").read_text())["resolved_constants"]
+        assert rc["k"] == 2
+    assert reports[0] == reports[1]
+
+    del payload["constants"]["k"]
+    payload["model"] = {"hoppings": [[i, i + 1, 1.0] for i in range(6)], "k_max": 0}
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: model.k_max: " in capsys.readouterr().err
+
+
 def test_seed_recorded_in_manifest(tmp_path):
     cfg = write_cfg(tmp_path, CONFIGS["fs-check"])
     out = tmp_path / "out"
@@ -625,6 +656,9 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         # a region with no site
         ("truncation-check", "scenario", "X", [], "scenario.X"),
         ("short-lr-check", "scenario", "X", [], "scenario.X"),
+        # an fs-check with no m
+        ("fs-check", "scenario", "m_max", -4, "scenario.m_max"),
+        ("fs-check", "scenario", "m_max", 0, "scenario.m_max"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
@@ -834,6 +868,30 @@ def test_lightcone_radius_list_grid_keeps_order_and_params(tmp_path):
         '{"delta": 0.5, "t": 4.5}',
         '{"delta": 1, "t": 4.5}',
     ]
+
+
+@pytest.mark.parametrize(
+    "bound, grid, fixed, message",
+    [
+        ("lightcone-radius", {"delta": 0.5}, None, "missing required key 't'"),
+        ("lightcone-radius", {"t": 2.0}, None, "missing required key 'delta'"),
+        ("lightcone-radius", {"t": 2.0, "delta": 0.5}, None,
+         '{"delta": 0.5, "t": 2.0}: t must be >= e'),
+        ("lightcone-radius", {"t": 4.0, "delta": 2.0}, None,
+         '{"delta": 2.0, "t": 4.0}: delta must lie in (0, 1]'),
+        ("moment", {"sizeX": [2, 0.5]}, {"s": 1, "d_iX": 2},
+         '{"d_iX": 2.0, "s": 1.0, "sizeX": 0.5}: sizeX must be >= 1'),
+    ],
+)
+def test_a_bound_the_evaluator_refuses_names_its_grid_point(
+    bound, grid, fixed, message, tmp_path, capsys
+):
+    payload = json.loads(json.dumps(CONFIGS["bound-report"]))
+    payload["scenario"] = {"kind": "bound-report", "bound": bound, "grid": grid}
+    if fixed is not None:
+        payload["scenario"]["fixed"] = fixed
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: scenario.grid: {message}" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"

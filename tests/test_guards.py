@@ -1,6 +1,7 @@
 """Static guards over the package source."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import types
@@ -371,3 +372,32 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing += [f"{name}.{key}" for key in module.__all__ if not hasattr(module, key)]
     assert missing == []
+
+
+def test_every_bound_constant_is_read():
+    """Each ``BoundConstants`` field is read as ``self.<f>`` or ``consts.<f>``.
+
+    Reads inside ``__post_init__``, which only validates, do not count: a
+    constant that no bound reads is a knob that changes nothing.
+    """
+    read = set()
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+            if node.name != "__post_init__":
+                self.generic_visit(node)
+
+        def visit_Attribute(self, node: ast.Attribute) -> None:
+            if isinstance(node.value, ast.Name) and node.value.id in ("self", "consts"):
+                read.add(node.attr)
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Visitor().visit(ast.parse(path.read_text(), filename=str(path)))
+    fields = [f.name for f in dataclasses.fields(boselab.bounds.BoundConstants)]
+    assert [f for f in fields if f not in read] == []
+
+
+def test_cli_draws_no_ball():
+    """``cli.py`` calls no ``ball``: a step's regions come from ``approx.halo``."""
+    assert not [c for c in _callers("ball") if c.startswith("cli.")]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from boselab import model
-from boselab.approx import quench_step_unitary
+from boselab.approx import halo, quench_step_unitary
 from boselab.fock import FockBasis, enumerate_basis, truncation_projector
 from boselab.lattice import build_lattice
 from boselab.model import (
@@ -143,12 +143,13 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
     h = Interaction((site,), (Monomial(0.5, (2,)),))
     quenched = HamiltonianSpec(g, spec.hoppings, (*spec.interactions, h), spec.k_max, spec.J_bar)
     q, qprime = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-    step = quench_step_unitary(spec, h, b, [site], data.draw(st.integers(1, 2)), q, qprime, 0.1)
-    s = step.scheme
-    L1, L2 = set(s["L1"]), set(s["L2"])
+    ell0 = data.draw(st.integers(1, 2))
+    step = quench_step_unitary(spec, h, b, [site], ell0, q, qprime, 0.1)
+    regions = halo(g, [site], ell0, spec.k_max)
+    L1, L2 = set(regions.L1), set(regions.L2)
     live = [(sorted(r), c) for r, c in ((L2 - L1, q), (L1, qprime)) if r]
-    local = oracle_hamiltonian(restricted_spec(spec, s["L2p"], L2), b)
-    local_quenched = oracle_hamiltonian(restricted_spec(quenched, s["L2p"], L2), b)
+    local = oracle_hamiltonian(restricted_spec(spec, regions.L2p, L2), b)
+    local_quenched = oracle_hamiltonian(restricted_spec(quenched, regions.L2p, L2), b)
     entries = truncation_projector(b, live)  # L1 is never empty
     (B, _), (A, _) = step.factors
     assert_same_csr(B.matrix, sandwiched(local, entries))
