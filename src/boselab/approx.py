@@ -131,9 +131,11 @@ class LocalUnitary:
         n = number_operator(self.basis, self.support)
         worst = 0.0
         for G, _ in self.factors:
-            mat = G.matrix.tocoo()
+            mat = G.matrix
             if mat.nnz:
-                d = np.abs(mat.data * (n[mat.col] - n[mat.row]))
+                # n at each entry's row, read off the row pointers
+                n_row = np.repeat(n, np.diff(mat.indptr))
+                d = np.abs(mat.data * (n[mat.indices] - n_row))
                 worst = max(worst, float(d.max()))
         return worst
 

@@ -270,6 +270,13 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
     explicit = "hoppings" in block or "interactions" in block
     if explicit and ("J" in block or "U" in block or "mu" in block):
         raise ConfigError("model: use either (J, U, mu) or explicit term lists")
+    if not explicit:
+        for key in ("k_max", "J_bar"):
+            if key in block:
+                # bose_hubbard derives both from its terms; a value here would be ignored
+                raise ConfigError(
+                    f"model.{key}: set only with explicit term lists, not with (J, U, mu)"
+                )
     site = _site_index(g.site_count)
     try:
         if not explicit:

@@ -68,6 +68,19 @@ class FockBasis:
         return out
 
     @cached_property
+    def occupations(self) -> np.ndarray:
+        """The occupations as floats, site by site: ``occupations[i, k]`` is
+        n_i in state k.
+
+        An (n_sites, dim) float64 array, one contiguous row per site, for the
+        assembly's amplitudes and diagonals.  Built on first use and kept;
+        read-only, since every assembly shares it.
+        """
+        occ = self.states.T.astype(np.float64, order="C")
+        occ.setflags(write=False)
+        return occ
+
+    @cached_property
     def hop_targets(self) -> tuple[np.ndarray, np.ndarray]:
         """Where one boson hopping along each directed lattice edge takes each state.
 

@@ -71,6 +71,9 @@ class HamiltonianSpec:
 
     def __post_init__(self) -> None:
         for i, j, J in self.hoppings:
+            # assembly gives both directions of a hop the same J, in real arithmetic
+            if not np.isrealobj(J):
+                raise ValueError(f"J_{i}{j}={J} is not real")
             if not np.isfinite(J):
                 raise ValueError(f"J_{i}{j}={J} is not finite")
             if self.lattice.distances[i, j] != 1:
@@ -78,6 +81,12 @@ class HamiltonianSpec:
             if abs(J) > self.J_bar * (1 + 1e-12):
                 raise ValueError(f"|J_{i}{j}|={abs(J)} exceeds J_bar={self.J_bar}")
         for term in self.interactions:
+            for m in term.monomials:
+                if not np.isrealobj(m.coeff) or not np.isfinite(m.coeff):
+                    raise ValueError(
+                        f"interaction {term.region}: monomial coefficient {m.coeff} "
+                        "is not a finite real"
+                    )
             if len(term.region) > self.k_max:
                 raise ValueError(
                     f"interaction region {term.region} exceeds k_max={self.k_max}"
@@ -128,7 +137,10 @@ class OperatorMatrix:
 
     ``support`` is declared by the operator's builder: every site the
     operator acts on is in it, but it need not be the minimal such set.
-    Every OperatorMatrix is made by ``_wrap``.
+    Three builders make them, each with the same flags for the same
+    matrix: ``_hopping_rows`` every assembled Hamiltonian, from its row
+    slots; ``_wrap_diagonal`` number and projector probes, from their
+    diagonal; ``_wrap`` any other matrix, from its stored entries.
     """
 
     basis: FockBasis
@@ -219,8 +231,9 @@ def _hopping_rows(
     weights: Mapping[tuple[int, int], Sequence[float]],
     diag: np.ndarray,
     mask: np.ndarray | None,
-) -> sparse.csr_matrix:
-    """CSR matrix of mask (sum J b_i b_j^dag over directed edges + diag(diag)) mask.
+    support: Iterable[int],
+) -> OperatorMatrix:
+    """mask (sum J b_i b_j^dag over directed edges + diag(diag)) mask on the sites ``support``.
 
     H's pattern is symmetric, so row s holds targets[e, s] for every
     directed edge e = (i, j), with amplitude J sqrt(n_i (n_j + 1)) at s
@@ -230,12 +243,19 @@ def _hopping_rows(
     edge, and one for s, in ``FockBasis.column_order``; zero and
     out-of-basis slots drop out, and so do the rows and columns where the
     0/1 ``mask`` is 0.
+
+    The flags come from the slots, not from the stored matrix.  Entry
+    (s, t) of hop e and entry (t, s) of the reverse hop are the only pair
+    that ``_check_hermitian`` compares there, so the largest slot
+    mismatch, against the same ``HERMITICITY_RTOL`` rule, gives
+    ``hermitian``; a hop never lands on its own state, so the operator is
+    diagonal exactly when every hop slot is 0.
     """
     row, targets = b.hop_targets
     slots = b.column_order(weights)
     cols = np.empty((len(slots), b.dim), dtype=np.int32)
     vals = np.empty((len(slots), b.dim), dtype=np.float64)
-    occ = b.states.T.astype(np.float64, order="C")
+    occ = b.occupations
     # n_j + 1 where site j has room, 0 at its cutoff: a hop that leaves the
     # basis gets amplitude 0 (and column 0 for -1), so it drops with the zeros
     room = (occ + 1.0) * (occ < np.array(b.site_cutoffs)[:, None])
@@ -254,24 +274,40 @@ def _hopping_rows(
     if mask is not None:
         vals *= mask
         vals *= mask[cols]
+    slot = {edge: k for k, edge in enumerate(slots)}
+    down = slot[None]  # the edges before the state's own slot lower it
+    mismatch = 0.0
+    for i, j in slots[:down]:
+        t = targets[row[i, j]]
+        inside = t >= 0
+        back = vals[slot[j, i]][t[inside]]
+        mismatch = max(mismatch, np.abs(vals[slot[i, j]][inside] - back).max(initial=0.0))
+    scale = max(vals.max(), -vals.min(), 1.0)
+    hop_kept = vals[:down].any() or vals[down + 1 :].any()
     mat = sparse.csr_matrix(
         (vals.T.ravel(), cols.T.ravel(), np.arange(0, vals.size + 1, len(slots))),
         shape=(b.dim, b.dim),
     )
     mat.eliminate_zeros()
-    # complex copies hold just the kept entries, not every slot
-    return mat.astype(np.complex128)
+    return OperatorMatrix(
+        basis=b,
+        # complex copies hold just the kept entries, not every slot
+        matrix=mat.astype(np.complex128),
+        hermitian=bool(mismatch <= HERMITICITY_RTOL * scale),
+        is_diagonal=not hop_kept,
+        support=frozenset(int(i) for i in support),
+    )
 
 
 def _interaction_entries(b: FockBasis, terms: Sequence[Interaction]) -> np.ndarray:
     diag = np.zeros(b.dim, dtype=np.float64)
+    occ = b.occupations
     for term in terms:
-        cols = b.states[:, list(term.region)].astype(np.float64)
         for mono in term.monomials:
             vals = np.full(b.dim, mono.coeff)
-            for a, p in enumerate(mono.powers):
+            for i, p in zip(term.region, mono.powers):
                 if p:
-                    vals *= cols[:, a] ** p
+                    vals *= occ[i] ** p
             diag += vals
     return diag
 
@@ -313,8 +349,7 @@ def assemble_hamiltonian(
             supp.update(t.region)
     mask = truncation_projector(b, truncation) if truncation else None
     supp.update(int(i) for region, _ in truncation for i in region)
-    mat = _hopping_rows(b, weights, diag, mask)
-    return _wrap(b, mat, supp)
+    return _hopping_rows(b, weights, diag, mask, supp)
 
 
 def effective_hamiltonian(

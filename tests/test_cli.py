@@ -769,6 +769,18 @@ def test_model_site_out_of_range_names_its_field(model, field, tmp_path, capsys)
     assert f"config error: {field}: site " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("k_max", 5), ("J_bar", 9.0)])
+def test_bose_hubbard_model_refuses_explicit_only_keys(key, value, tmp_path, capsys):
+    """A (J, U, mu) block derives k_max and J_bar from its terms, so either
+    key is refused, not ignored."""
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    assert "J" in payload["model"]
+    payload["model"][key] = value
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: model.{key}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "kind, blocks, field",
     [

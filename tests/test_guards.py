@@ -248,6 +248,19 @@ def test_one_factorisation_per_grid():
     assert sorted(_callers("eigh")) == ["evolve._eigenbasis", "probes.ground_state"]
 
 
+def test_assembly_takes_its_flags_from_the_row_build():
+    """Only ``_wrap`` runs the whole-matrix Hermiticity check, and no assembly wraps.
+
+    ``_hopping_rows`` compares each hop slot with its reverse hop's slot, so
+    an assembled Hamiltonian never pays for a transpose and a difference
+    matrix; ``_wrap`` serves the custom matrices of ``local_operator``.
+    """
+    assert _callers("_check_hermitian") == ["model._wrap"]
+    wrappers = _callers("_wrap")
+    assert "model.assemble_hamiltonian" not in wrappers
+    assert "model._hopping_rows" not in wrappers
+
+
 def test_only_the_light_cone_path_refuses_the_dense_cap():
     """The dense cap is refused in H's eigensolve and the Heisenberg stack alone.
 

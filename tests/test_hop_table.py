@@ -18,7 +18,7 @@ from boselab.model import (
     bose_hubbard,
     effective_hamiltonian,
 )
-from helpers import oracle_hamiltonian, oracle_rank
+from helpers import oracle_hamiltonian, oracle_is_hermitian, oracle_rank
 
 _LATTICES = [
     ("chain", [1]), ("chain", [2]), ("chain", [3]), ("chain", [4]),
@@ -172,20 +172,6 @@ def rank_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def hermitian_checks(monkeypatch):
-    """The shape of every matrix ``model._check_hermitian`` is called on."""
-    calls = []
-    check = model._check_hermitian
-
-    def counting(mat):
-        calls.append(mat.shape)
-        return check(mat)
-
-    monkeypatch.setattr(model, "_check_hermitian", counting)
-    return calls
-
-
 def sector_setup():
     g = build_lattice("chain", [5])
     return bose_hubbard(g, 1.0, 2.0), enumerate_basis(g, 2, sector=5)
@@ -206,16 +192,54 @@ def test_second_assembly_ranks_nothing(rank_calls):
     assert_same_csr(first.matrix, second.matrix)
 
 
-def test_each_generator_is_checked_for_hermiticity_once(hermitian_checks):
-    """B and A of a quench step, and an effective H, go through one wrap each."""
-    spec, b = sector_setup()
-    h = Interaction((2,), (Monomial(0.5, (2,)),))
-    hermitian_checks.clear()
-    quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
-    assert len(hermitian_checks) == 2
-    hermitian_checks.clear()
-    effective_hamiltonian(spec, b, [([2], 1)])
-    assert len(hermitian_checks) == 1
+def assert_flags_match_oracles(op):
+    """``op``'s flags follow the whole-matrix rules, and its arrays are ``_wrap``'s."""
+    mat = op.matrix
+    rows = np.repeat(np.arange(op.dim), np.diff(mat.indptr))
+    assert op.hermitian == oracle_is_hermitian(mat)
+    assert op.is_diagonal == bool(np.all(rows == mat.indices))
+    assert_same_csr(mat, model._wrap(op.basis, mat, op.support).matrix)
+
+
+@given(lattice_bases(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=40, deadline=None)
+def test_assembled_flags_match_the_oracles(b, seed, data):
+    """Every assembly takes ``hermitian`` and ``is_diagonal`` from its row
+    slots; both equal the whole-matrix rules, and the arrays equal ``_wrap``'s,
+    for the full H, a region's H, a truncated H and the two quench generators."""
+    g = b.lattice
+    spec = random_spec(g, seed)
+    X = sorted(data.draw(st.sets(st.sampled_from(list(g.sites)), min_size=1)))
+    scheme = [(X, data.draw(st.integers(0, 3)))]
+    site = data.draw(st.sampled_from(list(g.sites)))
+    h = Interaction((site,), (Monomial(0.5, (2,)),))
+    step = quench_step_unitary(spec, h, b, [site], data.draw(st.integers(1, 2)), 1, 2, 0.1)
+    ops = [
+        assemble_hamiltonian(spec, b),
+        assemble_hamiltonian(spec, b, hop_sites=X, int_sites=X),
+        effective_hamiltonian(spec, b, scheme),
+        *(G for G, _ in step.factors),
+    ]
+    for op in ops:
+        assert_flags_match_oracles(op)
+
+
+@given(lattice_bases(), st.sampled_from([0.0, 1e-14, 1e-9, 0.3]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_unequal_reverse_hops_are_judged_by_the_hermiticity_rule(b, skew, data):
+    """A hop whose reverse has another weight is Hermitian within
+    ``HERMITICITY_RTOL`` only, as the whole-matrix rule says; no spec makes
+    one, so the row builder is given the weights directly."""
+    edges = b.lattice.edges
+    if not edges:
+        return
+    i, j = data.draw(st.sampled_from(edges))
+    weights = {e: [0.7] for u, v in edges for e in ((u, v), (v, u))}
+    weights[j, i] = [0.7 + skew]
+    diag = np.linspace(-1.0, 1.0, b.dim)
+    mask = truncation_projector(b, [([i], data.draw(st.integers(0, 3)))])
+    op = model._hopping_rows(b, weights, diag, data.draw(st.sampled_from([None, mask])), [i, j])
+    assert_flags_match_oracles(op)
 
 
 def test_hop_table_is_read_only():

@@ -560,3 +560,19 @@ def test_spec_rejects_non_finite_hopping():
     for J in (np.nan, np.inf):
         with pytest.raises(ValueError, match="not finite"):
             HamiltonianSpec(g, ((0, 1, J),), (), k_max=1, J_bar=np.inf)
+
+
+def test_spec_rejects_complex_values_by_term():
+    """A complex J or a complex or non-finite monomial coefficient is refused,
+    with its term named, before assembly meets it in real arithmetic; a zero
+    imaginary part counts."""
+    g = build_lattice("chain", [3])
+    for J in (1.0 + 0.5j, np.complex128(1.0)):
+        with pytest.raises(ValueError, match=r"J_01=.* is not real"):
+            HamiltonianSpec(g, ((0, 1, J),), (), k_max=1, J_bar=2.0)
+    for c in (0.5j, np.nan, np.inf):
+        term = Interaction((2,), (Monomial(1.0, (1,)), Monomial(c, (2,))))
+        with pytest.raises(ValueError, match=r"interaction \(2,\): monomial coefficient .* finite real"):
+            HamiltonianSpec(g, ((0, 1, 1.0),), (term,), k_max=1, J_bar=1.0)
+    real = HamiltonianSpec(g, ((0, 1, np.float32(0.5)),), (), k_max=1, J_bar=1.0)
+    assert assemble_hamiltonian(real, enumerate_basis(g, 1)).hermitian

@@ -293,6 +293,10 @@ def test_ground_state_iterative_path_matches_dense(kind, dims, cutoff, sector, J
     assert abs(sparse_path.gap_DeltaE - dense.gap_DeltaE) <= 1e-10
     assert dense.gap_DeltaE > 1e-3  # a unique ground state, so the vectors agree
     assert abs(abs(sparse_path.ground.overlap(dense.ground)) - 1.0) <= 1e-10
+    # ARPACK's stopping tolerance, not only the runtime residual check, sets this
+    psi = sparse_path.ground.amplitudes
+    residual = np.linalg.norm(H.matrix @ psi - sparse_path.E0 * psi)
+    assert residual <= 1e-10 * max(1.0, abs(sparse_path.E0))
 
 
 @pytest.fixture
