@@ -33,7 +33,6 @@ from .model import (
     assemble_hamiltonian,
     bose_hubbard,
     creation_degree,
-    effective_hamiltonian,
     local_operator,
 )
 from .evolve import (
@@ -97,7 +96,7 @@ __all__ = [
     "number_operator", "region_total_projector", "truncation_projector",
     "HamiltonianSpec", "Interaction", "Monomial", "OperatorMatrix",
     "assemble_hamiltonian", "bose_hubbard", "creation_degree",
-    "effective_hamiltonian", "local_operator",
+    "local_operator",
     "DENSE_CAP", "DenseCapError", "PropagationError", "StateVector",
     "evolve_state", "spectral_norm",
     "GroundStateResult", "commutator_norms",

@@ -28,7 +28,6 @@ import numpy as np
 from .lattice import LatticeGraph
 
 _OVERFLOW_LOG = 700.0
-_RECOMPUTE_RTOL = 1e-12
 
 # Search caps: the highest moment order the markov-optimized tail bound
 # scans, and the largest occupation cutoff solve_eta tries.
@@ -133,7 +132,14 @@ class BoundConstants:
             v = getattr(self, name)
             if v is not None and v <= 0:
                 raise ValueError(f"{name}, when set, must be positive")
-        self._recompute_check()
+        # evaluated once, so that a constant that overflows fails at
+        # construction, where the caller can still name the field behind it
+        _ = (self.c1, self.c1pp, self.c1p(1.0))
+        if self.eta is not None and not math.isfinite(self.c3p):
+            raise ValueError(
+                f"eta = {self.eta} overflows c3' = 16 e k c3 gamma (2k)^D, "
+                "which would make delta_t0 = 0"
+            )
 
     # -- derived constants ------------------------------------------------
 
@@ -178,60 +184,6 @@ class BoundConstants:
     @property
     def effective_C2(self) -> float:
         return self.C2 if self.C2 is not None else self.C0 + 4.0
-
-    # -- construction-time recomputation ----------------------------------
-
-    def _recompute_check(self) -> None:
-        """Re-derive each constant through a second factoring, to 1e-12."""
-
-        def close(a: float, b: float) -> bool:
-            return abs(a - b) <= _RECOMPUTE_RTOL * max(1.0, abs(a), abs(b))
-
-        alt_c1 = math.exp(8.0 * self.J_bar * self.dG * self.t0 - math.log(self.c0))
-        if not close(self.c1, alt_c1):
-            raise AssertionError("derived-constant recomputation mismatch: c1")
-        alt_c1pp = math.exp(
-            math.log(80.0)
-            + math.log(self.lambda0)
-            - math.log(self.c0)
-            + 4.0 * self.J_bar * self.dG * self.t0
-            + self.c0
-        )
-        if not close(self.c1pp, alt_c1pp):
-            raise AssertionError("derived-constant recomputation mismatch: c1pp")
-        for sx in (1.0, 7.0):
-            alt_c1p = math.exp(
-                math.log(320.0)
-                - 3.0 * math.log(self.c0)
-                + 4.0 * self.J_bar * self.dG * self.t0
-                + self.c0 * (1.0 + self.q0 / sx)
-            )
-            if not close(self.c1p(sx), alt_c1p):
-                raise AssertionError("derived-constant recomputation mismatch: c1p")
-        if self.eta is not None and self.J_bar > 0:
-            alt_c3 = math.exp(
-                math.log(4.0)
-                + math.log(self.J_bar)
-                + math.log(self.eta)
-                + math.log(self.gamma)
-                + self.D * math.log(2.0 * self.k)
-                + math.log(self.dG)
-            )
-            if not close(self.c3, alt_c3):
-                raise AssertionError("derived-constant recomputation mismatch: c3")
-            alt_c3p = math.exp(
-                math.log(16.0)
-                + 1.0
-                + math.log(self.k)
-                + math.log(alt_c3)
-                + math.log(self.gamma)
-                + self.D * math.log(2.0 * self.k)
-            )
-            if not close(self.c3p, alt_c3p):
-                raise AssertionError("derived-constant recomputation mismatch: c3p")
-            alt_dt0 = math.exp(-1.0 - math.log(alt_c3p))
-            if not close(self.delta_t0, alt_dt0):
-                raise AssertionError("derived-constant recomputation mismatch: delta_t0")
 
 
 def _ctilde(consts: BoundConstants, r: float) -> tuple[float, float]:

@@ -70,7 +70,6 @@ from .model import (
     assemble_hamiltonian,
     bose_hubbard,
     creation_degree,
-    effective_hamiltonian,
     local_operator,
 )
 from .probes import (
@@ -564,7 +563,7 @@ class _Run:
             vals[key] = _need(block, "constants", key, conv, None)
         try:
             consts = BoundConstants(**vals)
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"constants: {exc}") from exc
         except OverflowError:
             # c1 = e^(8 J_bar dG t0) / c0 overflows only through t0; if it
@@ -733,7 +732,7 @@ def _truncation_check(run: _Run) -> list[dict]:
     exact = evolve_state(run.H, v, t)
 
     def cell(q: int) -> dict:
-        H_eff = effective_hamiltonian(spec, b, [(annulus, q)])
+        H_eff = assemble_hamiltonian(spec, b, truncation=[(annulus, q)])
         approx = evolve_state(H_eff, v, t)
         err = float(np.linalg.norm(exact.amplitudes - approx.amplitudes))
         bv = truncation_error_bound(q, len(regions.L2), ell0, r, consts)

@@ -277,7 +277,6 @@ def evolve_state(
     tol: float = 1e-10,
     *,
     return_report: bool = False,
-    max_krylov: int = _MAX_KRYLOV,
 ):
     """psi(t) = e^{-iHt} psi, accurate to tol in 2-norm, at a time or a grid of times.
 
@@ -308,7 +307,7 @@ def evolve_state(
         for side in (times > 0.0, times < 0.0):
             idx = np.flatnonzero(side)
             if idx.size:
-                vecs, more = _march(H.matrix, psi.amplitudes, times[idx], tol, max_krylov)
+                vecs, more = _march(H.matrix, psi.amplitudes, times[idx], tol)
                 for j, w in zip(idx, vecs):
                     out[j] = w
                 method = "krylov"
@@ -321,7 +320,7 @@ def evolve_state(
 
 
 def _march(
-    H: sparse.csr_matrix, psi: np.ndarray, ts: np.ndarray, tol: float, max_krylov: int
+    H: sparse.csr_matrix, psi: np.ndarray, ts: np.ndarray, tol: float
 ) -> tuple[list[np.ndarray], tuple[int, float, int, int]]:
     """e^{-iHt} psi at every t of ``ts`` (nonzero, all of one sign), by one march.
 
@@ -350,7 +349,7 @@ def _march(
         if abs(dt) > abs(remaining):
             dt = remaining
         budget = tol * abs(dt) / abs(t)
-        at, err, built = _lanczos_step(H, v, dt, max_krylov, budget, first_check)
+        at, err, built = _lanczos_step(H, v, dt, _MAX_KRYLOV, budget, first_check)
         matvecs += built
         if err <= budget:
             w = at(dt)

@@ -252,20 +252,27 @@ def enumerate_basis(
         )
     W = W.astype(np.int64)
 
-    # extend every prefix by each value in increasing order, which keeps the
-    # rows lexicographic (``FockBasis.column_order`` relies on it); in a
-    # sector, drop prefixes the rest cannot complete
-    states = np.zeros((1, 0), dtype=np.int16)
-    filled = np.zeros(1, dtype=np.int64)
+    # fill the table site by site: every prefix of sites 0..i-1 that the rest
+    # can complete, in basis order, takes each value of site i the rest can
+    # still complete, in increasing order, which keeps the rows lexicographic
+    # (``FockBasis.column_order`` relies on it); each prefix then heads a block
+    # of rows, one per completion.  In a sector the prefix's rest must hold
+    # ``left`` bosons: site i takes max(0, left - cutoffs of sites i+1..) up
+    # to min(c, left), so no prefix is made only to be dropped
+    states = np.empty((dim, n), dtype=np.int16)
+    left = np.full(1, sector or 0, dtype=np.int64)
     for i, c in enumerate(cutoffs):
-        parent = np.repeat(np.arange(len(states)), c + 1)
-        value = np.tile(np.arange(c + 1), len(states))
-        if sector is not None:
-            left = sector - filled[parent] - value
-            keep = (left >= 0) & (W[i + 1, np.maximum(left, 0)] > 0)
-            parent, value = parent[keep], value[keep]
-        states = np.column_stack([states[parent], value.astype(np.int16)])
-        filled = filled[parent] + value
+        if sector is None:
+            value = np.tile(np.arange(c + 1, dtype=np.int16), W[0] // W[i])
+            completions = W[i + 1]
+        else:
+            first = np.maximum(left - sum(cutoffs[i + 1 :]), 0)
+            count = np.minimum(left, c) - first + 1
+            start = np.cumsum(count) - count
+            value = (np.arange(count.sum()) - np.repeat(start - first, count)).astype(np.int16)
+            left = np.repeat(left, count) - value
+            completions = W[i + 1, left]
+        states[:, i] = np.repeat(value, completions)
 
     return FockBasis(
         lattice=g,

@@ -29,7 +29,6 @@ __all__ = [
     "OperatorMatrix",
     "bose_hubbard",
     "assemble_hamiltonian",
-    "effective_hamiltonian",
     "creation_degree",
     "local_operator",
 ]
@@ -138,9 +137,11 @@ class OperatorMatrix:
     ``support`` is declared by the operator's builder: every site the
     operator acts on is in it, but it need not be the minimal such set.
     Three builders make them, each with the same flags for the same
-    matrix: ``_hopping_rows`` every assembled Hamiltonian, from its row
-    slots; ``_wrap_diagonal`` number and projector probes, from their
-    diagonal; ``_wrap`` any other matrix, from its stored entries.
+    matrix: ``_hopping_rows`` every assembled Hamiltonian, Hermitian by
+    construction (each hop and its reverse get the same real J and the
+    same amplitude) and diagonal when no hop slot is kept;
+    ``_wrap_diagonal`` number and projector probes, from their diagonal;
+    ``_wrap`` any other matrix, from its stored entries.
     """
 
     basis: FockBasis
@@ -244,12 +245,15 @@ def _hopping_rows(
     out-of-basis slots drop out, and so do the rows and columns where the
     0/1 ``mask`` is 0.
 
-    The flags come from the slots, not from the stored matrix.  Entry
-    (s, t) of hop e and entry (t, s) of the reverse hop are the only pair
-    that ``_check_hermitian`` compares there, so the largest slot
-    mismatch, against the same ``HERMITICITY_RTOL`` rule, gives
-    ``hermitian``; a hop never lands on its own state, so the operator is
-    diagonal exactly when every hop slot is 0.
+    The flags come from the construction, not from the stored matrix.  The
+    operator is Hermitian by construction: ``assemble_hamiltonian``, the
+    one caller, gives both directions of every hop the same listings of J,
+    which ``HamiltonianSpec`` holds real and finite, and sqrt(n_i (n_j + 1))
+    at s is the same floating product as the reverse hop's amplitude at
+    the target; the 0/1 mask multiplies both ends alike and ``diag`` is
+    real.  Entry (s, t) therefore equals entry (t, s) bit for bit.  A hop
+    never lands on its own state, so the operator is diagonal exactly when
+    every hop slot is 0.
     """
     row, targets = b.hop_targets
     slots = b.column_order(weights)
@@ -274,15 +278,7 @@ def _hopping_rows(
     if mask is not None:
         vals *= mask
         vals *= mask[cols]
-    slot = {edge: k for k, edge in enumerate(slots)}
-    down = slot[None]  # the edges before the state's own slot lower it
-    mismatch = 0.0
-    for i, j in slots[:down]:
-        t = targets[row[i, j]]
-        inside = t >= 0
-        back = vals[slot[j, i]][t[inside]]
-        mismatch = max(mismatch, np.abs(vals[slot[i, j]][inside] - back).max(initial=0.0))
-    scale = max(vals.max(), -vals.min(), 1.0)
+    down = slots.index(None)  # the edges before the state's own slot lower it
     hop_kept = vals[:down].any() or vals[down + 1 :].any()
     mat = sparse.csr_matrix(
         (vals.T.ravel(), cols.T.ravel(), np.arange(0, vals.size + 1, len(slots))),
@@ -291,9 +287,12 @@ def _hopping_rows(
     mat.eliminate_zeros()
     return OperatorMatrix(
         basis=b,
-        # complex copies hold just the kept entries, not every slot
-        matrix=mat.astype(np.complex128),
-        hermitian=bool(mismatch <= HERMITICITY_RTOL * scale),
+        # complex values of just the kept entries, on the real matrix's own
+        # index arrays: ``astype`` would copy those too
+        matrix=sparse.csr_matrix(
+            (mat.data.astype(np.complex128), mat.indices, mat.indptr), shape=mat.shape, copy=False
+        ),
+        hermitian=True,
         is_diagonal=not hop_kept,
         support=frozenset(int(i) for i in support),
     )
@@ -350,15 +349,6 @@ def assemble_hamiltonian(
     mask = truncation_projector(b, truncation) if truncation else None
     supp.update(int(i) for region, _ in truncation for i in region)
     return _hopping_rows(b, weights, diag, mask, supp)
-
-
-def effective_hamiltonian(
-    spec: HamiltonianSpec,
-    b: FockBasis,
-    scheme: Sequence[tuple[Iterable[int], int]],
-) -> OperatorMatrix:
-    """Pi_bar H Pi_bar with Pi_bar = truncation_projector(scheme)."""
-    return assemble_hamiltonian(spec, b, truncation=scheme)
 
 
 # ---------------------------------------------------------------------------

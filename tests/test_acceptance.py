@@ -39,7 +39,6 @@ from boselab.model import (
     Monomial,
     assemble_hamiltonian,
     bose_hubbard,
-    effective_hamiltonian,
     local_operator,
 )
 from boselab.probes import (
@@ -237,7 +236,7 @@ def test_criterion_09_hard_truncation_error_shrinks_with_cutoff():
     exact = evolve_state(H, phi0, t)
     errs = []
     for q in range(1, 7):
-        H_trunc = effective_hamiltonian(spec, b, [(Ltilde, q)])
+        H_trunc = assemble_hamiltonian(spec, b, truncation=[(Ltilde, q)])
         approx = evolve_state(H_trunc, phi0, t)
         errs.append(float(np.linalg.norm(exact.amplitudes - approx.amplitudes)))
     for lo_q, hi_q in zip(errs[1:], errs[:-1]):

@@ -67,6 +67,7 @@ def test_constants_validation():
         dict(D=0),
         dict(k=0),
         dict(zeta0=0.0),
+        dict(eta=1e306),  # c3' overflows, so delta_t0 would be 0
     ):
         with pytest.raises(ValueError):
             base_consts(**bad)
@@ -93,6 +94,44 @@ def test_interaction_range_constants_frozen_values():
     assert c.delta_t0 == pytest.approx(1.0 / (math.e * c.c3p), rel=1e-12)
     with pytest.raises(ValueError):
         _ = base_consts().c3  # eta not solved yet
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {},
+        dict(c0=0.5),
+        dict(q0=2.0),
+        dict(eta=5.0),
+        dict(c0=0.3, q0=1.5, t0=0.7, J_bar=0.4, lambda0=3.5, eta=0.2, k=2, D=2, gamma=4.0),
+    ],
+)
+def test_derived_constants_match_a_second_factoring(over):
+    """Each derived constant equals the exponential of its summed logarithms."""
+    c = base_consts(**over)
+
+    def close(value, log_alt):
+        return value == pytest.approx(math.exp(log_alt), rel=1e-12, abs=1e-12)
+
+    hop = 4.0 * c.J_bar * c.dG * c.t0
+    assert close(c.c1, 2.0 * hop - math.log(c.c0))
+    assert close(c.c1pp, math.log(80.0) + math.log(c.lambda0) - math.log(c.c0) + hop + c.c0)
+    for sx in (1.0, 7.0):
+        log_c1p = math.log(320.0) - 3.0 * math.log(c.c0) + hop + c.c0 * (1.0 + c.q0 / sx)
+        assert close(c.c1p(sx), log_c1p)
+    if c.eta is None:
+        return
+    log_c3 = (
+        math.log(4.0) + math.log(c.J_bar) + math.log(c.eta) + math.log(c.gamma)
+        + c.D * math.log(2.0 * c.k) + math.log(c.dG)
+    )
+    log_c3p = (
+        math.log(16.0) + 1.0 + math.log(c.k) + log_c3 + math.log(c.gamma)
+        + c.D * math.log(2.0 * c.k)
+    )
+    assert close(c.c3, log_c3)
+    assert close(c.c3p, log_c3p)
+    assert close(c.delta_t0, -1.0 - log_c3p)
 
 
 def test_effective_constant_defaults():

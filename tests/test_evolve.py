@@ -119,11 +119,12 @@ def test_report_error_estimate_is_honest():
     assert report.method in ("krylov", "diagonal", "dense")
 
 
-def test_propagation_error_when_budget_unreachable():
+def test_propagation_error_when_budget_unreachable(monkeypatch):
     g, b, H = chain_setup(3, 3, J=1.0, U=1.0)
     psi = random_state(b, 2)
+    monkeypatch.setattr(evolve_mod, "_MAX_KRYLOV", 2)
     with pytest.raises(PropagationError):
-        evolve_state(H, psi, 1.0, tol=1e-16, max_krylov=2)
+        evolve_state(H, psi, 1.0, tol=1e-16)
 
 
 def test_report_counts_short_step():

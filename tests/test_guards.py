@@ -251,8 +251,8 @@ def test_one_factorisation_per_grid():
 def test_assembly_takes_its_flags_from_the_row_build():
     """Only ``_wrap`` runs the whole-matrix Hermiticity check, and no assembly wraps.
 
-    ``_hopping_rows`` compares each hop slot with its reverse hop's slot, so
-    an assembled Hamiltonian never pays for a transpose and a difference
+    ``_hopping_rows`` builds Hermitian operators by construction, so an
+    assembled Hamiltonian never pays for a transpose and a difference
     matrix; ``_wrap`` serves the custom matrices of ``local_operator``.
     """
     assert _callers("_check_hermitian") == ["model._wrap"]

@@ -16,7 +16,6 @@ from boselab.model import (
     Monomial,
     assemble_hamiltonian,
     bose_hubbard,
-    effective_hamiltonian,
 )
 from helpers import oracle_hamiltonian, oracle_is_hermitian, oracle_rank
 
@@ -136,7 +135,7 @@ def test_repeated_assemblies_are_bit_identical_to_references(b, seed, data):
         oracle_hamiltonian(restricted_spec(spec, X, X), b),
     )
     assert_same_csr(
-        effective_hamiltonian(spec, b, scheme).matrix,
+        assemble_hamiltonian(spec, b, truncation=scheme).matrix,
         sandwiched(full, truncation_projector(b, scheme)),
     )
 
@@ -186,7 +185,7 @@ def test_second_assembly_ranks_nothing(rank_calls):
     first = assemble_hamiltonian(spec, b)
     second = assemble_hamiltonian(spec, b)
     assemble_hamiltonian(spec, b, hop_sites=[1, 2, 3], int_sites=[1, 2, 3])
-    effective_hamiltonian(spec, b, [([2], 1)])
+    assemble_hamiltonian(spec, b, truncation=[([2], 1)])
     quench_step_unitary(spec, h, b, [2], 1, 1, 1, 0.1)
     assert rank_calls == []
     assert_same_csr(first.matrix, second.matrix)
@@ -204,9 +203,11 @@ def assert_flags_match_oracles(op):
 @given(lattice_bases(), st.integers(0, 2**32 - 1), st.data())
 @settings(max_examples=40, deadline=None)
 def test_assembled_flags_match_the_oracles(b, seed, data):
-    """Every assembly takes ``hermitian`` and ``is_diagonal`` from its row
-    slots; both equal the whole-matrix rules, and the arrays equal ``_wrap``'s,
-    for the full H, a region's H, a truncated H and the two quench generators."""
+    """Every assembly is Hermitian by construction and takes ``is_diagonal``
+    from its row slots; both flags equal the whole-matrix rules, each matrix
+    equals its conjugate transpose entry for entry, and the arrays equal
+    ``_wrap``'s, for the full H, a region's H, a truncated H and the two
+    quench generators."""
     g = b.lattice
     spec = random_spec(g, seed)
     X = sorted(data.draw(st.sets(st.sampled_from(list(g.sites)), min_size=1)))
@@ -217,29 +218,13 @@ def test_assembled_flags_match_the_oracles(b, seed, data):
     ops = [
         assemble_hamiltonian(spec, b),
         assemble_hamiltonian(spec, b, hop_sites=X, int_sites=X),
-        effective_hamiltonian(spec, b, scheme),
+        assemble_hamiltonian(spec, b, truncation=scheme),
         *(G for G, _ in step.factors),
     ]
     for op in ops:
         assert_flags_match_oracles(op)
-
-
-@given(lattice_bases(), st.sampled_from([0.0, 1e-14, 1e-9, 0.3]), st.data())
-@settings(max_examples=40, deadline=None)
-def test_unequal_reverse_hops_are_judged_by_the_hermiticity_rule(b, skew, data):
-    """A hop whose reverse has another weight is Hermitian within
-    ``HERMITICITY_RTOL`` only, as the whole-matrix rule says; no spec makes
-    one, so the row builder is given the weights directly."""
-    edges = b.lattice.edges
-    if not edges:
-        return
-    i, j = data.draw(st.sampled_from(edges))
-    weights = {e: [0.7] for u, v in edges for e in ((u, v), (v, u))}
-    weights[j, i] = [0.7 + skew]
-    diag = np.linspace(-1.0, 1.0, b.dim)
-    mask = truncation_projector(b, [([i], data.draw(st.integers(0, 3)))])
-    op = model._hopping_rows(b, weights, diag, data.draw(st.sampled_from([None, mask])), [i, j])
-    assert_flags_match_oracles(op)
+        # the exact symmetry that ``hermitian=True`` rests on
+        assert (op.matrix != op.matrix.getH()).nnz == 0
 
 
 def test_hop_table_is_read_only():

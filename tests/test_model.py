@@ -23,7 +23,6 @@ from boselab.model import (
     assemble_hamiltonian,
     bose_hubbard,
     creation_degree,
-    effective_hamiltonian,
     local_operator,
 )
 from boselab.model import HERMITICITY_RTOL, _check_hermitian, _wrap, _wrap_diagonal
@@ -192,8 +191,8 @@ def test_effective_hamiltonian_trivial_schemes():
     b = enumerate_basis(g, 2)
     spec = bose_hubbard(g, J=1.0, U=2.0)
     H = assemble_hamiltonian(spec, b).matrix
-    assert (effective_hamiltonian(spec, b, []).matrix - H).nnz == 0
-    assert (effective_hamiltonian(spec, b, [(list(g.sites), 2)]).matrix - H).nnz == 0
+    assert (assemble_hamiltonian(spec, b, truncation=[]).matrix - H).nnz == 0
+    assert (assemble_hamiltonian(spec, b, truncation=[(list(g.sites), 2)]).matrix - H).nnz == 0
 
 
 def test_effective_hamiltonian_is_projected_sandwich():
@@ -201,7 +200,7 @@ def test_effective_hamiltonian_is_projected_sandwich():
     b = enumerate_basis(g, 3)
     spec = bose_hubbard(g, J=1.0, U=1.0, mu=0.2)
     scheme = [([1, 2], 1)]
-    Ht = effective_hamiltonian(spec, b, scheme)
+    Ht = assemble_hamiltonian(spec, b, truncation=scheme)
     mask = truncation_projector(b, scheme)
     H = assemble_hamiltonian(spec, b).dense()
     expected = (mask[:, None] * H) * mask[None, :]
@@ -214,7 +213,7 @@ def test_effective_hamiltonian_is_projected_sandwich():
 def test_effective_hamiltonian_vacuum_scheme_kills_hopping():
     g = build_lattice("chain", [3])
     b = enumerate_basis(g, 2)
-    Ht = effective_hamiltonian(bose_hubbard(g, J=1.0, U=3.0), b, [(list(g.sites), 0)])
+    Ht = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=3.0), b, truncation=[(list(g.sites), 0)])
     # only the vacuum diagonal survives, and it is zero for this model
     assert Ht.matrix.nnz == 0
 
@@ -227,7 +226,7 @@ def test_effective_hopping_amplitudes_capped(q):
     b = enumerate_basis(g, 5)
     spec = bose_hubbard(g, J=1.0, U=0.0)
     Lt = [1, 2]
-    Ht = effective_hamiltonian(spec, b, [(Lt, q)]).matrix.tocoo()
+    Ht = assemble_hamiltonian(spec, b, truncation=[(Lt, q)]).matrix.tocoo()
     cap_inside = q + 1e-12
     cap_crossing = math.sqrt(q * 5.0) + 1e-12
     for i, j, v in zip(Ht.row, Ht.col, Ht.data):
