@@ -57,6 +57,7 @@ from .bounds import (
     BoundConditionError,
     BoundConstants,
     BoundValue,
+    ConstantError,
     adjacency_exp_bound,
     clustering_bound,
     concentration_bound,
@@ -102,7 +103,7 @@ __all__ = [
     "GroundStateResult", "commutator_norms",
     "connected_correlation", "ground_state", "heisenberg_apply",
     "mgf_condition", "moments", "tail_probabilities",
-    "BoundConditionError", "BoundConstants", "BoundValue",
+    "BoundConditionError", "BoundConstants", "BoundValue", "ConstantError",
     "adjacency_exp_bound", "clustering_bound",
     "concentration_bound", "first_moment_bound",
     "fs_polynomial", "initial_moment_bounds",

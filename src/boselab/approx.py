@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import BoundConditionError, BoundConstants, QuenchBounds, quench_bounds, solve_eta
 from .evolve import StateVector, evolve_state
-from .fock import FockBasis, number_operator, truncation_projector
+from .fock import FockBasis, _binding_cutoffs, number_operator, truncation_projector
 from .lattice import LatticeGraph, ball
 from .model import HamiltonianSpec, Interaction, OperatorMatrix, assemble_hamiltonian
 
@@ -58,18 +58,21 @@ class StepSchedule:
 
     total_t: float
     m_t: int
-    dt: float
     dr: int
     r0: int
-    radii: tuple[int, ...]  # r_m = r0 + m dr, m = 1..m_t
 
     def __post_init__(self) -> None:
         if self.m_t < 1 or self.dr < 1:
             raise ValueError("m_t and dr must be positive")
-        if abs(self.m_t * self.dt - self.total_t) > 1e-12 * max(1.0, abs(self.total_t)):
-            raise ValueError("m_t * dt must equal total_t")
-        if self.radii != tuple(self.r0 + m * self.dr for m in range(1, self.m_t + 1)):
-            raise ValueError("radii inconsistent with r0 + m dr")
+
+    @property
+    def dt(self) -> float:
+        return self.total_t / self.m_t
+
+    @property
+    def radii(self) -> tuple[int, ...]:
+        """r_m = r0 + m dr, m = 1..m_t."""
+        return tuple(self.r0 + m * self.dr for m in range(1, self.m_t + 1))
 
     def subsets(self, g: LatticeGraph, i0: int) -> tuple[frozenset[int], ...]:
         return tuple(ball(g, [i0], r) for r in self.radii)
@@ -85,17 +88,13 @@ def step_schedule(t: float, R: float, r0: int, delta_t0: float) -> StepSchedule:
         raise ValueError("R must exceed r0")
     # the 1e-12 shave keeps an exact multiple from rounding up to an extra step
     m_t = max(1, math.ceil(t / delta_t0 - 1e-12))
-    dt = t / m_t
-    if dt > delta_t0 * (1.0 + 1e-9):
-        raise AssertionError("schedule produced dt > delta_t0")
     dr = int((R - r0) // m_t)
     if dr < 1:
         raise ScheduleError(
             f"infeasible schedule: {m_t} steps require R - r0 >= m_t "
             f"(dr >= 1), got R - r0 = {R - r0}"
         )
-    radii = tuple(int(r0) + m * dr for m in range(1, m_t + 1))
-    return StepSchedule(total_t=float(t), m_t=m_t, dt=dt, dr=dr, r0=int(r0), radii=radii)
+    return StepSchedule(total_t=float(t), m_t=m_t, dr=dr, r0=int(r0))
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,8 @@ def _step_unitary(
             _quenched(spec, h), b, hop_sites=reg.L2p, int_sites=reg.L2, truncation=truncation
         )
         factors = ((B, -float(dt)), (A, float(dt)))
-    kept = int(truncation_projector(b, truncation).sum())
+    binds = _binding_cutoffs(b, truncation)
+    kept = int(truncation_projector(b, truncation).sum()) if binds else b.dim
     return LocalUnitary(basis=b, support=reg.L2, surviving_dim=kept, factors=factors)
 
 

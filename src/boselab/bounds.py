@@ -8,7 +8,9 @@ arithmetic is done on logarithms and results are reported as
 validity conditions are flags on its BoundValue, not exceptions.  Two
 failures do raise BoundConditionError: ``solve_eta``'s conditions, since it
 must return a usable q, and lattice constants that leave the tail proof's
-distance window empty.
+distance window empty.  A derived constant that float64 cannot hold
+raises ConstantError when the BoundConstants are made, as a field
+out of range does.
 
 The constants C0, C1, C2, C3, C3p and Gamma_c are existence constants:
 they are user parameters defaulting to 1 (C1 and C2 to derived values) and
@@ -18,6 +20,7 @@ are never tested numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +31,7 @@ import numpy as np
 from .lattice import LatticeGraph
 
 _OVERFLOW_LOG = 700.0
+_LOG_MAX = math.log(sys.float_info.max)  # the largest x with a finite e^x
 
 # Search caps: the highest moment order the markov-optimized tail bound
 # scans, and the largest occupation cutoff solve_eta tries.
@@ -41,6 +45,19 @@ ADJACENCY_C = 2.0 * CHI**2 / (CHI - 1.0)
 
 class BoundConditionError(ValueError):
     """A validity condition of an analytic bound is violated."""
+
+
+class ConstantError(ValueError):
+    """A BoundConstants field out of range, or a derived constant that overflows.
+
+    ``field`` names the field at fault: of an overflowing constant's log
+    terms, the largest.  ``constant`` names that constant (None when the
+    field itself is out of range).
+    """
+
+    def __init__(self, field: str, message: str, constant: str | None = None) -> None:
+        super().__init__(message)
+        self.field, self.constant = field, constant
 
 
 def _log(x: float) -> float:
@@ -109,37 +126,50 @@ class BoundConstants:
     Gamma_c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c0 <= 1.0:
-            raise ValueError("c0 must lie in (0, 1]")
-        if self.qbar < 0 or self.q0 < 0:
-            raise ValueError("qbar and q0 must be non-negative")
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
-        if self.J_bar < 0:
-            raise ValueError("J_bar must be non-negative")
-        if self.dG < 1 or self.gamma < 1 or self.lambda0 < 1:
-            raise ValueError("dG, gamma and lambda0 are all >= 1")
-        if self.D < 1 or self.k < 1:
-            raise ValueError("D and k are positive integers")
-        if self.zeta0 <= 0:
-            raise ValueError("zeta0 must be positive")
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta, when set, must be positive")
-        for name in ("C0", "C3", "C3p", "Gamma_c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("C1", "C2"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name}, when set, must be positive")
-        # evaluated once, so that a constant that overflows fails at
-        # construction, where the caller can still name the field behind it
-        _ = (self.c1, self.c1pp, self.c1p(1.0))
-        if self.eta is not None and not math.isfinite(self.c3p):
-            raise ValueError(
-                f"eta = {self.eta} overflows c3' = 16 e k c3 gamma (2k)^D, "
-                "which would make delta_t0 = 0"
-            )
+        v = vars(self)
+        rules = [("c0", 0.0 < self.c0 <= 1.0, "lie in (0, 1]")]
+        rules += [(f, v[f] >= 0, "be non-negative") for f in ("qbar", "q0", "J_bar")]
+        rules += [(f, v[f] >= 1, "be >= 1") for f in ("dG", "gamma", "lambda0", "D", "k")]
+        positive = ("t0", "zeta0", "C0", "C3", "C3p", "Gamma_c")
+        rules += [(f, v[f] > 0, "be positive") for f in positive]
+        rules += [(f, v[f] is None or v[f] > 0, "be positive") for f in ("eta", "C1", "C2")]
+        for field, ok, rule in rules:
+            if not ok:
+                raise ConstantError(field, f"{field} = {v[field]} must {rule}")
+        # a constant past log(float max), or one of its terms past it (a
+        # power or exponential that overflows on its own), fails here, where
+        # the caller can still name the field behind it
+        for name, formula, log_prefactor, terms in self._log_terms():
+            field, largest = max(terms, key=lambda term: term[1])
+            if max(log_prefactor + sum(x for _, x in terms), largest) > _LOG_MAX:
+                raise ConstantError(
+                    field, f"{field} = {v[field]} overflows {name} = {formula}", name
+                )
+
+    def _log_terms(self) -> list[tuple[str, str, float, list[tuple[str, float]]]]:
+        """(name, formula, log prefactor, terms) of c1, c1'', c1'(1) and, with eta, c3 and c3'.
+
+        The prefactor's log and the terms sum to the constant's log; each
+        term is keyed by the field it grows with.
+        """
+        c0, lc0, jdt = self.c0, math.log(self.c0), self.J_bar * self.dG * self.t0
+        out = [
+            ("c1", "e^(8 J_bar dG t0) / c0", 0.0, [("t0", 8.0 * jdt), ("c0", -lc0)]),
+            ("c1''", "80 lambda0 / c0 e^(4 J_bar dG t0 + c0)", math.log(80.0),
+             [("t0", 4.0 * jdt), ("c0", c0 - lc0), ("lambda0", math.log(self.lambda0))]),
+            ("c1'", "320 c0^-3 e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) at sizeX = 1",
+             math.log(320.0), [("t0", 4.0 * jdt), ("c0", c0 - 3.0 * lc0), ("q0", c0 * self.q0)]),
+        ]
+        if self.eta is not None:
+            power, gamma = ("D", self.D * math.log(2.0 * self.k)), ("gamma", math.log(self.gamma))
+            c3 = [("J_bar", _log(self.J_bar)), ("eta", math.log(self.eta)), gamma, power,
+                  ("dG", math.log(self.dG))]
+            out += [
+                ("c3", "4 J_bar eta gamma (2k)^D dG", math.log(4.0), c3),
+                ("c3'", "16 e k c3 gamma (2k)^D", math.log(64.0 * math.e),
+                 [*c3, ("k", math.log(self.k)), gamma, power]),
+            ]
+        return out
 
     # -- derived constants ------------------------------------------------
 
@@ -670,35 +700,22 @@ class FsPolynomial:
         return acc
 
 
-def _fraction_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rhs)
-    m = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
 @lru_cache(maxsize=None)
 def fs_polynomial(s: int) -> FsPolynomial:
-    """Exact rational coefficients of f_s, via its summation form."""
+    """Exact rational coefficients of f_s, by Faulhaber's formula.
+
+    f_s(x) = s sum_{0 <= j < x} j^{s-1} = sum_{k<s} C(s, k) B_k x^{s-k}, with
+    the Bernoulli numbers B_k of B_1 = -1/2 from their recurrence
+    sum_{k<=n} C(n+1, k) B_k = 0 (Graham, Knuth and Patashnik, Concrete
+    Mathematics, section 6.5).  The j = 0 term is nonzero only for s = 1
+    (0^0 = 1), where it makes f_1(x) = x.
+    """
     if not 1 <= s <= 20:
         raise ValueError("s must lie in 1..20")
-    # f_s(m) = s * sum_{j=0}^{m-1} j^{s-1}; the j = 0 term is nonzero only
-    # for s = 1 (0^0 = 1), where it makes f_1(x) = x
-    values = []
-    for m in range(1, s + 1):
-        values.append(Fraction(s * sum(j ** (s - 1) for j in range(0, m))))
-    rows = [[Fraction(x**p) for p in range(1, s + 1)] for x in range(1, s + 1)]
-    coeffs = (Fraction(0), *_fraction_solve(rows, values))
-    poly = FsPolynomial(s=s, coeffs=coeffs)
-    for x in range(0, 51):
-        if poly(x + 1) - poly(x) != s * Fraction(x) ** (s - 1):
-            raise AssertionError(f"f_{s} difference identity failed at x = {x}")
-    return poly
+    B = [Fraction(1)]
+    for n in range(1, s):
+        B.append(-sum(math.comb(n + 1, k) * B[k] for k in range(n)) / (n + 1))
+    coeffs = [Fraction(0)] * (s + 1)
+    for k in range(s):
+        coeffs[s - k] = math.comb(s, k) * B[k]
+    return FsPolynomial(s=s, coeffs=tuple(coeffs))

@@ -44,6 +44,7 @@ from .bounds import (
     BoundConditionError,
     BoundConstants,
     BoundValue,
+    ConstantError,
     adjacency_exp_bound,
     clustering_bound,
     concentration_bound,
@@ -365,7 +366,6 @@ def _build_observable(
 
 
 _CONST_KEYS = tuple(f.name for f in fields(BoundConstants))
-_LOG_MAX = math.log(sys.float_info.max)  # the largest x with a finite e^x
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +534,6 @@ class _Run:
                 )
             q0 = float(degree)
         _check_keys(block, _CONST_KEYS, "constants")
-        if "t0" not in block and self.t0 <= 0:
-            raise ConfigError(
-                f"{self.t0_field}: the largest |t|, {self.t0}, is the default "
-                f"constants.t0, which must be positive"
-            )
-        k = self.spec.k_max if self.spec is not None else 1
-        if "k" not in block and k < 1:
-            raise ConfigError(
-                f"model.k_max: {k} is the default constants.k, which must be at least 1"
-            )
         geo = geometric_constants(self.g)
         vals: dict = {
             "c0": 1.0,
@@ -554,7 +544,7 @@ class _Run:
             "gamma": geo.gamma,
             "lambda0": geo.lambda0,
             "D": geo.dimension_D,
-            "k": k,
+            "k": self.spec.k_max if self.spec is not None else 1,
             "zeta0": zeta0,
             "q0": q0,
         }
@@ -563,25 +553,12 @@ class _Run:
             vals[key] = _need(block, "constants", key, conv, None)
         try:
             consts = BoundConstants(**vals)
-        except ValueError as exc:
-            raise ConfigError(f"constants: {exc}") from exc
-        except OverflowError:
-            # c1 = e^(8 J_bar dG t0) / c0 overflows only through t0; if it
-            # holds, the overflow is in c1' = 320 c0^-3 e^(4 J_bar dG t0 +
-            # c0 (1 + q0 / sizeX)), through c0^-3 or else through q0
-            if 8.0 * vals["J_bar"] * vals["dG"] * vals["t0"] < _LOG_MAX:
-                field = "c0" if -3.0 * math.log(vals["c0"]) >= _LOG_MAX else "q0"
-                if field == "c0" or "q0" in block:
-                    raise ConfigError(
-                        f"constants.{field}: {field} = {vals[field]} overflows c1' = "
-                        f"320 c0^-3 e^(4 J_bar dG t0 + c0 (1 + q0 / sizeX)) at sizeX = 1, "
-                        f"t0 = {vals['t0']}"
-                    ) from None
-            field = "constants.t0" if "t0" in block else self.t0_field
-            raise ConfigError(
-                f"{field}: t0 = {vals['t0']} overflows a derived constant such as "
-                f"c1 = e^(8 J_bar dG t0) / c0, at J_bar = {vals['J_bar']}, dG = {vals['dG']}"
-            ) from None
+        except ConstantError as exc:
+            # a field the block leaves out is blamed on where its default comes from
+            path = f"constants.{exc.field}"
+            if exc.field not in block:
+                path = {"t0": self.t0_field, "k": "model.k_max"}.get(exc.field, path)
+            raise ConfigError(f"{path}: {exc}") from None
         resolved = {
             "c0": consts.c0,
             "qbar": consts.qbar,

@@ -330,16 +330,23 @@ def truncation_projector(
 
     Overlapping regions resolve to the elementwise minimum cutoff.
     """
+    mask = np.ones(b.dim, dtype=bool)
+    for i, q in _binding_cutoffs(b, scheme).items():
+        mask &= b.states[:, i] <= q
+    return mask.astype(np.float64)
+
+
+def _binding_cutoffs(b: FockBasis, scheme: Sequence[tuple[Iterable[int], int]]) -> dict[int, int]:
+    """The least q of each site in ``scheme``, for the sites where it is below the site's cutoff."""
     eff: dict[int, int] = {}
     for region, q in scheme:
         if q < 0:
             raise ValueError("truncation cutoff must be >= 0")
         for i in map(int, region):
+            if not 0 <= i < b.n_sites:
+                raise ValueError(f"site {i} out of range")
             eff[i] = min(eff.get(i, q), q)
-    mask = np.ones(b.dim, dtype=bool)
-    for i, q in eff.items():
-        mask &= _region_occupations(b, [i]) <= q
-    return mask.astype(np.float64)
+    return {i: q for i, q in eff.items() if q < b.site_cutoffs[i]}
 
 
 def number_operator(b: FockBasis, X: Iterable[int]) -> np.ndarray:

@@ -18,7 +18,8 @@ import numpy as np
 from scipy import sparse
 
 from .fock import (
-    FockBasis, _region_occupations, number_operator, region_total_projector, truncation_projector,
+    FockBasis, _binding_cutoffs, _region_occupations, number_operator, region_total_projector,
+    truncation_projector,
 )
 from .lattice import LatticeGraph
 
@@ -325,7 +326,8 @@ def assemble_hamiltonian(
     the interactions whose region lies in it; None keeps every term.
     ``truncation`` is a ``truncation_projector`` scheme [(region, q)]
     whose projector Pi_bar compresses the sum from both sides (none by
-    default).  The declared support is the sites of the kept terms and
+    default, and none built when every q is at or above its sites'
+    cutoffs).  The declared support is the sites of the kept terms and
     the truncated regions that are not empty.
     """
     if spec.lattice is not b.lattice and spec.lattice.edges != b.lattice.edges:
@@ -346,7 +348,7 @@ def assemble_hamiltonian(
     for t in terms:
         if any(m.coeff != 0.0 and any(m.powers) for m in t.monomials):
             supp.update(t.region)
-    mask = truncation_projector(b, truncation) if truncation else None
+    mask = truncation_projector(b, truncation) if _binding_cutoffs(b, truncation) else None
     supp.update(int(i) for region, _ in truncation for i in region)
     return _hopping_rows(b, weights, diag, mask, supp)
 

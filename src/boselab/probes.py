@@ -45,9 +45,6 @@ GROUND_RESIDUAL_TOL = 1e-8
 _ARPACK_TOL = 1e-12
 _DEGENERACY_RTOL = 1e-9
 
-# A weighted pure-state ensemble: [(w_1, psi_1), ...] with w_j >= 0.
-Ensemble = Sequence[tuple[float, StateVector]]
-
 
 @dataclass(frozen=True)
 class GroundStateResult:
@@ -106,24 +103,15 @@ def tail_probabilities(
     return W @ (k[:, None] >= np.asarray(z0s)).astype(np.float64)
 
 
-def mgf_condition(rho: StateVector | Ensemble, c0: float, qbar: float) -> float:
+def mgf_condition(rho: StateVector, c0: float, qbar: float) -> float:
     """Worst-site exponential-moment value max_i tr(e^{c0(n_i - qbar)} rho).
 
     The low-density condition holds iff the returned value is <= 1.  The
-    members' occupation histograms, summed with their weights, meet
-    e^{c0 (k - qbar)} in one product.
+    state's occupation histogram meets e^{c0 (k - qbar)} in one product.
     """
     if not 0.0 < c0 <= 1.0:
         raise ValueError("c0 must lie in (0, 1]")
-    parts = [(1.0, rho)] if isinstance(rho, StateVector) else [(float(w), psi) for w, psi in rho]
-    if not parts:
-        raise ValueError("empty ensemble")
-    if any(w < 0 for w, _ in parts):
-        raise ValueError("ensemble weights must be non-negative")
-    basis = parts[0][1].basis
-    if any(psi.basis is not basis for _, psi in parts):
-        raise ValueError("ensemble members live on different bases")
-    W = sum(w * _occupation_weights(psi, range(basis.n_sites)) for w, psi in parts)
+    W = _occupation_weights(rho, range(rho.basis.n_sites))
     k = np.arange(W.shape[1], dtype=np.float64)
     return float((W @ np.exp(c0 * (k - qbar))).max())
 

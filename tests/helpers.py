@@ -8,7 +8,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, expm
 
 from boselab import cli
 from boselab.bounds import BoundConstants
@@ -244,6 +244,33 @@ def oracle_commutator_norms(H, O_A, O_Bs, t: float) -> list[float]:
     """SVD 2-norms of the whole commutators [O_A(t), O_B]."""
     A = oracle_heisenberg(H, O_A, t)
     return [float(np.linalg.norm(A @ B - B @ A, 2)) for B in (O.dense() for O in O_Bs)]
+
+
+def chain_propagator(n_sites: int, J: float, t: float) -> np.ndarray:
+    """U(t) = expm(-i J t A) for the adjacency A of an open chain.
+
+    One particle's propagator under J sum_<ij> (b_i b_j^dag + h.c.): free
+    bosons move by it, and so do hard-core bosons in 1D, which are free
+    fermions by the Jordan-Wigner mapping.
+    """
+    A = np.eye(n_sites, k=1) + np.eye(n_sites, k=-1)
+    return expm(-1j * J * t * A)
+
+
+def closed_form_densities(U: np.ndarray, occ) -> np.ndarray:
+    """<n_i(t)> = sum_j |U_ij|^2 n_j from a Fock state with occupations ``occ``."""
+    return np.abs(U) ** 2 @ np.asarray(occ, dtype=np.float64)
+
+
+def closed_form_commutator_norms(U: np.ndarray) -> np.ndarray:
+    """||[n_i(t), n_j]|| = |U_ij| sqrt(1 - |U_ij|^2) on a hard-core chain, entry (i, j).
+
+    [n_i(t), n_j] is the bilinear c^dag M c of a rank-2 M with eigenvalues
+    +-i |U_ij| sqrt(1 - |U_ij|^2); a fermion in the upper mode alone
+    attains its norm.
+    """
+    a = np.abs(U)
+    return a * np.sqrt(np.clip(1.0 - a**2, 0.0, None))
 
 
 def fs_check_rows(s_max: int, m_max: int) -> list[dict]:

@@ -96,12 +96,14 @@ def test_step_schedule_bad_inputs(t, R, r0, d):
 
 
 def test_schedule_consistency_checks():
-    with pytest.raises(ValueError):
-        StepSchedule(total_t=0.2, m_t=2, dt=0.1, dr=0, r0=0, radii=())
-    with pytest.raises(ValueError):
-        StepSchedule(total_t=0.2, m_t=2, dt=0.15, dr=1, r0=0, radii=(1, 2))
-    with pytest.raises(ValueError):
-        StepSchedule(total_t=0.2, m_t=2, dt=0.1, dr=1, r0=0, radii=(2, 1))
+    # dt and radii are derived from (total_t, m_t, dr, r0), so only m_t and
+    # dr can be out of range
+    for m_t, dr in ((0, 1), (2, 0)):
+        with pytest.raises(ValueError):
+            StepSchedule(total_t=0.2, m_t=m_t, dr=dr, r0=0)
+    s = StepSchedule(total_t=0.2, m_t=2, dr=1, r0=3)
+    assert s.dt == 0.1
+    assert s.radii == (4, 5)
 
 
 def test_schedule_subsets_are_balls():

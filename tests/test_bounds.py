@@ -11,6 +11,7 @@ from boselab.bounds import (
     CHI,
     BoundConditionError,
     BoundConstants,
+    ConstantError,
     adjacency_exp_bound,
     clustering_bound,
     concentration_bound,
@@ -71,6 +72,33 @@ def test_constants_validation():
     ):
         with pytest.raises(ValueError):
             base_consts(**bad)
+
+
+@pytest.mark.parametrize(
+    "over, constant, field",
+    [
+        (dict(t0=45.0), "c1", "t0"),  # 8 J dG t0 = 720
+        (dict(lambda0=1e308), "c1''", "lambda0"),
+        (dict(q0=2000.0), "c1'", "q0"),
+        (dict(c0=1e-110), "c1'", "c0"),  # c0^-3 = 1e330, while 1/c0 fits in c1
+        (dict(eta=1.0, D=2000), "c3", "D"),
+        (dict(eta=1.0, D=2000, J_bar=0.0), "c3", "D"),  # c3 = 0, but (2k)^D overflows
+        (dict(eta=1e307), "c3", "eta"),
+        (dict(eta=1.0, D=600), "c3'", "D"),  # c3 = 4 J gamma 2^600 dG fits
+        (dict(eta=1e306), "c3'", "eta"),
+    ],
+)
+def test_overflowing_constant_names_its_field(over, constant, field):
+    with pytest.raises(ConstantError) as info:
+        base_consts(**over)
+    assert (info.value.constant, info.value.field) == (constant, field)
+    assert str(info.value).startswith(f"{field} = {over[field]} overflows {constant} = ")
+
+
+def test_constants_just_below_overflow_are_kept():
+    # 16 t0 = 709 < log(float max): c1 is finite and no constant is refused
+    assert math.isfinite(base_consts(t0=709.0 / 16.0).c1)
+    assert math.isfinite(base_consts(eta=1.0, D=500).c3p)
 
 
 def test_derived_constants_frozen_values():
@@ -482,7 +510,7 @@ def test_fs_polynomials_exact():
         Fraction(-2),
         Fraction(1),
     )
-    for s in range(1, 11):
+    for s in range(1, 21):
         f = fs_polynomial(s)
         assert f(0) == 0
         # difference identity on a wide exact grid

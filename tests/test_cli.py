@@ -511,6 +511,16 @@ def test_overflowing_c1_prime_names_its_field(constants, message, tmp_path, caps
     assert f"config error: {message} overflows c1'" in capsys.readouterr().err
 
 
+def test_overflowing_c3_names_d(tmp_path, capsys):
+    # (2k)^D = 2^2000 overflows c3 = 4 J_bar eta gamma (2k)^D dG, while t0 = 0.1
+    # leaves c1, c1' and c1'' finite
+    payload = json.loads(json.dumps(CONFIGS["short-lr-check"]))
+    payload["constants"].update({"eta": 1.0, "D": 2000})
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: constants.D: D = 2000 overflows c3 = " in capsys.readouterr().err
+
+
 def test_invalid_constants_exit_two(tmp_path):
     payload = json.loads(json.dumps(CONFIGS["moment-check"]))
     payload["constants"]["c0"] = 5.0  # outside (0, 1]

@@ -1,0 +1,61 @@
+"""Exact evolution and light-cone norms against single-particle closed forms.
+
+Free bosons and hard-core bosons on an open chain move by one particle's
+propagator U(t) = e^{-iJtA} (``helpers.chain_propagator``), so densities
+from a Fock state and the light-cone norms ||[n_i(t), n_j]|| have closed
+forms at any size, a second route that shares no code with the library.
+"""
+
+import numpy as np
+import pytest
+
+from boselab.evolve import DENSE_CAP, evolve_state
+from boselab.fock import enumerate_basis
+from boselab.lattice import build_lattice
+from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
+from boselab.probes import commutator_norms
+from helpers import (
+    chain_propagator,
+    closed_form_commutator_norms,
+    closed_form_densities,
+    fock_state,
+)
+
+J = 1.0
+TIMES = [0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "n_sites, cutoff, occ, dim",
+    [
+        # hard-core chain 16 at half filling
+        (16, 1, (1,) * 8 + (0,) * 8, 12_870),
+        # free bosons, chain 10, N = 5, cutoff 5 = N, so no state is cut off
+        (10, 5, (0, 0, 2, 0, 0, 3, 0, 0, 0, 0), 2_002),
+    ],
+)
+def test_evolved_densities_match_the_closed_form(n_sites, cutoff, occ, dim):
+    g = build_lattice("chain", [n_sites])
+    b = enumerate_basis(g, cutoff, sector=sum(occ))
+    assert b.dim == dim > DENSE_CAP
+    H = assemble_hamiltonian(bose_hubbard(g, J=J, U=0.0), b)
+    psi0 = fock_state(b, occ)
+    states = b.states.astype(np.float64)
+    for t, psi in zip(TIMES, evolve_state(H, psi0, TIMES)):
+        got = np.abs(psi.amplitudes) ** 2 @ states
+        want = closed_form_densities(chain_propagator(n_sites, J, t), occ)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("i0", [0, 3])
+def test_commutator_norms_match_the_closed_form(i0):
+    # the dense-lightcone benchmark model: hard-core chain 8, J = 1, U = 0
+    g = build_lattice("chain", [8])
+    b = enumerate_basis(g, 1)
+    H = assemble_hamiltonian(bose_hubbard(g, J=J, U=0.0), b)
+    O_A = local_operator("number", [i0], b)
+    probes = [local_operator("number", [i], b) for i in g.sites]
+    times = [0.5, 1.0, 1.5]
+    for t, row in zip(times, commutator_norms(H, O_A, probes, times)):
+        want = closed_form_commutator_norms(chain_propagator(8, J, t))[i0]
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)

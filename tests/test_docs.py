@@ -1,9 +1,14 @@
-"""Documented examples run as written."""
+"""Documented examples run as written, and documented names exist."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import boselab
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = {m.name for m in pkgutil.iter_modules(boselab.__path__) if not m.name.startswith("_")}
 
 
 def test_readme_library_example_runs(capsys):
@@ -12,3 +17,26 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     value = float(capsys.readouterr().out)
     assert value >= 0.0
+
+
+def _resolves(dotted: str) -> bool:
+    head, *attrs = dotted.removeprefix("boselab.").split(".")
+    if head in MODULES:
+        obj = importlib.import_module(f"boselab.{head}")
+    else:
+        obj = getattr(boselab, head, None)
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def test_readme_dotted_names_resolve():
+    """Each backticked ``boselab.<x>`` or ``<module>.<x>`` in README.md is bound.
+
+    A call such as ``approx.halo(g, X, ell0, k)`` is checked by its name.
+    """
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    names = [m.group() for s in spans if (m := re.match(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", s))]
+    checked = [n for n in names if n.split(".")[0] in {"boselab", *MODULES}]
+    assert checked
+    assert [n for n in checked if not _resolves(n)] == []
