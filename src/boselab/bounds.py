@@ -30,7 +30,6 @@ import numpy as np
 
 from .lattice import LatticeGraph
 
-_OVERFLOW_LOG = 700.0
 _LOG_MAX = math.log(sys.float_info.max)  # the largest x with a finite e^x
 
 # Search caps: the highest moment order the markov-optimized tail bound
@@ -87,7 +86,7 @@ def _mk(log_value: float, conditions: tuple[tuple[str, bool], ...] = ()) -> Boun
     lv = float(log_value)
     if lv == -math.inf:
         value = 0.0
-    elif lv <= _OVERFLOW_LOG:
+    elif lv <= _LOG_MAX:
         value = math.exp(lv)
     else:
         value = math.inf
@@ -147,10 +146,11 @@ class BoundConstants:
                 )
 
     def _log_terms(self) -> list[tuple[str, str, float, list[tuple[str, float]]]]:
-        """(name, formula, log prefactor, terms) of c1, c1'', c1'(1) and, with eta, c3 and c3'.
+        """(name, formula, log prefactor, terms) of c1, c1'', c1'(1) and, with eta, c3, c3', e c3'.
 
         The prefactor's log and the terms sum to the constant's log; each
-        term is keyed by the field it grows with.
+        term is keyed by the field it grows with.  e c3' is 1/delta_t0, which
+        underflows to 0 where e c3' overflows.
         """
         c0, lc0, jdt = self.c0, math.log(self.c0), self.J_bar * self.dG * self.t0
         out = [
@@ -164,10 +164,11 @@ class BoundConstants:
             power, gamma = ("D", self.D * math.log(2.0 * self.k)), ("gamma", math.log(self.gamma))
             c3 = [("J_bar", _log(self.J_bar)), ("eta", math.log(self.eta)), gamma, power,
                   ("dG", math.log(self.dG))]
+            c3p = [*c3, ("k", math.log(self.k)), gamma, power]
             out += [
                 ("c3", "4 J_bar eta gamma (2k)^D dG", math.log(4.0), c3),
-                ("c3'", "16 e k c3 gamma (2k)^D", math.log(64.0 * math.e),
-                 [*c3, ("k", math.log(self.k)), gamma, power]),
+                ("c3'", "16 e k c3 gamma (2k)^D", math.log(64.0 * math.e), c3p),
+                ("1/delta_t0", "e c3'", math.log(64.0) + 2.0, c3p),
             ]
         return out
 

@@ -102,6 +102,8 @@ class ConfigError(ValueError):
 
 
 def _check_keys(block: Mapping, allowed: Iterable[str], where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: {block!r} is not an object")
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -131,6 +133,20 @@ def _need(
 def _as_list(value) -> list:
     """A list as it is; any other value as a list of one."""
     return value if isinstance(value, list) else [value]
+
+
+def _of_type(kind: type, noun: str) -> Callable[[object], object]:
+    """A converter that refuses any value that is not a ``kind``."""
+
+    def check(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"{value!r} is not {noun}")
+        return value
+
+    return check
+
+
+_list, _object = _of_type(list, "a list"), _of_type(dict, "an object")
 
 
 def _integer(value) -> int:
@@ -212,9 +228,7 @@ def load_config(path: str | Path) -> dict:
     _check_keys(
         cfg, ("lattice", "basis", "model", "constants", "scenario", "output"), "config"
     )
-    scn = _need(cfg, "config", "scenario")
-    if not isinstance(scn, dict):
-        raise ConfigError("scenario: must be an object")
+    scn = _need(cfg, "config", "scenario", _object)
     kind = _need(scn, "scenario", "kind")
     if kind not in SCENARIO_KINDS:
         raise ConfigError(
@@ -229,7 +243,7 @@ def _build_lattice(cfg: Mapping) -> LatticeGraph:
         raise ConfigError("lattice: block required for this scenario")
     _check_keys(block, ("kind", "dims"), "lattice")
     kind = _need(block, "lattice", "kind")
-    dims = _need(block, "lattice", "dims")
+    dims = _need(block, "lattice", "dims", lambda ds: [_integer(d) for d in _list(ds)])
     try:
         return build_lattice(kind, dims)
     except ValueError as exc:
@@ -267,6 +281,7 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
     _check_keys(
         block, ("J", "U", "mu", "hoppings", "interactions", "k_max", "J_bar"), "model"
     )
+    items = _need(block, "model", "interactions", _list, [])
     explicit = "hoppings" in block or "interactions" in block
     if explicit and ("J" in block or "U" in block or "mu" in block):
         raise ConfigError("model: use either (J, U, mu) or explicit term lists")
@@ -291,7 +306,7 @@ def _build_model(cfg: Mapping, g: LatticeGraph) -> HamiltonianSpec:
             lambda hs: tuple((site(i), site(j), _finite(Jij)) for i, j, Jij in hs), [],
         )
         terms, where = [], "model.interactions[]"
-        for item in block.get("interactions", []):
+        for item in items:
             _check_keys(item, ("region", "monomials"), where)
             region = _need(item, where, "region", lambda r: tuple(site(i) for i in r))
             monos = _need(item, where, "monomials", lambda ms: tuple(
@@ -491,7 +506,7 @@ class _Run:
         return X
 
     def observable(self, default: Mapping) -> OperatorMatrix:
-        return _build_observable(self.scn.get("observable", default), self.b, self.rng)
+        return _build_observable(self.value("observable", _object, default), self.b, self.rng)
 
     def state(self, default: str) -> StateVector:
         """The initial state ``psi0`` names, ``default`` if the scenario names none."""
@@ -522,6 +537,7 @@ class _Run:
         the model's k_max, or to 1 without a model.
         """
         block = self.cfg.get("constants", {})
+        _check_keys(block, _CONST_KEYS, "constants")
         zeta0, q0 = 1.0, 0.0
         if O is not None and "zeta0" not in block:
             zeta0 = spectral_norm(O)
@@ -533,7 +549,6 @@ class _Run:
                     f"{sorted(O.support)} spans their whole occupation range; set constants.q0"
                 )
             q0 = float(degree)
-        _check_keys(block, _CONST_KEYS, "constants")
         geo = geometric_constants(self.g)
         vals: dict = {
             "c0": 1.0,
@@ -557,7 +572,8 @@ class _Run:
             # a field the block leaves out is blamed on where its default comes from
             path = f"constants.{exc.field}"
             if exc.field not in block:
-                path = {"t0": self.t0_field, "k": "model.k_max"}.get(exc.field, path)
+                defaults = {"t0": self.t0_field, "k": "model.k_max", "zeta0": "scenario.observable"}
+                path = defaults.get(exc.field, path)
             raise ConfigError(f"{path}: {exc}") from None
         resolved = {
             "c0": consts.c0,
@@ -782,7 +798,7 @@ def _approx_sweep(run: _Run) -> list[dict]:
 
 def _quench_sim(run: _Run) -> list[dict]:
     spec = run.spec
-    h_cfg = run.value("h", dict)
+    h_cfg = run.value("h", _object)
     _check_keys(h_cfg, ("site", "coeff", "power"), "scenario.h")
     site = _need(h_cfg, "scenario.h", "site", run.site)
     coeff = _need(h_cfg, "scenario.h", "coeff", _finite, 1.0)
@@ -882,28 +898,31 @@ def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], 
 def _report_bounds(run: _Run) -> list[dict]:
     consts = run.constants()
     name = run.value("bound", str)
+    registry = _bound_registry(consts)
+    if name not in registry and name != "lightcone-radius":
+        raise ConfigError(
+            f"scenario.bound: '{name}' is not one of "
+            f"{sorted(registry) + ['lightcone-radius']}"
+        )
+    grid = run.value("grid", _object)
+    fixed = run.value("fixed", _object, {})
+    where = {k: "scenario.grid" if k in grid else "scenario.fixed" for k in {*fixed, *grid}}
     if name == "lightcone-radius":
-        grid = run.value("grid", dict)
         _check_keys(grid, ("t", "delta"), "scenario.grid")
-        # t outer, delta inner; params keep the values as the config gave them
-        axes = (_as_list(_need(grid, "scenario.grid", k)) for k in ("t", "delta"))
+        _check_keys(fixed, ("t", "delta"), "scenario.fixed")
+        # t and delta from the grid, else as one fixed value; t outer, delta
+        # inner, and params keep the values as the config gave them
+        values = {**{k: [v] for k, v in fixed.items()}, **grid}
+        axes = (_as_list(_need(values, "scenario.grid", k)) for k in ("t", "delta"))
         points = [{"t": t, "delta": delta} for t, delta in itertools.product(*axes)]
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
-            t, delta = (_need(p, "scenario.grid", k, _finite) for k in ("t", "delta"))
+            t, delta = (_need(p, where[k], k, _finite) for k in ("t", "delta"))
             R = lightcone_radius(t, delta, consts)
             return R, math.log(R), True
 
     else:
-        registry = _bound_registry(consts)
-        if name not in registry:
-            raise ConfigError(
-                f"scenario.bound: '{name}' is not one of "
-                f"{sorted(registry) + ['lightcone-radius']}"
-            )
         param_names, bound = registry[name]
-        grid = run.value("grid", dict)
-        fixed = run.value("fixed", dict, {})
         given = set(grid) | set(fixed)
         missing = [p for p in param_names if p not in given]
         if missing:
@@ -924,11 +943,10 @@ def _report_bounds(run: _Run) -> list[dict]:
         # column still writes them as floats
         for p in points:
             for k, v in p.items():
-                where = "scenario.grid" if k in grid else "scenario.fixed"
                 if k in ("s", "q"):
-                    _need(p, where, k, _integer)
+                    _need(p, where[k], k, _integer)
                 elif isinstance(v, float):
-                    _need(p, where, k, _finite)
+                    _need(p, where[k], k, _finite)
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
             try:

@@ -8,7 +8,8 @@ below the dense cap that ``dense_cap()`` reads: ``DENSE_CAP`` unless a
 caller has set ``RUN_DENSE_CAP`` in its context, as ``cli.run_scenario``
 does for one run.  The package's dense work all comes here, and only
 commutator norms (``probes.commutator_norms``, for ``lightcone-map``) and
-``spectral_norm`` use it: one refusal of the cap (``_require_dense``, which
+``spectral_norm`` of an operator with several entries in a row or column
+use it: one refusal of the cap (``_require_dense``, which
 raises ``DenseCapError``), one eigendecomposition of H per block
 (``_eigenbasis``, by divide-and-conquer ``eigh``), one Heisenberg-picture
 operator from it over a grid of times (``_heisenberg_stack``, conjugated in
@@ -63,7 +64,6 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, eigh
 from scipy.linalg.blas import zaxpy, zdotc
 from scipy.linalg.lapack import dstevd
-from scipy.sparse.linalg import ArpackError, svds
 
 from .fock import FockBasis, ResourceLimitError
 from .model import OperatorMatrix
@@ -117,7 +117,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class PropagatorReport:
-    method: str  # krylov | dense | diagonal
+    method: str  # krylov | diagonal
     steps: int  # accepted steps
     est_error: float
     matvecs: int = 0  # Krylov vectors built, rejected attempts included
@@ -620,35 +620,14 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
 
 
 def spectral_norm(O: OperatorMatrix) -> float:
-    """Operator 2-norm: exact if diagonal, per block below the dense cap, Lanczos SVD above."""
-    if O.matrix.nnz == 0:
-        return 0.0
-    if O.is_diagonal:
-        # diagonal operators (number polynomials, projectors, phase unitaries)
-        # have an exact norm; ARPACK also cannot handle their fully
-        # degenerate singular spectra, so never send them there
-        return float(np.abs(O.matrix.data).max())
-    if O.dim <= dense_cap():
-        return float(_norm2(_Blocks.of(O).mats.values(), O.hermitian))
-    # a fixed start vector makes the result the same on every call
-    v0 = np.random.default_rng(11).standard_normal(O.dim)
-    try:
-        s = svds(O.matrix, k=1, v0=v0, return_singular_vectors=False)
-        return float(s[0])
-    except ArpackError:
-        # degenerate top singular value; power iteration on A^dag A still
-        # converges there (a repeated dominant eigenvalue has no gap to fight)
-        mat = O.matrix.tocsr()
-        v = v0.astype(np.complex128) / np.linalg.norm(v0)
-        est = 0.0
-        for _ in range(200):
-            w = mat.conj().T @ (mat @ v)
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                return 0.0
-            new_est = math.sqrt(nw)
-            v = w / nw
-            if abs(new_est - est) <= 1e-12 * max(1.0, new_est):
-                return new_est
-            est = new_est
-        return est
+    """Operator 2-norm, exact at any dimension if O has one entry per row and column.
+
+    Then (a diagonal, ladder, phase, permutation or the zero operator)
+    O^dagger O is diagonal and the norm is the largest |entry|.  Any other
+    O is normed per N-block by ``_norm2`` below the dense cap, refused above.
+    """
+    csr = O.matrix
+    if np.diff(csr.indptr).max() <= 1 and np.bincount(csr.indices).max(initial=0) <= 1:
+        return float(np.abs(csr.data).max(initial=0.0))
+    _require_dense(O.dim)
+    return float(_norm2(_Blocks.of(O).mats.values(), O.hermitian))

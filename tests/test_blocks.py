@@ -407,6 +407,25 @@ def test_spectral_norm_matches_the_whole_matrix_norm(kind):
     assert spectral_norm(O) == pytest.approx(np.linalg.norm(O.dense(), 2), rel=TOL)
 
 
+LOCAL_KINDS = {
+    "number": lambda b: local_operator("number", [1], b),
+    "number-3": lambda b: local_operator("number", [0, 1, 2], b),
+    "projector": lambda b: local_operator("projector", [1, 2], b, predicate=(">=", 2)),
+    "creation": lambda b: probe("creation", b),
+    "annihilation": lambda b: probe("annihilation", b),
+    "phase": lambda b: probe("phase", b),
+}
+
+
+@pytest.mark.parametrize("sector", [None, 4])
+@pytest.mark.parametrize("kind", sorted(LOCAL_KINDS))
+def test_spectral_norm_of_every_local_kind_matches_the_whole_matrix_norm(kind, sector):
+    # one entry per row and column: the largest |entry| is the 2-norm
+    b, _ = setup(sector)
+    O = LOCAL_KINDS[kind](b)
+    assert spectral_norm(O) == pytest.approx(np.linalg.norm(O.dense(), 2), rel=TOL, abs=TOL)
+
+
 def test_spectral_norm_of_a_diagonal_operator_is_its_largest_entry():
     b, _ = setup()
     assert spectral_norm(local_operator("number", [0, 1, 2], b)) == 6.0

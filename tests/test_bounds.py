@@ -27,6 +27,8 @@ from boselab.bounds import (
     subtheorem_bound,
     tail_bound,
     truncation_error_bound,
+    _LOG_MAX,
+    _mk,
 )
 from boselab.lattice import build_lattice
 from helpers import fs_check_rows
@@ -86,6 +88,7 @@ def test_constants_validation():
         (dict(eta=1e307), "c3", "eta"),
         (dict(eta=1.0, D=600), "c3'", "D"),  # c3 = 4 J gamma 2^600 dG fits
         (dict(eta=1e306), "c3'", "eta"),
+        (dict(eta=1.357e304), "1/delta_t0", "eta"),  # c3' = 1.7e308 fits, e c3' does not
     ],
 )
 def test_overflowing_constant_names_its_field(over, constant, field):
@@ -93,6 +96,13 @@ def test_overflowing_constant_names_its_field(over, constant, field):
         base_consts(**over)
     assert (info.value.constant, info.value.field) == (constant, field)
     assert str(info.value).startswith(f"{field} = {over[field]} overflows {constant} = ")
+
+
+def test_a_bound_value_is_finite_up_to_log_float_max():
+    assert _mk(705.0).value == math.exp(705.0)
+    assert math.isfinite(_mk(_LOG_MAX).value)
+    assert _mk(math.nextafter(_LOG_MAX, math.inf)).value == math.inf
+    assert _mk(-math.inf).value == 0.0
 
 
 def test_constants_just_below_overflow_are_kept():

@@ -669,6 +669,13 @@ def test_malformed_psi0_is_config_error(psi0, tmp_path, capsys):
         # an fs-check with no m
         ("fs-check", "scenario", "m_max", -4, "scenario.m_max"),
         ("fs-check", "scenario", "m_max", 0, "scenario.m_max"),
+        # values of the wrong type
+        ("moment-check", "lattice", "dims", [2.5], "lattice.dims"),
+        ("moment-check", "lattice", "dims", "abc", "lattice.dims"),
+        ("moment-check", "lattice", "dims", 5, "lattice.dims"),
+        ("moment-check", "lattice", "dims", [True], "lattice.dims"),
+        ("moment-check", "model", "interactions", 5, "model.interactions"),
+        ("moment-check", "scenario", "observable", 5, "scenario.observable"),
     ],
 )
 def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_path, capsys):
@@ -677,6 +684,26 @@ def test_malformed_value_names_its_field(kind, block, key, value, field, tmp_pat
     cfg = write_cfg(tmp_path, payload)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, update",
+    [
+        # the default creation observable maps the N = 6 sector out of itself
+        ("truncation-check", {"lattice": {"kind": "chain", "dims": [6]},
+                              "basis": {"cutoff": 2, "sector": 6}}),
+        ("tail-check", {"basis": {"cutoff": 5, "sector": 5},
+                        "scenario": {"observable": {"kind": "creation", "site": 2}}}),
+    ],
+)
+def test_a_zero_observable_is_blamed_on_the_observable(kind, update, tmp_path, capsys):
+    payload = json.loads(json.dumps(CONFIGS[kind]))
+    for block, values in update.items():
+        payload[block].update(values)
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: scenario.observable: zeta0 = 0.0 must be positive" in err
 
 
 @pytest.mark.parametrize(
@@ -865,9 +892,12 @@ def test_manifest_has_no_constants_a_run_did_not_resolve(kind, tmp_path):
     assert "resolved_constants" not in json.loads((out / "run_manifest.json").read_text())
 
 
-def _bound_report_rows(tmp_path, grid):
+def _bound_report_rows(tmp_path, grid, fixed=None):
     payload = json.loads(json.dumps(CONFIGS["bound-report"]))
     payload["scenario"] = {"kind": "bound-report", "bound": "lightcone-radius", "grid": grid}
+    if fixed is not None:
+        payload["scenario"]["fixed"] = fixed
+    tmp_path.mkdir(exist_ok=True)
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
@@ -890,6 +920,22 @@ def test_lightcone_radius_list_grid_keeps_order_and_params(tmp_path):
         '{"delta": 0.5, "t": 4.5}',
         '{"delta": 1, "t": 4.5}',
     ]
+
+
+def test_lightcone_radius_reads_fixed_values_as_the_grid_does(tmp_path):
+    expect = _bound_report_rows(tmp_path / "grid", {"t": [3, 4.5], "delta": 0.9})
+    rows = _bound_report_rows(tmp_path / "fixed", {"t": [3, 4.5]}, {"delta": 0.9})
+    assert rows == expect and len(rows) == 2
+
+
+def test_lightcone_radius_refuses_an_unknown_fixed_key(tmp_path, capsys):
+    payload = json.loads(json.dumps(CONFIGS["bound-report"]))
+    payload["scenario"] = {
+        "kind": "bound-report", "bound": "lightcone-radius",
+        "grid": {"t": [3, 4.5], "delta": 0.5}, "fixed": {"delta": 0.9, "bogus": 1},
+    }
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: scenario.fixed: unknown keys ['bogus']" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -618,15 +618,15 @@ def test_spectral_norm():
         "custom-matrix", [0], b, matrix=np.zeros((4, 4))
     )
     assert spectral_norm(zero) == 0.0
-    # iterative path agrees with the dense value
+    # several entries per row: normed per block below the cap
     g3, b3, H3 = chain_setup(3, 2, J=1.0, U=1.0)
     dense_val = np.linalg.norm(H3.dense(), ord=2)
-    assert norm_under_cap(H3, 5) == pytest.approx(dense_val, rel=1e-8)
+    assert spectral_norm(H3) == pytest.approx(dense_val, rel=1e-12)
 
 
 def test_spectral_norm_degenerate_spectra_above_cap():
-    # fully degenerate singular values break Lanczos SVD; both escape hatches
-    # must hold above the dense cap
+    # fully degenerate singular values: a diagonal and a permutation have one
+    # entry per row and column, so both norms are exact above the dense cap
     g = build_lattice("chain", [1])
     dim = 64
     b = enumerate_basis(g, dim - 1)
@@ -635,23 +635,19 @@ def test_spectral_norm_degenerate_spectra_above_cap():
     assert norm_under_cap(u_diag, 8) == pytest.approx(1.0, rel=1e-12)
     shift = np.roll(np.eye(dim), 1, axis=0)  # cyclic permutation, all sigma = 1
     u_perm = local_operator("custom-matrix", [0], b, matrix=shift, unitary=True)
-    assert norm_under_cap(u_perm, 8) == pytest.approx(1.0, rel=1e-10)
+    assert norm_under_cap(u_perm, 8) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_spectral_norm_falls_back_to_power_iteration(monkeypatch):
-    # dim 16,384 > DENSE_CAP; with the Lanczos SVD failing, power iteration on
-    # A^dag A gives ||b^dag|| = sqrt(3) at cutoff 3
-    def fail(*args, **kwargs):
-        raise evolve_mod.ArpackError(-9999)
-
-    b = enumerate_basis(build_lattice("chain", [7]), 3)
-    bdag = local_operator("creation", [3], b)
-    monkeypatch.setattr(evolve_mod, "svds", fail)
-    assert spectral_norm(bdag) == pytest.approx(math.sqrt(3.0), rel=0, abs=1e-10)
+def test_spectral_norm_of_a_ladder_is_exact_far_above_cap():
+    # dim 262,144 at the default cap: b^dag and b have one entry per row and
+    # column, so the norm is their largest entry, sqrt(3) at cutoff 3
+    b = enumerate_basis(build_lattice("chain", [9]), 3)
+    for kind in ("creation", "annihilation"):
+        assert spectral_norm(local_operator(kind, [4], b)) == np.sqrt(3.0)
 
 
-def test_spectral_norm_is_deterministic_above_cap():
-    # dim 7776 > DENSE_CAP, so every call goes through the Lanczos SVD
+def test_spectral_norm_refuses_a_hamiltonian_above_cap():
+    # dim 7776 > DENSE_CAP, and H has several entries per row
     g, b, H = chain_setup(5, 5, J=1.0, U=1.0)
-    values = {spectral_norm(H) for _ in range(6)}
-    assert len(values) == 1
+    with pytest.raises(evolve_mod.DenseCapError, match="dimension 7776 exceeds dense cap 2000"):
+        spectral_norm(H)
