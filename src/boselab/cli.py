@@ -212,6 +212,19 @@ _PROBES = ("number", "creation", "annihilation", "phase")
 _TAIL_MODES = ("markov-optimized", "paper")
 
 
+def _flag(lo: int) -> Callable[[str], int]:
+    """An argparse type for an integer of at least ``lo``; argparse names the flag it refuses."""
+    check = _bounded(lo, conv=int)
+
+    def convert(text: str) -> int:
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text()
@@ -863,10 +876,14 @@ def _clustering(run: _Run) -> list[dict]:
     return run.sweep(cell, d_values)
 
 
-def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], Callable]]:
-    """Bound name -> (parameter names, evaluator of a parameter dict)."""
+# a bound's parameter names, its optional keyword names and its evaluator
+_BoundEntry = tuple[tuple[str, ...], tuple[str, ...], Callable]
 
-    def entry(fn: Callable, names: str, **kwargs) -> tuple[tuple[str, ...], Callable]:
+
+def _bound_registry(consts: BoundConstants) -> dict[str, _BoundEntry]:
+    """Bound name -> (parameter names, optional keyword names, evaluator of a parameter dict)."""
+
+    def entry(fn: Callable, names: str, **kwargs) -> _BoundEntry:
         # fn takes these parameters in this order (s and q as integers), then
         # the constants; a parameter named like a keyword (tail's mode) sets it
         params = tuple(names.split())
@@ -875,7 +892,7 @@ def _bound_registry(consts: BoundConstants) -> dict[str, tuple[tuple[str, ...], 
             args = (_integer(p[k]) if k in ("s", "q") else p[k] for k in params)
             return fn(*args, consts, **{**kwargs, **{k: p[k] for k in kwargs if k in p}})
 
-        return params, evaluate
+        return params, tuple(kwargs), evaluate
 
     return {
         "moment": entry(moment_bound, "s sizeX d_iX"),
@@ -906,14 +923,28 @@ def _report_bounds(run: _Run) -> list[dict]:
         )
     grid = run.value("grid", _object)
     fixed = run.value("fixed", _object, {})
-    where = {k: "scenario.grid" if k in grid else "scenario.fixed" for k in {*fixed, *grid}}
+    given = grid.keys() | fixed.keys()
     if name == "lightcone-radius":
-        _check_keys(grid, ("t", "delta"), "scenario.grid")
-        _check_keys(fixed, ("t", "delta"), "scenario.fixed")
+        param_names = ("t", "delta")
+        _check_keys(grid, param_names, "scenario.grid")
+        _check_keys(fixed, param_names, "scenario.fixed")
+    else:
+        param_names, optional, bound = registry[name]
+        extra = sorted(given - {*param_names, *optional})
+        if extra:
+            raise ConfigError(f"scenario: bound '{name}' got unknown parameters {extra}")
+    both = sorted(grid.keys() & fixed.keys())
+    if both:
+        raise ConfigError(f"scenario.fixed: keys {both} are also in scenario.grid")
+    missing = [p for p in param_names if p not in given]
+    if missing:
+        raise ConfigError(f"scenario: bound '{name}' needs parameters {missing}")
+    where = {k: "scenario.grid" if k in grid else "scenario.fixed" for k in given}
+    if name == "lightcone-radius":
         # t and delta from the grid, else as one fixed value; t outer, delta
         # inner, and params keep the values as the config gave them
         values = {**{k: [v] for k, v in fixed.items()}, **grid}
-        axes = (_as_list(_need(values, "scenario.grid", k)) for k in ("t", "delta"))
+        axes = (_as_list(values[k]) for k in param_names)
         points = [{"t": t, "delta": delta} for t, delta in itertools.product(*axes)]
 
         def evaluate(p: Mapping) -> tuple[float, float, bool]:
@@ -922,14 +953,6 @@ def _report_bounds(run: _Run) -> list[dict]:
             return R, math.log(R), True
 
     else:
-        param_names, bound = registry[name]
-        given = set(grid) | set(fixed)
-        missing = [p for p in param_names if p not in given]
-        if missing:
-            raise ConfigError(f"scenario: bound '{name}' needs parameters {missing}")
-        extra = sorted(given - set(param_names) - {"mode"})
-        if extra:
-            raise ConfigError(f"scenario: bound '{name}' got unknown parameters {extra}")
         # every grid combination over the fixed values, numbers as floats
         keys = sorted(grid)
         points = [
@@ -1143,10 +1166,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     runp = sub.add_parser("run", help="execute one scenario config")
     runp.add_argument("config", help="path to a JSON scenario config")
     runp.add_argument("--out", default=None, help="output directory")
-    runp.add_argument("--seed", type=int, default=0, help="RNG seed")
-    runp.add_argument("--threads", type=int, default=1, help="worker threads")
+    runp.add_argument("--seed", type=_flag(0), default=0, help="RNG seed")
+    runp.add_argument("--threads", type=_flag(1), default=1, help="worker threads")
     runp.add_argument(
-        "--dense-cap", type=int, default=None,
+        "--dense-cap", type=_flag(1), default=None,
         help="dense-matrix dimension cap for this run only",
     )
     args = parser.parse_args(argv)

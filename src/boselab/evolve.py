@@ -46,10 +46,10 @@ Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
 is held as those blocks (``_Blocks``): H's eigenbasis takes one ``eigh`` per
 block of H, O(t) maps block (N + d, N) as Q_{N+d} (phases of W_{N+d,N})
-Q_N^dagger, and a 2-norm is the largest block norm.  An operator whose
-``delta_n`` is None is one block spanning the whole basis, and so is any
-product involving one.  The cap still bounds the total dimension, not the
-block size.
+Q_N^dagger, and a 2-norm is the largest block norm.  The dense paths
+refuse an operator that mixes particle numbers (``delta_n`` None) and an H
+that shifts N, which no H or probe the package builds does; the Krylov
+paths take both.  The cap bounds the total dimension, not the block size.
 """
 
 from __future__ import annotations
@@ -395,30 +395,26 @@ class _Blocks:
     """A dense operator on ``basis``, held as its particle-number blocks.
 
     ``mats[N]`` maps the states of block N to those of block N + ``shift``;
-    every other entry is zero.  With ``whole`` set the whole basis is one
-    block, keyed 0 with shift 0.  Operands of a product or difference must
-    share the basis, and a difference's operands their shift; if only one
-    of them is whole, the other is merged.  A block may be a stack
-    (times, rows, cols) of one operator at several times; products,
-    differences and adjoints then act on every time of the stack.
+    every other entry is zero.  Operands of a product or difference must
+    share the basis, and a difference's operands their shift.  A block may
+    be a stack (times, rows, cols) of one operator at several times;
+    products, differences and adjoints then act on every time of the stack.
     """
 
     basis: FockBasis
-    whole: bool
     shift: int
     mats: dict[int, np.ndarray]
 
     @classmethod
     def of(cls, O: OperatorMatrix) -> "_Blocks":
-        """The blocks of O; whole if O mixes particle numbers.
+        """The blocks of O; ValueError if O mixes particle numbers (``delta_n`` None).
 
         The blocks are real when O has no imaginary entry, complex otherwise.
-        A Hermitian O that shifts N is Hermitian only within tolerance, its
-        entries all near zero; it is whole too, so that its blocks are square.
         """
-        whole = O.delta_n != 0 if O.hermitian else O.delta_n is None
-        shift = 0 if whole else O.delta_n
-        parts = cls.partition(O.basis, whole)
+        shift = O.delta_n
+        if shift is None:
+            raise ValueError("operator mixes particle numbers: dense paths need one ΔN")
+        parts = O.basis.blocks
         keys = [N for N in parts if N + shift in parts]
         shapes = [(parts[N + shift].size, parts[N].size) for N in keys]
         offsets = np.cumsum([0] + [r * c for r, c in shapes])
@@ -444,71 +440,48 @@ class _Blocks:
         mats = {
             N: buf[a : a + r * c].reshape(r, c) for N, a, (r, c) in zip(keys, offsets, shapes)
         }
-        return cls(O.basis, whole, shift, mats)
-
-    @staticmethod
-    def partition(basis: FockBasis, whole: bool) -> dict[int, np.ndarray]:
-        return {0: np.arange(basis.dim)} if whole else basis.blocks
-
-    def merged(self) -> "_Blocks":
-        """The same operator as one block spanning the whole basis."""
-        if self.whole:
-            return self
-        return _Blocks(self.basis, True, 0, {0: self.dense()})
-
-    def dense(self) -> np.ndarray:
-        """The whole matrix; a stack of blocks gives a stack of whole matrices."""
-        parts = self.partition(self.basis, self.whole)
-        lead = next((M.shape[:-2] for M in self.mats.values()), ())
-        out = np.zeros((*lead, self.basis.dim, self.basis.dim), dtype=np.complex128)
-        for N, M in self.mats.items():
-            out[(..., *np.ix_(parts[N + self.shift], parts[N]))] = M
-        return out
+        return cls(O.basis, shift, mats)
 
     def adjoint(self) -> "_Blocks":
         mats = {N + self.shift: M.conj().swapaxes(-1, -2) for N, M in self.mats.items()}
-        return _Blocks(self.basis, self.whole, -self.shift, mats)
+        return _Blocks(self.basis, -self.shift, mats)
 
     def __matmul__(self, other: "_Blocks") -> "_Blocks":
-        if self.whole != other.whole:
-            return self.merged() @ other.merged()
         mats = {
             N: self.mats[N + other.shift] @ M
             for N, M in other.mats.items()
             if N + other.shift in self.mats
         }
-        return _Blocks(self.basis, self.whole, self.shift + other.shift, mats)
+        return _Blocks(self.basis, self.shift + other.shift, mats)
 
     def __sub__(self, other: "_Blocks") -> "_Blocks":
-        if self.whole != other.whole:
-            return self.merged() - other.merged()
         mats = dict(self.mats)
         for N, M in other.mats.items():
             mats[N] = mats[N] - M if N in mats else -M
-        return _Blocks(self.basis, self.whole, self.shift, mats)
+        return _Blocks(self.basis, self.shift, mats)
 
     def __rmul__(self, c: complex) -> "_Blocks":
         mats = {N: c * M for N, M in self.mats.items()}
-        return _Blocks(self.basis, self.whole, self.shift, mats)
+        return _Blocks(self.basis, self.shift, mats)
 
 
 def _eigenbasis(H: OperatorMatrix) -> tuple[_Blocks, dict[int, np.ndarray]]:
     """H = Q diag(lambda) Q^dagger per block: Q as blocks and lambda per block key.
 
-    H must be Hermitian.  Each block takes one divide-and-conquer ``eigh``
-    ("evd"), several times faster than the default MRRR ("evr") on the
-    degenerate spectra of hard-core chains.
+    H must be Hermitian and keep N (ΔN = 0).  Each block takes one
+    divide-and-conquer ``eigh`` ("evd"), several times faster than the
+    default MRRR ("evr") on the degenerate spectra of hard-core chains.
     A block with no imaginary part is diagonalised in real arithmetic, so
     its Q is real.
     """
     _require_dense(H.dim)
     if not H.hermitian:
         raise ValueError("generator must be Hermitian")
-    blocks = _Blocks.of(H)
-    eig = {
-        N: eigh(M if M.imag.any() else M.real, driver="evd") for N, M in blocks.mats.items()
-    }
-    Q = _Blocks(H.basis, blocks.whole, 0, {N: Q for N, (_, Q) in eig.items()})
+    if H.delta_n != 0:
+        raise ValueError(f"generator must keep N (ΔN = 0), got ΔN = {H.delta_n}")
+    blocks = _Blocks.of(H).mats
+    eig = {N: eigh(M if M.imag.any() else M.real, driver="evd") for N, M in blocks.items()}
+    Q = _Blocks(H.basis, 0, {N: Q for N, (_, Q) in eig.items()})
     return Q, {N: lam for N, (lam, _) in eig.items()}
 
 
@@ -519,8 +492,8 @@ def _heisenberg_stack(H: OperatorMatrix, O: OperatorMatrix, t) -> _Blocks:
     once, W = Q_{N+d}^dagger O_{N+d,N} Q_N per block; then each time's block
     is Q_{N+d} (e^{i lambda_{N+d} t} W e^{-i lambda_N t}) Q_N^dagger, with
     the phases applied entrywise.  The times are built one at a time into the
-    stack, so no temporary holds every time's phases.  If only one of O and
-    H mixes particle numbers, the other is merged into one block.
+    stack, so no temporary holds every time's phases.  O must have one ΔN d
+    (``_Blocks.of``), and H must keep N.
     """
     times, _ = _times(t)
     if H.basis is not O.basis:
@@ -528,11 +501,6 @@ def _heisenberg_stack(H: OperatorMatrix, O: OperatorMatrix, t) -> _Blocks:
     _require_dense(H.dim)
     A = _Blocks.of(O)
     Q, lam = _eigenbasis(H)
-    if A.whole and not Q.whole:
-        merged = np.empty(H.dim)
-        for N, idx in H.basis.blocks.items():
-            merged[idx] = lam[N]
-        Q, lam = Q.merged(), {0: merged}
     W = Q.adjoint() @ A @ Q
     mats = {}
     for N, M in W.mats.items():
@@ -544,7 +512,7 @@ def _heisenberg_stack(H: OperatorMatrix, O: OperatorMatrix, t) -> _Blocks:
             # the left, where a real factor multiplies X's real view
             stack[j] = _left_product(left, _left_product(right, phased.T).T)
         mats[N] = stack
-    return _Blocks(O.basis, W.whole, W.shift, mats)
+    return _Blocks(O.basis, W.shift, mats)
 
 
 def _left_product(L: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -566,11 +534,12 @@ def _norm2(mats: Iterable[np.ndarray], hermitian: bool) -> float | np.ndarray:
     operator is their direct sum up to a permutation.  Each matrix may be a
     stack (times, rows, cols); the norm is then taken per time, one call
     per matrix covering the whole stack, and returned as an array over the
-    times.  Hermitian matrices take ``eigvalsh``.  The others take their
-    largest singular value as the square root of the top ``eigvalsh``
-    eigenvalue of the smaller Gram matrix, M M^dagger or M^dagger M, which
-    is accurate to rounding relative to the norm itself.  A matrix with no
-    rows or no columns adds 0.
+    times.  Hermitian blocks take ``eigvalsh``: callers say ``hermitian``
+    only for shift 0, since an operator Hermitian within tolerance may shift
+    N.  The others take their largest singular value as the square root of
+    the top ``eigvalsh`` eigenvalue of the smaller Gram matrix, M M^dagger or
+    M^dagger M, which is accurate to rounding relative to the norm itself.
+    A matrix with no rows or no columns adds 0.
     """
     out = 0.0
     for M in mats:
@@ -597,11 +566,12 @@ def _diagonal_commutator_norm(A: _Blocks, d: np.ndarray, hermitian: bool) -> flo
     has two nonzero parts per block: A from the columns in P to the rows out
     of it, and minus A from the columns out of P to the rows in it.  They act
     on disjoint rows and columns, so the norm is the larger of their top
-    singular values.  A Hermitian A maps each block to itself (shift 0), so
-    the two parts are adjoints and one serves.  A stack of blocks, as
+    singular values.  A Hermitian A of shift 0 maps each block to itself,
+    so the two parts are adjoints and one serves.  A stack of blocks, as
     ``_heisenberg_stack`` builds, gives the norms per time, as ``_norm2`` does.
     """
-    parts = A.partition(A.basis, A.whole)
+    parts = A.basis.blocks
+    hermitian = hermitian and A.shift == 0
     if not ((d == 0) | (d == 1)).all():
         factor = 1j if hermitian else 1.0
         C = (
@@ -624,10 +594,12 @@ def spectral_norm(O: OperatorMatrix) -> float:
 
     Then (a diagonal, ladder, phase, permutation or the zero operator)
     O^dagger O is diagonal and the norm is the largest |entry|.  Any other
-    O is normed per N-block by ``_norm2`` below the dense cap, refused above.
+    O is normed per N-block by ``_norm2`` below the dense cap, refused above,
+    and refused (ValueError) if it mixes particle numbers.
     """
     csr = O.matrix
     if np.diff(csr.indptr).max() <= 1 and np.bincount(csr.indices).max(initial=0) <= 1:
         return float(np.abs(csr.data).max(initial=0.0))
     _require_dense(O.dim)
-    return float(_norm2(_Blocks.of(O).mats.values(), O.hermitian))
+    B = _Blocks.of(O)
+    return float(_norm2(B.mats.values(), O.hermitian and B.shift == 0))

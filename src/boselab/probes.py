@@ -178,6 +178,7 @@ def commutator_norms(
             continue
         B = _Blocks.of(O_B)
         C = A @ B - B @ A
+        hermitian = hermitian and A.shift == B.shift == 0
         out[:, k] = _norm2((1j * C if hermitian else C).mats.values(), hermitian)
     rows = out.tolist()
     return rows[0] if scalar else rows

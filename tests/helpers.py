@@ -205,6 +205,16 @@ def oracle_is_hermitian(mat: sparse.spmatrix) -> bool:
 # whole-matrix references for the dense paths, which work per N-block
 
 
+def dense_blocks(A) -> np.ndarray:
+    """An ``evolve._Blocks`` as its whole matrix; a stack of blocks gives a stack of matrices."""
+    parts = A.basis.blocks
+    lead = next((M.shape[:-2] for M in A.mats.values()), ())
+    out = np.zeros((*lead, A.basis.dim, A.basis.dim), dtype=np.complex128)
+    for N, M in A.mats.items():
+        out[(..., *np.ix_(parts[N + A.shift], parts[N]))] = M
+    return out
+
+
 def oracle_unitary(H, t: float) -> np.ndarray:
     """e^{-iHt} from one eigendecomposition of the whole matrix."""
     lam, Q = eigh(H.dense())

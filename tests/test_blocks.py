@@ -21,6 +21,7 @@ from boselab.model import (
 from boselab.probes import commutator_norms
 from helpers import (
     basis_vectors,
+    dense_blocks,
     oracle_commutator_norms,
     oracle_heisenberg,
     oracle_step,
@@ -133,31 +134,56 @@ def test_assembly_computes_neither_blocks_nor_delta_n():
 # -- per-block dense paths against whole-matrix oracles ------------------------
 
 
-PROBES = ["number", "creation", "annihilation", "phase", "mixing", "mixing-hermitian"]
-CASES = [
-    ("product", "conserving"),
-    ("product", "mixing"),
-    ("sector", "conserving"),
-]
+PROBES = ["number", "creation", "annihilation", "phase"]
+# every H the dense paths take keeps N; "conserving" stays in the case ids
+CASES = [("product", "conserving"), ("sector", "conserving")]
 
 
 def case(basis_kind, h_kind):
-    b, H = setup(sector=4 if basis_kind == "sector" else None)
-    return b, (mixing_hamiltonian(b, H) if h_kind == "mixing" else H)
+    return setup(sector=4 if basis_kind == "sector" else None)
 
 
-def test_an_operator_hermitian_only_within_tolerance_is_one_whole_block():
+def test_dense_paths_refuse_an_operator_that_mixes_particle_numbers():
+    # several entries in a row, so spectral_norm takes the blocks too
+    b, H = setup()
+    mixing = probe("mixing-hermitian", b)
+    number = probe("number", b)
+    calls = [
+        lambda: spectral_norm(mixing),
+        lambda: _heisenberg_stack(H, mixing, [0.3]),
+        lambda: commutator_norms(H, mixing, [number], 0.3),
+        lambda: commutator_norms(H, number, [mixing], 0.3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="ΔN"):
+            call()
+
+
+def test_eigenbasis_refuses_an_h_that_shifts_n():
     # entries far below the Hermiticity tolerance, all raising N by one: the
-    # check calls it Hermitian, yet its N-blocks would not be square
-    b, _ = setup()
+    # check calls it Hermitian, yet its N-blocks are not square
+    b, H = setup()
     up = probe("creation", b)
-    H = _wrap(b, 1e-16 * up.matrix, up.support)
-    assert H.hermitian and H.delta_n == 1
-    Q, _ = evolve_mod._eigenbasis(H)
-    assert Q.whole
-    O = probe("number", b)
-    np.testing.assert_allclose(_heisenberg_stack(H, O, [0.3]).dense()[0], O.dense(), atol=TOL)
-    assert spectral_norm(H) < TOL
+    tiny = _wrap(b, 1e-16 * up.matrix, up.support)
+    assert tiny.hermitian and tiny.delta_n == 1
+    for gen in (mixing_hamiltonian(b, H), tiny):
+        with pytest.raises(ValueError, match="ΔN = 0"):
+            evolve_mod._eigenbasis(gen)
+    assert spectral_norm(tiny) < TOL
+
+
+def test_an_operator_hermitian_within_tolerance_that_shifts_n_is_normed_as_non_hermitian():
+    # two creation terms, so several entries in a row: its blocks (shift 1)
+    # take Gram norms, never eigvalsh, in spectral_norm and commutator_norms
+    b, H = setup()
+    up = probe("creation", b, site=0).matrix + probe("creation", b, site=1).matrix
+    tiny = _wrap(b, 1e-16 * up, {0, 1})
+    assert tiny.hermitian and tiny.delta_n == 1
+    assert spectral_norm(tiny) == pytest.approx(np.linalg.norm(tiny.dense(), 2), rel=TOL)
+    projector = local_operator("projector", [2], b, predicate=("==", 1))
+    O_Bs = [probe("number", b), projector, tiny]
+    got = commutator_norms(H, tiny, O_Bs, 0.4)
+    np.testing.assert_allclose(got, oracle_commutator_norms(H, tiny, O_Bs, 0.4), rtol=1e-10)
 
 
 @pytest.mark.parametrize("basis_kind, h_kind", CASES)
@@ -166,13 +192,12 @@ def test_heisenberg_matches_the_whole_matrix_oracle(basis_kind, h_kind, kind):
     b, H = case(basis_kind, h_kind)
     O = probe(kind, b, site=0)
     got = _heisenberg_stack(H, O, [0.8])
-    np.testing.assert_allclose(got.dense()[0], oracle_heisenberg(H, O, 0.8), atol=TOL)
-    if h_kind == "conserving":
-        assert got.shift == (O.delta_n or 0) and got.whole == (O.delta_n is None)
+    np.testing.assert_allclose(dense_blocks(got)[0], oracle_heisenberg(H, O, 0.8), atol=TOL)
+    assert got.shift == O.delta_n
 
 
 @pytest.mark.parametrize("basis_kind, h_kind", CASES)
-@pytest.mark.parametrize("a_kind", ["number", "creation", "mixing-hermitian"])
+@pytest.mark.parametrize("a_kind", ["number", "creation"])
 @pytest.mark.parametrize("t", [0.0, 0.6])
 def test_commutator_norms_match_the_whole_matrix_oracle(basis_kind, h_kind, a_kind, t):
     b, H = case(basis_kind, h_kind)
@@ -183,9 +208,9 @@ def test_commutator_norms_match_the_whole_matrix_oracle(basis_kind, h_kind, a_ki
 
 
 @pytest.mark.parametrize("basis_kind, h_kind", CASES)
-@pytest.mark.parametrize("a_kind", ["number", "creation", "annihilation", "mixing-hermitian"])
+@pytest.mark.parametrize("a_kind", ["number", "creation", "annihilation"])
 def test_commutator_norms_over_a_grid_equal_one_time_calls(basis_kind, h_kind, a_kind):
-    # O_A with ΔN 0, +1, -1 and None against probes of every ΔN; the grid is
+    # O_A with ΔN 0, +1 and -1 against probes of every ΔN; the grid is
     # unsorted and repeats a time, and its norms are the one-time calls' bits
     b, H = case(basis_kind, h_kind)
     O_A = probe(a_kind, b, site=0)
@@ -200,17 +225,12 @@ def test_commutator_norms_over_a_grid_equal_one_time_calls(basis_kind, h_kind, a
 
 
 def diagonal_case(cutoff, basis_kind, h_kind):
-    """Chain 4 at ``cutoff`` (1: hard-core), H real conserving, N-mixing or complex."""
+    """Chain 4 at ``cutoff`` (1: hard-core), H real or complex."""
     g = build_lattice("chain", [4])
     sector = None if basis_kind == "product" else 2 * cutoff
     b = enumerate_basis(g, cutoff, sector=sector)
     H = assemble_hamiltonian(bose_hubbard(g, J=1.0, U=0.7, mu=0.2), b)
-    if h_kind == "mixing":
-        # b_2 + b_2^dagger clipped at the cutoff: Hermitian, ΔN = ±1
-        up = np.eye(cutoff + 1, k=-1)
-        term = local_operator("custom-matrix", [2], b, matrix=up + up.T)
-        H = _wrap(b, H.matrix + 0.3 * term.matrix, H.support | term.support)
-    elif h_kind == "complex":
+    if h_kind == "complex":
         # i b_0^dagger b_1 + h.c.: Hermitian, conserving, with imaginary entries
         down = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
         hop = 1j * np.kron(down.T, down)
@@ -234,7 +254,6 @@ DIAGONAL_CASES = [
     for cutoff in (1, 2)
     for basis_kind, h_kind in [
         ("product", "conserving"),
-        ("product", "mixing"),
         ("product", "complex"),
         ("sector", "conserving"),
         ("sector", "complex"),
@@ -243,14 +262,10 @@ DIAGONAL_CASES = [
 
 
 @pytest.mark.parametrize("cutoff, basis_kind, h_kind", DIAGONAL_CASES)
-@pytest.mark.parametrize("a_kind", ["number", "creation", "mixing-hermitian"])
+@pytest.mark.parametrize("a_kind", ["number", "creation"])
 def test_diagonal_probe_norms_match_the_whole_matrix_oracle(cutoff, basis_kind, h_kind, a_kind):
     b, H = diagonal_case(cutoff, basis_kind, h_kind)
-    if a_kind == "mixing-hermitian":
-        up = np.eye(cutoff + 1, k=-1)
-        O_A = local_operator("custom-matrix", [0], b, matrix=up + up.T)
-    else:
-        O_A = probe(a_kind, b, site=0)
+    O_A = probe(a_kind, b, site=0)
     O_Bs = diagonal_probes(b)
     assert all(O.is_diagonal for O in O_Bs)
     for t in (0.0, 0.6, -1.3):
@@ -317,11 +332,11 @@ def test_a_block_where_a_0_1_probe_is_constant_adds_nothing(a_kind):
     else:
         O_A = probe("phase", b, site=0)
     A = _heisenberg_stack(H, O_A, [0.6])
-    A = evolve_mod._Blocks(b, A.whole, A.shift, {N: M[0] for N, M in A.mats.items()})
+    A = evolve_mod._Blocks(b, A.shift, {N: M[0] for N, M in A.mats.items()})
     d = probe("number", b, site=1).matrix.diagonal()
     hermitian = a_kind == "hermitian"
     for N in (0, 4):
-        edge = evolve_mod._Blocks(b, False, A.shift, {N: A.mats[N]})
+        edge = evolve_mod._Blocks(b, A.shift, {N: A.mats[N]})
         assert A.mats[N].any()
         assert evolve_mod._diagonal_commutator_norm(edge, d, hermitian) == 0.0
     # a full hard-core sector: every number probe is 1 everywhere
@@ -391,16 +406,17 @@ def test_commutator_norms_on_hard_core_chain_9_match_the_svd_oracle():
 @pytest.mark.parametrize("sector", [None, 4])
 def test_a_real_operator_keeps_real_blocks(sector):
     b, H = setup(sector)
-    for O in (local_operator("number", [1], b), H, probe("mixing", b)):
+    for O in (local_operator("number", [1], b), H, probe("creation", b)):
         blocks = evolve_mod._Blocks.of(O)
         assert all(M.dtype == np.float64 for M in blocks.mats.values())
-        np.testing.assert_array_equal(blocks.dense(), O.dense())
+        np.testing.assert_array_equal(dense_blocks(blocks), O.dense())
     phase = evolve_mod._Blocks.of(probe("phase", b))
     assert all(M.dtype == np.complex128 for M in phase.mats.values())
-    np.testing.assert_array_equal(phase.dense(), probe("phase", b).dense())
+    np.testing.assert_array_equal(dense_blocks(phase), probe("phase", b).dense())
 
 
-@pytest.mark.parametrize("kind", ["hamiltonian", *PROBES])
+# a mixing operator with one entry per row and column is normed exactly
+@pytest.mark.parametrize("kind", ["hamiltonian", *PROBES, "mixing"])
 def test_spectral_norm_matches_the_whole_matrix_norm(kind):
     b, H = setup()
     O = H if kind == "hamiltonian" else probe(kind, b)

@@ -941,8 +941,6 @@ def test_lightcone_radius_refuses_an_unknown_fixed_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "bound, grid, fixed, message",
     [
-        ("lightcone-radius", {"delta": 0.5}, None, "missing required key 't'"),
-        ("lightcone-radius", {"t": 2.0}, None, "missing required key 'delta'"),
         ("lightcone-radius", {"t": 2.0, "delta": 0.5}, None,
          '{"delta": 0.5, "t": 2.0}: t must be >= e'),
         ("lightcone-radius", {"t": 4.0, "delta": 2.0}, None,
@@ -960,6 +958,47 @@ def test_a_bound_the_evaluator_refuses_names_its_grid_point(
         payload["scenario"]["fixed"] = fixed
     assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: scenario.grid: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bound, grid, fixed, message",
+    [
+        ("lightcone-radius", {"delta": 0.5}, None,
+         "scenario: bound 'lightcone-radius' needs parameters ['t']"),
+        ("lightcone-radius", {"t": 2.0}, None,
+         "scenario: bound 'lightcone-radius' needs parameters ['delta']"),
+        ("lightcone-radius", {}, {"delta": 0.5},
+         "scenario: bound 'lightcone-radius' needs parameters ['t']"),
+        ("lightcone-radius", {"t": [3], "delta": 0.5}, {"delta": 0.9},
+         "scenario.fixed: keys ['delta'] are also in scenario.grid"),
+        ("main-lr", {"R": [50]}, {"R": 7, "r0": 0, "t": 2},
+         "scenario.fixed: keys ['R'] are also in scenario.grid"),
+        ("moment", {"s": [1]}, {"sizeX": 1, "d_iX": 2, "mode": "paper"},
+         "scenario: bound 'moment' got unknown parameters ['mode']"),
+    ],
+)
+def test_a_bound_report_refuses_a_missing_doubled_or_unread_parameter(
+    bound, grid, fixed, message, tmp_path, capsys
+):
+    payload = json.loads(json.dumps(CONFIGS["bound-report"]))
+    payload["scenario"] = {"kind": "bound-report", "bound": bound, "grid": grid}
+    if fixed is not None:
+        payload["scenario"]["fixed"] = fixed
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_only_the_tail_bound_reads_a_mode(tmp_path):
+    payload = json.loads(json.dumps(CONFIGS["bound-report"]))
+    payload["scenario"] = {
+        "kind": "bound-report", "bound": "tail", "grid": {"z0": [10]},
+        "fixed": {"d_iX": 15, "r": 3, "mode": "markov-optimized"},
+    }
+    out = tmp_path / "o"
+    assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(out)]) == 0
+    with (out / "bound-report.csv").open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert json.loads(row["params"])["mode"] == "markov-optimized"
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1010,3 +1049,15 @@ def test_report_matches_golden(kind, tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert_matches_golden(out / f"{kind}.csv", kind)
+
+
+@pytest.mark.parametrize(
+    "flag, value, lo", [("--seed", "-1", 0), ("--threads", "-3", 1), ("--dense-cap", "-5", 1)]
+)
+def test_a_flag_out_of_range_is_a_usage_error_naming_it(flag, value, lo, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, CONFIGS["fs-check"])
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(cfg), "--out", str(tmp_path / "o"), flag, value])
+    assert exit_.value.code == 2
+    assert f"argument {flag}: value {value} is not at least {lo}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import boselab
+from boselab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {m.name for m in pkgutil.iter_modules(boselab.__path__) if not m.name.startswith("_")}
@@ -17,6 +18,17 @@ def test_readme_library_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     value = float(capsys.readouterr().out)
     assert value >= 0.0
+
+
+def test_readme_example_config_runs(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert len(blocks) == 1
+    cfg = tmp_path / "example.json"
+    cfg.write_text(blocks[0])
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    for name in ("moment-check.csv", "moment-check.json", "run_manifest.json"):
+        assert (out / name).is_file()
 
 
 def _resolves(dotted: str) -> bool:

@@ -21,7 +21,14 @@ from boselab.evolve import (
 from boselab.fock import ResourceLimitError, enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
-from helpers import fock_state, mott_occupation, oracle_unitary, quench_echo, random_state
+from helpers import (
+    dense_blocks,
+    fock_state,
+    mott_occupation,
+    oracle_unitary,
+    quench_echo,
+    random_state,
+)
 
 
 def chain_setup(n, cutoff, J=1.0, U=0.0, mu=0.0, sector=None):
@@ -452,7 +459,7 @@ def test_non_finite_times_are_refused(bad):
 
 def heisenberg_at(H, O, t):
     """O(t) as one whole matrix, from the dense Heisenberg stack of a one-time grid."""
-    return _heisenberg_stack(H, O, [t]).dense()[0]
+    return dense_blocks(_heisenberg_stack(H, O, [t]))[0]
 
 
 def test_heisenberg_conjugation():
