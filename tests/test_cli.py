@@ -938,35 +938,37 @@ def test_lightcone_radius_refuses_an_unknown_fixed_key(tmp_path, capsys):
     assert "config error: scenario.fixed: unknown keys ['bogus']" in capsys.readouterr().err
 
 
+# A missing key is refused before any grid point is evaluated, so its message is
+# placed on the scenario rather than on scenario.grid.
 @pytest.mark.parametrize(
-    "bound, grid, fixed, message",
+    "bound, grid, fixed, message, where",
     [
+        ("lightcone-radius", {"delta": 0.5}, None,
+         "bound 'lightcone-radius' needs parameters ['t']", "scenario"),
+        ("lightcone-radius", {"t": 2.0}, None,
+         "bound 'lightcone-radius' needs parameters ['delta']", "scenario"),
         ("lightcone-radius", {"t": 2.0, "delta": 0.5}, None,
-         '{"delta": 0.5, "t": 2.0}: t must be >= e'),
+         '{"delta": 0.5, "t": 2.0}: t must be >= e', "scenario.grid"),
         ("lightcone-radius", {"t": 4.0, "delta": 2.0}, None,
-         '{"delta": 2.0, "t": 4.0}: delta must lie in (0, 1]'),
+         '{"delta": 2.0, "t": 4.0}: delta must lie in (0, 1]', "scenario.grid"),
         ("moment", {"sizeX": [2, 0.5]}, {"s": 1, "d_iX": 2},
-         '{"d_iX": 2.0, "s": 1.0, "sizeX": 0.5}: sizeX must be >= 1'),
+         '{"d_iX": 2.0, "s": 1.0, "sizeX": 0.5}: sizeX must be >= 1', "scenario.grid"),
     ],
 )
 def test_a_bound_the_evaluator_refuses_names_its_grid_point(
-    bound, grid, fixed, message, tmp_path, capsys
+    bound, grid, fixed, message, where, tmp_path, capsys
 ):
     payload = json.loads(json.dumps(CONFIGS["bound-report"]))
     payload["scenario"] = {"kind": "bound-report", "bound": bound, "grid": grid}
     if fixed is not None:
         payload["scenario"]["fixed"] = fixed
     assert main(["run", str(write_cfg(tmp_path, payload)), "--out", str(tmp_path / "o")]) == 2
-    assert f"config error: scenario.grid: {message}" in capsys.readouterr().err
+    assert f"config error: {where}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "bound, grid, fixed, message",
     [
-        ("lightcone-radius", {"delta": 0.5}, None,
-         "scenario: bound 'lightcone-radius' needs parameters ['t']"),
-        ("lightcone-radius", {"t": 2.0}, None,
-         "scenario: bound 'lightcone-radius' needs parameters ['delta']"),
         ("lightcone-radius", {}, {"delta": 0.5},
          "scenario: bound 'lightcone-radius' needs parameters ['t']"),
         ("lightcone-radius", {"t": [3], "delta": 0.5}, {"delta": 0.9},
