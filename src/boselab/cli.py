@@ -463,8 +463,9 @@ class _Run:
     """What the runners of one scenario call share, resolved once.
 
     The lattice, basis and model that the scenario ``needs``, a lazy H, the
-    t0 and qbar defaults of the bound constants, typed scenario reads, the
-    seeded RNG, the manifest and the extra JSON outputs.
+    t0 and qbar defaults of the bound constants and the low-density check
+    against them, typed scenario reads, the seeded RNG, the manifest and the
+    extra JSON outputs.
     """
 
     def __init__(self, cfg: Mapping, config_path, seed: int, threads: int) -> None:
@@ -610,6 +611,25 @@ class _Run:
         self.manifest["resolved_constants"] = resolved
         return consts
 
+    def low_density(
+        self, psi0: StateVector, consts: BoundConstants, refuse_default: bool
+    ) -> None:
+        """Record mgf(psi0) at the resolved c0 and qbar as ``mgf_value``; refuse a failing qbar.
+
+        A ``constants.qbar`` that psi0 fails is refused.  A failing default
+        qbar (which psi0 sets) is refused on ``scenario.psi0`` when
+        ``refuse_default``, and otherwise only recorded.
+        """
+        mgf = mgf_condition(psi0, consts.c0, consts.qbar)
+        self.manifest["mgf_value"] = mgf
+        given = "qbar" in self.cfg.get("constants", {})
+        if mgf > 1.0 + 1e-9 and (given or refuse_default):
+            field = "constants.qbar" if given else "scenario.psi0"
+            raise ConfigError(
+                f"{field}: initial state violates the low-density condition: "
+                f"mgf = {mgf:.6g} > 1 at c0 = {consts.c0}, qbar = {consts.qbar}"
+            )
+
     def map(self, fn: Callable, *iterables) -> list:
         """``[fn(*args) for args in zip(*iterables)]``, the calls independent.
 
@@ -693,15 +713,12 @@ def _transport_check(
     sites = run.values("sites", run.site, list(g.sites))
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
-    mgf = mgf_condition(psi0, consts.c0, consts.qbar)
-    if mgf > 1.0 + 1e-9:
-        raise ConfigError(
-            f"initial state violates the low-density condition: "
-            f"mgf = {mgf:.6g} > 1 at c0 = {consts.c0}, qbar = {consts.qbar}"
-        )
-    run.manifest["mgf_value"] = mgf
+    run.low_density(psi0, consts, refuse_default=True)
     bound_at = bound(run, O_X, consts)
     dists = {i: float(min(int(g.distances[i, j]) for j in O_X.support)) for i in sites}
+    # the bound depends on (v, d(i, X)) alone: one call per distinct pair, in first-use order
+    pairs = dict.fromkeys((v, dists[i]) for i in sites for v in params)
+    bounds = {pair: bound_at(*pair) for pair in pairs}
 
     # the forward legs march once over the grid, the backward legs run in the pool
     phis = heisenberg_apply(H, O_X, psi0, times, map_legs=run.map)
@@ -711,7 +728,7 @@ def _transport_check(
         rows = []
         for i, values in zip(sites, probe(phi, sites, params).tolist()):
             for v, x in zip(params, values):
-                bv = bound_at(v, dists[i])
+                bv = bounds[v, dists[i]]
                 rows.append({
                     "i": i, param: v, "t": t, probe_col: x, bound_col: bv.value,
                     log_col: bv.log_value, "pass": _passes(x, bv),
@@ -731,6 +748,7 @@ def _truncation_check(run: _Run) -> list[dict]:
     O_X = run.observable({"kind": "creation", "site": min(X)})
     psi0 = run.state("mott-1")
     consts = run.constants(O_X)
+    run.low_density(psi0, consts, refuse_default=False)
 
     regions = halo(run.g, X, ell0, spec.k_max)
     annulus = sorted(regions.annulus)
@@ -821,6 +839,7 @@ def _quench_sim(run: _Run) -> list[dict]:
     t = run.value("t", _positive, 0.1)
     R_values = run.values("R_values", _POSITIVE)
     consts = run.constants()
+    run.low_density(psi0, consts, refuse_default=False)
     options = {
         key: run.value(key, conv, None)
         for key, conv in (("ell0", _POSITIVE), ("q", _POSITIVE), ("qprime", _POSITIVE),

@@ -18,8 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .fock import (
-    FockBasis, _binding_cutoffs, _region_occupations, number_operator, region_total_projector,
-    truncation_projector,
+    FockBasis, _binding_cutoffs, number_operator, region_total_projector, truncation_projector,
 )
 from .lattice import LatticeGraph
 
@@ -137,12 +136,12 @@ class OperatorMatrix:
 
     ``support`` is declared by the operator's builder: every site the
     operator acts on is in it, but it need not be the minimal such set.
-    Three builders make them, each with the same flags for the same
-    matrix: ``_hopping_rows`` every assembled Hamiltonian, Hermitian by
-    construction (each hop and its reverse get the same real J and the
-    same amplitude) and diagonal when no hop slot is kept;
-    ``_wrap_diagonal`` number and projector probes, from their diagonal;
-    ``_wrap`` any other matrix, from its stored entries.
+    Two builders make them, each with the same flags for the same matrix:
+    ``_hopping_rows`` everything the basis defines (every assembled
+    Hamiltonian and step generator, and the number and projector probes),
+    Hermitian by construction (each hop and its reverse get the same real J
+    and the same amplitude) and diagonal when no hop slot is kept; ``_wrap``
+    any other matrix, from its stored entries.
     """
 
     basis: FockBasis
@@ -199,31 +198,6 @@ def _wrap(b: FockBasis, mat: sparse.spmatrix, support: Iterable[int]) -> Operato
     )
 
 
-def _wrap_diagonal(b: FockBasis, d: np.ndarray, support: Iterable[int]) -> OperatorMatrix:
-    """diag(d) on ``b`` as an OperatorMatrix on the sites ``support``.
-
-    The same operator as ``_wrap(b, sparse.diags(d), support)``, built
-    straight from the nonzeros of d: one stored entry per nonzero, diagonal
-    by construction.  Its Hermiticity test is ``_check_hermitian``'s, whose
-    mismatches for a diagonal are the entries 2i Im d_j.
-    """
-    d = np.asarray(d, dtype=np.complex128)
-    if d.shape != (b.dim,):
-        raise ValueError("matrix dimension does not match basis")
-    nz = np.flatnonzero(d)
-    indptr = np.zeros(b.dim + 1, dtype=np.int64)
-    np.cumsum(d != 0, out=indptr[1:])
-    csr = sparse.csr_matrix((d[nz], nz, indptr), shape=(b.dim, b.dim))
-    scale = max(np.abs(csr.data).max(initial=0.0), 1.0)
-    return OperatorMatrix(
-        basis=b,
-        matrix=csr,
-        hermitian=bool(2.0 * np.abs(d.imag).max(initial=0.0) <= HERMITICITY_RTOL * scale),
-        is_diagonal=True,
-        support=frozenset(int(i) for i in support),
-    )
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -247,23 +221,26 @@ def _hopping_rows(
     0/1 ``mask`` is 0.
 
     The flags come from the construction, not from the stored matrix.  The
-    operator is Hermitian by construction: ``assemble_hamiltonian``, the
-    one caller, gives both directions of every hop the same listings of J,
-    which ``HamiltonianSpec`` holds real and finite, and sqrt(n_i (n_j + 1))
-    at s is the same floating product as the reverse hop's amplitude at
-    the target; the 0/1 mask multiplies both ends alike and ``diag`` is
-    real.  Entry (s, t) therefore equals entry (t, s) bit for bit.  A hop
-    never lands on its own state, so the operator is diagonal exactly when
-    every hop slot is 0.
+    operator is Hermitian by construction: ``assemble_hamiltonian`` gives
+    both directions of every hop the same listings of J, which
+    ``HamiltonianSpec`` holds real and finite, and sqrt(n_i (n_j + 1)) at s
+    is the same floating product as the reverse hop's amplitude at the
+    target; the 0/1 mask multiplies both ends alike and ``diag`` is real.
+    Entry (s, t) therefore equals entry (t, s) bit for bit.  A hop never
+    lands on its own state, so the operator is diagonal exactly when every
+    hop slot is 0.  Without ``weights`` (``local_operator``'s number and
+    projector probes, a generator that keeps no hop) it is diag(diag), and
+    the hop table is neither read nor built.
     """
-    row, targets = b.hop_targets
     slots = b.column_order(weights)
     cols = np.empty((len(slots), b.dim), dtype=np.int32)
     vals = np.empty((len(slots), b.dim), dtype=np.float64)
-    occ = b.occupations
-    # n_j + 1 where site j has room, 0 at its cutoff: a hop that leaves the
-    # basis gets amplitude 0 (and column 0 for -1), so it drops with the zeros
-    room = (occ + 1.0) * (occ < np.array(b.site_cutoffs)[:, None])
+    if weights:
+        row, targets = b.hop_targets
+        occ = b.occupations
+        # n_j + 1 where site j has room, 0 at its cutoff: a hop that leaves the
+        # basis gets amplitude 0 (and column 0 for -1), so it drops with the zeros
+        room = (occ + 1.0) * (occ < np.array(b.site_cutoffs)[:, None])
     for k, edge in enumerate(slots):
         if edge is None:
             cols[k] = np.arange(b.dim)
@@ -367,7 +344,7 @@ def creation_degree(O: OperatorMatrix, X: Iterable[int]) -> int | str:
     Xs = sorted(set(int(i) for i in X))
     if not O.support <= set(Xs):
         raise ValueError(f"operator support {sorted(O.support)} not within X")
-    nX = _region_occupations(O.basis, Xs)
+    nX = number_operator(O.basis, Xs)
     coo = O.matrix.tocoo()
     keep = np.abs(coo.data) > 0
     if not keep.any():
@@ -409,14 +386,12 @@ def local_operator(
         if not 0 <= i < b.n_sites:
             raise ValueError(f"site {i} out of range")
 
-    if kind in ("number", "projector"):
-        if kind == "number":
-            d = number_operator(b, sites)
-        elif predicate is None:
+    if kind == "number":
+        return _hopping_rows(b, {}, number_operator(b, sites), None, sites)
+    if kind == "projector":
+        if predicate is None:
             raise ValueError("projector kind needs a predicate")
-        else:
-            d = region_total_projector(b, sites, predicate)
-        return _wrap_diagonal(b, d, sites)
+        return _hopping_rows(b, {}, region_total_projector(b, sites, predicate), None, sites)
     if kind in ("creation", "annihilation"):
         if len(sites) != 1:
             raise ValueError(f"{kind} operator acts on a single site")

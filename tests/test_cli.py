@@ -747,6 +747,84 @@ def test_quench_stationarity_tol_reaches_the_reference(tmp_path):
     assert 1.0 < residuals.pop() < 10.0
 
 
+def _on_the_quench_sector(kind, **scenario):
+    """``kind``'s smoke config on quench-sim's N = 6 sector, with qbar left to its default.
+
+    The sector's ground state reads mgf 1.15547 at the default qbar 1.
+    """
+    payload = json.loads(json.dumps(CONFIGS[kind]))
+    payload.update({key: CONFIGS["quench-sim"][key] for key in ("lattice", "basis", "model")})
+    payload.pop("constants", None)
+    payload["scenario"].update(scenario)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "kind, qbar, mgf", [("quench-sim", 1.0, "1.15547"), ("moment-check", 0.5, "1.64872")]
+)
+def test_a_given_qbar_the_state_fails_is_refused_on_its_field(
+    kind, qbar, mgf, tmp_path, capsys
+):
+    payload = json.loads(json.dumps(CONFIGS[kind]))
+    payload["constants"]["qbar"] = qbar
+    cfg = write_cfg(tmp_path, payload)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "config error: constants.qbar: initial state violates the low-density condition: "
+        f"mgf = {mgf} > 1 at c0 = 1.0, qbar = {qbar}"
+    )
+
+
+@pytest.mark.parametrize("kind", ["moment-check", "tail-check"])
+def test_a_transport_check_refuses_a_failing_default_qbar_on_psi0(kind, tmp_path, capsys):
+    cfg = write_cfg(tmp_path, _on_the_quench_sector(kind, psi0="ground"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: scenario.psi0: initial state violates the low-density condition: "
+        "mgf = 1.15547 > 1 at c0 = 1.0, qbar = 1.0"
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, scenario",
+    [
+        ("quench-sim", {}),
+        ("truncation-check", {"psi0": "ground", "observable": {"kind": "number", "site": 2}}),
+    ],
+)
+def test_a_failing_default_qbar_is_recorded_not_refused(kind, scenario, tmp_path):
+    cfg = write_cfg(tmp_path, _on_the_quench_sector(kind, **scenario))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["mgf_value"] == pytest.approx(1.1554726, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "kind, calls",
+    [
+        # chain 5 seen from site 2 has d(i, X) = 0, 1, 2: three distances for
+        # each of the two parameter values, whatever the sites and times
+        ("moment-check", {"moment_bound": 6, "tail_bound": 0}),
+        ("tail-check", {"moment_bound": 0, "tail_bound": 6}),
+    ],
+)
+def test_a_transport_check_evaluates_each_bound_once_per_value_and_distance(
+    kind, calls, tmp_path, monkeypatch
+):
+    counts = dict.fromkeys(calls, 0)
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = write_cfg(tmp_path, CONFIGS[kind])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert counts == calls
+    assert_matches_golden(tmp_path / "o" / f"{kind}.csv", kind)
+
+
 def test_default_t0_is_the_largest_absolute_time(tmp_path):
     # a negative time is checked against a window that contains it
     payload = json.loads(json.dumps(CONFIGS["moment-check"]))

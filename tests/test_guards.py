@@ -136,18 +136,39 @@ def test_only_cli_reads_a_clock():
     assert found == []
 
 
-def test_cli_imports_no_private_name():
-    """The CLI reaches the library through public names only."""
-    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
-    found = [
-        f"cli.py:{node.lineno}: {alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level or (node.module or "").split(".")[0] == "boselab")
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
-    assert found == []
+# the private names a boselab module imports from another: (importer, source) -> names
+_PRIVATE_IMPORTS = {
+    ("approx", "fock"): {"_binding_cutoffs"},
+    ("model", "fock"): {"_binding_cutoffs"},
+    ("probes", "evolve"): {
+        "_Blocks", "_diagonal_commutator_norm", "_heisenberg_stack", "_norm2", "_times",
+    },
+}
+
+
+def test_private_names_cross_modules_only_by_the_allow_list():
+    """Modules reach each other through public names, but for ``_PRIVATE_IMPORTS``.
+
+    The CLI imports no private name at all, and ``approx`` no dense helper of
+    ``evolve``.  The list must match exactly, so an entry that no import
+    needs any more fails too.
+    """
+    found: dict[tuple[str, str], set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level:
+                source = parts[0]
+            elif parts[0] == "boselab":
+                source = parts[1] if len(parts) > 1 else ""
+            else:
+                continue
+            names = {alias.name for alias in node.names if alias.name.startswith("_")}
+            if names:
+                found.setdefault((path.stem, source or "__init__"), set()).update(names)
+    assert found == _PRIVATE_IMPORTS
 
 
 def test_one_refusal_per_cap_and_no_factor_tags():
@@ -252,13 +273,15 @@ def test_assembly_takes_its_flags_from_the_row_build():
     """Only ``_wrap`` runs the whole-matrix Hermiticity check, and no assembly wraps.
 
     ``_hopping_rows`` builds Hermitian operators by construction, so an
-    assembled Hamiltonian never pays for a transpose and a difference
-    matrix; ``_wrap`` serves the custom matrices of ``local_operator``.
+    assembled Hamiltonian or a number or projector probe never pays for a
+    transpose and a difference matrix; ``_wrap`` serves the custom matrices
+    of ``local_operator``.
     """
     assert _callers("_check_hermitian") == ["model._wrap"]
     wrappers = _callers("_wrap")
     assert "model.assemble_hamiltonian" not in wrappers
     assert "model._hopping_rows" not in wrappers
+    assert "model.local_operator" in _callers("_hopping_rows")
 
 
 def test_only_the_dense_operator_paths_refuse_the_dense_cap():
@@ -272,18 +295,6 @@ def test_only_the_dense_operator_paths_refuse_the_dense_cap():
     assert sorted(_callers("_require_dense")) == [
         "evolve._eigenbasis", "evolve._heisenberg_stack", "evolve.spectral_norm",
     ]
-
-
-def test_approx_imports_no_private_evolve_name():
-    """``approx`` reaches ``evolve`` through its public names only: no dense helper."""
-    tree = ast.parse((SRC / "approx.py").read_text())
-    imported = [
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "evolve"
-        for alias in node.names
-    ]
-    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 def test_cli_applies_steps_to_states_only():

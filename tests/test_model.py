@@ -25,7 +25,7 @@ from boselab.model import (
     creation_degree,
     local_operator,
 )
-from boselab.model import HERMITICITY_RTOL, _check_hermitian, _wrap, _wrap_diagonal
+from boselab.model import HERMITICITY_RTOL, _check_hermitian, _wrap
 from helpers import (
     oracle_custom_matrix,
     oracle_hamiltonian,
@@ -352,7 +352,7 @@ def test_number_and_projector_supports_hold_by_construction(kind, sites, predica
     ],
 )
 def test_number_and_projector_equal_their_wrapped_diagonals(kind, sites, predicate, sector):
-    # built straight from the diagonal, they store what _wrap stores for sparse.diags(d)
+    # built by the row builder, they store what _wrap stores for sparse.diags(d)
     b = enumerate_basis(build_lattice("chain", [3]), 2, sector=sector)
     op = local_operator(kind, sites, b, predicate=predicate)
     if kind == "number":
@@ -368,16 +368,16 @@ def test_number_and_projector_equal_their_wrapped_diagonals(kind, sites, predica
     assert op.support == ref.support
 
 
-@pytest.mark.parametrize("imag", [0.0, 0.4 * HERMITICITY_RTOL, 0.6 * HERMITICITY_RTOL, 0.3])
-def test_wrapped_diagonal_hermiticity_matches_the_sparse_check(imag):
-    # 2 |Im d| against the tolerance, as _check_hermitian sees a diagonal
-    b = enumerate_basis(build_lattice("chain", [2]), 2)
-    d = np.linspace(-1.0, 1.0, b.dim) + 1j * imag * (np.arange(b.dim) % 2)
-    op = _wrap_diagonal(b, d, [0, 1])
-    ref = _wrap(b, sparse.diags(d), [0, 1])
-    assert op.hermitian == ref.hermitian == (2 * imag <= HERMITICITY_RTOL)
-    assert np.array_equal(op.matrix.data, ref.matrix.data)
-    assert np.array_equal(op.matrix.indices, ref.matrix.indices)
+def test_diagonal_operators_build_no_hop_table():
+    # a probe or a generator that keeps no hop is diagonal and reads no hop table
+    b = enumerate_basis(build_lattice("chain", [3]), 2)
+    ops = [
+        local_operator("number", [1], b),
+        local_operator("projector", [0, 2], b, predicate=("<=", 1)),
+        assemble_hamiltonian(bose_hubbard(b.lattice, J=1.0, U=1.0), b, hop_sites=[0]),
+    ]
+    assert all(op.is_diagonal for op in ops)
+    assert "hop_targets" not in b.__dict__
 
 
 def test_creation_degree():
