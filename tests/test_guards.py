@@ -171,6 +171,32 @@ def test_private_names_cross_modules_only_by_the_allow_list():
     assert found == _PRIVATE_IMPORTS
 
 
+def test_cli_imports_no_private_name():
+    """The CLI reaches the library through public names only."""
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    found = [
+        f"cli.py:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "boselab")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_approx_imports_no_private_evolve_name():
+    """``approx`` reaches ``evolve`` through its public names only: no dense helper."""
+    tree = ast.parse((SRC / "approx.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "evolve"
+        for alias in node.names
+    ]
+    assert imported and not [name for name in imported if name.startswith("_")]
+
+
 def test_one_refusal_per_cap_and_no_factor_tags():
     """The dense cap is refused in one place in ``evolve``, the basis cap in one in ``fock``.
 
