@@ -42,6 +42,27 @@ the step's Krylov block.  Each check of the step's estimate diagonalises
 the tridiagonal with LAPACK ``dstevd`` directly, the routine that
 ``eigh_tridiagonal`` picks for a full spectrum, so its results are the same.
 
+The Krylov vectors are multiplied by the rows of the N-blocks the state
+occupies (``_occupied_rows``).  H conserves N, so a Fock or Mott state on a
+product basis never leaves its block, and a superposition never leaves its
+blocks.  The march takes a copy of H that keeps only those blocks' rows,
+with the other rows empty, when the state is exactly zero on some block and
+no stored entry of H couples its blocks to the others.  A sector basis (one
+block), a state on every block and an H that couples blocks march on H
+itself.  Each kept row holds H's entries in H's order, and an empty row
+gives exactly the 0.0 that H's row gives on the zeros off those blocks, so
+the march is bit-identical to one on H: the same vectors, steps, estimates
+and matvec counts.  The copy is built once per (H, block set) and kept on
+H, where every leg of ``probes.heisenberg_apply`` reuses it; its backward
+legs march on block N + d for an observable of ΔN d.  The Krylov steps of
+local unitaries and quench steps (``approx``) take the same path through
+``evolve_state``.  The vectors and the Krylov block keep their full
+length.  Gathering them into compact block vectors would cut the O(dim)
+work too, but it shrinks the Krylov block, which moves the benchmark's
+``setup_s`` through glibc's heap state (the ``setup_s`` heap-state
+``FOUND:`` line in CHANGES.md); it waits for a set-up timing that does not
+depend on that state (ROADMAP item 1).
+
 Dense work runs per particle-number block.  An operator with a fixed
 ``delta_n`` d maps block N of ``FockBasis.blocks`` into block N + d, so it
 is held as those blocks (``_Blocks``): H's eigenbasis takes one ``eigh`` per
@@ -304,10 +325,11 @@ def evolve_state(
             out[j] = psi.amplitudes * np.exp(-1j * times[j] * d.real)
         counts = (int(times.any()), 0.0, 0, 0)
     else:
+        rows = _occupied_rows(H, psi.amplitudes)
         for side in (times > 0.0, times < 0.0):
             idx = np.flatnonzero(side)
             if idx.size:
-                vecs, more = _march(H.matrix, psi.amplitudes, times[idx], tol)
+                vecs, more = _march(rows, psi.amplitudes, times[idx], tol)
                 for j, w in zip(idx, vecs):
                     out[j] = w
                 method = "krylov"
@@ -317,6 +339,44 @@ def evolve_state(
     states = [StateVector(psi.basis, w) for w in out]
     result = states[0] if scalar else states
     return (result, rep) if return_report else result
+
+
+def _occupied_rows(H: OperatorMatrix, psi: np.ndarray) -> sparse.csr_matrix:
+    """H's matrix with only the rows of the N-blocks where psi has a nonzero amplitude.
+
+    The other rows are empty.  When no stored entry of H couples those
+    blocks to the others, every vector of psi's march is zero off them, so
+    a kept row gives the same product as in H (the same entries in the same
+    order) and an empty row the 0.0 that H's row gives on those zeros: the
+    march is bit-identical to one on H.  H itself is returned for a sector
+    basis (one block), a psi on every block and an H that couples blocks.
+    The copy is built once per (H, block set) and kept on H, as a cached
+    property would be; two threads may both build one, never a wrong one.
+    """
+    if H.basis.sector is not None:
+        return H.matrix
+    parts = H.basis.blocks
+    nonzero = psi != 0
+    occupied = tuple(N for N, idx in parts.items() if nonzero[idx].any())
+    if len(occupied) == len(parts):
+        return H.matrix
+    copies = vars(H).setdefault("_occupied_rows", {})
+    rows = copies.get(occupied)
+    if rows is None:
+        keep = np.zeros(H.dim, dtype=bool)
+        for N in occupied:
+            keep[parts[N]] = True
+        csr = H.matrix
+        per_row = np.diff(csr.indptr)
+        kept = np.repeat(keep, per_row)
+        rows = csr
+        # one pass: an entry couples the blocks if its row and column differ in keep
+        if np.array_equal(kept, keep[csr.indices]):
+            indptr = np.zeros_like(csr.indptr)
+            np.cumsum(np.where(keep, per_row, 0), out=indptr[1:])
+            rows = sparse.csr_matrix((csr.data[kept], csr.indices[kept], indptr), shape=csr.shape)
+        copies[occupied] = rows
+    return rows
 
 
 def _march(

@@ -133,8 +133,11 @@ def heisenberg_apply(
     order.  The forward legs e^{-iHt} psi of a grid come from one
     ``evolve_state`` call.  Each backward leg starts from its own vector, so
     they run one per time, through ``map_legs``: the builtin ``map``, or any
-    callable like it that keeps the order, such as a pooled one.
+    callable like it that keeps the order, such as a pooled one.  O must
+    live on psi's basis, as H must (``evolve_state``); ValueError otherwise.
     """
+    if O.basis is not psi.basis:
+        raise ValueError("O and psi live on different bases")
     times, scalar = _times(t)
     forward = evolve_state(H, psi, times, tol=tol)
 

@@ -16,7 +16,7 @@ from boselab.evolve import StateVector
 from boselab.fock import FockBasis, enumerate_basis
 from boselab.lattice import build_lattice, geometric_constants
 from boselab.approx import _apply_pairs
-from boselab.model import HERMITICITY_RTOL, local_operator
+from boselab.model import HERMITICITY_RTOL, _wrap, local_operator
 from boselab.probes import heisenberg_apply
 
 
@@ -199,6 +199,16 @@ def oracle_is_hermitian(mat: sparse.spmatrix) -> bool:
         return True
     scale = max(np.abs(mat.tocoo().data).max(), 1.0)
     return bool(np.abs(diff.data).max() <= HERMITICITY_RTOL * scale)
+
+
+# on one site with cutoff 2: entries with ΔN = +1 and -1, Hermitian
+MIXING_HERMITIAN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+
+
+def mixing_hamiltonian(b: FockBasis, H):
+    """H plus a Hermitian term on site 2 (cutoff 2) that changes N, so its ΔN is None."""
+    term = local_operator("custom-matrix", [2], b, matrix=MIXING_HERMITIAN)
+    return _wrap(b, H.matrix + 0.3 * term.matrix, H.support | term.support)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from boselab.model import (
 )
 from boselab.probes import commutator_norms
 from helpers import (
+    MIXING_HERMITIAN,
     basis_vectors,
     dense_blocks,
+    mixing_hamiltonian,
     oracle_commutator_norms,
     oracle_heisenberg,
     oracle_step,
@@ -31,9 +33,7 @@ from helpers import (
 
 TOL = 1e-12
 
-# on one site with cutoff 2: entries with ΔN = +1 and -1 (Hermitian), and
-# with ΔN = +1 and -2 (not Hermitian)
-MIXING_HERMITIAN = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+# on one site with cutoff 2: entries with ΔN = +1 and -2 (not Hermitian)
 MIXING = np.array([[0, 0, 1], [1, 0, 0], [0, 0, 0]], dtype=float)
 
 
@@ -53,12 +53,6 @@ def probe(kind, b, site=1):
     if kind == "mixing-hermitian":
         return local_operator("custom-matrix", [site], b, matrix=MIXING_HERMITIAN)
     return local_operator(kind, [site], b)
-
-
-def mixing_hamiltonian(b, H):
-    """H plus a Hermitian term that changes N, so its ΔN is None."""
-    term = probe("mixing-hermitian", b, site=2)
-    return _wrap(b, H.matrix + 0.3 * term.matrix, H.support | term.support)
 
 
 # -- blocks and ΔN ------------------------------------------------------------

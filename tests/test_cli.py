@@ -293,6 +293,21 @@ def test_threads_do_not_change_output(tmp_path):
         assert [float(r["t"]) for r in rows[: len(times)]] == times
 
 
+def test_pooled_legs_sharing_the_row_copies_of_h_keep_output(tmp_path):
+    # on a product basis a creation observable's backward legs march on the
+    # rows of block N + 1, whose copy the pooled legs build and keep on one H
+    payload = json.loads(json.dumps(CONFIGS["moment-check"]))
+    payload["scenario"]["observable"] = {"kind": "creation", "site": 2}
+    payload["scenario"]["times"] = [0.1, 0.05, 0.2, 0.15]
+    cfg = write_cfg(tmp_path, payload)
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["run", str(cfg), "--out", str(out), "--threads", threads]) == 0
+        csvs.append((out / "moment-check.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 @pytest.mark.parametrize("kind", ["quench-sim", "approx-sweep"])
 def test_pooled_cells_sharing_the_hop_table_keep_output(kind, tmp_path):
     # the cells of these sweeps assemble generators from the basis's one hop table;

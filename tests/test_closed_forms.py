@@ -38,11 +38,15 @@ TIMES = [0.5, 1.0, 2.0]
         (10, 5, (0, 0, 2, 0, 0, 3, 0, 0, 0, 0), 2_002),
         # hard-core chain 20 at half filling, above dim 10^5
         (20, 1, (1,) * 10 + (0,) * 10, 184_756),
+        # hard-core chain 16 on its product basis, the march on the N = 8 rows
+        (16, 1, (1,) * 8 + (0,) * 8, 65_536),
     ],
 )
 def test_evolved_densities_match_the_closed_form(n_sites, cutoff, occ, dim):
     g = build_lattice("chain", [n_sites])
-    b = enumerate_basis(g, cutoff, sector=sum(occ))
+    # the product basis where dim is the whole product (cutoff + 1)^L
+    product = dim == (cutoff + 1) ** n_sites
+    b = enumerate_basis(g, cutoff, sector=None if product else sum(occ))
     assert b.dim == dim > DENSE_CAP
     H = assemble_hamiltonian(bose_hubbard(g, J=J, U=0.0), b)
     psi0 = fock_state(b, occ)

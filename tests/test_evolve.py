@@ -21,9 +21,11 @@ from boselab.evolve import (
 from boselab.fock import ResourceLimitError, enumerate_basis
 from boselab.lattice import build_lattice
 from boselab.model import assemble_hamiltonian, bose_hubbard, local_operator
+from boselab.probes import heisenberg_apply
 from helpers import (
     dense_blocks,
     fock_state,
+    mixing_hamiltonian,
     mott_occupation,
     oracle_unitary,
     quench_echo,
@@ -455,6 +457,88 @@ def test_non_finite_times_are_refused(bad):
     g1, b1, H1 = chain_setup(1, 3, J=0.0, mu=0.7)
     with pytest.raises(ValueError, match="finite"):
         evolve_state(H1, fock_state(b1, (2,)), bad)
+
+
+# -- the march on the rows of the N-blocks a state occupies -----------------------
+
+ROW_GRID = [0.3, 2.5, 1.1]
+
+
+def full_march(H, amplitudes, grid, tol=1e-10):
+    """The march of a grid of positive times on all of H's rows."""
+    return evolve_mod._march(H.matrix, amplitudes, np.asarray(grid, dtype=float), tol)
+
+
+def assert_march_is_the_full_march(H, psi):
+    got, report = evolve_state(H, psi, ROW_GRID, return_report=True)
+    want, counts = full_march(H, psi.amplitudes, ROW_GRID)
+    assert all(np.array_equal(s.amplitudes, w) for s, w in zip(got, want))
+    assert (report.steps, report.est_error, report.matvecs, report.rejected) == counts
+
+
+def row_states(b):
+    """A Fock state (N = 2), a superposition over N = 2 and N = 4, full support, zero."""
+    fock = fock_state(b, (1, 0, 1, 0)).amplitudes
+    two = (fock + fock_state(b, (1, 1, 1, 1)).amplitudes) / math.sqrt(2.0)
+    full = random_state(b, 11).amplitudes
+    return {
+        "fock": (fock, [2]),
+        "two-block": (two, [2, 4]),
+        "full": (full, None),
+        "zero": (np.zeros(b.dim, dtype=np.complex128), []),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fock", "two-block", "full", "zero"])
+def test_march_on_occupied_rows_is_bit_identical_to_the_full_march(kind):
+    g, b, H = chain_setup(4, 2, J=1.0, U=0.7, mu=0.2)
+    amplitudes, occupied = row_states(b)[kind]
+    psi = StateVector(b, amplitudes)
+    assert_march_is_the_full_march(H, psi)
+    rows = evolve_mod._occupied_rows(H, amplitudes)
+    if occupied is None:  # every block: H itself, and nothing kept on H
+        assert rows is H.matrix and "_occupied_rows" not in vars(H)
+        return
+    keep = np.zeros(b.dim, dtype=bool)
+    for N in occupied:
+        keep[b.blocks[N]] = True
+    dense = H.dense()
+    assert np.array_equal(rows.toarray(), np.where(keep[:, None], dense, 0.0))
+    # built once per block set
+    assert evolve_mod._occupied_rows(H, amplitudes) is rows
+    assert list(vars(H)["_occupied_rows"]) == [tuple(occupied)]
+
+
+def test_an_h_that_couples_blocks_marches_on_all_its_rows():
+    g, b, H = chain_setup(4, 2, J=1.0, U=0.7, mu=0.2)
+    mixing = mixing_hamiltonian(b, H)
+    assert mixing.hermitian and mixing.delta_n is None
+    psi = fock_state(b, (1, 0, 1, 0))
+    assert evolve_mod._occupied_rows(mixing, psi.amplitudes) is mixing.matrix
+    assert_march_is_the_full_march(mixing, psi)
+
+
+@pytest.mark.parametrize("kind, shift", [("creation", 1), ("annihilation", -1)])
+def test_heisenberg_apply_legs_march_on_their_blocks_bit_identically(kind, shift):
+    g, b, H = chain_setup(4, 2, J=1.0, U=0.7, mu=0.2)
+    O = local_operator(kind, [1], b)
+    psi = fock_state(b, (1, 1, 1, 0))
+    got = heisenberg_apply(H, O, psi, ROW_GRID)
+    forward, _ = full_march(H, psi.amplitudes, ROW_GRID)
+    for t, phi, state in zip(ROW_GRID, forward, got):
+        (want,), _ = evolve_mod._march(H.matrix, O.matrix @ phi, np.array([-t]), 1e-10)
+        assert np.array_equal(state.amplitudes, want)
+    # the forward legs on block 3, the backward legs on block 3 + ΔN
+    assert sorted(vars(H)["_occupied_rows"]) == sorted([(3,), (3 + shift,)])
+
+
+def test_a_sector_basis_marches_on_h_without_building_blocks():
+    g, b, H = chain_setup(4, 2, J=1.0, U=0.7, sector=2)
+    psi = fock_state(b, (1, 0, 1, 0))
+    assert_march_is_the_full_march(H, psi)
+    assert evolve_mod._occupied_rows(H, psi.amplitudes) is H.matrix
+    assert "blocks" not in vars(b)
+    assert "_occupied_rows" not in vars(H)
 
 
 def heisenberg_at(H, O, t):

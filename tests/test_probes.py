@@ -142,6 +142,20 @@ def test_heisenberg_apply_matches_dense_route():
     assert np.linalg.norm(direct - via_states.amplitudes) <= 1e-9
 
 
+def test_heisenberg_apply_refuses_an_operator_on_another_basis(monkeypatch):
+    g, b, H = chain_setup(3, 2, J=1.0, U=0.9)
+    psi = random_state(b, 4)
+    calls = []
+    monkeypatch.setattr(probes_mod, "evolve_state", lambda *a, **kw: calls.append(a))
+    # a second basis equal to psi's, and one with another cutoff
+    for other in (enumerate_basis(g, 2), enumerate_basis(g, 3)):
+        O = local_operator("number", [0], other)
+        with pytest.raises(ValueError, match="O and psi live on different bases"):
+            heisenberg_apply(H, O, psi, [0.5, 1.0])
+    # refused before any leg is marched
+    assert calls == []
+
+
 def test_heisenberg_apply_over_a_grid_marches_its_forward_legs_once(monkeypatch):
     g, b, H = chain_setup(3, 2, J=1.0, U=0.9)
     O = local_operator("number", [0], b)
